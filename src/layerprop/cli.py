@@ -37,7 +37,7 @@ STATUS_EXIT = {"valid": OK, "certified": OK, "refuted": FAILED,
 def _load_json(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
 
 
@@ -53,10 +53,18 @@ def _load_diagram(sys_: SystemOfLayers, spec: str) -> dg.Diagram:
     """A diagram file, an s-expression file, or a generator reference."""
     path = Path(spec)
     if path.exists():
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedInput(f"cannot read {spec}: {exc}")
         if text.lstrip().startswith("("):
             return terms.build(sexpr.parse_term(text), sys_)
-        return jsonio.diagram_from_json(sys_, json.loads(text))
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(
+                f"{spec} is neither JSON nor an s-expression: {exc}")
+        return jsonio.diagram_from_json(sys_, payload)
     if ":" in spec:
         layer, gen = spec.split(":", 1)
         return dg.gen_box(sys_, layer, gen)
@@ -285,6 +293,26 @@ def _ratfunc_to_json(r: cx.RatFunc) -> dict:
             "s_poly_den": [str(x) for x in r.den]}
 
 
+def _load_bipoles(path: str) -> list[cx.Bipole]:
+    """A one-wire circuit file: a JSON list of {"kind", "param"} objects."""
+    raw = _load_json(path)
+    if not isinstance(raw, list):
+        raise MalformedInput(f"{path}: expected a list of bipoles, got "
+                             f"{type(raw).__name__}")
+    bipoles = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or \
+                not {"kind", "param"} <= entry.keys():
+            raise MalformedInput(
+                f"{path}: bipole {i} needs the keys 'kind' and 'param'")
+        try:
+            param = _ratfunc_from_param(entry["param"])
+        except (MalformedInput, ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput(f"{path}: bipole {i}: {exc}")
+        bipoles.append(cx.Bipole(entry["kind"], param))
+    return bipoles
+
+
 def cmd_circuit(args) -> int:
     cs = cx.build_circuit_system()
     if args.emit:
@@ -293,11 +321,7 @@ def cmd_circuit(args) -> int:
         (outdir / "circuit.json").write_text(
             jsonio.dumps(jsonio.system_to_json(cs.system)), encoding="utf-8")
     if args.file:
-        bipoles = []
-        for raw in _load_json(args.file):
-            bipoles.append(cx.Bipole(raw["kind"],
-                                     _ratfunc_from_param(raw["param"])))
-        z = cx.boxing_B(bipoles)
+        z = cx.boxing_B(_load_bipoles(args.file))
         rel = cx.wrapping_W(z)
         payload = {
             "impedance_rows": [[_ratfunc_to_json(x) for x in row]
@@ -420,9 +444,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Budgets, word lengths and caps are counts: reject negative ones."""
+    for name in ("budget", "max_word", "cap"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise MalformedInput(f"{flag} must not be negative, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)

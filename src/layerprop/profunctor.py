@@ -6,6 +6,12 @@ element sets with bimodule actions.  Profunctor composition quotients the
 pairs over a middle object by the usual zig-zag identifications, computed
 with union-find; the class representative (the least triple) doubles as the
 element id, keeping every construction deterministic.
+
+Each category carries a generating set of morphisms (``generators``).  The
+coend quotient unions only along generators of the middle category, and
+natural-transformation search propagates only along generators of the
+boundary categories: the actions are functorial, so the relations and the
+naturality squares of composites follow from those of their factors.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ class FinCategory:
         self._ident = identities
         self.components = components  # None marks an atomic category
         self._hom_buckets: dict | None = None
-        self._by_dom: dict | None = None
+        self._gens: tuple | None = None
+        self._gens_from: dict = {}
+        self._gens_into: dict = {}
         self._then_cache: dict = {}
 
     def dom(self, f):
@@ -89,13 +97,65 @@ class FinCategory:
                                  for k, v in buckets.items()}
         return self._hom_buckets.get((a, b), ())
 
-    def morphisms_from(self, a) -> tuple:
-        if self._by_dom is None:
-            by_dom: dict = {}
-            for f in self.morphisms:
-                by_dom.setdefault(self.dom(f), []).append(f)
-            self._by_dom = {k: tuple(v) for k, v in by_dom.items()}
-        return self._by_dom.get(a, ())
+    def generators(self) -> tuple:
+        """A generating set: every morphism is an identity or a composite
+        of generators.
+
+        An atomic category scans its morphisms in order and keeps each one
+        that is not yet an identity or a composite of those kept.  A product
+        pads each component's generators with identities of the other
+        components, since (f1, .., fn) is the composite of the
+        (id, .., fi, .., id).
+        """
+        if self._gens is None:
+            if self.components is None:
+                gens = self._greedy_generators()
+            else:
+                gens = []
+                comps = self.components
+                for i, comp in enumerate(comps):
+                    rest = comps[:i] + comps[i + 1:]
+                    for g in comp.generators():
+                        for objs in itertools.product(
+                                *(c.objects for c in rest)):
+                            ids = tuple(c.ident(o)
+                                        for c, o in zip(rest, objs))
+                            gens.append(ids[:i] + (g,) + ids[i:])
+            for g in gens:
+                self._gens_from.setdefault(self.dom(g), []).append(g)
+                self._gens_into.setdefault(self.cod(g), []).append(g)
+            self._gens = tuple(gens)
+        return self._gens
+
+    def _greedy_generators(self) -> list:
+        gens: list = []
+        reached = {self.ident(o) for o in self.objects}
+        for f in self.morphisms:
+            if f in reached:
+                continue
+            gens.append(f)
+            todo = list(reached)
+            while todo:
+                m = todo.pop()
+                for g in gens:
+                    if self.dom(g) == self.cod(m):
+                        mg = self.then(m, g)
+                        if mg not in reached:
+                            reached.add(mg)
+                            todo.append(mg)
+        return gens
+
+    def gens_from(self, b) -> list:
+        """Generators with domain b."""
+        if self._gens is None:
+            self.generators()
+        return self._gens_from.get(b, [])
+
+    def gens_into(self, a) -> list:
+        """Generators with codomain a."""
+        if self._gens is None:
+            self.generators()
+        return self._gens_into.get(a, [])
 
     def validate(self) -> list[str]:
         """Exhaustive identity and associativity checks."""
@@ -254,10 +314,6 @@ class FinFunctor:
                                f"{f!r};{g!r} not preserved")
         return out
 
-    def table_eq(self, other: "FinFunctor") -> bool:
-        return (self.obj_map == other.obj_map
-                and self.mor_map == other.mor_map)
-
 
 def identity_functor(c: FinCategory) -> FinFunctor:
     return FinFunctor(f"id_{c.name}", c, c,
@@ -296,6 +352,10 @@ class Profunctor:
 
     def elements(self, a, b) -> tuple:
         return self._elements.get((a, b), ())
+
+    def reprs(self, a, b) -> list[str]:
+        """``repr`` of each element of P(a, b), in order."""
+        return [repr(x) for x in self.elements(a, b)]
 
     def lact(self, g, x, a, b):
         """Action of g: a' -> a on x in P(a, b), landing in P(a', b)."""
@@ -418,28 +478,35 @@ def embed(f: FinFunctor, direction: str) -> Profunctor:
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+    """Disjoint sets over 0 .. n-1."""
 
-    def add(self, x):
-        self.parent.setdefault(x, x)
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, x, y):
+    def union(self, x: int, y: int) -> None:
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
-            # keep the lesser representative for determinism
-            lo, hi = sorted((rx, ry), key=repr)
-            self.parent[hi] = lo
+            self.parent[rx] = ry
 
 
 class ComposedProfunctor(Profunctor):
-    """Coend composite with its injection maps."""
+    """Coend composite with its injection maps.
+
+    The elements over (a, c) are the classes of triples (b, x, y), x in
+    P(a, b) and y in Q(b, c), under (b2, x.g, y) ~ (b, x, g.y) for
+    g: b -> b2.  The relations along the generating morphisms of the middle
+    category generate those along their composites, so only the generators
+    are walked.  The triples over a are numbered block by block, one block
+    per (b, c), row x, column y; each class is named by its least triple in
+    ``repr`` order.
+    """
 
     def __init__(self, p: Profunctor, q: Profunctor):
         if p.target.objects != q.source.objects or \
@@ -449,64 +516,127 @@ class ComposedProfunctor(Profunctor):
                 f"differ")
         self.p = p
         self.q = q
+        self._pos: tuple = ({}, {})   # element positions in P and in Q
+        self._reprs: dict = {}        # (a, c) -> repr of each element
         mid = p.target
-        self._uf: dict = {}
-        elements = {}
+        # a -> (number of the first triple of each block b, c; name of
+        # each triple)
+        self._blocks: dict = {}
+        elements: dict = {}
+        rank = {b: k for k, b in enumerate(mid.objects)}
+        p_bs: dict = {}   # a -> the b with P(a, b) non-empty
+        for (a, b), xs in p._elements.items():
+            if xs:
+                p_bs.setdefault(a, []).append(b)
+        q_row: dict = {}   # b -> (c, Q(b, c), reprs) for non-empty Q(b, c)
+        for (b, c), ys in q._elements.items():
+            if ys:
+                q_row.setdefault(b, []).append((c, ys, q.reprs(b, c)))
+        # g: b -> b2 -> for each c with Q(b2, c) non-empty: c, the position
+        # in Q(b, c) of g.y for each y in Q(b2, c), |Q(b, c)| and |Q(b2, c)|
+        left_moves: dict = {}
+
+        def moves(g, b, b2) -> list:
+            out = left_moves.get(g)
+            if out is None:
+                out = []
+                for c, ys, _ in q_row.get(b2, ()):
+                    pos = self._position(1, b, c)
+                    out.append((c, [pos[q.lact(g, y, b2, c)] for y in ys],
+                                len(pos), len(ys)))
+                left_moves[g] = out
+            return out
+
         for a in p.source.objects:
-            p_bs = [b for b in mid.objects if p.elements(a, b)]
+            bs = sorted(p_bs.get(a, ()), key=rank.__getitem__)
+            offsets: dict = {}   # b -> c -> number of the block's 1st triple
+            blocks = []          # (b, c, P(a, b), reprs, Q(b, c), reprs)
+            n = 0
+            for b in bs:
+                xs, rxs = p.elements(a, b), p.reprs(a, b)
+                offsets[b] = row = {}
+                for c, ys, rys in q_row.get(b, ()):
+                    row[c] = n
+                    blocks.append((b, c, xs, rxs, ys, rys))
+                    n += len(xs) * len(ys)
+            uf = _UnionFind(n)
+            for b in bs:
+                xs = p.elements(a, b)
+                for g in mid.gens_from(b):
+                    b2 = mid.cod(g)
+                    pos = self._position(0, a, b2)
+                    xg = [pos[p.ract(x, g, a, b)] for x in xs]
+                    at1, at2 = offsets[b], offsets[b2]
+                    for c, gy, n1, n2 in moves(g, b, b2):
+                        o1, o2 = at1[c], at2[c]
+                        for i, xi in enumerate(xg):
+                            row1, row2 = o1 + i * n1, o2 + xi * n2
+                            for j, yj in enumerate(gy):
+                                uf.union(row2 + j, row1 + yj)
+            of_triple, named = self._name_classes(blocks, uf)
+            self._blocks[a] = (offsets, of_triple)
             for c in q.target.objects:
-                uf = _UnionFind()
-                for b in p_bs:
-                    for x in p.elements(a, b):
-                        for y in q.elements(b, c):
-                            uf.add((b, x, y))
-                for b in p_bs:
-                    for g in mid.morphisms_from(b):
-                        b2 = mid.cod(g)
-                        ys = q.elements(b2, c)
-                        if not ys:
-                            continue
-                        for x in p.elements(a, b):
-                            xg = p.ract(x, g, a, b)
-                            for y in ys:
-                                gy = q.lact(g, y, b2, c)
-                                uf.add((b2, xg, y))
-                                uf.add((b, x, gy))
-                                uf.union((b2, xg, y), (b, x, gy))
-                # canonical representative: least member of each class
-                members: dict = {}
-                for t in uf.parent:
-                    members.setdefault(uf.find(t), []).append(t)
-                rep_of: dict = {}
-                reps = []
-                for root, ts in members.items():
-                    rep = min(ts, key=repr)
-                    reps.append(rep)
-                    for t in ts:
-                        rep_of[t] = rep
-                self._uf[(a, c)] = rep_of
-                elements[(a, c)] = tuple(sorted(reps, key=repr))
+                names = named.get(c, ())
+                elements[(a, c)] = tuple(triple for _, triple in names)
+                if names:
+                    self._reprs[(a, c)] = [key for key, _ in names]
 
         def lact(g, rep, a, c):
             b, x, y = rep
             a2 = p.source.dom(g)
-            return self._uf[(a2, c)][(b, p.lact(g, x, a, b), y)]
+            return self.inject(a2, c, b, p.lact(g, x, a, b), y)
 
         def ract(rep, h, a, c):
             b, x, y = rep
             c2 = q.target.cod(h)
-            return self._uf[(a, c2)][(b, x, q.ract(y, h, b, c))]
+            return self.inject(a, c2, b, x, q.ract(y, h, b, c))
 
         super().__init__(f"({p.name};{q.name})", p.source, q.target,
                          elements, lact, ract)
 
+    @staticmethod
+    def _name_classes(blocks: list, uf: _UnionFind) -> tuple[list, dict]:
+        """Name each class by its least triple in ``repr`` order.  Returns
+        the name of each triple, and per c the (repr, name) pairs sorted
+        by repr."""
+        roots = [uf.find(k) for k in range(len(uf.parent))]
+        best: dict = {}   # root -> (repr, c, triple) of its least triple
+        k = 0
+        for b, c, xs, rxs, ys, rys in blocks:
+            head = f"({b!r}, "
+            for x, rx in zip(xs, rxs):
+                row = f"{head}{rx}, "
+                for y, ry in zip(ys, rys):
+                    key = f"{row}{ry})"
+                    cur = best.get(roots[k])
+                    if cur is None or key < cur[0]:
+                        best[roots[k]] = (key, c, (b, x, y))
+                    k += 1
+        named: dict = {}
+        for key, c, triple in sorted(best.values(), key=lambda t: t[0]):
+            named.setdefault(c, []).append((key, triple))
+        return [best[root][2] for root in roots], named
+
+    def _position(self, side: int, a, b) -> dict:
+        """Index of each element of P(a, b) (side 0) or Q(a, b) (side 1)."""
+        table = self._pos[side]
+        out = table.get((a, b))
+        if out is None:
+            prof = self.q if side else self.p
+            out = {x: i for i, x in enumerate(prof.elements(a, b))}
+            table[(a, b)] = out
+        return out
+
+    def reprs(self, a, c) -> list[str]:
+        return self._reprs.get((a, c), [])
+
     def inject(self, a, c, b, x, y):
         """Class of the pair (x, y) over middle object b."""
-        return self._uf[(a, c)][(b, x, y)]
-
-
-def compose_prof(p: Profunctor, q: Profunctor) -> ComposedProfunctor:
-    return ComposedProfunctor(p, q)
+        offsets, of_triple = self._blocks[a]
+        return of_triple[offsets[b][c]
+                         + self._position(0, a, b)[x]
+                         * len(self.q.elements(b, c))
+                         + self._position(1, b, c)[y]]
 
 
 @dataclass(frozen=True)
@@ -533,7 +663,7 @@ def point_compose(pp: PointedProfunctor,
     if pp.tgt_obj != qq.src_obj:
         raise BoundaryMismatch(
             f"points do not meet: {pp.tgt_obj!r} vs {qq.src_obj!r}")
-    comp = compose_prof(pp.prof, qq.prof)
+    comp = ComposedProfunctor(pp.prof, qq.prof)
     point = comp.inject(pp.src_obj, qq.tgt_obj, pp.tgt_obj, pp.point,
                         qq.point)
     return PointedProfunctor(comp, pp.src_obj, qq.tgt_obj, point)
@@ -613,51 +743,40 @@ def nat_trans_search(p: Profunctor, q: Profunctor,
                     raise SearchTooLarge(
                         f"component search space exceeds {cap}")
     assignment: dict = {}
+    src, tgt = p.source, p.target
 
     def propagate(todo: list) -> list | None:
-        """Close the assignment under both actions; None on conflict."""
+        """Close the assignment under both actions and return the keys it
+        added; on a conflict remove them again and return None.  The
+        generating morphisms suffice: both actions are functorial, so
+        naturality along generators gives naturality along composites."""
         added = []
+
+        def settle(key, want) -> bool:
+            if key in assignment:
+                return assignment[key] == want
+            assignment[key] = want
+            added.append(key)
+            todo.append((key, want))
+            return True
+
         while todo:
             (a, b, x), y = todo.pop()
-            for g in p.source.morphisms:
-                if p.source.cod(g) != a:
-                    continue
-                a2 = p.source.dom(g)
-                key = (a2, b, p.lact(g, x, a, b))
-                want = q.lact(g, y, a, b)
-                if key in assignment:
-                    if assignment[key] != want:
-                        return None
-                else:
-                    assignment[key] = want
-                    added.append(key)
-                    todo.append((key, want))
-            for h in p.target.morphisms:
-                if p.target.dom(h) != b:
-                    continue
-                b2 = p.target.cod(h)
-                key = (a, b2, p.ract(x, h, a, b))
-                want = q.ract(y, h, a, b)
-                if key in assignment:
-                    if assignment[key] != want:
-                        return None
-                else:
-                    assignment[key] = want
-                    added.append(key)
-                    todo.append((key, want))
+            for g in src.gens_into(a):
+                if not settle((src.dom(g), b, p.lact(g, x, a, b)),
+                              q.lact(g, y, a, b)):
+                    undo(added)
+                    return None
+            for h in tgt.gens_from(b):
+                if not settle((a, tgt.cod(h), p.ract(x, h, a, b)),
+                              q.ract(y, h, a, b)):
+                    undo(added)
+                    return None
         return added
 
     def undo(added: list) -> None:
         for key in added:
             del assignment[key]
-
-    keys = [(a, b, x) for (a, b) in pairs for x in p.elements(a, b)]
-    if point is not None:
-        (pa, pb, px), py = point
-        assignment[(pa, pb, px)] = py
-        closed = propagate([((pa, pb, px), py)])
-        if closed is None:
-            return None
 
     def injective_ok(a, b) -> bool:
         seen = set()
@@ -668,6 +787,15 @@ def nat_trans_search(p: Profunctor, q: Profunctor,
                     return False
                 seen.add(y)
         return True
+
+    keys = [(a, b, x) for (a, b) in pairs for x in p.elements(a, b)]
+    if point is not None:
+        (pa, pb, px), py = point
+        assignment[(pa, pb, px)] = py
+        if propagate([((pa, pb, px), py)]) is None:
+            return None
+    if iso and not all(injective_ok(a, b) for a, b in pairs):
+        return None
 
     def rec(i: int) -> bool:
         if i == len(keys):
@@ -681,7 +809,9 @@ def nat_trans_search(p: Profunctor, q: Profunctor,
             added = propagate([(key, y)])
             ok = added is not None
             if ok and iso:
-                ok = all(injective_ok(a2, b2) for (a2, b2) in pairs)
+                # only the components this assignment touched can collide
+                touched = {(a, b)} | {(k[0], k[1]) for k in added}
+                ok = all(injective_ok(a2, b2) for a2, b2 in touched)
             if ok and rec(i + 1):
                 return True
             if added is not None:
@@ -692,11 +822,6 @@ def nat_trans_search(p: Profunctor, q: Profunctor,
     if rec(0):
         return dict(assignment)
     return None
-
-
-def nat_iso_search(p: Profunctor, q: Profunctor,
-                   cap: int = 1_000_000) -> dict | None:
-    return nat_trans_search(p, q, None, iso=True, cap=cap)
 
 
 def pointed_two_cell(pp: PointedProfunctor, qq: PointedProfunctor,
@@ -718,7 +843,7 @@ def check_adjunction_triangles(f: FinFunctor) -> list[str]:
     up = embed(f, "up")
     down = embed(f, "down")
     c, d = f.source, f.target
-    ud = compose_prof(up, down)
+    ud = ComposedProfunctor(up, down)
 
     def unit(h, a, a2):
         # C(a, a2) -> (up;down)(a, a2)
@@ -753,7 +878,7 @@ def check_pointed_composition(c: FinCategory) -> list[str]:
     the class of the composite."""
     out: list[str] = []
     hom = hom_profunctor(c)
-    comp = compose_prof(hom, hom)
+    comp = ComposedProfunctor(hom, hom)
     for f in c.morphisms:
         for g in c.morphisms:
             if c.cod(f) != c.dom(g):

@@ -313,7 +313,7 @@ def test_criterion_4_semantics():
     for cat in cats:
         assert len(cat.morphisms) <= 4
         hom = pf.hom_profunctor(cat)
-        comp = pf.compose_prof(hom, hom)
+        comp = pf.ComposedProfunctor(hom, hom)
         for a in cat.objects:
             for c in cat.objects:
                 triples = [(b, x, y) for b in cat.objects
@@ -374,7 +374,7 @@ def test_criterion_5_pseudofunctor_monoidality():
                               up_g.lact(gg[1], xy[1], a[1], b[1])),
         lambda xy, hh, a, b: (up_f.ract(xy[0], hh[0], a[0], b[0]),
                               up_g.ract(xy[1], hh[1], a[1], b[1])))
-    assert pf.nat_iso_search(up_prod, pair) is not None
+    assert pf.nat_trans_search(up_prod, pair, iso=True) is not None
     _report("criterion 5: pointed composition and product preservation",
             True)
 

@@ -204,6 +204,10 @@ def test_cli_malformed_input(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["check-theory", "--system", missing]) == 1
     capsys.readouterr()
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xfb\xff\x00")
+    assert main(["check-theory", "--system", str(binary)]) == 1
+    capsys.readouterr()
 
 
 def test_cli_json_outputs_deterministic(tmp_path):
@@ -215,3 +219,69 @@ def test_cli_json_outputs_deterministic(tmp_path):
         assert proc.returncode == 0
         result.append(proc.stdout)
     assert result[0] == result[1]
+
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--system", "t.json", "--src", "g", "--dst", "u",
+     "--budget", "-5"],
+    ["eq", "--system", "t.json", "g", "u", "--budget", "-1"],
+    ["explain", "--system", "t.json", "--sigma", "g", "--diagram", "u",
+     "--budget", "-1"],
+    ["explain2", "--system", "t.json", "--derivation", "d.json",
+     "--layer", "U", "--equation", "e", "--budget", "-1"],
+    ["counterfactual", "--system", "t.json", "--sigma", "g",
+     "--diagram", "u", "--budget", "-1"],
+    ["chem", "--budget", "-1"],
+    ["ccs", "--budget", "-1"],
+    ["circuit", "--budget", "-1"],
+    ["semantics-verify", "--system", "t.json", "--model", "m.json",
+     "--max-word", "-1"],
+    ["semantics-verify", "--system", "t.json", "--model", "m.json",
+     "--cap", "-1"],
+])
+def test_cli_rejects_negative_counts(capsys, argv):
+    # checked before any file is read: t.json and m.json need not exist
+    assert main(argv) == 1
+    assert argv[-2] in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "resistor", "param": 2},
+    [{"kind": "resistor"}],
+    [{"param": 2}],
+    ["resistor"],
+    [{"kind": "resistor", "param": "two"}],
+])
+def test_cli_circuit_file_malformed(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["circuit", "--file", str(path)]) == 1
+    assert str(path) in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", ["", "not json\n"])
+def test_cli_diagram_file_neither_json_nor_sexpr(tmp_path, capsys, text):
+    t = _write(tmp_path, "t.json",
+               jsonio.system_to_json(make_two_layer_system()))
+    path = tmp_path / "d.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["export-dot", "--system", t, "--diagram", str(path)]) == 1
+    assert str(path) in _single_error_line(capsys)
+
+
+def test_cli_semantics_verify_monoid(tmp_path, capsys):
+    model = models.monoid_model()
+    t = _write(tmp_path, "t.json", jsonio.system_to_json(model.system))
+    m = _write(tmp_path, "m.json", jsonio.model_to_json(model))
+    assert main(["semantics-verify", "--system", t, "--model", m,
+                 "--max-word", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["verified 103 rule instances"]

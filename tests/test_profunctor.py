@@ -80,7 +80,7 @@ def test_adjunction_triangles_all_model_functors():
 def test_compose_with_hom_is_identity_on_counts(z3, square):
     for cat in (z3, square):
         hom = pf.hom_profunctor(cat)
-        comp = pf.compose_prof(hom, hom)
+        comp = pf.ComposedProfunctor(hom, hom)
         for a in cat.objects:
             for c in cat.objects:
                 assert len(comp.elements(a, c)) == len(hom.elements(a, c))
@@ -115,14 +115,18 @@ def _random_profunctor(rng, c, d, name):
 
 
 def test_coend_matches_naive_closure_oracle(z3, arrow):
-    # oracle: transitive closure over all pair identifications, computed
-    # with a different algorithm (repeated relaxation over an edge list)
-    rng = random.Random(5)
-    cases = [(z3, z3, z3), (arrow, arrow, arrow)]
+    # oracle: transitive closure over all pair identifications, along every
+    # morphism of the middle category (the composite walks generators
+    # only), computed with a different algorithm (repeated relaxation over
+    # an edge list)
+    arr3 = pf.product_category([arrow, arrow, arrow])
+    z3z3 = pf.product_category([z3, z3])
+    cases = [(z3, z3, z3), (arrow, arrow, arrow), (arr3, arr3, arr3),
+             (z3z3, z3z3, z3z3)]
     for (A, B, C) in cases:
         p = pf.hom_profunctor(A)
         q = pf.hom_profunctor(B)
-        comp = pf.compose_prof(p, q)
+        comp = pf.ComposedProfunctor(p, q)
         for a in A.objects:
             for c in C.objects:
                 triples = [(b, x, y) for b in B.objects
@@ -149,6 +153,12 @@ def test_coend_matches_naive_closure_oracle(z3, arrow):
                             changed = True
                 oracle_classes = len(set(labels.values()))
                 assert oracle_classes == len(comp.elements(a, c))
+                # each class is named by its least member in repr order
+                members: dict = {}
+                for t, label in labels.items():
+                    members.setdefault(label, []).append(t)
+                names = [min(ts, key=repr) for ts in members.values()]
+                assert comp.elements(a, c) == tuple(sorted(names, key=repr))
                 # membership agrees as well
                 for t1 in triples:
                     for t2 in triples:
@@ -161,12 +171,12 @@ def test_coend_matches_naive_closure_oracle(z3, arrow):
 def test_nat_iso_hom_vs_up_identity(z3):
     hom = pf.hom_profunctor(z3)
     up = pf.embed(pf.identity_functor(z3), "up")
-    assert pf.nat_iso_search(hom, up) is not None
+    assert pf.nat_trans_search(hom, up, iso=True) is not None
 
 
 def test_nat_iso_self(square):
     hom = pf.hom_profunctor(square)
-    iso = pf.nat_iso_search(hom, hom)
+    iso = pf.nat_trans_search(hom, hom, iso=True)
     assert iso is not None
     for key, val in iso.items():
         assert key[2] == val  # the first iso found is the identity
@@ -178,7 +188,8 @@ def test_nat_iso_cardinality_prefilter(z3, arrow):
         "收", arrow, arrow,
         {"lo": "lo", "hi": "hi"},
         {m: m for m in arrow.morphisms}), "up")
-    assert pf.nat_iso_search(hom_z, up) is None  # different boundaries
+    # different boundaries
+    assert pf.nat_trans_search(hom_z, up, iso=True) is None
 
 
 def test_nat_search_too_large():
@@ -219,15 +230,15 @@ def test_up_product_iso(arrow, z3):
                               up_g.lact(gg[1], xy[1], a[1], b[1])),
         lambda xy, hh, a, b: (up_f.ract(xy[0], hh[0], a[0], b[0]),
                               up_g.ract(xy[1], hh[1], a[1], b[1])))
-    assert pf.nat_iso_search(up_prod, pair) is not None
+    assert pf.nat_trans_search(up_prod, pair, iso=True) is not None
 
 
 def test_coend_associativity_via_iso_search(arrow, z3):
     for cat in (arrow, z3):
         hom = pf.hom_profunctor(cat)
-        left = pf.compose_prof(pf.compose_prof(hom, hom), hom)
-        right = pf.compose_prof(hom, pf.compose_prof(hom, hom))
-        assert pf.nat_iso_search(left, right) is not None
+        left = pf.ComposedProfunctor(pf.ComposedProfunctor(hom, hom), hom)
+        right = pf.ComposedProfunctor(hom, pf.ComposedProfunctor(hom, hom))
+        assert pf.nat_trans_search(left, right, iso=True) is not None
 
 
 def test_middle_relabeling_preserves_class_counts(arrow):
@@ -240,10 +251,10 @@ def test_middle_relabeling_preserves_class_counts(arrow):
          ("LO<HI", "HI<HI"): "LO<HI", ("HI<HI", "HI<HI"): "HI<HI"},
         {"LO": "LO<LO", "HI": "HI<HI"})
     assert relabeled.validate() == []
-    comp_a = pf.compose_prof(pf.hom_profunctor(arrow),
-                             pf.hom_profunctor(arrow))
-    comp_b = pf.compose_prof(pf.hom_profunctor(relabeled),
-                             pf.hom_profunctor(relabeled))
+    comp_a = pf.ComposedProfunctor(pf.hom_profunctor(arrow),
+                                   pf.hom_profunctor(arrow))
+    comp_b = pf.ComposedProfunctor(pf.hom_profunctor(relabeled),
+                                   pf.hom_profunctor(relabeled))
     rename = {"lo": "LO", "hi": "HI"}
     for a in arrow.objects:
         for c in arrow.objects:
@@ -272,3 +283,160 @@ def test_tensor_compose_interchange_on_points():
     a, b = seq_then_par.src_obj, seq_then_par.tgt_obj
     assert seq_then_par.prof.elements(a, b) == \
         par_then_seq.prof.elements(a, b)
+
+
+# -- generating morphisms ----------------------------------------------------
+
+
+def _interpreted_categories(model, words):
+    """Every boundary and middle category of the profunctors that interpret
+    builds for the model's sampled rule instances."""
+    from layerprop import rewrite as rw, semantics as sm
+    cats = {id(c): c for c in model.categories.values()}
+    todo = []
+    for rule in rw.sample_instances(rw.RuleEngine(model.system), words):
+        if rule.family != "E":
+            todo += [sm.interpret(model, rule.lhs).prof,
+                     sm.interpret(model, rule.rhs).prof]
+    seen = set()
+    while todo:
+        prof = todo.pop()
+        if id(prof) in seen:
+            continue
+        seen.add(id(prof))
+        for cat in (prof.source, prof.target):
+            cats[id(cat)] = cat
+            for comp in cat.components or ():
+                cats[id(comp)] = comp
+        if isinstance(prof, pf.ComposedProfunctor):
+            todo += [prof.p, prof.q]
+    return list(cats.values())
+
+
+def _composites(cat, gens):
+    """Identities and every composite of the given morphisms."""
+    reached = {cat.ident(o) for o in cat.objects}
+    todo = list(reached)
+    while todo:
+        m = todo.pop()
+        for g in gens:
+            if cat.dom(g) == cat.cod(m) and cat.then(m, g) not in reached:
+                reached.add(cat.then(m, g))
+                todo.append(cat.then(m, g))
+    return reached
+
+
+@pytest.mark.parametrize("make, words, largest", [
+    (models.monoid_model, {"MU": [(), ("u",)], "ML": [(), ("v",)]}, 27),
+    (models.meet_model, {"Ar": [(), ("lo",)], "Sq": [(), ("q",)]}, 729),
+])
+def test_generators_compose_to_every_morphism(make, words, largest):
+    cats = _interpreted_categories(make(), words)
+    assert max(len(c.morphisms) for c in cats) == largest  # three sheets
+    for cat in cats:
+        gens = cat.generators()
+        assert _composites(cat, gens) == set(cat.morphisms), cat.name
+        assert not {cat.ident(o) for o in cat.objects} & set(gens)
+        for obj in cat.objects:
+            assert cat.gens_from(obj) == [g for g in gens
+                                          if cat.dom(g) == obj]
+            assert cat.gens_into(obj) == [g for g in gens
+                                          if cat.cod(g) == obj]
+
+
+def test_greedy_generators(z3, square):
+    assert z3.generators() == ("1",)
+    # p<s is kept: the scan meets it before q<s and r<s
+    assert square.generators() == ("p<q", "p<r", "p<s", "q<s", "r<s")
+    prod = pf.product_category([z3, square])
+    assert len(prod.generators()) == 1 * 4 + 5 * 1
+
+
+# -- natural-transformation search that backtracks ---------------------------
+
+
+def _one_object(name, morphisms, compose):
+    return pf.FinCategory(name, ["*"], morphisms,
+                          {m: "*" for m in morphisms},
+                          {m: "*" for m in morphisms},
+                          compose, {"*": morphisms[0]})
+
+
+def _z2():
+    return _one_object("Z2", ["e", "s"],
+                       {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s",
+                        ("s", "s"): "e"})
+
+
+def _z2_set(cat, elements, left_swap, right_swap):
+    """Z2 acting on a set on either side: s swaps the listed pairs."""
+    def act(swap):
+        table = dict(swap + [(y, x) for x, y in swap])
+        return lambda g, x: table.get(x, x) if g == "s" else x
+    left, right = act(left_swap), act(right_swap)
+    return pf.Profunctor("set", cat, cat, {("*", "*"): tuple(elements)},
+                         lambda g, x, a, b: left(g, x),
+                         lambda x, h, a, b: right(h, x))
+
+
+def _discrete(names):
+    triv = _one_object("1", ["i"], {("i", "i"): "i"})
+    return pf.Profunctor("discrete", triv, triv, {("*", "*"): tuple(names)},
+                         lambda g, x, a, b: x, lambda x, h, a, b: x)
+
+
+def _brute_nat(p, q, point, iso):
+    """Every natural transformation p => q, by enumeration."""
+    keys = [(a, b, x) for a in p.source.objects for b in p.target.objects
+            for x in p.elements(a, b)]
+    out = []
+    for pick in itertools.product(*(q.elements(a, b) for a, b, _ in keys)):
+        theta = dict(zip(keys, pick))
+        if point is not None and theta[point[0]] != point[1]:
+            continue
+        natural = all(
+            theta[(p.source.dom(g), b, p.lact(g, x, a, b))]
+            == q.lact(g, y, a, b)
+            for (a, b, x), y in theta.items() for g in p.source.morphisms
+            if p.source.cod(g) == a) and all(
+            theta[(a, p.target.cod(h), p.ract(x, h, a, b))]
+            == q.ract(y, h, a, b)
+            for (a, b, x), y in theta.items() for h in p.target.morphisms
+            if p.target.dom(h) == b)
+        bijective = all(
+            len({theta[(a, b, x)] for x in p.elements(a, b)})
+            == len(p.elements(a, b)) == len(q.elements(a, b))
+            for a in p.source.objects for b in p.target.objects)
+        if natural and (bijective or not iso):
+            out.append(theta)
+    return out
+
+
+def _nat_cases():
+    z2 = _z2()
+    hom = pf.hom_profunctor(z2)
+    return {
+        # injectivity rejects the first candidates
+        "bijection": (_discrete(["x0", "x1", "x2"]),
+                      _discrete(["y0", "y1", "y2"]), None, True),
+        "no-iso": (hom, _z2_set(z2, ["y0", "y1"], [], []), None, True),
+        "pointed": (hom, _z2_set(z2, ["w", "a0", "a1"], [("a0", "a1")],
+                                 [("a0", "a1")]),
+                    (("*", "*", "e"), "a0"), False),
+        # the first candidate, a0, fails by a propagation conflict after
+        # adding an entry that must not outlive it
+        "stale-undo": (hom, _z2_set(z2, ["a0", "a1", "z"], [("a0", "a1")],
+                                    []), None, False),
+    }
+
+
+@pytest.mark.parametrize("case", ["bijection", "no-iso", "pointed",
+                                  "stale-undo"])
+def test_nat_search_backtracking_matches_enumeration(case):
+    p, q, point, iso = _nat_cases()[case]
+    expected = _brute_nat(p, q, point, iso)
+    found = pf.nat_trans_search(p, q, point, iso=iso)
+    if expected:
+        assert found in expected
+    else:
+        assert found is None
