@@ -14,8 +14,7 @@ from .diagram import (Diagram, box, canonicalize, canonical_key, cap,
                       structural_eq)
 from .terms import build, infer_sort
 from .rewrite import (Derivation, Match, NotFound, RewriteRule, RuleEngine,
-                      apply_rule, find_derivation, instantiate_rules,
-                      is_isolated, verify_derivation)
+                      apply_rule, find_derivation, verify_derivation)
 from .explain import (ExplanationVerdict, check_counterfactual,
                       check_explanation_1, check_explanation_2,
                       contains_window, is_cowindow, is_window)

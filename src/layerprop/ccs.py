@@ -436,10 +436,6 @@ def build_ccs_system(roots: tuple[str, ...] = DEFAULT_ROOTS) -> CcsSystem:
         out += split_cascade(p.right, offset + len(flatten(p.left)))
         return out
 
-    def ident_image(gen: MorphismGen) -> InternalDiagram:
-        dom = tuple(s for sym in gen.dom for s in flatten(by_sym[sym]))
-        return InternalDiagram("LTS", dom, dom, ())
-
     mor_map: list[tuple[str, InternalDiagram]] = []
     for gen in red_gens:
         name = gen.name
@@ -485,7 +481,7 @@ def build_ccs_system(roots: tuple[str, ...] = DEFAULT_ROOTS) -> CcsSystem:
     report = validate_system(sys_)
     if not report.ok:
         raise FixtureInvalid("; ".join(report.violations))
-    engine = rw.instantiate_rules(sys_)
+    engine = rw.RuleEngine(sys_)
     return _with_fixtures(sys_, universe, engine)
 
 

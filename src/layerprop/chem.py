@@ -324,15 +324,6 @@ def _molecule_from_json(payload: dict) -> MoleculePartition:
     return MoleculePartition.make(vertices, edges)
 
 
-def molecule_to_json(m: MoleculePartition) -> dict:
-    return {
-        "vertices": [{"id": v, "type": t[1] if t[0] == "atom"
-                      else f"var:{t[1]}"}
-                     for v, t in m.vertices],
-        "edges": [{"a": a, "b": b, "mult": k} for a, b, k in m.edges],
-    }
-
-
 FIXTURE_NAMES = ("Glc", "ATP", "G6P", "ADP", "Hplus", "GlcFrag_a", "H_a",
                  "PO3_a", "PO3_b", "ADPfrag_b", "minus_b", "H_b", "plus_b")
 
@@ -419,7 +410,7 @@ def build_chem_system() -> ChemSystem:
     if not report.ok:
         raise FixtureInvalid("; ".join(report.violations))
 
-    engine = rw.instantiate_rules(sys_)
+    engine = rw.RuleEngine(sys_)
     sigma = dg.gen_box(sys_, "L+", "phosphorylation")
     e = dg.seq_many(
         dg.refine(sys_, "L+", "Mol+", ("Glc", "ATP")),

@@ -583,7 +583,7 @@ def build_circuit_system(bipoles: tuple[Bipole, ...] = DEFAULT_BIPOLES
     report = validate_system(sys_)
     if not report.ok:
         raise FixtureInvalid("; ".join(report.violations))
-    engine = rw.instantiate_rules(sys_, [("ECirc", "GAA")])
+    engine = rw.RuleEngine(sys_, [("ECirc", "GAA")])
     return CircuitSystem(sys_, tuple(bipoles), imps, rels, engine)
 
 

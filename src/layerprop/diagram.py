@@ -393,13 +393,6 @@ def seq_many(*parts: Diagram) -> Diagram:
     return out
 
 
-def par_many(*parts: Diagram) -> Diagram:
-    out = parts[0]
-    for p in parts[1:]:
-        out = par_tensor(out, p)
-    return out
-
-
 def as_internal(d: Diagram) -> InternalDiagram | None:
     """Content of a diagram that is a single sheet's internal morphism."""
     c = canonicalize(d).diagram

@@ -27,6 +27,149 @@ def dumps(payload: Any) -> str:
                       ensure_ascii=False) + "\n"
 
 
+# -- payload shapes ---------------------------------------------------------
+#
+# A shape is a type (the node must be an instance), a dict (an object with
+# those keys; ``_Opt`` marks an optional key's shape, the key ``str``
+# applies to every value), a list of one shape (a list of such items), a
+# tuple (a list with exactly those items) or a function checking the node
+# itself.  Valid input pays for no path strings: a failing node's path is
+# collected only as the error leaves each enclosing node.
+
+
+class _Shape(Exception):
+    """A payload node that does not fit its shape."""
+
+    def __init__(self, problem: str, *path):
+        super().__init__(problem)
+        self.path = list(path)  # innermost key first
+
+    def __str__(self) -> str:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                        for k in reversed(self.path)).lstrip(".")
+        return f"{where or 'top level'}: {self.args[0]}"
+
+
+class _Opt:
+    def __init__(self, shape):
+        self.shape = shape
+
+
+def _kind(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _child(value, shape, key) -> None:
+    try:
+        _check(value, shape)
+    except _Shape as exc:
+        exc.path.append(key)
+        raise
+
+
+def _check(value, shape) -> None:
+    kind = type(shape)
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise _Shape(f"expected an object, got {_kind(value)}")
+        for key, sub in shape.items():
+            if key is str:
+                for k, v in value.items():
+                    _child(v, sub, k)
+            elif key in value:
+                sub = sub.shape if type(sub) is _Opt else sub
+                if type(value[key]) is not sub:  # else a leaf that fits
+                    _child(value[key], sub, key)
+            elif type(sub) is not _Opt:
+                raise _Shape("missing", key)
+    elif kind is list or kind is tuple:
+        if not isinstance(value, list):
+            raise _Shape(f"expected a list, got {_kind(value)}")
+        if kind is tuple:
+            if tuple(map(type, value)) == shape:  # the common case, in C
+                return
+            if len(value) != len(shape):
+                raise _Shape(f"expected {len(shape)} items, "
+                             f"got {len(value)}")
+            subs = shape
+        else:
+            item = shape[0]
+            if type(item) is type and set(map(type, value)) <= {item}:
+                return
+            subs = shape * len(value)
+        for i, (item, sub) in enumerate(zip(value, subs)):
+            _child(item, sub, i)
+    elif kind is type:
+        if not isinstance(value, shape) or isinstance(value, bool):
+            raise _Shape(f"expected {shape.__name__}, got {_kind(value)}")
+    else:
+        shape(value)
+
+
+def _checked(payload, shape, what: str) -> None:
+    """MalformedInput naming the first node of payload off its shape."""
+    try:
+        _check(payload, shape)
+    except _Shape as exc:
+        raise MalformedInput(f"bad {what}: {exc}") from None
+
+
+_WORD = [str]
+_INTERNAL = {"layer": str, "dom": _WORD, "cod": _WORD, "slices": [(int, str)]}
+_THEORY = {
+    "layers": [{"name": str, "objects": _WORD,
+                "morphisms": _Opt([{"name": str, "dom": _WORD,
+                                    "cod": _WORD}]),
+                "equations": _Opt([{"name": str, "lhs": _INTERNAL,
+                                    "rhs": _INTERNAL}])}],
+    "functors": _Opt([{"source": str, "target": str,
+                       "objects": {str: _WORD},
+                       "morphisms": {str: _INTERNAL}}]),
+    "order": _Opt([(str, str)]),
+}
+_SPLIT = {"layer": str, "alpha": _WORD, "beta": _WORD}
+_FRAME = {"source": str, "target": str, "word": _WORD}
+_CELLS = {"box": _INTERNAL, "pants": _SPLIT, "copants": _SPLIT,
+          "cup": {"layer": str}, "cap": {"layer": str},
+          "refine": _FRAME, "coarsen": _FRAME,
+          "sym": {"layer1": str, "alpha": _WORD, "layer2": str,
+                  "beta": _WORD}}
+
+
+def _cell_shape(value) -> None:
+    _check(value, {"kind": str})
+    if value["kind"] not in _CELLS:
+        raise _Shape(f"unknown cell kind {value['kind']!r}", "kind")
+    _check(value, _CELLS[value["kind"]])
+
+
+def _endpoint_shape(value) -> None:
+    """["dom"|"cod", i] or ["cell", cell, port(, "in"|"out")]."""
+    if isinstance(value, list) and value[:1] in (["dom"], ["cod"]):
+        _check(value, (str, int))
+    elif isinstance(value, list) and len(value) == 4:
+        _check(value, (str, int, int, str))
+    else:
+        _check(value, (str, int, int))
+
+
+_DIAGRAM = {
+    "sort": {"dom": [(str, _WORD)], "cod": [(str, _WORD)]},
+    "cells": [_cell_shape],
+    "wires": [{"source": _endpoint_shape, "target": _endpoint_shape,
+               "type": (str, _WORD)}],
+}
+_DERIVATION = {
+    "start": _DIAGRAM,
+    "steps": _Opt([{"rule": _Opt(str), "orientation": _Opt(str),
+                    "anchor": _Opt({"cells": _Opt([int]),
+                                    "dom_wires": _Opt([int]),
+                                    "cod_wires": _Opt([int]),
+                                    "box": _Opt({**_INTERNAL,
+                                                 "cell": int})})}]),
+}
+
+
 # -- internal diagrams -------------------------------------------------------
 
 
@@ -35,13 +178,11 @@ def internal_to_json(d: InternalDiagram) -> dict:
             "slices": [[off, gen] for off, gen in d.slices]}
 
 
-def internal_from_json(payload: dict) -> InternalDiagram:
-    try:
-        return InternalDiagram(
-            payload["layer"], tuple(payload["dom"]), tuple(payload["cod"]),
-            tuple((int(off), gen) for off, gen in payload["slices"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad internal diagram: {exc}")
+def _internal(payload: dict) -> InternalDiagram:
+    """An internal diagram from a payload that passed its shape check."""
+    return InternalDiagram(
+        payload["layer"], tuple(payload["dom"]), tuple(payload["cod"]),
+        tuple((off, gen) for off, gen in payload["slices"]))
 
 
 # -- systems ------------------------------------------------------------------
@@ -71,29 +212,26 @@ def system_to_json(sys_: SystemOfLayers) -> dict:
 
 
 def system_from_json(payload: dict) -> SystemOfLayers:
-    try:
-        layers = []
-        for lay in payload["layers"]:
-            layers.append(LayerPresentation(
-                lay["name"], tuple(lay["objects"]),
-                tuple(MorphismGen(m["name"], tuple(m["dom"]),
-                                  tuple(m["cod"]))
-                      for m in lay.get("morphisms", ())),
-                tuple(Equation(e["name"], internal_from_json(e["lhs"]),
-                               internal_from_json(e["rhs"]))
-                      for e in lay.get("equations", ()))))
-        functors = []
-        for f in payload.get("functors", ()):
-            functors.append(TranslationFunctor(
-                f["source"], f["target"],
-                tuple(sorted((sym, tuple(w))
-                             for sym, w in f["objects"].items())),
-                tuple(sorted((gen, internal_from_json(img))
-                             for gen, img in f["morphisms"].items()))))
-        order = [tuple(pair) for pair in payload.get("order", ())]
-        return SystemOfLayers(layers, functors, order)
-    except (KeyError, TypeError) as exc:
-        raise MalformedInput(f"bad theory file: {exc}")
+    _checked(payload, _THEORY, "theory file")
+    layers = []
+    for lay in payload["layers"]:
+        layers.append(LayerPresentation(
+            lay["name"], tuple(lay["objects"]),
+            tuple(MorphismGen(m["name"], tuple(m["dom"]), tuple(m["cod"]))
+                  for m in lay.get("morphisms", ())),
+            tuple(Equation(e["name"], _internal(e["lhs"]),
+                           _internal(e["rhs"]))
+                  for e in lay.get("equations", ()))))
+    functors = []
+    for f in payload.get("functors", ()):
+        functors.append(TranslationFunctor(
+            f["source"], f["target"],
+            tuple(sorted((sym, tuple(w))
+                         for sym, w in f["objects"].items())),
+            tuple(sorted((gen, _internal(img))
+                         for gen, img in f["morphisms"].items()))))
+    order = [tuple(pair) for pair in payload.get("order", ())]
+    return SystemOfLayers(layers, functors, order)
 
 
 # -- diagrams -----------------------------------------------------------------
@@ -128,7 +266,7 @@ def _cell_to_json(cell) -> dict:
 def _cell_from_json(sys_: SystemOfLayers, payload: dict):
     kind = payload.get("kind")
     if kind == "box":
-        content = internal_from_json(payload)
+        content = _internal(payload)
         return InternalBox(content.layer, content)
     if kind == "pants":
         return Pants(payload["layer"], tuple(payload["alpha"]),
@@ -178,25 +316,22 @@ def diagram_to_json(d: Diagram) -> dict:
 
 
 def diagram_from_json(sys_: SystemOfLayers, payload: dict) -> Diagram:
-    try:
-        dom = OmegaType(tuple((layer, tuple(w))
-                              for layer, w in payload["sort"]["dom"]))
-        cod = OmegaType(tuple((layer, tuple(w))
-                              for layer, w in payload["sort"]["cod"]))
-        cells = [_cell_from_json(sys_, c) for c in payload["cells"]]
+    _checked(payload, _DIAGRAM, "diagram file")
+    dom = OmegaType(tuple((layer, tuple(w))
+                          for layer, w in payload["sort"]["dom"]))
+    cod = OmegaType(tuple((layer, tuple(w))
+                          for layer, w in payload["sort"]["cod"]))
+    cells = [_cell_from_json(sys_, c) for c in payload["cells"]]
 
-        def endpoint(raw, role):
-            if raw[0] in ("dom", "cod"):
-                return (raw[0], int(raw[1]))
-            port = raw[3] if len(raw) > 3 else role
-            return (port, int(raw[1]), int(raw[2]))
+    def endpoint(raw, role):
+        if raw[0] in ("dom", "cod"):
+            return (raw[0], raw[1])
+        port = raw[3] if len(raw) > 3 else role
+        return (port, raw[1], raw[2])
 
-        wires = [Wire(endpoint(w["source"], "out"),
-                      endpoint(w["target"], "in"),
-                      (w["type"][0], tuple(w["type"][1])))
-                 for w in payload["wires"]]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise MalformedInput(f"bad diagram file: {exc}")
+    wires = [Wire(endpoint(w["source"], "out"), endpoint(w["target"], "in"),
+                  (w["type"][0], tuple(w["type"][1])))
+             for w in payload["wires"]]
     d = Diagram(sys_, dom, cod, cells, wires)
     dg.validate_diagram(d)
     return d
@@ -223,13 +358,13 @@ def derivation_from_json(sys_: SystemOfLayers, payload: dict,
                          engine: rw.RuleEngine | None = None
                          ) -> rw.Derivation:
     """Reconstruct by replaying: each recorded step must re-match."""
+    _checked(payload, _DERIVATION, "derivation file")
     start = diagram_from_json(sys_, payload["start"])
     collapse = set()
     for step in payload.get("steps", ()):
         name = step.get("rule", "")
-        if name.startswith("A3c["):
-            inner = name[4:name.index(";")]
-            src, tgt = inner.split(">")
+        if name.startswith("A3c["):  # "A3c[SRC>TGT;word]"
+            src, _, tgt = name[4:].partition(";")[0].partition(">")
             collapse.add((src, tgt))
     if engine is None:
         engine = rw.RuleEngine(sys_, collapse)
@@ -240,7 +375,7 @@ def derivation_from_json(sys_: SystemOfLayers, payload: dict,
         box = anchor.get("box")
         payload_sig = None
         if box is not None:
-            content = internal_from_json(box)
+            content = _internal(box)
             payload_sig = (box["cell"], content.dom, content.cod,
                            content.slices)
         want = (step.get("rule"), step.get("orientation"),

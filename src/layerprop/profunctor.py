@@ -46,6 +46,10 @@ class FinCategory:
         self._gens_from: dict = {}
         self._gens_into: dict = {}
         self._then_cache: dict = {}
+        # products led by this category and its hom profunctor, kept here
+        # so that they are freed with the category
+        self._products: dict = {}
+        self._hom_prof: Profunctor | None = None
 
     def dom(self, f):
         if self.components is None:
@@ -188,23 +192,22 @@ class FinCategory:
         return out
 
 
-_PRODUCT_CACHE: dict = {}
+TERMINAL = FinCategory("1", [()], [()], {}, {}, {}, {}, components=())
 
 
 def product_category(cats: list[FinCategory]) -> FinCategory:
-    key = tuple(id(c) for c in cats)
-    if key in _PRODUCT_CACHE:
-        return _PRODUCT_CACHE[key]
-    objects = list(itertools.product(*(c.objects for c in cats)))
-    morphisms = list(itertools.product(*(c.morphisms for c in cats)))
-    name = "1" if not cats else "x".join(c.name for c in cats)
-    out = FinCategory(name, objects, morphisms, {}, {}, {}, {},
-                      components=tuple(cats))
-    _PRODUCT_CACHE[key] = out
+    """The product of ``cats``, built once and cached on ``cats[0]``."""
+    if not cats:
+        return TERMINAL
+    key = tuple(cats)
+    out = cats[0]._products.get(key)
+    if out is None:
+        out = FinCategory("x".join(c.name for c in cats),
+                          itertools.product(*(c.objects for c in cats)),
+                          itertools.product(*(c.morphisms for c in cats)),
+                          {}, {}, {}, {}, components=key)
+        cats[0]._products[key] = out
     return out
-
-
-TERMINAL = product_category([])
 
 
 class FinMonoidalCategory(FinCategory):
@@ -418,12 +421,9 @@ def validate_profunctor(p: Profunctor) -> list[str]:
     return out
 
 
-_HOM_CACHE: dict = {}
-
-
 def hom_profunctor(c: FinCategory) -> Profunctor:
-    if id(c) in _HOM_CACHE:
-        return _HOM_CACHE[id(c)]
+    if c._hom_prof is not None:
+        return c._hom_prof
     elements = {}
     for a in c.objects:
         for b in c.objects:
@@ -437,9 +437,8 @@ def hom_profunctor(c: FinCategory) -> Profunctor:
     def ract(x, h, a, b):
         return c.then(x, h)
 
-    out = Profunctor(f"hom_{c.name}", c, c, elements, lact, ract)
-    _HOM_CACHE[id(c)] = out
-    return out
+    c._hom_prof = Profunctor(f"hom_{c.name}", c, c, elements, lact, ract)
+    return c._hom_prof
 
 
 def embed(f: FinFunctor, direction: str) -> Profunctor:

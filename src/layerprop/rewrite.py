@@ -344,10 +344,15 @@ class RuleEngine:
         # defeat the isolation certificate, so they are off by default
         self.equation_insertions = equation_insertions
         self.functors_by_source: dict[str, list[TranslationFunctor]] = {}
+        self.functors_by_target: dict[str, list[TranslationFunctor]] = {}
         for (s, t), f in sorted(system.functors.items()):
             self.functors_by_source.setdefault(s, []).append(f)
+            self.functors_by_target.setdefault(t, []).append(f)
         self._lift_cache: dict = {}
         self._eq_cache: dict = {}
+        # one instance per (builder, arguments): rules are frozen and
+        # application only reads the replacement's cells and wires
+        self._rules: dict[tuple, RewriteRule] = {}
 
     # -- rule construction
 
@@ -557,6 +562,14 @@ class RuleEngine:
         return RewriteRule(f"E[{layer};{eq_name}]", "E", dg.box(sys, eq.lhs),
                            dg.box(sys, eq.rhs), True, (layer, eq_name))
 
+    def _rule(self, builder, *args) -> RewriteRule:
+        """``builder(*args)``, built on first use and shared afterwards."""
+        key = (builder.__func__, args)
+        rule = self._rules.get(key)
+        if rule is None:
+            rule = self._rules[key] = builder(*args)
+        return rule
+
     # -- host-driven matching
 
     @staticmethod
@@ -580,20 +593,24 @@ class RuleEngine:
         return found
 
     @staticmethod
-    def _wire_maps(host: Diagram):
+    def _ports(host: Diagram):
+        """Lookups ``wire_in(ci, pi)`` and ``wire_out(ci, pi)``: the wire at
+        an input or output port of a cell."""
         by_src: dict = {}
         by_dst: dict = {}
         for wi, w in enumerate(host.wires):
             by_src[w.src] = wi
             by_dst[w.dst] = wi
-        return by_src, by_dst
+        return (lambda ci, pi=0: by_dst[("in", ci, pi)],
+                lambda ci, pi=0: by_src[("out", ci, pi)])
 
-    def _graph_match(self, host, key, rule, orientation, cells, dom_wires,
-                     cod_wires) -> Match | None:
-        if not _is_convex(host, set(cells), dom_wires, cod_wires):
-            return None
-        return Match(rule, orientation, tuple(cells), tuple(dom_wires),
-                     tuple(cod_wires), key)
+    @staticmethod
+    def _offer(out, host, key, rule, orientation, cells, dom_wires,
+               cod_wires) -> None:
+        """Append the match at these cells and wires if it is convex."""
+        if _is_convex(host, set(cells), dom_wires, cod_wires):
+            out.append(Match(rule, orientation, tuple(cells),
+                             tuple(dom_wires), tuple(cod_wires), key))
 
     def _match_boxeq(self, host: Diagram, key: tuple) -> list[Match]:
         out: list[Match] = []
@@ -618,18 +635,11 @@ class RuleEngine:
                             cell.content, lhs, rhs, sig)
                     results = self._eq_cache[ck]
                     if results and rule is None:
-                        rule = self.rule_e(cell.layer, eq.name)
+                        rule = self._rule(self.rule_e, cell.layer, eq.name)
                     for res in results:
                         out.append(Match(rule, orientation, (ci,), (), (),
                                          key, (ci, res)))
         return out
-
-    def _functors_from(self, layer: str) -> list[TranslationFunctor]:
-        return self.functors_by_source.get(layer, [])
-
-    def _functors_into(self, layer: str) -> list[TranslationFunctor]:
-        return [f for (s, t), f in sorted(self.system.functors.items())
-                if t == layer]
 
     def _lift(self, f: TranslationFunctor, target: InternalDiagram,
               dom_word: Word | None, cod_word: Word | None):
@@ -642,14 +652,7 @@ class RuleEngine:
 
     def _match_f(self, host: Diagram, key: tuple) -> list[Match]:
         out: list[Match] = []
-        by_src, by_dst = self._wire_maps(host)
-
-        def wire_in(ci, pi=0):
-            return by_dst[("in", ci, pi)]
-
-        def wire_out(ci, pi=0):
-            return by_src[("out", ci, pi)]
-
+        wire_in, wire_out = self._ports(host)
         for ci, cell in enumerate(host.cells):
             if isinstance(cell, InternalBox):
                 sig = self.system.signature(cell.layer)
@@ -658,23 +661,17 @@ class RuleEngine:
                 # F1 fwd: box feeding refine
                 if isinstance(nxt, Refine) and nxt.source == cell.layer:
                     f = self.system.functor(nxt.source, nxt.target)
-                    rule = self.rule_f1(f, cell.content)
-                    m = self._graph_match(host, key, rule, "fwd",
-                                          (ci, dst[1]), (wire_in(ci),),
-                                          (wire_out(dst[1]),))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_f1, f, cell.content)
+                    self._offer(out, host, key, rule, "fwd", (ci, dst[1]),
+                                (wire_in(ci),), (wire_out(dst[1]),))
                 # F2 bwd: image box feeding coarsen
                 if isinstance(nxt, Coarsen) and nxt.target == cell.layer:
                     f = self.system.functor(nxt.source, nxt.target)
                     lifts, _ = self._lift(f, cell.content, None, nxt.word)
                     for sigma in lifts:
-                        rule = self.rule_f2(f, sigma)
-                        m = self._graph_match(host, key, rule, "bwd",
-                                              (ci, dst[1]), (wire_in(ci),),
-                                              (wire_out(dst[1]),))
-                        if m:
-                            out.append(m)
+                        rule = self._rule(self.rule_f2, f, sigma)
+                        self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
+                                    (wire_in(ci),), (wire_out(dst[1]),))
                 # F4 bwd: box feeding copants
                 if isinstance(nxt, Copants) and nxt.layer == cell.layer:
                     for top, bottom in internal.split_beside(cell.content,
@@ -683,13 +680,11 @@ class RuleEngine:
                             continue
                         if top.is_identity() and bottom.is_identity():
                             continue
-                        rule = self.rule_f4(cell.layer, top, bottom)
-                        m = self._graph_match(
-                            host, key, rule, "bwd", (ci, dst[1]),
-                            (wire_in(ci),),
-                            (wire_out(dst[1], 0), wire_out(dst[1], 1)))
-                        if m:
-                            out.append(m)
+                        rule = self._rule(self.rule_f4, cell.layer, top,
+                                          bottom)
+                        self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
+                                    (wire_in(ci),),
+                                    (wire_out(dst[1], 0), wire_out(dst[1], 1)))
                 # F3 bwd: pants feeding box
                 src = host.wires[wire_in(ci)].src
                 prev = host.cells[src[1]] if src[0] == "out" else None
@@ -700,13 +695,11 @@ class RuleEngine:
                             continue
                         if top.is_identity() and bottom.is_identity():
                             continue
-                        rule = self.rule_f3(cell.layer, top, bottom)
-                        m = self._graph_match(
-                            host, key, rule, "bwd", (src[1], ci),
-                            (wire_in(src[1], 0), wire_in(src[1], 1)),
-                            (wire_out(ci),))
-                        if m:
-                            out.append(m)
+                        rule = self._rule(self.rule_f3, cell.layer, top,
+                                          bottom)
+                        self._offer(out, host, key, rule, "bwd", (src[1], ci),
+                                    (wire_in(src[1], 0), wire_in(src[1], 1)),
+                                    (wire_out(ci),))
             elif isinstance(cell, Refine):
                 # F1 bwd: refine feeding a box over the target layer
                 dst = host.wires[wire_out(ci)].dst
@@ -715,178 +708,128 @@ class RuleEngine:
                     f = self.system.functor(cell.source, cell.target)
                     lifts, _ = self._lift(f, nxt.content, cell.word, None)
                     for sigma in lifts:
-                        rule = self.rule_f1(f, sigma)
-                        m = self._graph_match(host, key, rule, "bwd",
-                                              (ci, dst[1]), (wire_in(ci),),
-                                              (wire_out(dst[1]),))
-                        if m:
-                            out.append(m)
+                        rule = self._rule(self.rule_f1, f, sigma)
+                        self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
+                                    (wire_in(ci),), (wire_out(dst[1]),))
             elif isinstance(cell, Coarsen):
                 # F2 fwd: coarsen feeding a box over the source layer
                 dst = host.wires[wire_out(ci)].dst
                 nxt = host.cells[dst[1]] if dst[0] == "in" else None
                 if isinstance(nxt, InternalBox) and nxt.layer == cell.source:
                     f = self.system.functor(cell.source, cell.target)
-                    rule = self.rule_f2(f, nxt.content)
-                    m = self._graph_match(host, key, rule, "fwd",
-                                          (ci, dst[1]), (wire_in(ci),),
-                                          (wire_out(dst[1]),))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_f2, f, nxt.content)
+                    self._offer(out, host, key, rule, "fwd", (ci, dst[1]),
+                                (wire_in(ci),), (wire_out(dst[1]),))
             elif isinstance(cell, Pants):
                 # F3 fwd: strands into pants, at least one a box
                 w0, w1 = wire_in(ci, 0), wire_in(ci, 1)
-                for c0, b0 in self._strand_in(host, w0, cell.alpha,
-                                              cell.layer):
-                    for c1, b1 in self._strand_in(host, w1, cell.beta,
-                                                  cell.layer):
+                s0, s1 = host.wires[w0].src, host.wires[w1].src
+                for c0, b0 in self._strands(host, s0, cell.alpha, cell.layer):
+                    for c1, b1 in self._strands(host, s1, cell.beta,
+                                                cell.layer):
                         if c0.is_identity() and c1.is_identity():
                             continue
-                        rule = self.rule_f3(cell.layer, c0, c1)
+                        rule = self._rule(self.rule_f3, cell.layer, c0, c1)
                         cells = tuple(x for x in (b0, b1, ci)
                                       if x is not None)
                         d0 = wire_in(b0) if b0 is not None else w0
                         d1 = wire_in(b1) if b1 is not None else w1
-                        m = self._graph_match(host, key, rule, "fwd", cells,
-                                              (d0, d1), (wire_out(ci),))
-                        if m:
-                            out.append(m)
+                        self._offer(out, host, key, rule, "fwd", cells,
+                                    (d0, d1), (wire_out(ci),))
             elif isinstance(cell, Copants):
                 # F4 fwd: copants into strands, at least one a box
                 w0, w1 = wire_out(ci, 0), wire_out(ci, 1)
-                for c0, b0 in self._strand_out(host, w0, cell.alpha,
-                                               cell.layer):
-                    for c1, b1 in self._strand_out(host, w1, cell.beta,
-                                                   cell.layer):
+                d0, d1 = host.wires[w0].dst, host.wires[w1].dst
+                for c0, b0 in self._strands(host, d0, cell.alpha, cell.layer):
+                    for c1, b1 in self._strands(host, d1, cell.beta,
+                                                cell.layer):
                         if c0.is_identity() and c1.is_identity():
                             continue
-                        rule = self.rule_f4(cell.layer, c0, c1)
+                        rule = self._rule(self.rule_f4, cell.layer, c0, c1)
                         cells = tuple(x for x in (ci, b0, b1)
                                       if x is not None)
                         e0 = wire_out(b0) if b0 is not None else w0
                         e1 = wire_out(b1) if b1 is not None else w1
-                        m = self._graph_match(host, key, rule, "fwd", cells,
-                                              (wire_in(ci),), (e0, e1))
-                        if m:
-                            out.append(m)
+                        self._offer(out, host, key, rule, "fwd", cells,
+                                    (wire_in(ci),), (e0, e1))
         return out
 
     @staticmethod
-    def _strand_in(host, wi, word, layer):
-        """Strand contents for a consumer port: identity, or the feeding box."""
+    def _strands(host, end, word, layer):
+        """Strand contents at the far end of a pants/copants leg: identity,
+        or the box of ``layer`` whose port ``end`` is."""
         opts = [(internal.identity(layer, word), None)]
-        src = host.wires[wi].src
-        if src[0] == "out":
-            prev = host.cells[src[1]]
-            if isinstance(prev, InternalBox) and prev.layer == layer:
-                opts.append((prev.content, src[1]))
-        return opts
-
-    @staticmethod
-    def _strand_out(host, wi, word, layer):
-        opts = [(internal.identity(layer, word), None)]
-        dst = host.wires[wi].dst
-        if dst[0] == "in":
-            nxt = host.cells[dst[1]]
-            if isinstance(nxt, InternalBox) and nxt.layer == layer:
-                opts.append((nxt.content, dst[1]))
+        if end[0] in ("in", "out"):
+            cell = host.cells[end[1]]
+            if isinstance(cell, InternalBox) and cell.layer == layer:
+                opts.append((cell.content, end[1]))
         return opts
 
     def _match_a(self, host: Diagram, key: tuple) -> list[Match]:
         out: list[Match] = []
-        by_src, by_dst = self._wire_maps(host)
+        wire_in, wire_out = self._ports(host)
         for wi, w in enumerate(host.wires):
             for wj, v in enumerate(host.wires):
                 if wi == wj or w.type[0] != v.type[0]:
                     continue
-                rule = self.rule_a1(w.type[0], w.type[1], v.type[1])
-                m = self._graph_match(host, key, rule, "fwd", (), (wi, wj),
-                                      (wi, wj))
-                if m:
-                    out.append(m)
+                rule = self._rule(self.rule_a1, w.type[0], w.type[1],
+                                  v.type[1])
+                self._offer(out, host, key, rule, "fwd", (), (wi, wj),
+                            (wi, wj))
         for wi, w in enumerate(host.wires):
             layer, word = w.type
-            for f in self._functors_from(layer):
-                out.append(Match(self.rule_a3(f, word), "fwd", (), (wi,),
-                                 (wi,), key))
+            for f in self.functors_by_source.get(layer, ()):
+                out.append(Match(self._rule(self.rule_a3, f, word), "fwd",
+                                 (), (wi,), (wi,), key))
         for ci, cell in enumerate(host.cells):
             if isinstance(cell, Copants):
-                w0 = by_src[("out", ci, 0)]
-                w1 = by_src[("out", ci, 1)]
+                w0, w1 = wire_out(ci), wire_out(ci, 1)
                 d0, d1 = host.wires[w0].dst, host.wires[w1].dst
                 if (d0[0] == "in" and d1[0] == "in" and d0[1] == d1[1]
                         and d0[2] == 0 and d1[2] == 1):
                     nxt = host.cells[d0[1]]
                     if isinstance(nxt, Pants) and \
                             (nxt.alpha, nxt.beta) == (cell.alpha, cell.beta):
-                        rule = self.rule_a2(cell.layer, cell.alpha,
-                                            cell.beta)
-                        m = self._graph_match(
-                            host, key, rule, "fwd", (ci, d0[1]),
-                            (by_dst[("in", ci, 0)],),
-                            (by_src[("out", d0[1], 0)],))
-                        if m:
-                            out.append(m)
+                        rule = self._rule(self.rule_a2, cell.layer,
+                                          cell.alpha, cell.beta)
+                        self._offer(out, host, key, rule, "fwd", (ci, d0[1]),
+                                    (wire_in(ci),), (wire_out(d0[1]),))
             elif isinstance(cell, Coarsen):
-                wo = by_src[("out", ci, 0)]
-                dst = host.wires[wo].dst
-                if dst[0] == "in":
-                    nxt = host.cells[dst[1]]
-                    if (isinstance(nxt, Refine)
+                dst = host.wires[wire_out(ci)].dst
+                nxt = host.cells[dst[1]] if dst[0] == "in" else None
+                if (isinstance(nxt, Refine)
+                        and (nxt.source, nxt.target, nxt.word)
+                        == (cell.source, cell.target, cell.word)):
+                    f = self.system.functor(cell.source, cell.target)
+                    rule = self._rule(self.rule_a4, f, cell.word)
+                    self._offer(out, host, key, rule, "fwd", (ci, dst[1]),
+                                (wire_in(ci),), (wire_out(dst[1]),))
+            elif isinstance(cell, Refine):
+                if (cell.source, cell.target) in self.collapse:
+                    dst = host.wires[wire_out(ci)].dst
+                    nxt = host.cells[dst[1]] if dst[0] == "in" else None
+                    if (isinstance(nxt, Coarsen)
                             and (nxt.source, nxt.target, nxt.word)
                             == (cell.source, cell.target, cell.word)):
                         f = self.system.functor(cell.source, cell.target)
-                        rule = self.rule_a4(f, cell.word)
-                        m = self._graph_match(
-                            host, key, rule, "fwd", (ci, dst[1]),
-                            (by_dst[("in", ci, 0)],),
-                            (by_src[("out", dst[1], 0)],))
-                        if m:
-                            out.append(m)
-            elif isinstance(cell, Refine):
-                if (cell.source, cell.target) in self.collapse:
-                    wo = by_src[("out", ci, 0)]
-                    dst = host.wires[wo].dst
-                    if dst[0] == "in":
-                        nxt = host.cells[dst[1]]
-                        if (isinstance(nxt, Coarsen)
-                                and (nxt.source, nxt.target, nxt.word)
-                                == (cell.source, cell.target, cell.word)):
-                            f = self.system.functor(cell.source,
-                                                    cell.target)
-                            rule = self.rule_a3c(f, cell.word)
-                            m = self._graph_match(
-                                host, key, rule, "fwd", (ci, dst[1]),
-                                (by_dst[("in", ci, 0)],),
-                                (by_src[("out", dst[1], 0)],))
-                            if m:
-                                out.append(m)
+                        rule = self._rule(self.rule_a3c, f, cell.word)
+                        self._offer(out, host, key, rule, "fwd", (ci, dst[1]),
+                                    (wire_in(ci),), (wire_out(dst[1]),))
             elif isinstance(cell, Cap):
                 for cj, other in enumerate(host.cells):
                     if isinstance(other, Cup) and other.layer == cell.layer:
-                        rule = self.rule_a6(cell.layer)
-                        m = self._graph_match(
-                            host, key, rule, "fwd", (ci, cj),
-                            (by_dst[("in", ci, 0)],),
-                            (by_src[("out", cj, 0)],))
-                        if m:
-                            out.append(m)
+                        rule = self._rule(self.rule_a6, cell.layer)
+                        self._offer(out, host, key, rule, "fwd", (ci, cj),
+                                    (wire_in(ci),), (wire_out(cj),))
         if not host.cells and not host.wires:
             for layer in sorted(self.system.layers):
-                out.append(Match(self.rule_a5(layer), "fwd", (), (), (),
-                                 key))
+                out.append(Match(self._rule(self.rule_a5, layer), "fwd",
+                                 (), (), (), key))
         return out
 
     def _match_m(self, host: Diagram, key: tuple) -> list[Match]:
         out: list[Match] = []
-        by_src, by_dst = self._wire_maps(host)
-
-        def wire_in(ci, pi=0):
-            return by_dst[("in", ci, pi)]
-
-        def wire_out(ci, pi=0):
-            return by_src[("out", ci, pi)]
-
+        wire_in, wire_out = self._ports(host)
         for ci, cell in enumerate(host.cells):
             if isinstance(cell, Pants):
                 w0, w1 = wire_in(ci, 0), wire_in(ci, 1)
@@ -897,59 +840,47 @@ class RuleEngine:
                 if (isinstance(p0, Pants) and s0[2] == 0
                         and p0.layer == cell.layer
                         and cell.alpha == p0.alpha + p0.beta):
-                    rule = self.rule_m1(cell.layer, p0.alpha, p0.beta,
-                                        cell.beta)
-                    m = self._graph_match(
-                        host, key, rule, "fwd", (s0[1], ci),
-                        (wire_in(s0[1], 0), wire_in(s0[1], 1), w1), (wout,))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m1, cell.layer, p0.alpha,
+                                      p0.beta, cell.beta)
+                    self._offer(out, host, key, rule, "fwd", (s0[1], ci),
+                                (wire_in(s0[1], 0), wire_in(s0[1], 1), w1),
+                                (wout,))
                 if (isinstance(p1, Pants) and s1[2] == 0
                         and p1.layer == cell.layer
                         and cell.beta == p1.alpha + p1.beta):
-                    rule = self.rule_m1(cell.layer, cell.alpha, p1.alpha,
-                                        p1.beta)
-                    m = self._graph_match(
-                        host, key, rule, "bwd", (s1[1], ci),
-                        (w0, wire_in(s1[1], 0), wire_in(s1[1], 1)), (wout,))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m1, cell.layer, cell.alpha,
+                                      p1.alpha, p1.beta)
+                    self._offer(out, host, key, rule, "bwd", (s1[1], ci),
+                                (w0, wire_in(s1[1], 0), wire_in(s1[1], 1)),
+                                (wout,))
                 if (isinstance(p0, Cup) and cell.alpha == EPSILON
                         and p0.layer == cell.layer):
-                    rule = self.rule_m3(cell.layer, cell.beta, "l")
-                    m = self._graph_match(host, key, rule, "fwd",
-                                          (s0[1], ci), (w1,), (wout,))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m3, cell.layer, cell.beta, "l")
+                    self._offer(out, host, key, rule, "fwd", (s0[1], ci),
+                                (w1,), (wout,))
                 if (isinstance(p1, Cup) and cell.beta == EPSILON
                         and p1.layer == cell.layer):
-                    rule = self.rule_m3(cell.layer, cell.alpha, "r")
-                    m = self._graph_match(host, key, rule, "fwd",
-                                          (s1[1], ci), (w0,), (wout,))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m3, cell.layer, cell.alpha,
+                                      "r")
+                    self._offer(out, host, key, rule, "fwd", (s1[1], ci),
+                                (w0,), (wout,))
                 if (isinstance(p0, Refine) and isinstance(p1, Refine)
                         and s0[1] != s1[1]
                         and (p0.source, p0.target) == (p1.source, p1.target)
                         and p0.target == cell.layer):
                     f = self.system.functor(p0.source, p0.target)
-                    rule = self.rule_m5a(f, p0.word, p1.word)
-                    m = self._graph_match(
-                        host, key, rule, "fwd", (s0[1], s1[1], ci),
-                        (wire_in(s0[1]), wire_in(s1[1])), (wout,))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m5a, f, p0.word, p1.word)
+                    self._offer(out, host, key, rule, "fwd",
+                                (s0[1], s1[1], ci),
+                                (wire_in(s0[1]), wire_in(s1[1])), (wout,))
                 dsto = host.wires[wout].dst
                 n = host.cells[dsto[1]] if dsto[0] == "in" else None
                 if (isinstance(n, Refine) and n.source == cell.layer
                         and n.word == cell.alpha + cell.beta):
                     f = self.system.functor(n.source, n.target)
-                    rule = self.rule_m5a(f, cell.alpha, cell.beta)
-                    m = self._graph_match(host, key, rule, "bwd",
-                                          (ci, dsto[1]), (w0, w1),
-                                          (wire_out(dsto[1]),))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m5a, f, cell.alpha, cell.beta)
+                    self._offer(out, host, key, rule, "bwd", (ci, dsto[1]),
+                                (w0, w1), (wire_out(dsto[1]),))
             elif isinstance(cell, Copants):
                 win = wire_in(ci)
                 w0, w1 = wire_out(ci, 0), wire_out(ci, 1)
@@ -959,59 +890,47 @@ class RuleEngine:
                 if (isinstance(n0, Copants) and d0[2] == 0
                         and n0.layer == cell.layer
                         and cell.alpha == n0.alpha + n0.beta):
-                    rule = self.rule_m2(cell.layer, n0.alpha, n0.beta,
-                                        cell.beta)
-                    m = self._graph_match(
-                        host, key, rule, "fwd", (ci, d0[1]), (win,),
-                        (wire_out(d0[1], 0), wire_out(d0[1], 1), w1))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m2, cell.layer, n0.alpha,
+                                      n0.beta, cell.beta)
+                    self._offer(out, host, key, rule, "fwd", (ci, d0[1]),
+                                (win,),
+                                (wire_out(d0[1], 0), wire_out(d0[1], 1), w1))
                 if (isinstance(n1, Copants) and d1[2] == 0
                         and n1.layer == cell.layer
                         and cell.beta == n1.alpha + n1.beta):
-                    rule = self.rule_m2(cell.layer, cell.alpha, n1.alpha,
-                                        n1.beta)
-                    m = self._graph_match(
-                        host, key, rule, "bwd", (ci, d1[1]), (win,),
-                        (w0, wire_out(d1[1], 0), wire_out(d1[1], 1)))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m2, cell.layer, cell.alpha,
+                                      n1.alpha, n1.beta)
+                    self._offer(out, host, key, rule, "bwd", (ci, d1[1]),
+                                (win,),
+                                (w0, wire_out(d1[1], 0), wire_out(d1[1], 1)))
                 if (isinstance(n0, Cap) and cell.alpha == EPSILON
                         and n0.layer == cell.layer):
-                    rule = self.rule_m4(cell.layer, cell.beta, "l")
-                    m = self._graph_match(host, key, rule, "fwd",
-                                          (ci, d0[1]), (win,), (w1,))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m4, cell.layer, cell.beta, "l")
+                    self._offer(out, host, key, rule, "fwd", (ci, d0[1]),
+                                (win,), (w1,))
                 if (isinstance(n1, Cap) and cell.beta == EPSILON
                         and n1.layer == cell.layer):
-                    rule = self.rule_m4(cell.layer, cell.alpha, "r")
-                    m = self._graph_match(host, key, rule, "fwd",
-                                          (ci, d1[1]), (win,), (w0,))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m4, cell.layer, cell.alpha,
+                                      "r")
+                    self._offer(out, host, key, rule, "fwd", (ci, d1[1]),
+                                (win,), (w0,))
                 if (isinstance(n0, Coarsen) and isinstance(n1, Coarsen)
                         and d0[1] != d1[1]
                         and (n0.source, n0.target) == (n1.source, n1.target)
                         and n0.target == cell.layer):
                     f = self.system.functor(n0.source, n0.target)
-                    rule = self.rule_m6a(f, n0.word, n1.word)
-                    m = self._graph_match(
-                        host, key, rule, "fwd", (ci, d0[1], d1[1]), (win,),
-                        (wire_out(d0[1]), wire_out(d1[1])))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m6a, f, n0.word, n1.word)
+                    self._offer(out, host, key, rule, "fwd",
+                                (ci, d0[1], d1[1]), (win,),
+                                (wire_out(d0[1]), wire_out(d1[1])))
                 srci = host.wires[win].src
                 p = host.cells[srci[1]] if srci[0] == "out" else None
                 if (isinstance(p, Coarsen) and p.source == cell.layer
                         and p.word == cell.alpha + cell.beta):
                     f = self.system.functor(p.source, p.target)
-                    rule = self.rule_m6a(f, cell.alpha, cell.beta)
-                    m = self._graph_match(host, key, rule, "bwd",
-                                          (srci[1], ci),
-                                          (wire_in(srci[1]),), (w0, w1))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m6a, f, cell.alpha, cell.beta)
+                    self._offer(out, host, key, rule, "bwd", (srci[1], ci),
+                                (wire_in(srci[1]),), (w0, w1))
             elif isinstance(cell, Cup):
                 wo = wire_out(ci)
                 dst = host.wires[wo].dst
@@ -1019,18 +938,12 @@ class RuleEngine:
                 if (isinstance(n, Refine) and n.source == cell.layer
                         and n.word == EPSILON):
                     f = self.system.functor(n.source, n.target)
-                    rule = self.rule_m5b(f)
-                    m = self._graph_match(host, key, rule, "fwd",
-                                          (ci, dst[1]), (),
-                                          (wire_out(dst[1]),))
-                    if m:
-                        out.append(m)
-                for f in self._functors_into(cell.layer):
-                    rule = self.rule_m5b(f)
-                    m = self._graph_match(host, key, rule, "bwd", (ci,), (),
-                                          (wo,))
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m5b, f)
+                    self._offer(out, host, key, rule, "fwd", (ci, dst[1]), (),
+                                (wire_out(dst[1]),))
+                for f in self.functors_by_target.get(cell.layer, ()):
+                    rule = self._rule(self.rule_m5b, f)
+                    self._offer(out, host, key, rule, "bwd", (ci,), (), (wo,))
             elif isinstance(cell, Cap):
                 win = wire_in(ci)
                 src = host.wires[win].src
@@ -1038,25 +951,18 @@ class RuleEngine:
                 if (isinstance(p, Coarsen) and p.source == cell.layer
                         and p.word == EPSILON):
                     f = self.system.functor(p.source, p.target)
-                    rule = self.rule_m6b(f)
-                    m = self._graph_match(host, key, rule, "fwd",
-                                          (src[1], ci), (wire_in(src[1]),),
-                                          ())
-                    if m:
-                        out.append(m)
-                for f in self._functors_into(cell.layer):
-                    rule = self.rule_m6b(f)
-                    m = self._graph_match(host, key, rule, "bwd", (ci,),
-                                          (win,), ())
-                    if m:
-                        out.append(m)
+                    rule = self._rule(self.rule_m6b, f)
+                    self._offer(out, host, key, rule, "fwd", (src[1], ci),
+                                (wire_in(src[1]),), ())
+                for f in self.functors_by_target.get(cell.layer, ()):
+                    rule = self._rule(self.rule_m6b, f)
+                    self._offer(out, host, key, rule, "bwd", (ci,), (win,), ())
         for wi, w in enumerate(host.wires):
             layer, word = w.type
             for side in ("l", "r"):
-                out.append(Match(self.rule_m3(layer, word, side), "bwd", (),
-                                 (wi,), (wi,), key))
-                out.append(Match(self.rule_m4(layer, word, side), "bwd", (),
-                                 (wi,), (wi,), key))
+                for builder in (self.rule_m3, self.rule_m4):
+                    out.append(Match(self._rule(builder, layer, word, side),
+                                     "bwd", (), (wi,), (wi,), key))
         return out
 
     # -- anti-moves: locate right-hand sides of one-directional rules
@@ -1066,68 +972,54 @@ class RuleEngine:
         host = canonicalize(d).diagram
         key = canonical_key(host)
         out: list[Match] = []
-        by_src, by_dst = self._wire_maps(host)
+        wire_in, wire_out = self._ports(host)
         for ci, cell in enumerate(host.cells):
             if isinstance(cell, Pants):
-                wo = by_src[("out", ci, 0)]
-                dst = host.wires[wo].dst
-                if dst[0] == "in" and dst[2] == 0:
-                    nxt = host.cells[dst[1]]
-                    if isinstance(nxt, Copants) and \
-                            (nxt.alpha, nxt.beta) == (cell.alpha, cell.beta):
-                        rule = self.rule_a1(cell.layer, cell.alpha,
-                                            cell.beta)
-                        m = self._graph_match(
-                            host, key, rule, "bwd", (ci, dst[1]),
-                            (by_dst[("in", ci, 0)], by_dst[("in", ci, 1)]),
-                            (by_src[("out", dst[1], 0)],
-                             by_src[("out", dst[1], 1)]))
-                        if m:
-                            out.append(m)
+                dst = host.wires[wire_out(ci)].dst
+                nxt = (host.cells[dst[1]] if dst[0] == "in" and dst[2] == 0
+                       else None)
+                if isinstance(nxt, Copants) and \
+                        (nxt.alpha, nxt.beta) == (cell.alpha, cell.beta):
+                    rule = self._rule(self.rule_a1, cell.layer,
+                                      cell.alpha, cell.beta)
+                    self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
+                                (wire_in(ci), wire_in(ci, 1)),
+                                (wire_out(dst[1]), wire_out(dst[1], 1)))
             elif isinstance(cell, Refine):
-                wo = by_src[("out", ci, 0)]
-                dst = host.wires[wo].dst
-                if dst[0] == "in":
-                    nxt = host.cells[dst[1]]
-                    if (isinstance(nxt, Coarsen)
-                            and (nxt.source, nxt.target, nxt.word)
-                            == (cell.source, cell.target, cell.word)):
-                        f = self.system.functor(cell.source, cell.target)
-                        rule = self.rule_a3(f, cell.word)
-                        m = self._graph_match(
-                            host, key, rule, "bwd", (ci, dst[1]),
-                            (by_dst[("in", ci, 0)],),
-                            (by_src[("out", dst[1], 0)],))
-                        if m:
-                            out.append(m)
+                dst = host.wires[wire_out(ci)].dst
+                nxt = host.cells[dst[1]] if dst[0] == "in" else None
+                if (isinstance(nxt, Coarsen)
+                        and (nxt.source, nxt.target, nxt.word)
+                        == (cell.source, cell.target, cell.word)):
+                    f = self.system.functor(cell.source, cell.target)
+                    rule = self._rule(self.rule_a3, f, cell.word)
+                    self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
+                                (wire_in(ci),), (wire_out(dst[1]),))
             elif isinstance(cell, Cup):
                 # anti-A5 mirrors the forward restriction: the predecessor
                 # must be the empty diagram
                 if len(host.cells) == 2 and len(host.wires) == 1:
-                    wo = by_src[("out", ci, 0)]
-                    dst = host.wires[wo].dst
-                    if dst[0] == "in":
-                        nxt = host.cells[dst[1]]
-                        if isinstance(nxt, Cap) and \
-                                nxt.layer == cell.layer:
-                            rule = self.rule_a5(cell.layer)
-                            out.append(Match(rule, "bwd", (ci, dst[1]), (),
-                                             (), key))
+                    dst = host.wires[wire_out(ci)].dst
+                    nxt = host.cells[dst[1]] if dst[0] == "in" else None
+                    if isinstance(nxt, Cap) and nxt.layer == cell.layer:
+                        rule = self._rule(self.rule_a5, cell.layer)
+                        out.append(Match(rule, "bwd", (ci, dst[1]), (),
+                                         (), key))
         for wi, w in enumerate(host.wires):
             layer, word = w.type
-            for f in self._functors_into(layer):
+            for f in self.functors_by_target.get(layer, ()):
                 pres, _ = _preimage_words(
                     f, self.system.layer(f.source).gen_objects, word)
                 for src_word in pres:
-                    out.append(Match(self.rule_a4(f, src_word), "bwd", (),
-                                     (wi,), (wi,), key))
+                    out.append(Match(self._rule(self.rule_a4, f, src_word),
+                                     "bwd", (), (wi,), (wi,), key))
             if word == EPSILON:
-                out.append(Match(self.rule_a6(layer), "bwd", (), (wi,),
-                                 (wi,), key))
-            for f in self._functors_from(layer):
+                out.append(Match(self._rule(self.rule_a6, layer), "bwd",
+                                 (), (wi,), (wi,), key))
+            for f in self.functors_by_source.get(layer, ()):
                 if (f.source, f.target) in self.collapse:
-                    out.append(Match(self.rule_a3c(f, word), "bwd", (),
-                                     (wi,), (wi,), key))
+                    out.append(Match(self._rule(self.rule_a3c, f, word),
+                                     "bwd", (), (wi,), (wi,), key))
         out.sort(key=self._sort_key)
         return out
 
@@ -1160,9 +1052,9 @@ class RuleEngine:
         host = canonicalize(d).diagram
         if self.isolation_matches(host):
             return False
-        by_src, _ = self._wire_maps(host)
+        _, wire_out = self._ports(host)
         for ci, cell in enumerate(host.cells):
-            dst = host.wires[by_src[("out", ci, 0)]].dst \
+            dst = host.wires[wire_out(ci)].dst \
                 if cell.out_ports() else (None,)
             nxt = host.cells[dst[1]] if dst[0] == "in" else None
             if isinstance(cell, InternalBox) and isinstance(nxt, Coarsen) \
@@ -1178,13 +1070,6 @@ class RuleEngine:
                 if not ok:
                     return False
         return True
-
-
-def instantiate_rules(sys: SystemOfLayers,
-                      faithful_window_collapse: Iterable[tuple[str, str]] = ()
-                      ) -> RuleEngine:
-    """Rule family generators over a validated system."""
-    return RuleEngine(sys, faithful_window_collapse)
 
 
 def sample_instances(engine: RuleEngine,
@@ -1364,7 +1249,3 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
                     new_b.append(pk)
             frontier_b = new_b
     return NotFound(budget)
-
-
-def is_isolated(d: Diagram, engine: RuleEngine) -> bool:
-    return engine.is_isolated(d)

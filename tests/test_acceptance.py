@@ -212,7 +212,7 @@ def test_criterion_2_canonical_forms():
 
 def test_criterion_3_rewrite_engine():
     sys_ = make_two_layer_system()
-    engine = rw.instantiate_rules(sys_)
+    engine = rw.RuleEngine(sys_)
     words = {"U": [(), ("a",), ("b",), ("a", "b"), ("b", "a")],
              "L": [(), ("x",), ("y",), ("x", "y")]}
     rules = [r for r in rw.sample_instances(engine, words)

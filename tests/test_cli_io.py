@@ -285,3 +285,72 @@ def test_cli_semantics_verify_monoid(tmp_path, capsys):
                  "--max-word", "1"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["verified 103 rule instances"]
+
+
+@pytest.mark.parametrize("payload, path", [
+    ({"layers": [1]}, "layers[0]: expected an object, got int"),
+    (3, "top level: expected an object, got int"),
+    ({"layers": 1}, "layers: expected a list, got int"),
+    ({"layers": [{"name": "U"}]}, "layers[0].objects: missing"),
+    ({"layers": [{"name": "U", "objects": "ab"}]},
+     "layers[0].objects: expected a list, got str"),
+    ({"layers": [{"name": "U", "objects": ["a"]}],
+      "functors": [{"source": "U", "target": "U", "objects": [],
+                    "morphisms": {}}]},
+     "functors[0].objects: expected an object, got list"),
+])
+def test_cli_theory_file_shape(tmp_path, capsys, payload, path):
+    t = _write(tmp_path, "t.json", payload)
+    assert main(["check-theory", "--system", t]) == 1
+    assert _single_error_line(capsys) == f"error: bad theory file: {path}"
+
+
+@pytest.mark.parametrize("payload, path", [
+    (3, "top level: expected an object, got int"),
+    ([1], "top level: expected an object, got list"),
+    ({"sort": {"dom": [], "cod": []}, "cells": [1], "wires": []},
+     "cells[0]: expected an object, got int"),
+    ({"sort": {"dom": [], "cod": []}, "cells": [{"kind": "nope"}],
+      "wires": []}, "cells[0].kind: unknown cell kind 'nope'"),
+    ({"sort": {"dom": [["U", ["a"]]], "cod": [["U", ["a"]]]},
+      "cells": [], "wires": [{"source": ["dom", 0], "target": ["cod", 0],
+                              "type": "U"}]},
+     "wires[0].type: expected a list, got str"),
+    ({"sort": {"dom": [["U", ["a"]]], "cod": [["U", ["a"]]]},
+      "cells": [], "wires": [{"source": ["cell", 0], "target": ["cod", 0],
+                              "type": ["U", ["a"]]}]},
+     "wires[0].source: expected 3 items, got 2"),
+])
+def test_cli_diagram_file_shape(tmp_path, capsys, payload, path):
+    t = _write(tmp_path, "t.json",
+               jsonio.system_to_json(make_two_layer_system()))
+    d = _write(tmp_path, "d.json", payload)
+    assert main(["export-dot", "--system", t, "--diagram", d]) == 1
+    assert _single_error_line(capsys) == f"error: bad diagram file: {path}"
+
+
+@pytest.mark.parametrize("payload, path", [
+    ([1], "top level: expected an object, got list"),
+    ({"start": 3}, "start: expected an object, got int"),
+    ({"start": {"sort": {"dom": [], "cod": []}, "cells": [], "wires": []},
+      "steps": [3]}, "steps[0]: expected an object, got int"),
+])
+def test_cli_derivation_file_shape(tmp_path, capsys, payload, path):
+    t = _write(tmp_path, "t.json",
+               jsonio.system_to_json(make_two_layer_system()))
+    x = _write(tmp_path, "x.json", payload)
+    assert main(["explain2", "--system", t, "--derivation", x, "--layer",
+                 "U", "--equation", "gh_is_u"]) == 1
+    assert _single_error_line(capsys) == \
+        f"error: bad derivation file: {path}"
+
+
+def test_cli_derivation_unparsable_collapse_rule(tmp_path, capsys):
+    t = _write(tmp_path, "t.json",
+               jsonio.system_to_json(make_two_layer_system()))
+    x = _write(tmp_path, "x.json", {
+        "start": {"sort": {"dom": [], "cod": []}, "cells": [], "wires": []},
+        "steps": [{"rule": "A3c[x", "orientation": "fwd"}]})
+    assert main(["explain2", "--system", t, "--derivation", x, "--layer",
+                 "U", "--equation", "gh_is_u"]) == 1
+    assert "does not re-match" in _single_error_line(capsys)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from layerprop import diagram as dg
+from layerprop import internal, models
 from layerprop import rewrite as rw
 from layerprop.diagram import canonical_key, canonicalize
 from layerprop.errors import SortMismatch, StaleMatch
@@ -14,7 +15,7 @@ from layerprop.theory import sheet
 
 @pytest.fixture
 def engine(two_layer):
-    return rw.instantiate_rules(two_layer)
+    return rw.RuleEngine(two_layer)
 
 
 def test_a3_matches_identity_sheet(two_layer, engine):
@@ -233,7 +234,7 @@ def test_is_isolated_brute_force_agreement(two_layer, engine):
 
 
 def test_window_collapse_flag(two_layer):
-    engine = rw.instantiate_rules(two_layer, [("U", "L")])
+    engine = rw.RuleEngine(two_layer, [("U", "L")])
     frame = dg.seq_compose(dg.refine(two_layer, "U", "L", ("a",)),
                            dg.coarsen(two_layer, "U", "L", ("a",)))
     ident = dg.identity(two_layer, sheet("U", ("a",)))
@@ -249,7 +250,7 @@ def test_determinism_of_search(two_layer, engine):
                          dg.copants(two_layer, "U", ("a",), ("b",)))
     d1 = rw.find_derivation(src, dst, 50, engine)
     d2 = rw.find_derivation(src, dst, 50,
-                            rw.instantiate_rules(two_layer))
+                            rw.RuleEngine(two_layer))
     assert [s.signature() for s in d1.steps] == \
         [s.signature() for s in d2.steps]
 
@@ -267,3 +268,272 @@ def test_isolated_diagram_has_no_derivations(two_layer, engine):
     for x in targets:
         out = rw.find_derivation(isolated, x, 40, engine)
         assert isinstance(out, rw.NotFound)
+
+
+# ---------------------------------------------------------------------------
+# pinned search results: seeded walks of 2-3 applications from generator
+# boxes (and a few hand-picked starts) on three systems, the E/F moves a
+# walk rarely takes, and two weight-separated pairs that exhaust the budget.
+# Each value is the signature list of the returned derivation, or the
+# budget of the NotFound.
+
+WALK_SEEDS = range(6)
+WALK_BUDGET = 3000
+EXHAUST_BUDGET = 300
+
+
+def _box(system, layer, obj, gens):
+    return dg.box(system, InternalDiagram(layer, (obj,), (obj,),
+                                          tuple((0, g) for g in gens)))
+
+
+def _walk(system, starts, rng, steps):
+    engine = rw.RuleEngine(system)
+    while True:
+        start = rng.choice(starts)
+        d = start
+        for _ in range(steps):
+            d = rw.apply_rule(d, rng.choice(engine.matches(d)))
+        if dg.canonical_key(d) != dg.canonical_key(start):
+            return start, d
+
+
+def _pinned_cases(two_layer):
+    systems = {"two": two_layer, "monoid": models.monoid_model().system,
+               "meet": models.meet_model().system}
+    cases = {}
+    for name, system in systems.items():
+        starts = [dg.gen_box(system, layer, g.name)
+                  for layer in sorted(system.layers)
+                  for g in system.layer(layer).gen_morphisms]
+        if name == "two":
+            starts += [
+                _box(system, "U", "a", ["g", "h"]),
+                dg.seq_compose(dg.gen_box(system, "U", "g"),
+                               dg.refine(system, "U", "L", ("b",))),
+                dg.identity(system, sheet("U", ("a",)) + sheet("U", ("b",))),
+            ]
+        for seed in WALK_SEEDS:
+            for steps in (2, 3):
+                src, dst = _walk(system, starts, random.Random(seed), steps)
+                cases[f"{name}-walk{steps}-{seed}"] = (src, dst, WALK_BUDGET)
+    two, mon = systems["two"], systems["monoid"]
+    cases["two-u-uu"] = (_box(two, "U", "a", ["u"]),
+                         _box(two, "U", "a", ["u", "u"]), EXHAUST_BUDGET)
+    cases["monoid-m2-m1"] = (_box(mon, "MU", "u", ["m2"]),
+                             _box(mon, "MU", "u", ["m1"]), EXHAUST_BUDGET)
+    u = internal.generator("U", "u", two.signature("U"))
+    ida = internal.identity("U", ("a",))
+    cases["two-E"] = (_box(two, "U", "a", ["g", "h"]),
+                      _box(two, "U", "a", ["u"]), WALK_BUDGET)
+    cases["two-F1"] = (dg.seq_compose(dg.gen_box(two, "U", "g"),
+                                      dg.refine(two, "U", "L", ("b",))),
+                       dg.seq_compose(dg.refine(two, "U", "L", ("a",)),
+                                      dg.gen_box(two, "L", "gl")),
+                       WALK_BUDGET)
+    pants = dg.pants(two, "U", ("a",), ("a",))
+    cases["two-F3"] = (
+        dg.seq_compose(dg.par_tensor(dg.box(two, u),
+                                     dg.identity(two, sheet("U", ("a",)))),
+                       pants),
+        dg.seq_compose(pants, dg.box(two, u.beside(ida))), WALK_BUDGET)
+    return cases
+
+
+def _outcome(res):
+    if isinstance(res, rw.NotFound):
+        return res.budget
+    return [s.signature() for s in res.steps]
+
+
+PINNED = {
+    "meet-walk2-0": [
+        ("M4r[Sq;q]", "bwd", (), (0,), (0,), None),
+        ("A1[Sq;e;s]", "fwd", (), (2, 3), (2, 3), None),
+    ],
+    "meet-walk2-1": [
+        ("M3l[Sq;q]", "bwd", (), (1,), (1,), None),
+        ("M3l[Sq;q]", "bwd", (), (1,), (1,), None),
+    ],
+    "meet-walk2-2": [
+        ("A3[Ar>Sq;lo]", "fwd", (), (0,), (0,), None),
+        ("A3[Ar>Sq;lo]", "fwd", (), (0,), (0,), None),
+    ],
+    "meet-walk2-3": [
+        ("M3r[Sq;q]", "bwd", (), (1,), (1,), None),
+        ("M3r[Sq;p]", "bwd", (), (0,), (0,), None),
+    ],
+    "meet-walk2-4": [
+        ("M4l[Sq;p]", "bwd", (), (0,), (0,), None),
+        ("A1[Sq;q;e]", "fwd", (), (3, 1), (3, 1), None),
+    ],
+    "meet-walk2-5": [
+        ("M4l[Sq;r]", "bwd", (), (0,), (0,), None),
+        ("M3r[Sq;r]", "bwd", (), (2,), (2,), None),
+    ],
+    "meet-walk3-0": [
+        ("M4r[Sq;q]", "bwd", (), (0,), (0,), None),
+        ("A1[Sq;e;s]", "fwd", (), (2, 3), (2, 3), None),
+        ("M3r[Sq;e]", "bwd", (), (3,), (3,), None),
+    ],
+    "meet-walk3-1": [
+        ("M3l[Sq;q]", "bwd", (), (1,), (1,), None),
+        ("A1[Sq;p;e]", "fwd", (), (0, 3), (0, 3), None),
+        ("M3l[Sq;q]", "bwd", (), (6,), (6,), None),
+    ],
+    "meet-walk3-2": [
+        ("A3[Ar>Sq;lo]", "fwd", (), (0,), (0,), None),
+        ("A3[Ar>Sq;lo]", "fwd", (), (0,), (0,), None),
+        ("M3l[Sq;p]", "bwd", (), (5,), (5,), None),
+    ],
+    "meet-walk3-3": [
+        ("M3r[Sq;p]", "bwd", (), (0,), (0,), None),
+        ("M3r[Sq;q]", "bwd", (), (2,), (2,), None),
+        ("M5b[Ar>Sq]", "bwd", (2,), (), (3,), None),
+    ],
+    "meet-walk3-4": [
+        ("M4l[Sq;p]", "bwd", (), (0,), (0,), None),
+        ("A1[Sq;q;e]", "fwd", (), (3, 1), (3, 1), None),
+        ("M4l[Sq;p]", "bwd", (), (2,), (2,), None),
+    ],
+    "meet-walk3-5": [
+        ("M3r[Sq;r]", "bwd", (), (0,), (0,), None),
+        ("M4l[Sq;r]", "bwd", (), (0,), (0,), None),
+        ("M6b[Ar>Sq]", "bwd", (2,), (1,), (), None),
+    ],
+    "monoid-m2-m1": 300,
+    "monoid-walk2-0": [
+        ("M4l[MU;u]", "bwd", (), (0,), (0,), None),
+        ("A1[MU;e;u]", "fwd", (), (1, 3), (1, 3), None),
+    ],
+    "monoid-walk2-1": [
+        ("M3l[ML;v]", "bwd", (), (1,), (1,), None),
+        ("M3l[ML;v]", "bwd", (), (1,), (1,), None),
+    ],
+    "monoid-walk2-2": [
+        ("M3l[ML;v]", "bwd", (), (1,), (1,), None),
+        ("A1[ML;v;e]", "fwd", (), (0, 3), (0, 3), None),
+    ],
+    "monoid-walk2-3": [
+        ("M4r[MU;u]", "bwd", (), (1,), (1,), None),
+        ("A3[MU>ML;e]", "fwd", (), (3,), (3,), None),
+    ],
+    "monoid-walk2-4": [
+        ("M4l[ML;v]", "bwd", (), (0,), (0,), None),
+        ("A1[ML;v;e]", "fwd", (), (3, 1), (3, 1), None),
+    ],
+    "monoid-walk2-5": [
+        ("M4r[MU;u]", "bwd", (), (1,), (1,), None),
+        ("M3r[MU;u]", "bwd", (), (1,), (1,), None),
+    ],
+    "monoid-walk3-0": [
+        ("M4l[MU;u]", "bwd", (), (0,), (0,), None),
+        ("A1[MU;e;u]", "fwd", (), (1, 3), (1, 3), None),
+        ("M3l[MU;e]", "bwd", (), (3,), (3,), None),
+    ],
+    "monoid-walk3-1": [
+        ("M3l[ML;v]", "bwd", (), (1,), (1,), None),
+        ("A1[ML;v;e]", "fwd", (), (0, 3), (0, 3), None),
+        ("M3l[ML;v]", "bwd", (), (6,), (6,), None),
+    ],
+    "monoid-walk3-2": [
+        ("M3l[ML;v]", "bwd", (), (1,), (1,), None),
+        ("A1[ML;v;e]", "fwd", (), (0, 3), (0, 3), None),
+        ("M4l[ML;e]", "bwd", (), (3,), (3,), None),
+    ],
+    "monoid-walk3-3": [
+        ("M4r[ML;v]", "bwd", (), (1,), (1,), None),
+    ],
+    "monoid-walk3-4": [
+        ("M4l[ML;v]", "bwd", (), (0,), (0,), None),
+        ("A1[ML;v;e]", "fwd", (), (3, 1), (3, 1), None),
+        ("M4l[ML;v]", "bwd", (), (2,), (2,), None),
+    ],
+    "monoid-walk3-5": [
+        ("M3r[MU;u]", "bwd", (), (1,), (1,), None),
+        ("M4r[MU;e]", "bwd", (), (3,), (3,), None),
+        ("M4r[MU;u]", "bwd", (), (2,), (2,), None),
+    ],
+    "two-E": [
+        ("E[U;gh_is_u]", "fwd", (0,), (), (),
+         (0, ("a",), ("a",), ((0, "u"),))),
+    ],
+    "two-F1": [
+        ("F1[U>L;a>0.g]", "fwd", (0, 1), (0,), (2,), None),
+    ],
+    "two-F3": [
+        ("F3[U;a>0.u;a>id]", "fwd", (0, 1), (0, 1), (3,), None),
+    ],
+    "two-u-uu": 300,
+    "two-walk2-0": [
+        ("M4l[U;a.a]", "bwd", (), (0,), (0,), None),
+        ("A1[U;b;e]", "fwd", (), (3, 1), (3, 1), None),
+    ],
+    "two-walk2-1": [
+        ("M3l[L;y]", "bwd", (), (1,), (1,), None),
+        ("M3l[L;y]", "bwd", (), (1,), (1,), None),
+    ],
+    "two-walk2-2": [
+        ("M3l[L;y]", "bwd", (), (1,), (1,), None),
+        ("A1[L;x;e]", "fwd", (), (0, 3), (0, 3), None),
+    ],
+    "two-walk2-3": [
+        ("M4l[U;a]", "bwd", (), (0,), (0,), None),
+        ("M3r[U;a]", "bwd", (), (2,), (2,), None),
+    ],
+    "two-walk2-4": [
+        ("M4l[L;x]", "bwd", (), (0,), (0,), None),
+        ("A1[L;x;e]", "fwd", (), (3, 1), (3, 1), None),
+    ],
+    "two-walk2-5": [
+        ("M3l[U;a]", "bwd", (), (0,), (0,), None),
+        ("M4l[U;e]", "bwd", (), (3,), (3,), None),
+    ],
+    "two-walk3-0": [
+        ("M3l[U;a.a]", "bwd", (), (0,), (0,), None),
+        ("M4l[U;a.a]", "bwd", (), (0,), (0,), None),
+        ("A1[U;b;e]", "fwd", (), (3, 1), (3, 1), None),
+    ],
+    "two-walk3-1": [
+        ("M3l[L;y]", "bwd", (), (1,), (1,), None),
+        ("A1[L;x.x;e]", "fwd", (), (0, 3), (0, 3), None),
+        ("M3l[L;y]", "bwd", (), (6,), (6,), None),
+    ],
+    "two-walk3-2": [
+        ("M3l[L;y]", "bwd", (), (1,), (1,), None),
+        ("A1[L;x;e]", "fwd", (), (0, 3), (0, 3), None),
+        ("M4l[L;e]", "bwd", (), (3,), (3,), None),
+    ],
+    "two-walk3-3": [
+        ("M4r[L;x]", "bwd", (), (1,), (1,), None),
+    ],
+    "two-walk3-4": [
+        ("M4l[L;x]", "bwd", (), (0,), (0,), None),
+        ("A1[L;x;e]", "fwd", (), (3, 1), (3, 1), None),
+        ("M4l[L;x]", "bwd", (), (2,), (2,), None),
+    ],
+    "two-walk3-5": [
+        ("M3l[U;a]", "bwd", (), (0,), (0,), None),
+        ("M3l[U;a]", "bwd", (), (0,), (0,), None),
+        ("M4l[U;e]", "bwd", (), (3,), (3,), None),
+    ],
+}
+
+
+def test_search_results_pinned(two_layer):
+    got = {name: _outcome(rw.find_derivation(src, dst, budget))
+           for name, (src, dst, budget) in _pinned_cases(two_layer).items()}
+    assert got == PINNED
+
+
+def test_rule_instances_shared_per_engine(two_layer, engine):
+    # matching hands out one RewriteRule object per rule instance
+    host = dg.identity(two_layer, sheet("U", ("a",)) + sheet("U", ("b",)))
+    seen: dict = {}
+    for d in (host, canonicalize(host).diagram, dg.par_tensor(host, host)):
+        for m in engine.matches(d) + engine.anti_matches(d):
+            assert seen.setdefault(m.rule.name, m.rule) is m.rule
+    assert len(seen) > 10
+    fresh = rw.RuleEngine(two_layer).matches(host)[0].rule
+    assert fresh is not seen[fresh.name]
+    assert dg.structural_eq(fresh.rhs, seen[fresh.name].rhs)

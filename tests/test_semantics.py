@@ -1,5 +1,8 @@
 """Interpretation into pointed profunctors and rule verification."""
 
+import gc
+import weakref
+
 import pytest
 
 from layerprop import diagram as dg
@@ -71,6 +74,23 @@ def test_interpret_refine_table_sizes(meet_model):
         expected = len(cs.hom("p", x))
         assert len(out.prof.elements((("lo",))[:1] and ("lo",), (x,))) \
             == expected
+
+
+def test_model_categories_freed_with_the_model():
+    # products and hom profunctors are cached on their categories, so
+    # nothing outside the model keeps them alive
+    model = models.meet_model()
+    sys_ = model.system
+    for d in (dg.sheet_sym(sys_, "Ar", ("lo",), "Sq", ("q",)),
+              dg.refine(sys_, "Ar", "Sq", ("lo",)),
+              dg.pants(sys_, "Sq", ("p",), ("q",))):
+        sm.interpret(model, d)
+    sq = model.category("Sq")
+    refs = [weakref.ref(sq), weakref.ref(pf.product_category([sq, sq])),
+            weakref.ref(pf.hom_profunctor(sq))]
+    del model, sys_, d, sq
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_interpret_missing_binding(meet_model, monoid_model):
