@@ -15,12 +15,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import internal
 from .errors import SideConditionViolation, SortMismatch
 from .internal import EPSILON, InternalDiagram, Word
 from .theory import (EMPTY_TYPE, OmegaType, Sort, SystemOfLayers, sheet)
+
+if TYPE_CHECKING:
+    from .rewrite import Derivation
 
 # Endpoints: ("dom", k) | ("cod", k) | ("out", cell, port) | ("in", cell, port)
 Endpoint = tuple
@@ -625,106 +628,38 @@ def structural_eq(x: Diagram, y: Diagram) -> bool:
 # equality modulo layer equations
 
 
-@dataclass(frozen=True)
-class EqStep:
-    cell: int
-    equation: str
-    direction: str  # "fwd" | "bwd"
-    result_key: tuple
-
-
 @dataclass
 class LayerEqResult:
     status: str  # "equal" | "distinct" | "unknown"
-    witness: list[EqStep] | None = None
-
-
-def _equation_neighbors(d: Diagram) -> list[tuple[EqStep, Diagram]]:
-    """One equation application inside one box, every possible way."""
-    sys = d.system
-    c = canonicalize(d).diagram
-    out: list[tuple[EqStep, Diagram]] = []
-    for ci, cell in enumerate(c.cells):
-        if not isinstance(cell, InternalBox):
-            continue
-        sig = sys.signature(cell.layer)
-        for eq in sys.layer(cell.layer).equations:
-            for direction, lhs, rhs in (("fwd", eq.lhs, eq.rhs),
-                                        ("bwd", eq.rhs, eq.lhs)):
-                for new_content in internal.rewrite_occurrences(
-                        cell.content, lhs, rhs, sig):
-                    new_cells = list(c.cells)
-                    new_cells[ci] = InternalBox(cell.layer, new_content)
-                    cand = Diagram(sys, c.dom, c.cod, new_cells, c.wires)
-                    step = EqStep(ci, eq.name, direction,
-                                  canonical_key(cand))
-                    out.append((step, cand))
-    return out
+    witness: Derivation | None = None  # set when "equal"
 
 
 def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
     """Three-valued equality modulo the layers' equations.
 
-    Bidirectional breadth-first search over canonical forms; ``budget``
-    bounds the total number of equation applications.
+    The search is ``rewrite.find_derivation`` restricted to the E family,
+    with equation insertions on: ``budget`` counts equation applications
+    across both frontiers, the smaller frontier expanding first, and an
+    ``equal`` verdict carries a derivation that ``verify_derivation``
+    replays.  A budget that runs out partway through a breadth-first level
+    leaves the verdict to the order in which moves are tried.
     """
+    from . import rewrite  # local import: rewrite layers on diagram
+
     if x.sort != y.sort:
         raise SortMismatch("layer_eq requires parallel diagrams")
-    kx, ky = canonical_key(x), canonical_key(y)
-    if kx == ky:
-        return LayerEqResult("equal", [])
-
-    def touched_layers(d: Diagram) -> set[str]:
-        return {cell.layer for cell in canonicalize(d).diagram.cells
-                if isinstance(cell, InternalBox)}
-
-    layers = touched_layers(x) | touched_layers(y)
-    if not any(x.system.layer(l).equations for l in layers):
-        return LayerEqResult("distinct")
-
-    # forward trees from both sides; meet in the middle
-    fwd: dict[tuple, tuple[tuple, EqStep] | None] = {kx: None}
-    bwd: dict[tuple, tuple[tuple, EqStep] | None] = {ky: None}
-    frontier_f: list[Diagram] = [x]
-    frontier_b: list[Diagram] = [y]
-    spent = 0
-
-    def witness(meet: tuple) -> list[EqStep]:
-        left: list[EqStep] = []
-        k = meet
-        while fwd[k] is not None:
-            prev, step = fwd[k]
-            left.append(step)
-            k = prev
-        left.reverse()
-        right: list[EqStep] = []
-        k = meet
-        while bwd[k] is not None:
-            prev, step = bwd[k]
-            flipped = "bwd" if step.direction == "fwd" else "fwd"
-            right.append(EqStep(step.cell, step.equation, flipped, prev))
-            k = prev
-        return left + right
-
-    while (frontier_f or frontier_b) and spent < budget:
-        for side, frontier, tree, other in (("f", frontier_f, fwd, bwd),
-                                            ("b", frontier_b, bwd, fwd)):
-            new_frontier: list[Diagram] = []
-            for state in frontier:
-                state_key = canonical_key(state)
-                for step, cand in _equation_neighbors(state):
-                    if spent >= budget:
-                        break
-                    spent += 1
-                    if step.result_key in tree:
-                        continue
-                    tree[step.result_key] = (state_key, step)
-                    if step.result_key in other:
-                        return LayerEqResult("equal",
-                                             witness(step.result_key))
-                    new_frontier.append(cand)
-            frontier[:] = new_frontier
-    return LayerEqResult("unknown")
+    cx, cy = canonicalize(x), canonicalize(y)
+    if cx.key != cy.key:
+        layers = {cell.layer for c in (cx, cy) for cell in c.diagram.cells
+                  if isinstance(cell, InternalBox)}
+        if not any(x.system.layer(l).equations for l in layers):
+            return LayerEqResult("distinct")
+    engine = rewrite.RuleEngine(x.system, equation_insertions=True)
+    out = rewrite.find_derivation(x, y, budget, engine,
+                                  rule_filter=lambda m: m.rule.family == "E")
+    if isinstance(out, rewrite.NotFound):
+        return LayerEqResult("unknown")
+    return LayerEqResult("equal", out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from . import diagram as dg
 from . import rewrite as rw
 from .diagram import (Cap, Coarsen, Copants, Cup, Diagram, InternalBox,
                       Pants, Refine, SheetSym, Wire, canonicalize)
-from .errors import InvalidDerivation, MalformedInput
+from .errors import MalformedInput
 from .explain import ExplanationVerdict
 from .internal import InternalDiagram
 from .profunctor import FinFunctor, FinMonoidalCategory
@@ -167,6 +167,28 @@ _DERIVATION = {
                                     "cod_wires": _Opt([int]),
                                     "box": _Opt({**_INTERNAL,
                                                  "cell": int})})}]),
+}
+
+
+def _qualified(value) -> None:
+    """An object whose keys read "layer:name" and whose values are names."""
+    _check(value, {str: str})
+    for key in value:
+        if ":" not in key:
+            raise _Shape("expected a key of the form 'layer:name'", key)
+
+
+_TRIPLES = [(str, str, str)]
+_MODEL = {
+    "categories": {str: {"objects": [str],
+                         "morphisms": [{"name": str, "dom": str, "cod": str}],
+                         "compose": _TRIPLES, "identities": {str: str},
+                         "unit": str, "tensor_obj": _TRIPLES,
+                         "tensor_mor": _TRIPLES}},
+    "objects": _qualified,
+    "generators": _qualified,
+    "functors": _Opt([{"source": str, "target": str, "objects": {str: str},
+                       "morphisms": {str: str}}]),
 }
 
 
@@ -360,16 +382,7 @@ def derivation_from_json(sys_: SystemOfLayers, payload: dict,
     """Reconstruct by replaying: each recorded step must re-match."""
     _checked(payload, _DERIVATION, "derivation file")
     start = diagram_from_json(sys_, payload["start"])
-    collapse = set()
-    for step in payload.get("steps", ()):
-        name = step.get("rule", "")
-        if name.startswith("A3c["):  # "A3c[SRC>TGT;word]"
-            src, _, tgt = name[4:].partition(";")[0].partition(">")
-            collapse.add((src, tgt))
-    if engine is None:
-        engine = rw.RuleEngine(sys_, collapse)
-    current = canonicalize(start).diagram
-    steps = []
+    signatures = []
     for step in payload.get("steps", ()):
         anchor = step.get("anchor", {})
         box = anchor.get("box")
@@ -378,21 +391,11 @@ def derivation_from_json(sys_: SystemOfLayers, payload: dict,
             content = _internal(box)
             payload_sig = (box["cell"], content.dom, content.cod,
                            content.slices)
-        want = (step.get("rule"), step.get("orientation"),
-                tuple(anchor.get("cells", ())),
-                tuple(anchor.get("dom_wires", ())),
-                tuple(anchor.get("cod_wires", ())), payload_sig)
-        found = None
-        for m in engine.matches(current):
-            if m.signature() == want:
-                found = m
-                break
-        if found is None:
-            raise InvalidDerivation(
-                f"step {step.get('rule')!r} does not re-match")
-        steps.append(found)
-        current = rw.apply_rule(current, found)
-    return rw.Derivation(canonicalize(start).diagram, steps)
+        signatures.append((step.get("rule"), step.get("orientation"),
+                           tuple(anchor.get("cells", ())),
+                           tuple(anchor.get("dom_wires", ())),
+                           tuple(anchor.get("cod_wires", ())), payload_sig))
+    return rw.replay(start, signatures, engine)
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -442,32 +445,31 @@ def model_to_json(model: FinOmegaSystem) -> dict:
 
 
 def model_from_json(sys_: SystemOfLayers, payload: dict) -> FinOmegaSystem:
-    try:
-        cats: dict[str, FinMonoidalCategory] = {}
-        for layer, raw in payload["categories"].items():
-            morphisms = [m["name"] for m in raw["morphisms"]]
-            dom = {m["name"]: m["dom"] for m in raw["morphisms"]}
-            cod = {m["name"]: m["cod"] for m in raw["morphisms"]}
-            compose = {(f, g): h for f, g, h in raw["compose"]}
-            cats[layer] = FinMonoidalCategory(
-                layer, raw["objects"], morphisms, dom, cod, compose,
-                dict(raw["identities"]), raw["unit"],
-                {(a, b): c for a, b, c in raw["tensor_obj"]},
-                {(f, g): h for f, g, h in raw["tensor_mor"]})
-        objects = {}
-        for key, obj in payload["objects"].items():
-            layer, sym = key.split(":", 1)
-            objects[(layer, sym)] = obj
-        generators = {}
-        for key, mor in payload["generators"].items():
-            layer, gen = key.split(":", 1)
-            generators[(layer, gen)] = mor
-        functors = {}
-        for f in payload.get("functors", ()):
-            src, tgt = f["source"], f["target"]
-            functors[(src, tgt)] = FinFunctor(
-                f"{src}>{tgt}", cats[src], cats[tgt],
-                dict(f["objects"]), dict(f["morphisms"]))
-        return FinOmegaSystem(sys_, cats, objects, generators, functors)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad model file: {exc}")
+    _checked(payload, _MODEL, "model file")
+    cats: dict[str, FinMonoidalCategory] = {}
+    for layer, raw in payload["categories"].items():
+        morphisms = raw["morphisms"]
+        cats[layer] = FinMonoidalCategory(
+            layer, raw["objects"], [m["name"] for m in morphisms],
+            {m["name"]: m["dom"] for m in morphisms},
+            {m["name"]: m["cod"] for m in morphisms},
+            {(f, g): h for f, g, h in raw["compose"]},
+            dict(raw["identities"]), raw["unit"],
+            {(a, b): c for a, b, c in raw["tensor_obj"]},
+            {(f, g): h for f, g, h in raw["tensor_mor"]})
+    objects = {tuple(key.split(":", 1)): obj
+               for key, obj in payload["objects"].items()}
+    generators = {tuple(key.split(":", 1)): mor
+                  for key, mor in payload["generators"].items()}
+    functors = {}
+    for i, f in enumerate(payload.get("functors", ())):
+        src, tgt = f["source"], f["target"]
+        for end in ("source", "target"):
+            if f[end] not in cats:
+                raise MalformedInput(
+                    f"bad model file: functors[{i}].{end}: no category "
+                    f"{f[end]!r}")
+        functors[(src, tgt)] = FinFunctor(
+            f"{src}>{tgt}", cats[src], cats[tgt],
+            dict(f["objects"]), dict(f["morphisms"]))
+    return FinOmegaSystem(sys_, cats, objects, generators, functors)

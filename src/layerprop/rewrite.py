@@ -35,7 +35,8 @@ from . import diagram as dg
 from . import internal
 from .diagram import (Cap, Coarsen, Copants, Cup, Diagram, InternalBox,
                       Pants, Refine, Wire, canonical_key, canonicalize)
-from .errors import SortMismatch, StaleMatch
+from .errors import (InvalidDerivation, LayerPropError, SortMismatch,
+                     StaleMatch)
 from .internal import EPSILON, InternalDiagram, Word
 from .theory import SystemOfLayers, TranslationFunctor, sheet, \
     translate_internal
@@ -1131,24 +1132,49 @@ def sample_instances(engine: RuleEngine,
 # derivation search and verification
 
 
+def replay(start: Diagram, signatures: list[tuple],
+           engine: RuleEngine | None = None) -> Derivation:
+    """Rebuild a derivation from its step signatures, each re-matched on
+    the state the steps before it reached.  Without an engine, the settings
+    come from the steps: collapse pairs from ``A3c`` names, and equation
+    insertions if an E step matches an equation's identity side.  Raises
+    InvalidDerivation at the first step that does not re-match."""
+    if engine is None:
+        named = {sig[:2] for sig in signatures}
+        collapse = set()
+        for name, _ in named:
+            if (name or "").startswith("A3c["):  # "A3c[SRC>TGT;word]"
+                src, _, tgt = name[4:].partition(";")[0].partition(">")
+                collapse.add((src, tgt))
+        inserting = {(f"E[{layer};{eq.name}]", orientation)
+                     for layer, lay in start.system.layers.items()
+                     for eq in lay.equations
+                     for orientation, side in (("fwd", eq.lhs),
+                                               ("bwd", eq.rhs))
+                     if not side.slices}
+        engine = RuleEngine(start.system, collapse, bool(named & inserting))
+    start = canonicalize(start).diagram
+    current = start
+    steps: list[Match] = []
+    for sig in signatures:
+        step = next((m for m in engine.matches(current)
+                     if m.signature() == sig), None)
+        if step is None:
+            raise InvalidDerivation(f"step {sig[0]!r} does not re-match")
+        steps.append(step)
+        current = _apply(current, step)
+    return Derivation(start, steps)
+
+
 def verify_derivation(dv: Derivation) -> bool:
-    """Replay the derivation; every step must re-match and apply."""
+    """Replay the derivation; every step must re-match on the state it was
+    found on and apply."""
     try:
-        current = canonicalize(dv.start).diagram
-    except Exception:
+        again = replay(dv.start, [m.signature() for m in dv.steps])
+    except LayerPropError:
         return False
-    collapse = {(s.rule.params[0], s.rule.params[1]) for s in dv.steps
-                if s.rule.name.startswith("A3c[")}
-    engine = RuleEngine(dv.start.system, collapse)
-    for step in dv.steps:
-        if canonical_key(current) != step.host_key:
-            return False
-        candidates = [m for m in engine.matches(current)
-                      if m.signature() == step.signature()]
-        if not candidates:
-            return False
-        current = _apply(current, candidates[0])
-    return True
+    return [m.host_key for m in again.steps] == \
+        [m.host_key for m in dv.steps]
 
 
 def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
@@ -1231,8 +1257,14 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
             new_b: list[tuple] = []
             for key in frontier_b:
                 state = diagrams[key]
+                # a backward move needs a forward inverse the engine
+                # offers; an equation applied toward its identity side
+                # inverts to an insertion
                 moves = ([m for m in engine.matches(state)
-                          if m.rule.bidirectional]
+                          if m.rule.bidirectional
+                          and (engine.equation_insertions
+                               or m.box_payload is None
+                               or m.replacement.cells[0].content.slices)]
                          + engine.anti_matches(state))
                 for m in allowed(moves):
                     if spent >= budget:

@@ -123,18 +123,6 @@ class FinOmegaSystem:
                                f"the translation on generator {g.name!r}")
         return out
 
-    def check_consistency(self) -> list[str]:
-        """The two conditions a profunctor model must satisfy: sheets of a
-        layer share one category, and parallel internal boxes share one
-        underlying profunctor (the hom)."""
-        out: list[str] = []
-        for name in self.system.layers:
-            if name not in self.categories:
-                out.append(f"layer {name!r} unbound")
-        # internal boxes are interpreted by pointed homs by construction;
-        # nothing can diverge, which is what we assert here
-        return out
-
 
 # -- interpretation ----------------------------------------------------------
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import sys as _sys
 from pathlib import Path
 
 _sys.path.insert(0, str(Path(__file__).resolve().parent))
+# tests that run ``python -m layerprop.cli`` need the package in the child
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 import pytest
 

@@ -287,6 +287,31 @@ def test_cli_semantics_verify_monoid(tmp_path, capsys):
     assert out.splitlines() == ["verified 103 rule instances"]
 
 
+def _model_edit(edit):
+    payload = jsonio.model_to_json(models.monoid_model())
+    edit(payload)
+    return payload
+
+
+@pytest.mark.parametrize("payload, path", [
+    ({"categories": [], "objects": {}, "generators": {}},
+     "categories: expected an object, got list"),
+    ({"categories": {}, "generators": {}}, "objects: missing"),
+    ({"categories": {}, "objects": {"u": "x"}, "generators": {}},
+     "objects.u: expected a key of the form 'layer:name'"),
+    (_model_edit(lambda p: p["categories"]["MU"]["compose"].__setitem__(
+        0, ["a", "b"])), "categories.MU.compose[0]: expected 3 items, got 2"),
+    (_model_edit(lambda p: p["functors"][0].__setitem__("target", "ZZ")),
+     "functors[0].target: no category 'ZZ'"),
+])
+def test_cli_model_file_shape(tmp_path, capsys, payload, path):
+    model = models.monoid_model()
+    t = _write(tmp_path, "t.json", jsonio.system_to_json(model.system))
+    m = _write(tmp_path, "m.json", payload)
+    assert main(["semantics-verify", "--system", t, "--model", m]) == 1
+    assert _single_error_line(capsys) == f"error: bad model file: {path}"
+
+
 @pytest.mark.parametrize("payload, path", [
     ({"layers": [1]}, "layers[0]: expected an object, got int"),
     (3, "top level: expected an object, got int"),

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from layerprop import diagram as dg
+from layerprop import internal, jsonio, models
+from layerprop import rewrite as rw
 from layerprop import terms
 from layerprop.errors import SideConditionViolation, SortMismatch
 from layerprop.internal import InternalDiagram
@@ -163,7 +165,7 @@ def test_layer_eq_direct_equation(two_layer):
                                             ((0, "u"),)))
     res = dg.layer_eq(lhs, rhs, budget=4)
     assert res.status == "equal"
-    assert res.witness is not None and len(res.witness) == 1
+    assert res.witness is not None and len(res.witness.steps) == 1
 
 
 def test_layer_eq_distinct_without_equations(two_layer):
@@ -187,6 +189,107 @@ def test_layer_eq_requires_parallel(two_layer):
     with pytest.raises(SortMismatch):
         dg.layer_eq(dg.gen_box(two_layer, "U", "g"),
                     dg.gen_box(two_layer, "U", "h"), 4)
+
+
+# equality modulo equations over seeded pairs: an equal pair is a box of
+# 1-2 parallel strands of random paths and the same box after 1-3 seeded
+# equation steps; a differ pair (monoid) appends m1, which changes the
+# model morphism, so no witness exists.
+
+EQ_STRANDS = {  # system: layer, strand object, paths, chained, widest
+    "two": ("U", "a", [["u"], ["g", "h"]], 2, 2),
+    "monoid": ("MU", "u", [["m1"], ["m2"], ["m1", "m2"]], 2, 1),
+    "meet": ("Sq", "p", [["gd"], ["gf", "gh"], ["gg", "gk"]], 1, 2),
+}
+EQ_PAIRS = 6
+DIFFER_PAIRS = 4
+
+
+def _strand(system, layer, obj, gens):
+    sig = system.signature(layer)
+    d = internal.identity(layer, (obj,))
+    for g in gens:
+        d = d.then(internal.generator(layer, g, sig))
+    return d
+
+
+def _equal_pair(system, rng, layer, obj, paths, chained, widest):
+    sig = system.signature(layer)
+    eqs = system.layer(layer).equations
+    while True:
+        x = None
+        for _ in range(rng.randint(1, widest)):
+            gens = [g for _ in range(rng.randint(1, chained))
+                    for g in rng.choice(paths)]
+            strand = _strand(system, layer, obj, gens)
+            x = strand if x is None else x.beside(strand)
+        y = x
+        for _ in range(rng.randint(1, 3)):
+            eq = rng.choice(eqs)
+            lhs, rhs = ((eq.lhs, eq.rhs) if rng.random() < 0.5
+                        else (eq.rhs, eq.lhs))
+            options = internal.rewrite_occurrences(y, lhs, rhs, sig)
+            if options:
+                y = rng.choice(options)
+        bx, by = dg.box(system, x), dg.box(system, y)
+        if dg.canonical_key(bx) != dg.canonical_key(by):
+            return bx, by
+
+
+def _layer_eq_pairs(two_layer):
+    systems = {"two": two_layer, "monoid": models.monoid_model().system,
+               "meet": models.meet_model().system}
+    pairs = {}
+    for name, system in systems.items():
+        rng = random.Random(f"layer-eq/{name}")
+        for i in range(EQ_PAIRS):
+            pairs[f"{name}-eq{i}"] = _equal_pair(system, rng,
+                                                 *EQ_STRANDS[name])
+    mon = systems["monoid"]
+    rng = random.Random("layer-eq/differ")
+    for i in range(DIFFER_PAIRS):
+        xs = [rng.choice(["m1", "m2"]) for _ in range(rng.randint(1, 3))]
+        pairs[f"monoid-differ{i}"] = (
+            dg.box(mon, _strand(mon, "MU", "u", xs)),
+            dg.box(mon, _strand(mon, "MU", "u", xs + ["m1"])))
+    return pairs
+
+
+LAYER_EQ_PINNED = {
+    **{f"{name}-eq{i}": ("equal", "equal")
+       for name in EQ_STRANDS for i in range(EQ_PAIRS)},
+    **{f"monoid-differ{i}": ("unknown", "unknown")
+       for i in range(DIFFER_PAIRS)},
+}
+
+
+def test_layer_eq_verdicts_pinned(two_layer):
+    got = {name: tuple(dg.layer_eq(x, y, budget).status
+                       for budget in (64, 256))
+           for name, (x, y) in _layer_eq_pairs(two_layer).items()}
+    assert got == LAYER_EQ_PINNED
+
+
+def test_layer_eq_witness_replays(two_layer):
+    pairs = list(_layer_eq_pairs(two_layer).values())
+    # the only witness inserts the identity side's pattern: m1 -> m1;m1;m2
+    mon = models.monoid_model().system
+    pairs.append((dg.box(mon, _strand(mon, "MU", "u", ["m1"])),
+                  dg.box(mon, _strand(mon, "MU", "u", ["m1", "m1", "m2"]))))
+    replayed = 0
+    for x, y in pairs:
+        res = dg.layer_eq(x, y, 256)
+        if res.status != "equal":
+            continue
+        w = res.witness
+        assert rw.verify_derivation(w)
+        assert w.end_key == dg.canonical_key(y)
+        again = jsonio.derivation_from_json(x.system,
+                                            jsonio.derivation_to_json(w))
+        assert [m.signature() for m in again.steps] == \
+            [m.signature() for m in w.steps]
+        replayed += 1
+    assert replayed == 3 * EQ_PAIRS + 1
 
 
 def test_export_dot_deterministic(two_layer):

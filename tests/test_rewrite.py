@@ -537,3 +537,17 @@ def test_rule_instances_shared_per_engine(two_layer, engine):
     fresh = rw.RuleEngine(two_layer).matches(host)[0].rule
     assert fresh is not seen[fresh.name]
     assert dg.structural_eq(fresh.rhs, seen[fresh.name].rhs)
+
+
+def test_backward_deletion_needs_insertions():
+    # the backward side may not delete m1;m2 when insertions are off: the
+    # forward replay of that edge would be an insertion
+    mon = models.monoid_model().system
+    src = _box(mon, "MU", "u", ["m1"])
+    dst = _box(mon, "MU", "u", ["m1", "m1", "m2"])
+    assert rw.find_derivation(src, dst, 50) == rw.NotFound(50)
+    dv = rw.find_derivation(src, dst, 50,
+                            rw.RuleEngine(mon, equation_insertions=True))
+    assert [(m.rule.name, m.orientation) for m in dv.steps] == \
+        [("E[MU;m1m2_id]", "bwd")]
+    assert rw.verify_derivation(dv)

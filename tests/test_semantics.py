@@ -29,7 +29,6 @@ def test_models_validate(monoid_model, meet_model):
     for model in (monoid_model, meet_model):
         assert validate_system(model.system).ok
         assert model.validate() == []
-        assert model.check_consistency() == []
         for f in model.functors.values():
             assert f.validate() == []
 
