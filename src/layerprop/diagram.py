@@ -171,7 +171,7 @@ class Wire:
 class Diagram:
     """An immutable 1-cell over a fixed system of layers."""
 
-    __slots__ = ("system", "dom", "cod", "cells", "wires", "_canon")
+    __slots__ = ("system", "dom", "cod", "cells", "wires", "_canon", "_key")
 
     def __init__(self, system: SystemOfLayers, dom: OmegaType, cod: OmegaType,
                  cells: Sequence[Cell], wires: Sequence[Wire]) -> None:
@@ -180,7 +180,11 @@ class Diagram:
         self.cod = cod
         self.cells: tuple[Cell, ...] = tuple(cells)
         self.wires: tuple[Wire, ...] = tuple(wires)
+        # the canonical form of a diagram, or the key of one that is
+        # canonical itself; a canonical diagram never points back at its
+        # form, so no reference cycle keeps either alive
         self._canon: "CanonicalForm | None" = None
+        self._key: tuple | None = None
 
     @property
     def sort(self) -> Sort:
@@ -236,25 +240,24 @@ def validate_diagram(d: Diagram) -> None:
             seen_ports += 1
     if seen_ports + len(d.dom) + len(d.cod) != 2 * len(d.wires):
         raise SortMismatch("stray wire endpoints")
-    # acyclicity over the cell graph
-    succ: dict[int, set[int]] = {ci: set() for ci in range(len(d.cells))}
+    # acyclicity over the cell graph: every cell leaves a topological sort
+    # (iterative, so that no self-referencing closure makes a cycle)
+    succ: list[list[int]] = [[] for _ in d.cells]
+    indeg = [0] * len(d.cells)
     for w in d.wires:
         if w.src[0] == "out" and w.dst[0] == "in":
-            succ[w.src[1]].add(w.dst[1])
-    state: dict[int, int] = {}
-
-    def visit(ci: int) -> None:
-        state[ci] = 1
-        for nj in succ[ci]:
-            if state.get(nj) == 1:
-                raise SortMismatch("diagram graph has a directed cycle")
-            if nj not in state:
-                visit(nj)
-        state[ci] = 2
-
-    for ci in range(len(d.cells)):
-        if ci not in state:
-            visit(ci)
+            succ[w.src[1]].append(w.dst[1])
+            indeg[w.dst[1]] += 1
+    ready = [ci for ci, k in enumerate(indeg) if k == 0]
+    sorted_cells = 0
+    while ready:
+        sorted_cells += 1
+        for nj in succ[ready.pop()]:
+            indeg[nj] -= 1
+            if indeg[nj] == 0:
+                ready.append(nj)
+    if sorted_cells != len(d.cells):
+        raise SortMismatch("diagram graph has a directed cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +550,8 @@ def _serialize(cells: dict[int, Cell], wires: dict[int, Wire],
 
 def canonicalize(d: Diagram) -> CanonicalForm:
     """Boundary-anchored canonical labeling after quotient normalization."""
+    if d._key is not None:
+        return CanonicalForm(d, d._key)
     if d._canon is not None:
         return d._canon
     validate_diagram(d)
@@ -609,10 +614,9 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     key = (d.dom.entries, d.cod.entries,
            tuple(c.label() for c in new_cells),
            tuple((w.src, w.dst, w.type) for w in new_wires))
-    form = CanonicalForm(canon, key)
-    canon._canon = form
-    d._canon = form
-    return form
+    canon._key = key
+    d._canon = CanonicalForm(canon, key)
+    return d._canon
 
 
 def canonical_key(d: Diagram) -> tuple:

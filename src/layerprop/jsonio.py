@@ -448,15 +448,7 @@ def model_from_json(sys_: SystemOfLayers, payload: dict) -> FinOmegaSystem:
     _checked(payload, _MODEL, "model file")
     cats: dict[str, FinMonoidalCategory] = {}
     for layer, raw in payload["categories"].items():
-        morphisms = raw["morphisms"]
-        cats[layer] = FinMonoidalCategory(
-            layer, raw["objects"], [m["name"] for m in morphisms],
-            {m["name"]: m["dom"] for m in morphisms},
-            {m["name"]: m["cod"] for m in morphisms},
-            {(f, g): h for f, g, h in raw["compose"]},
-            dict(raw["identities"]), raw["unit"],
-            {(a, b): c for a, b, c in raw["tensor_obj"]},
-            {(f, g): h for f, g, h in raw["tensor_mor"]})
+        cats[layer] = _category(layer, raw)
     objects = {tuple(key.split(":", 1)): obj
                for key, obj in payload["objects"].items()}
     generators = {tuple(key.split(":", 1)): mor
@@ -469,7 +461,61 @@ def model_from_json(sys_: SystemOfLayers, payload: dict) -> FinOmegaSystem:
                 raise MalformedInput(
                     f"bad model file: functors[{i}].{end}: no category "
                     f"{f[end]!r}")
-        functors[(src, tgt)] = FinFunctor(
-            f"{src}>{tgt}", cats[src], cats[tgt],
-            dict(f["objects"]), dict(f["morphisms"]))
+        functor = FinFunctor(f"{src}>{tgt}", cats[src], cats[tgt],
+                             dict(f["objects"]), dict(f["morphisms"]))
+        _total(functor.obj_map, cats[src].objects, set(cats[tgt].objects),
+               f"functors[{i}].objects", "object")
+        _total(functor.mor_map, cats[src].morphisms,
+               set(cats[tgt].morphisms), f"functors[{i}].morphisms",
+               "morphism")
+        functors[(src, tgt)] = functor
+    for part, members in (("objects", "objects"), ("generators", "morphisms")):
+        for key, value in payload[part].items():
+            cat = cats.get(key.split(":", 1)[0])
+            if cat is not None and value not in getattr(cat, members):
+                raise MalformedInput(
+                    f"bad model file: {part}.{key}: {value!r} is not one of "
+                    f"the {members} of {cat.name!r}")
     return FinOmegaSystem(sys_, cats, objects, generators, functors)
+
+
+def _category(layer: str, raw: dict) -> FinMonoidalCategory:
+    """A model category whose tables are total and land in it, so that the
+    law checks read no missing entry."""
+    at = f"categories.{layer}"
+    objects, names = raw["objects"], [m["name"] for m in raw["morphisms"]]
+    objs, mors = set(objects), set(names)
+    for i, m in enumerate(raw["morphisms"]):
+        for end in ("dom", "cod"):
+            if m[end] not in objs:
+                raise MalformedInput(f"bad model file: {at}.morphisms[{i}]."
+                                     f"{end}: no object {m[end]!r}")
+    if raw["unit"] not in objs:
+        raise MalformedInput(f"bad model file: {at}.unit: no object "
+                             f"{raw['unit']!r}")
+    dom = {m["name"]: m["dom"] for m in raw["morphisms"]}
+    cod = {m["name"]: m["cod"] for m in raw["morphisms"]}
+    compose = {(f, g): h for f, g, h in raw["compose"]}
+    identities = dict(raw["identities"])
+    tensor_obj = {(a, b): c for a, b, c in raw["tensor_obj"]}
+    tensor_mor = {(f, g): h for f, g, h in raw["tensor_mor"]}
+    _total(identities, objects, mors, f"{at}.identities", "morphism")
+    _total(compose, [(f, g) for f in names for g in names
+                     if cod[f] == dom[g]], mors, f"{at}.compose", "morphism")
+    _total(tensor_obj, [(a, b) for a in objects for b in objects], objs,
+           f"{at}.tensor_obj", "object")
+    _total(tensor_mor, [(f, g) for f in names for g in names], mors,
+           f"{at}.tensor_mor", "morphism")
+    return FinMonoidalCategory(layer, objects, names, dom, cod, compose,
+                               identities, raw["unit"], tensor_obj, tensor_mor)
+
+
+def _total(table: dict, keys, values: set, at: str, what: str) -> None:
+    for key in keys:
+        shown = list(key) if isinstance(key, tuple) else key
+        if key not in table:
+            raise MalformedInput(f"bad model file: {at}: no entry for "
+                                 f"{shown!r}")
+        if table[key] not in values:
+            raise MalformedInput(f"bad model file: {at}: {shown!r} maps to "
+                                 f"{table[key]!r}, which is no {what}")

@@ -1,8 +1,10 @@
-"""Finite categories, profunctors, and coend composition.
+"""Finite categories, profunctors, reindexing and coend composition.
 
 Everything here is exhaustively enumerable: categories carry explicit
 object/morphism lists, functors explicit tables, and profunctors explicit
-element sets with bimodule actions.  Profunctor composition quotients the
+element sets with bimodule actions.  ``Reindexed`` restricts a profunctor
+along functors, P(F-, G-), which by co-Yoneda is what composing with a
+representable comes to.  Profunctor composition in general quotients the
 pairs over a middle object by the usual zig-zag identifications, computed
 with union-find; the class representative (the least triple) doubles as the
 element id, keeping every construction deterministic.
@@ -169,6 +171,15 @@ class FinCategory:
             if self.dom(i) != obj or self.cod(i) != obj:
                 out.append(f"identity of {obj!r} has wrong endpoints")
         for f in self.morphisms:
+            for g in self.morphisms:
+                if self.cod(f) != self.dom(g):
+                    continue
+                fg = self.then(f, g)
+                if self.dom(fg) != self.dom(f) or self.cod(fg) != self.cod(g):
+                    out.append(f"composite {f!r};{g!r} has wrong endpoints")
+        if out:  # the laws below compose identities and composites
+            return out
+        for f in self.morphisms:
             i_dom = self.ident(self.dom(f))
             i_cod = self.ident(self.cod(f))
             if self.then(i_dom, f) != f:
@@ -179,9 +190,6 @@ class FinCategory:
             for g in self.morphisms:
                 if self.cod(f) != self.dom(g):
                     continue
-                fg = self.then(f, g)
-                if self.dom(fg) != self.dom(f) or self.cod(fg) != self.cod(g):
-                    out.append(f"composite {f!r};{g!r} has wrong endpoints")
                 for h in self.morphisms:
                     if self.cod(g) != self.dom(h):
                         continue
@@ -255,6 +263,8 @@ class FinMonoidalCategory(FinCategory):
             i = self.ident(self.unit)
             if self.tensor_mor(f, i) != f or self.tensor_mor(i, f) != f:
                 out.append(f"tensor morphism unit fails at {f!r}")
+        if out:  # interchange composes tensors, so their endpoints must hold
+            return out
         for f1 in self.morphisms:
             for f2 in self.morphisms:
                 if self.cod(f1) != self.dom(f2):
@@ -307,6 +317,8 @@ class FinFunctor:
                     self.target.ident(self.obj_map[a]):
                 out.append(f"functor {self.name}: identity of {a!r} not "
                            f"preserved")
+        if out:  # composing the images needs their endpoints
+            return out
         for f in self.source.morphisms:
             for g in self.source.morphisms:
                 if self.source.cod(f) != self.source.dom(g):
@@ -322,12 +334,6 @@ def identity_functor(c: FinCategory) -> FinFunctor:
     return FinFunctor(f"id_{c.name}", c, c,
                       {a: a for a in c.objects},
                       {f: f for f in c.morphisms})
-
-
-def compose_functors(f: FinFunctor, g: FinFunctor) -> FinFunctor:
-    return FinFunctor(f"{f.name};{g.name}", f.source, g.target,
-                      {a: g.obj_map[b] for a, b in f.obj_map.items()},
-                      {m: g.mor_map[n] for m, n in f.mor_map.items()})
 
 
 def product_functor(fs: list[FinFunctor]) -> FinFunctor:
@@ -474,6 +480,45 @@ def embed(f: FinFunctor, direction: str) -> Profunctor:
 
         return Profunctor(f"down({f.name})", d, c, elements, lact, ract)
     raise ValueError(f"unknown embedding direction {direction!r}")
+
+
+class Reindexed(Profunctor):
+    """P(F-, G-) for functors F, G into P's source and target (None: an
+    identity): the elements over (a, c) are those of P over (F a, G c)."""
+
+    def __init__(self, base: Profunctor, f, g, source: FinCategory,
+                 target: FinCategory):
+        fo, fm = (f.on_obj, f.on_mor) if f is not None else (_same, _same)
+        go, gm = (g.on_obj, g.on_mor) if g is not None else (_same, _same)
+        elements = {}
+        for a in source.objects:
+            fa = fo(a)
+            for c in target.objects:
+                xs = base.elements(fa, go(c))
+                if xs:
+                    elements[(a, c)] = xs
+
+        def lact(h, x, a, c):
+            return base.lact(fm(h), x, fo(a), go(c))
+
+        def ract(x, h, a, c):
+            return base.ract(x, gm(h), fo(a), go(c))
+
+        super().__init__(f"{base.name}(F-,G-)", source, target, elements,
+                         lact, ract)
+        self.base = base
+
+
+def _same(x):
+    return x
+
+
+def reindex(p: Profunctor, f, g, source: FinCategory,
+            target: FinCategory) -> Profunctor:
+    """P(F-, G-); P itself when F and G are identities."""
+    if f is None and g is None:
+        return p
+    return Reindexed(p, f, g, source, target)
 
 
 class _UnionFind:
@@ -666,46 +711,6 @@ def point_compose(pp: PointedProfunctor,
     point = comp.inject(pp.src_obj, qq.tgt_obj, pp.tgt_obj, pp.point,
                         qq.point)
     return PointedProfunctor(comp, pp.src_obj, qq.tgt_obj, point)
-
-
-def product_prof(pp: PointedProfunctor,
-                 qq: PointedProfunctor) -> PointedProfunctor:
-    """Parallel product; boundary categories concatenate componentwise."""
-    ps, qs = pp.prof.source, qq.prof.source
-    pt, qt = pp.prof.target, qq.prof.target
-    for cat in (ps, qs, pt, qt):
-        if cat.components is None:
-            raise BoundaryMismatch("product requires product-shaped "
-                                   "boundaries")
-    src = product_category(list(ps.components) + list(qs.components))
-    tgt = product_category(list(pt.components) + list(qt.components))
-    np_, nq = len(ps.components), len(qs.components)
-    mp, mq = len(pt.components), len(qt.components)
-    p, q = pp.prof, qq.prof
-    elements = {}
-    for a in src.objects:
-        a1, a2 = a[:np_], a[np_:]
-        for b in tgt.objects:
-            b1, b2 = b[:mp], b[mp:]
-            elems = [(x, y) for x in p.elements(a1, b1)
-                     for y in q.elements(a2, b2)]
-            if elems:
-                elements[(a, b)] = tuple(sorted(elems, key=repr))
-
-    def lact(g, xy, a, b):
-        x, y = xy
-        return (p.lact(g[:np_], x, a[:np_], b[:mp]),
-                q.lact(g[np_:], y, a[np_:], b[mp:]))
-
-    def ract(xy, h, a, b):
-        x, y = xy
-        return (p.ract(x, h[:mp], a[:np_], b[:mp]),
-                q.ract(y, h[mp:], a[np_:], b[mp:]))
-
-    prof = Profunctor(f"({p.name}x{q.name})", src, tgt, elements, lact, ract)
-    return PointedProfunctor(prof, pp.src_obj + qq.src_obj,
-                             pp.tgt_obj + qq.tgt_obj,
-                             (pp.point, qq.point))
 
 
 # ---------------------------------------------------------------------------

@@ -4,30 +4,34 @@ A model binds each layer to a finite strict monoidal category, each object
 symbol to an object, each morphism generator to a morphism, and each
 translation functor to a finite monoidal functor.  Interpretation slices
 the canonical diagram into sequential layers of parallel cells (inserting
-sheet swaps where the wiring crosses) and folds the slices with coend
-composition.
+sheet swaps where the wiring crosses).  Every slice is representable, a
+pointed hom_M(F-, G-) with F the up and G the down part, so the fold
+reindexes by co-Yoneda and takes a coend quotient only where a down piece
+meets an up piece.
 
 Rule verification searches for a point-preserving natural transformation
 between the two interpreted sides; for the invertible families it must be
 an isomorphism, and for sides built purely from covariant (or purely
-contravariant) embeddings the two sides are additionally evaluated down to
-a single embedded functor, whose tables and distinguished points must agree
-on the nose.
+contravariant) embeddings the same walk evaluates each side down to a
+single functor, which must agree on objects, on generators and on the
+distinguished point.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import profunctor as pf
 from .diagram import (Cap, Cell, Coarsen, Copants, Cup, Diagram,
                       InternalBox, Pants, Refine, SheetSym, canonicalize)
-from .errors import ModelIncomplete
+from .errors import BoundaryMismatch, ModelIncomplete
 from .internal import InternalDiagram, Word
-from .profunctor import (FinFunctor, FinMonoidalCategory, PointedProfunctor,
-                         compose_functors, embed, hom_profunctor,
-                         identity_functor, point_compose, product_category,
-                         product_prof)
+from .profunctor import (ComposedProfunctor, FinCategory, FinFunctor,
+                         FinMonoidalCategory, PointedProfunctor, Profunctor,
+                         hom_profunctor, product_category, reindex)
 from .rewrite import RewriteRule
 from .theory import SystemOfLayers
 
@@ -106,6 +110,8 @@ class FinOmegaSystem:
                 except KeyError:
                     out.append(f"generator {g.name!r} of {name!r} bound "
                                f"outside the category")
+        if out:  # the functor checks evaluate the bindings
+            return out
         for (s, t), f in self.system.functors.items():
             if (s, t) not in self.functors:
                 out.append(f"functor {s!r}->{t!r} unbound")
@@ -127,109 +133,159 @@ class FinOmegaSystem:
 # -- interpretation ----------------------------------------------------------
 
 
-def _cell_functor(model: FinOmegaSystem, cell: Cell
-                  ) -> tuple[FinFunctor | None, FinFunctor | None,
-                             PointedProfunctor]:
-    """(up functor, down functor, pointed interpretation) of one cell."""
-    key = ("cell", cell)
-    if key in model._cache:
-        return model._cache[key]
-    out = _cell_functor_uncached(model, cell)
-    model._cache[key] = out
-    return out
+class _Functor:
+    """A functor between product categories whose images are computed on
+    demand and memoised, so that a product or a composite of functors never
+    tabulates its source."""
+
+    def __init__(self, source: FinCategory, target: FinCategory,
+                 on_obj: Callable, on_mor: Callable):
+        self.source, self.target = source, target
+        self.on_obj = functools.cache(on_obj)
+        self.on_mor = functools.cache(on_mor)
 
 
-def _cell_functor_uncached(model: FinOmegaSystem, cell: Cell
-                           ) -> tuple[FinFunctor | None, FinFunctor | None,
-                                      PointedProfunctor]:
-    sysm = model
+def _compose(f, g):
+    """f then g; None stands for an identity."""
+    if f is None or g is None:
+        return g if f is None else f
+    return _Functor(f.source, g.target, lambda a: g.on_obj(f.on_obj(a)),
+                    lambda m: g.on_mor(f.on_mor(m)))
 
-    def prod1(layer):
-        return product_category([sysm.category(layer)])
 
+def _flat_product(fs: list, widths: list[int], source: FinCategory,
+                  target: FinCategory):
+    """Product of functors (None: identity) with the boundary components
+    concatenated instead of nested; None when every factor is one."""
+    if all(f is None for f in fs):
+        return None
+    ends = list(itertools.accumulate(widths))
+    spans = [(f, end - k, end) for f, k, end in zip(fs, widths, ends)
+             if f is not None]
+
+    def split_apply(method: str) -> Callable:
+        calls = [(getattr(f, method), i, j) for f, i, j in spans]
+
+        def apply(x):
+            out, last = (), 0
+            for call, i, j in calls:   # identity factors pass through
+                out += x[last:i] + call(x[i:j])
+                last = j
+            return out + x[last:]
+        return apply
+
+    return _Functor(source, target, split_apply("on_obj"),
+                    split_apply("on_mor"))
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """hom_M(F-, G-) from ``src`` to ``tgt`` pointed in hom_M(F a, G b),
+    for F: src -> M and G: tgt -> M (None: an identity).  A wire or box is
+    (id, id), an up piece (pants, cup, refine, sheet symmetry) is (F, id),
+    a down piece (copants, cap, coarsen) is (id, G)."""
+
+    f: object
+    g: object
+    src: FinCategory
+    tgt: FinCategory
+    a: tuple
+    b: tuple
+    point: tuple
+
+    @property
+    def mid(self) -> FinCategory:
+        return self.src if self.f is None else self.f.target
+
+
+def _up(f: _Functor, a) -> _Piece:
+    """up(F) pointed at the identity of F a."""
+    b = f.on_obj(a)
+    return _Piece(f, None, f.source, f.target, a, b, f.target.ident(b))
+
+
+def _down(f: _Functor, b) -> _Piece:
+    """down(F) pointed at the identity of F b."""
+    a = f.on_obj(b)
+    return _Piece(None, f, f.target, f.source, a, b, f.target.ident(a))
+
+
+def _cell_pieces(model: FinOmegaSystem, cell: Cell) -> tuple[_Piece, _Piece]:
+    """The cell's piece read up and read down; they differ only for a
+    sheet symmetry, which is up(swap) and down(swap^-1)."""
     if isinstance(cell, InternalBox):
-        cat1 = prod1(cell.layer)
-        ident = identity_functor(cat1)
-        m = sysm.internal_morphism(cell.content)
-        prof = hom_profunctor(cat1)
-        a = (sysm.word_obj(cell.layer, cell.content.dom),)
-        b = (sysm.word_obj(cell.layer, cell.content.cod),)
-        return ident, ident, PointedProfunctor(prof, a, b, (m,))
+        cat1 = product_category([model.category(cell.layer)])
+        piece = _Piece(None, None, cat1, cat1,
+                       (model.word_obj(cell.layer, cell.content.dom),),
+                       (model.word_obj(cell.layer, cell.content.cod),),
+                       (model.internal_morphism(cell.content),))
+        return piece, piece
     if isinstance(cell, (Pants, Copants)):
-        cat = sysm.category(cell.layer)
-        src = product_category([cat, cat])
-        tgt = product_category([cat])
-        f = FinFunctor(
-            f"tensor_{cat.name}", src, tgt,
-            {(a, b): (cat.tensor_obj(a, b),) for (a, b) in src.objects},
-            {(m, n): (cat.tensor_mor(m, n),) for (m, n) in src.morphisms})
-        ab = sysm.word_obj(cell.layer, cell.alpha + cell.beta)
-        point = (cat.ident(ab),)
-        if isinstance(cell, Pants):
-            a = (sysm.word_obj(cell.layer, cell.alpha),
-                 sysm.word_obj(cell.layer, cell.beta))
-            return f, None, PointedProfunctor(embed(f, "up"), a, (ab,),
-                                              point)
-        b = (sysm.word_obj(cell.layer, cell.alpha),
-             sysm.word_obj(cell.layer, cell.beta))
-        return None, f, PointedProfunctor(embed(f, "down"), (ab,), b, point)
-    if isinstance(cell, (Cup, Cap)):
-        cat = sysm.category(cell.layer)
-        src = product_category([])
-        tgt = product_category([cat])
-        f = FinFunctor(f"unit_{cat.name}", src, tgt,
-                       {(): (cat.unit,)},
-                       {(): (cat.ident(cat.unit),)})
-        point = (cat.ident(cat.unit),)
-        if isinstance(cell, Cup):
-            return f, None, PointedProfunctor(embed(f, "up"), (),
-                                              (cat.unit,), point)
-        return None, f, PointedProfunctor(embed(f, "down"), (cat.unit,), (),
-                                          point)
-    if isinstance(cell, (Refine, Coarsen)):
+        cat = model.category(cell.layer)
+        f = _Functor(product_category([cat, cat]), product_category([cat]),
+                     lambda ab: (cat.tensor_obj(*ab),),
+                     lambda mn: (cat.tensor_mor(*mn),))
+        a = (model.word_obj(cell.layer, cell.alpha),
+             model.word_obj(cell.layer, cell.beta))
+    elif isinstance(cell, (Cup, Cap)):
+        cat = model.category(cell.layer)
+        f = _Functor(product_category([]), product_category([cat]),
+                     lambda _: (cat.unit,), lambda _: (cat.ident(cat.unit),))
+        a = ()
+    elif isinstance(cell, (Refine, Coarsen)):
         ff = model.functor(cell.source, cell.target)
-        src = product_category([model.category(cell.source)])
-        tgt = product_category([model.category(cell.target)])
-        f = FinFunctor(f"({ff.name})", src, tgt,
-                       {(a,): (ff.on_obj(a),) for a in ff.source.objects},
-                       {(m,): (ff.on_mor(m),) for m in ff.source.morphisms})
-        a = sysm.word_obj(cell.source, cell.word)
-        fa = sysm.word_obj(cell.target, cell.image)
-        point = (model.category(cell.target).ident(fa),)
-        if isinstance(cell, Refine):
-            return f, None, PointedProfunctor(embed(f, "up"), (a,), (fa,),
-                                              point)
-        return None, f, PointedProfunctor(embed(f, "down"), (fa,), (a,),
-                                          point)
-    if isinstance(cell, SheetSym):
-        c1 = sysm.category(cell.layer1)
-        c2 = sysm.category(cell.layer2)
-        src = product_category([c1, c2])
-        tgt = product_category([c2, c1])
-        f = FinFunctor(f"swap_{c1.name}_{c2.name}", src, tgt,
-                       {(a, b): (b, a) for (a, b) in src.objects},
-                       {(m, n): (n, m) for (m, n) in src.morphisms})
-        finv = FinFunctor(f"swap_{c2.name}_{c1.name}", tgt, src,
-                          {(b, a): (a, b) for (b, a) in tgt.objects},
-                          {(n, m): (m, n) for (n, m) in tgt.morphisms})
-        a = (sysm.word_obj(cell.layer1, cell.alpha),
-             sysm.word_obj(cell.layer2, cell.beta))
-        b = (a[1], a[0])
-        point = (c2.ident(a[1]), c1.ident(a[0]))
-        return f, finv, PointedProfunctor(embed(f, "up"), a, b, point)
-    raise ModelIncomplete(f"cell {cell!r} has no interpretation")
+        f = _Functor(product_category([model.category(cell.source)]),
+                     product_category([model.category(cell.target)]),
+                     lambda x: (ff.on_obj(x[0]),), lambda m: (ff.on_mor(m[0]),))
+        a = (model.word_obj(cell.source, cell.word),)
+    elif isinstance(cell, SheetSym):
+        c1 = model.category(cell.layer1)
+        c2 = model.category(cell.layer2)
+        src, tgt = product_category([c1, c2]), product_category([c2, c1])
+        a = (model.word_obj(cell.layer1, cell.alpha),
+             model.word_obj(cell.layer2, cell.beta))
+        return (_up(_Functor(src, tgt, _swap, _swap), a),
+                _down(_Functor(tgt, src, _swap, _swap), _swap(a)))
+    else:
+        raise ModelIncomplete(f"cell {cell!r} has no interpretation")
+    piece = (_up if isinstance(cell, (Pants, Cup, Refine)) else _down)(f, a)
+    return piece, piece
 
 
-def _wire_pointed(model: FinOmegaSystem, sheet_type) -> PointedProfunctor:
-    key = ("wire", sheet_type)
-    if key in model._cache:
-        return model._cache[key]
-    layer, word = sheet_type
-    cat1 = product_category([model.category(layer)])
-    obj = (model.word_obj(layer, word),)
-    out = PointedProfunctor(hom_profunctor(cat1), obj, obj, cat1.ident(obj))
-    model._cache[key] = out
-    return out
+def _swap(pair: tuple) -> tuple:
+    return pair[::-1]
+
+
+def _slice_piece(model: FinOmegaSystem, items, down: int) -> _Piece:
+    """The flat product of a slice's pieces, sheet symmetries read up
+    (``down`` 0) or down (1)."""
+    parts = []
+    for kind, payload in items:
+        if kind == "cell":
+            if ("cell", payload) not in model._cache:
+                model._cache["cell", payload] = _cell_pieces(model, payload)
+            parts.append(model._cache["cell", payload][down])
+            continue
+        layer, word = payload
+        cat1 = product_category([model.category(layer)])
+        obj = (model.word_obj(layer, word),)
+        parts.append(_Piece(None, None, cat1, cat1, obj, obj,
+                            cat1.ident(obj)))
+    if len(parts) == 1:
+        return parts[0]
+
+    def flat(cats):
+        return product_category([c for cat in cats for c in cat.components])
+
+    src, tgt = flat(p.src for p in parts), flat(p.tgt for p in parts)
+    mid = flat(p.mid for p in parts)
+    return _Piece(
+        _flat_product([p.f for p in parts],
+                      [len(p.src.components) for p in parts], src, mid),
+        _flat_product([p.g for p in parts],
+                      [len(p.tgt.components) for p in parts], tgt, mid),
+        src, tgt, sum((p.a for p in parts), ()),
+        sum((p.b for p in parts), ()), sum((p.point for p in parts), ()))
 
 
 def layered_slices(d: Diagram) -> list[list]:
@@ -300,139 +356,80 @@ def layered_slices(d: Diagram) -> list[list]:
     return slices
 
 
+def _fold(model: FinOmegaSystem, c: Diagram, pieces: list[_Piece]
+          ) -> tuple[Profunctor, _Piece]:
+    """Compose the slices' pieces left to right into P(F-, G-), returned
+    as P and the accumulated F, G, boundaries and point.  By co-Yoneda a
+    step only reindexes, up(F) ; Q = Q(F-, -) while the chain so far is
+    hom(F-, -) and P ; down(G) = P(-, G-), except where a down piece meets
+    an up piece: there it takes a coend."""
+    entries = c.dom.entries
+    src = product_category([model.category(layer) for layer, _ in entries])
+    a0 = tuple(model.word_obj(layer, w) for layer, w in entries)
+    prof: Profunctor = hom_profunctor(src)
+    f = g = None
+    tgt, b, point = src, a0, src.ident(a0)
+    lo = hi = a0            # F a0 and G b, the point's objects in P
+    for s in pieces:
+        if s.a != b:
+            raise BoundaryMismatch(f"points do not meet: {b!r} vs {s.a!r}")
+        if s.f is None:
+            point = prof.ract(point, s.point if g is None
+                              else g.on_mor(s.point), lo, hi)
+            g = _compose(s.g, g)
+        elif g is None and not isinstance(prof, ComposedProfunctor):
+            point = s.mid.then(s.f.on_mor(point), s.point)
+            lo = s.f.on_obj(lo)
+            f, g, prof = _compose(f, s.f), s.g, hom_profunctor(s.mid)
+        else:
+            comp = ComposedProfunctor(
+                reindex(prof, None, g, prof.source, s.src),
+                reindex(hom_profunctor(s.mid), s.f, None, s.src, s.mid))
+            g, prof = s.g, comp
+            point = comp.inject(lo, _image(g, s.b), s.a, point, s.point)
+        tgt, b = s.tgt, s.b
+        hi = _image(g, b)
+    return prof, _Piece(f, g, src, tgt, a0, b, point)
+
+
+def _image(f, a):
+    """F a; None stands for an identity."""
+    return a if f is None else f.on_obj(a)
+
+
 def interpret(model: FinOmegaSystem, d: Diagram) -> PointedProfunctor:
     """Structural evaluation of a diagram into a pointed profunctor."""
     c = canonicalize(d).diagram
-    slices = layered_slices(c)
-    if not slices:
-        return _boundary_pointed(model, c.dom.entries)
-    out = _slice_pointed(model, slices[0])
-    for sl in slices[1:]:
-        out = point_compose(out, _slice_pointed(model, sl))
-    return out
-
-
-def _boundary_pointed(model: FinOmegaSystem, entries) -> PointedProfunctor:
-    parts = [_wire_pointed(model, t) for t in entries]
-    if not parts:
-        cat = product_category([])
-        return PointedProfunctor(hom_profunctor(cat), (), (), ())
-    out = parts[0]
-    for p in parts[1:]:
-        out = product_prof(out, p)
-    return out
-
-
-def _slice_pointed(model: FinOmegaSystem, items) -> PointedProfunctor:
-    parts = []
-    for kind, payload in items:
-        if kind == "wire":
-            parts.append(_wire_pointed(model, payload))
-        else:
-            parts.append(_cell_functor(model, payload)[2])
-    if not parts:
-        cat = product_category([])
-        return PointedProfunctor(hom_profunctor(cat), (), (), ())
-    out = parts[0]
-    for p in parts[1:]:
-        out = product_prof(out, p)
-    return out
-
-
-# -- canonical evaluation of embedding chains --------------------------------
-
-
-def _flat_product_functor(fs: list[FinFunctor]) -> FinFunctor:
-    """Product of functors between product categories, with the boundary
-    components concatenated instead of nested."""
-    src_atoms = [c for f in fs for c in f.source.components]
-    tgt_atoms = [c for f in fs for c in f.target.components]
-    src = product_category(src_atoms)
-    tgt = product_category(tgt_atoms)
-    in_widths = [len(f.source.components) for f in fs]
-
-    def split_apply(table_getter, flat):
-        parts = []
-        i = 0
-        for f, k in zip(fs, in_widths):
-            parts.extend(table_getter(f)(flat[i:i + k]))
-            i += k
-        return tuple(parts)
-
-    obj_map = {a: split_apply(lambda f: f.on_obj, a) for a in src.objects}
-    mor_map = {m: split_apply(lambda f: f.on_mor, m) for m in src.morphisms}
-    name = "(" + "|".join(f.name for f in fs) + ")"
-    return FinFunctor(name, src, tgt, obj_map, mor_map)
+    prof, s = _fold(model, c, [_slice_piece(model, items, 0)
+                               for items in layered_slices(c)])
+    return PointedProfunctor(reindex(prof, s.f, s.g, s.src, s.tgt), s.a,
+                             s.b, s.point)
 
 
 def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
     """Evaluate a diagram built purely of covariant (or purely
     contravariant) pieces down to a single embedded functor with a point.
 
-    Returns one (direction, obj_map, mor_map, src_point_obj, tgt_point_obj,
-    point) tuple per available direction; empty when the diagram mixes
-    directions.  This mechanizes the coend evaluations that justify the
-    sliding rules: a composite of embeddings is the embedding of the
-    (strictly equal) composite functor, and the induced point is the
-    evaluated pair class.
+    Returns one (direction, object images, generator images, src_obj,
+    tgt_obj, point) tuple per available direction, none when the diagram
+    mixes directions.  The functor maps the source (up) or the target
+    (down) boundary; the images of its objects and generators fix it.
     """
     c = canonicalize(d).diagram
     slices = layered_slices(c)
-    per_slice = []
-    for items in slices:
-        ups, downs, points = [], [], []
-        for kind, payload in items:
-            if kind == "wire":
-                layer, word = payload
-                cat1 = product_category([model.category(layer)])
-                ident = identity_functor(cat1)
-                ups.append(ident)
-                downs.append(ident)
-                points.append(cat1.ident((model.word_obj(layer, word),)))
-            else:
-                fu, fd, pp = _cell_functor(model, payload)
-                ups.append(fu)
-                downs.append(fd)
-                points.append(pp.point)
-        per_slice.append((ups, downs, points))
-
-    def flatten_point(points):
-        return tuple(x for p in points for x in p)
-
-    src_cat = _boundary_cat(model, c.dom.entries)
-    src_obj = tuple(model.word_obj(layer, w) for layer, w in c.dom.entries)
-    tgt_obj = tuple(model.word_obj(layer, w) for layer, w in c.cod.entries)
     out: list[tuple] = []
-    if all(all(f is not None for f in ups) for ups, _, _ in per_slice):
-        total = identity_functor(src_cat)
-        point = src_cat.ident(src_obj)
-        for ups, _, points in per_slice:
-            step = _flat_product_functor(ups) if ups else \
-                identity_functor(product_category([]))
-            q = flatten_point(points)
-            # comp(up(G), up(F)) evaluates to up(G;F); the point follows
-            point = step.target.then(step.on_mor(point), q)
-            total = compose_functors(total, step)
-        out.append(("up", dict(total.obj_map), dict(total.mor_map), src_obj,
-                    tgt_obj, point))
-    if all(all(f is not None for f in downs) for _, downs, _ in per_slice):
-        # contravariant chain: every slice is a functor from the next
-        # boundary back; the point accumulates in the fixed source boundary
-        total = identity_functor(src_cat)
-        point = src_cat.ident(src_obj)
-        for _, downs, points in per_slice:
-            step = _flat_product_functor(downs) if downs else \
-                identity_functor(product_category([]))
-            q = flatten_point(points)
-            point = src_cat.then(point, total.on_mor(q))
-            total = compose_functors(step, total)
-        out.append(("down", dict(total.obj_map), dict(total.mor_map),
-                    src_obj, tgt_obj, point))
+    for down, direction in enumerate(("up", "down")):
+        pieces = [_slice_piece(model, items, down) for items in slices]
+        if any((p.f if down else p.g) is not None for p in pieces):
+            continue
+        _, s = _fold(model, c, pieces)
+        functor, cat = (s.g, s.tgt) if down else (s.f, s.src)
+        objs, gens = cat.objects, cat.generators()
+        if functor is not None:
+            objs = tuple(map(functor.on_obj, objs))
+            gens = tuple(map(functor.on_mor, gens))
+        out.append((direction, objs, gens, s.a, s.b, s.point))
     return out
-
-
-def _boundary_cat(model: FinOmegaSystem, entries):
-    return product_category([model.category(layer) for layer, _ in entries])
 
 
 # -- rule verification -------------------------------------------------------
@@ -461,8 +458,5 @@ def verify_rule_semantics(rule: RewriteRule, model: FinOmegaSystem,
     if rule.family in ("F", "M"):
         ev_l = side_evaluation(model, rule.lhs)
         ev_r = side_evaluation(model, rule.rhs)
-        if not ev_l or not ev_r:
-            return False
-        if not any(l == r for l in ev_l for r in ev_r):
-            return False
+        return any(l == r for l in ev_l for r in ev_r)
     return True

@@ -287,6 +287,28 @@ def test_cli_semantics_verify_monoid(tmp_path, capsys):
     assert out.splitlines() == ["verified 103 rule instances"]
 
 
+def test_cli_semantics_verify_cap_undecided(tmp_path, capsys):
+    # a 2-cell search past --cap leaves its instance undecided (exit 3),
+    # and the other instances are still verified
+    model = models.monoid_model()
+    t = _write(tmp_path, "t.json", jsonio.system_to_json(model.system))
+    m = _write(tmp_path, "m.json", jsonio.model_to_json(model))
+    argv = ["semantics-verify", "--system", t, "--model", m, "--max-word",
+            "1", "--cap", "0"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "checked 103 rule instances, 102 undecided"
+    assert "  UNDECIDED A1[ML;e;e]" in lines
+    assert all(line.startswith("  UNDECIDED ") for line in lines[1:])
+    assert main(argv + ["--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checked"] == 103 and payload["failures"] == []
+    assert len(payload["undecided"]) == 102
+    assert not any(name.startswith("E[") for name in payload["undecided"])
+
+
 def _model_edit(edit):
     payload = jsonio.model_to_json(models.monoid_model())
     edit(payload)
@@ -303,6 +325,18 @@ def _model_edit(edit):
         0, ["a", "b"])), "categories.MU.compose[0]: expected 3 items, got 2"),
     (_model_edit(lambda p: p["functors"][0].__setitem__("target", "ZZ")),
      "functors[0].target: no category 'ZZ'"),
+    # tables the law checks read must be total and land in the category
+    (_model_edit(lambda p: p["categories"]["MU"]["compose"].pop()),
+     "categories.MU.compose: no entry for ['2', '2']"),
+    (_model_edit(lambda p: p["categories"]["ML"]["tensor_mor"][0].__setitem__(
+        2, "*")), "categories.ML.tensor_mor: ['0', '0'] maps to '*', which "
+     "is no morphism"),
+    (_model_edit(lambda p: p["categories"]["ML"]["morphisms"][1].__setitem__(
+        "dom", "x")), "categories.ML.morphisms[1].dom: no object 'x'"),
+    (_model_edit(lambda p: p["functors"][0]["morphisms"].pop("1")),
+     "functors[0].morphisms: no entry for '1'"),
+    (_model_edit(lambda p: p["generators"].__setitem__("MU:m1", "*")),
+     "generators.MU:m1: '*' is not one of the morphisms of 'MU'"),
 ])
 def test_cli_model_file_shape(tmp_path, capsys, payload, path):
     model = models.monoid_model()
@@ -310,6 +344,24 @@ def test_cli_model_file_shape(tmp_path, capsys, payload, path):
     m = _write(tmp_path, "m.json", payload)
     assert main(["semantics-verify", "--system", t, "--model", m]) == 1
     assert _single_error_line(capsys) == f"error: bad model file: {path}"
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (lambda p: p["categories"]["MU"]["identities"].__setitem__("*", "1"),
+     "left identity fails at '0'"),
+    (lambda p: p["objects"].pop("ML:v"), "object 'v' of 'ML' unbound"),
+])
+def test_cli_model_invalid_is_reported(tmp_path, capsys, edit, violation):
+    # a model that breaks a law is reported, not a traceback: law checks
+    # run only on tables whose earlier checks hold
+    model = models.monoid_model()
+    t = _write(tmp_path, "t.json", jsonio.system_to_json(model.system))
+    m = _write(tmp_path, "m.json", _model_edit(edit))
+    assert main(["semantics-verify", "--system", t, "--model", m]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "model invalid:" and f"  {violation}" in lines
 
 
 @pytest.mark.parametrize("payload, path", [

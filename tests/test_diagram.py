@@ -1,5 +1,6 @@
 """Diagram construction, canonical forms, and structural equality."""
 
+import gc
 import random
 
 import pytest
@@ -107,6 +108,22 @@ def test_canonicalize_idempotent(single_layer):
     c1 = dg.canonicalize(x)
     c2 = dg.canonicalize(c1.diagram)
     assert c1.key == c2.key
+    assert c2.diagram is c1.diagram
+
+
+def test_search_leaves_no_cyclic_garbage(two_layer):
+    # canonical forms and the diagrams a search builds are freed by
+    # reference counting alone: none of them sits in a reference cycle
+    u = dg.gen_box(two_layer, "U", "u")
+    uu = dg.seq_compose(u, dg.gen_box(two_layer, "U", "u"))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            rw.find_derivation(u, uu, 1000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sym_involution(single_layer):

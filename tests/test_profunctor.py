@@ -310,6 +310,8 @@ def _interpreted_categories(model, words):
                 cats[id(comp)] = comp
         if isinstance(prof, pf.ComposedProfunctor):
             todo += [prof.p, prof.q]
+        if isinstance(prof, pf.Reindexed):
+            todo.append(prof.base)
     return list(cats.values())
 
 

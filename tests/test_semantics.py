@@ -1,6 +1,7 @@
 """Interpretation into pointed profunctors and rule verification."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -166,3 +167,182 @@ def test_e_rule_soundness_check(monoid_model):
     engine = rw.RuleEngine(monoid_model.system)
     good = engine.rule_e("MU", "m1m2_id")
     assert sm.verify_rule_semantics(good, monoid_model)
+
+
+# -- the coend fold as a reference --------------------------------------------
+
+
+def _product(pp, qq):
+    """Parallel product of pointed profunctors, boundary components
+    concatenated."""
+    p, q = pp.prof, qq.prof
+    np_, mp = len(p.source.components), len(p.target.components)
+    src = pf.product_category(list(p.source.components)
+                              + list(q.source.components))
+    tgt = pf.product_category(list(p.target.components)
+                              + list(q.target.components))
+    elements = {}
+    for a in src.objects:
+        for b in tgt.objects:
+            elems = [(x, y) for x in p.elements(a[:np_], b[:mp])
+                     for y in q.elements(a[np_:], b[mp:])]
+            if elems:
+                elements[(a, b)] = tuple(sorted(elems, key=repr))
+
+    def lact(g, xy, a, b):
+        return (p.lact(g[:np_], xy[0], a[:np_], b[:mp]),
+                q.lact(g[np_:], xy[1], a[np_:], b[mp:]))
+
+    def ract(xy, h, a, b):
+        return (p.ract(xy[0], h[:mp], a[:np_], b[:mp]),
+                q.ract(xy[1], h[mp:], a[np_:], b[mp:]))
+
+    return pf.PointedProfunctor(
+        pf.Profunctor("product", src, tgt, elements, lact, ract),
+        pp.src_obj + qq.src_obj, pp.tgt_obj + qq.tgt_obj,
+        (pp.point, qq.point))
+
+
+def reference_interpret(model, d):
+    """Interpretation by explicit coend quotients: each slice is the product
+    of its wires' homs and its cells' embeddings (sheet symmetries up), and
+    point_compose folds the slices."""
+    c = dg.canonicalize(d).diagram
+
+    def hom_at(layer, word):
+        cat1 = pf.product_category([model.category(layer)])
+        obj = (model.word_obj(layer, word),)
+        return pf.PointedProfunctor(pf.hom_profunctor(cat1), obj, obj,
+                                    cat1.ident(obj))
+
+    def table(f):
+        return pf.FinFunctor("f", f.source, f.target,
+                             {a: f.on_obj(a) for a in f.source.objects},
+                             {m: f.on_mor(m) for m in f.source.morphisms})
+
+    def part(kind, payload):
+        if kind == "wire":
+            return hom_at(*payload)
+        piece = sm._cell_pieces(model, payload)[0]
+        prof = (pf.embed(table(piece.f), "up") if piece.f is not None else
+                pf.embed(table(piece.g), "down") if piece.g is not None
+                else pf.hom_profunctor(piece.src))
+        return pf.PointedProfunctor(prof, piece.a, piece.b, piece.point)
+
+    def product(parts):
+        if not parts:
+            cat = pf.product_category([])
+            return pf.PointedProfunctor(pf.hom_profunctor(cat), (), (), ())
+        out = parts[0]
+        for p in parts[1:]:
+            out = _product(out, p)
+        return out
+
+    slices = sm.layered_slices(c)
+    if not slices:
+        return product([hom_at(*t) for t in c.dom.entries])
+    out = product([part(*item) for item in slices[0]])
+    for sl in slices[1:]:
+        out = pf.point_compose(out, product([part(*item) for item in sl]))
+    return out
+
+
+def _sample(model, words, every):
+    engine = rw.RuleEngine(model.system)
+    rules = [r for r in rw.sample_instances(engine, words)
+             if r.family != "E" and not r.name.startswith("A3c[")]
+    return rules[::every]
+
+
+@pytest.mark.parametrize("make, words, every", [
+    (models.monoid_model, {"MU": [(), ("u",), ("u", "u")], "ML": [(), ("v",)]},
+     3),
+    (models.meet_model, {"Ar": [(), ("lo",), ("hi",)],
+                         "Sq": [(), ("q",), ("r",), ("q", "r")]}, 12),
+])
+def test_interpret_isomorphic_to_coend_fold(make, words, every):
+    # co-Yoneda reindexing names elements differently from the coend fold
+    # (morphisms of the middle category instead of least triples), so the
+    # two interpretations are compared through a pointed isomorphism
+    model = make()
+    for rule in _sample(model, words, every):
+        for side in (rule.lhs, rule.rhs):
+            new, ref = sm.interpret(model, side), reference_interpret(model,
+                                                                      side)
+            # the cap bounds the raw assignment space, which propagation
+            # never enumerates
+            assert pf.pointed_two_cell(new, ref, iso=True,
+                                       cap=10 ** 30) is not None
+            assert pf.pointed_two_cell(ref, new, iso=True,
+                                       cap=10 ** 30) is not None
+
+
+# -- syntax-semantics soundness -----------------------------------------------
+
+
+def _walk_pairs(system, rng, count):
+    """(generator box, the box after 1-3 random rule applications)."""
+    engine = rw.RuleEngine(system)
+    out = []
+    while len(out) < count:
+        layer = rng.choice(sorted(system.layers))
+        gen = rng.choice(system.layer(layer).gen_morphisms).name
+        start = d = dg.gen_box(system, layer, gen)
+        for _ in range(rng.randint(1, 3)):
+            d = rw.apply_rule(d, rng.choice(engine.matches(d)))
+        out.append((start, d))
+    return out
+
+
+# per layer with equations: the box's input object, the paths its content
+# chains and how many (the square's paths end at its top corner)
+_EQUATION_BOXES = {"MU": ("u", [["m1"], ["m2"], ["m1", "m2"]], 2),
+                   "Sq": ("p", [["gd"], ["gf", "gh"], ["gg", "gk"]], 1)}
+
+
+def _equation_pairs(system, rng, count):
+    """(box, the box after 1-2 random equation steps)."""
+    engine = rw.RuleEngine(system, equation_insertions=True)
+    layer = next(name for name in _EQUATION_BOXES if name in system.layers)
+    obj, paths, chained = _EQUATION_BOXES[layer]
+    sig = system.signature(layer)
+    out = []
+    while len(out) < count:
+        gens = [g for _ in range(chained) for g in rng.choice(paths)]
+        x = d = dg.box(system, InternalDiagram(
+            layer, (obj,), sig[gens[-1]][1], tuple((0, g) for g in gens)))
+        for _ in range(rng.randint(1, 2)):
+            moves = [m for m in engine.matches(d) if m.rule.family == "E"]
+            d = rw.apply_rule(d, rng.choice(moves))
+        out.append((x, d))
+    return out
+
+
+def _sound(model, dv) -> bool:
+    """The derivation's end points denote 2-cell related pointed
+    profunctors, an isomorphism when every step is invertible."""
+    return pf.pointed_two_cell(
+        sm.interpret(model, dv.start), sm.interpret(model, dv.end()),
+        iso=all(step.rule.bidirectional for step in dv.steps)) is not None
+
+
+@pytest.mark.parametrize("make", [models.monoid_model, models.meet_model])
+def test_derivations_are_sound(make):
+    # every derivation the search returns, and every layer_eq witness,
+    # relates two sides whose interpretations carry a pointed 2-cell
+    model = make()
+    rng = random.Random(f"soundness/{make.__name__}")
+    found = 0
+    for start, end in _walk_pairs(model.system, rng, 40):
+        dv = rw.find_derivation(start, end, 2000)
+        if isinstance(dv, rw.Derivation):
+            found += 1
+            assert _sound(model, dv), [m.rule.name for m in dv.steps]
+    assert found >= 35
+    equal = 0
+    for x, y in _equation_pairs(model.system, rng, 10):
+        result = dg.layer_eq(x, y, 256)
+        if result.status == "equal":
+            equal += 1
+            assert _sound(model, result.witness)
+    assert equal >= 8
