@@ -21,7 +21,8 @@ from . import diagram as dg
 from . import jsonio
 from . import rewrite as rw
 from . import sexpr, terms
-from .errors import LayerPropError, MalformedInput, SearchTooLarge
+from .errors import (LayerPropError, MalformedInput, SearchTooLarge,
+                     check_count)
 from .explain import (check_counterfactual, check_explanation_1,
                       check_explanation_2)
 from .rewrite import NotFound, RuleEngine
@@ -459,9 +460,8 @@ def _check_counts(args) -> None:
     """Budgets, word lengths and caps are counts: reject negative ones."""
     for name in ("budget", "max_word", "cap"):
         value = getattr(args, name, None)
-        if value is not None and value < 0:
-            flag = "--" + name.replace("_", "-")
-            raise MalformedInput(f"{flag} must not be negative, got {value}")
+        if value is not None:
+            check_count("--" + name.replace("_", "-"), value)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,12 +13,11 @@ interchange normal form.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import internal
-from .errors import SideConditionViolation, SortMismatch
+from .errors import SideConditionViolation, SortMismatch, check_count
 from .internal import EPSILON, InternalDiagram, Word
 from .theory import (EMPTY_TYPE, OmegaType, Sort, SystemOfLayers, sheet)
 
@@ -161,8 +160,10 @@ Cell = (InternalBox | Pants | Copants | Cup | Cap | Refine | Coarsen
         | SheetSym)
 
 
-@dataclass(frozen=True)
-class Wire:
+class Wire(NamedTuple):
+    """A sheet wire from a producer endpoint to a consumer endpoint; it
+    unpacks as ``(src, dst, type)``, like the plain triples a splice makes."""
+
     src: Endpoint
     dst: Endpoint
     type: SheetType
@@ -270,7 +271,8 @@ def empty_diagram(sys: SystemOfLayers) -> Diagram:
 
 def identity(sys: SystemOfLayers, t: OmegaType) -> Diagram:
     sys.validate_type(t)
-    wires = [Wire(("dom", k), ("cod", k), ty) for k, ty in enumerate(t.entries)]
+    wires = [Wire(("dom", k), ("cod", k), ty)
+             for k, ty in enumerate(t.entries)]
     return Diagram(sys, t, t, (), wires)
 
 
@@ -431,191 +433,233 @@ def fuse_internal(x: Diagram, y: Diagram,
 # canonicalization
 
 
-def _endpoint_maps(wires: dict[int, Wire]):
+# ports per cell kind, as ``in_ports()`` and ``out_ports()`` list them
+_ARITY = {InternalBox: (1, 1), Pants: (2, 1), Copants: (1, 2), Cup: (0, 1),
+          Cap: (1, 0), Refine: (1, 1), Coarsen: (1, 1), SheetSym: (2, 2)}
+
+
+def _endpoint_maps(wires: dict[int, tuple]):
     by_src: dict[Endpoint, int] = {}
     by_dst: dict[Endpoint, int] = {}
-    for wi, w in wires.items():
-        by_src[w.src] = wi
-        by_dst[w.dst] = wi
+    for wi, (src, dst, _) in wires.items():
+        by_src[src] = wi
+        by_dst[dst] = wi
     return by_src, by_dst
 
 
-def _normalize(d: Diagram) -> tuple[dict[int, Cell], dict[int, Wire]]:
-    """Apply the internal quotient: drop symmetries, fuse and erase boxes."""
-    sig_of = d.system.signature
-    cells: dict[int, Cell] = dict(enumerate(d.cells))
-    wires: dict[int, Wire] = dict(enumerate(d.wires))
-    next_wire = len(d.wires)
-
-    for ci, cell in list(cells.items()):
-        if isinstance(cell, InternalBox):
-            canon = internal.canonicalize(cell.content, sig_of(cell.layer))
-            cells[ci] = InternalBox(cell.layer, canon)
-
+def _normalize(sig_of, cells: dict[int, Cell],
+               wires: dict[int, tuple]) -> None:
+    """Apply the internal quotient in place: drop symmetries, fuse and erase
+    boxes.  Box contents must already be canonical."""
+    next_wire = max(wires, default=-1) + 1
     changed = True
     while changed:
         changed = False
         by_src, by_dst = _endpoint_maps(wires)
         for ci, cell in sorted(cells.items()):
             if isinstance(cell, SheetSym):
-                w_in0 = wires.pop(by_dst[("in", ci, 0)])
-                w_in1 = wires.pop(by_dst[("in", ci, 1)])
-                w_out0 = wires.pop(by_src[("out", ci, 0)])
-                w_out1 = wires.pop(by_src[("out", ci, 1)])
-                wires[next_wire] = Wire(w_in0.src, w_out1.dst, w_in0.type)
-                wires[next_wire + 1] = Wire(w_in1.src, w_out0.dst, w_in1.type)
+                src0, _, ty0 = wires.pop(by_dst[("in", ci, 0)])
+                src1, _, ty1 = wires.pop(by_dst[("in", ci, 1)])
+                _, dst0, _ = wires.pop(by_src[("out", ci, 0)])
+                _, dst1, _ = wires.pop(by_src[("out", ci, 1)])
+                wires[next_wire] = (src0, dst1, ty0)
+                wires[next_wire + 1] = (src1, dst0, ty1)
                 next_wire += 2
                 del cells[ci]
                 changed = True
                 break
             if isinstance(cell, InternalBox):
-                out_wire = wires[by_src[("out", ci, 0)]]
-                if out_wire.dst[0] == "in":
-                    cj = out_wire.dst[1]
+                out_dst = wires[by_src[("out", ci, 0)]][1]
+                if out_dst[0] == "in":
+                    cj = out_dst[1]
                     other = cells.get(cj)
-                    if isinstance(other, InternalBox) and out_wire.dst[2] == 0:
+                    if isinstance(other, InternalBox) and out_dst[2] == 0:
                         fused = internal.canonicalize(
                             cells[ci].content.then(other.content),
                             sig_of(cell.layer))
                         cells[ci] = InternalBox(cell.layer, fused)
-                        wi_out = by_src[("out", cj, 0)]
-                        far = wires.pop(wi_out)
+                        _, far_dst, far_ty = wires.pop(by_src[("out", cj, 0)])
                         wires.pop(by_src[("out", ci, 0)])
-                        wires[next_wire] = Wire(("out", ci, 0), far.dst,
-                                                far.type)
+                        wires[next_wire] = (("out", ci, 0), far_dst, far_ty)
                         next_wire += 1
                         del cells[cj]
                         changed = True
                         break
                 if not cells[ci].content.slices:  # identity box: splice out
-                    w_in = wires.pop(by_dst[("in", ci, 0)])
-                    w_out = wires.pop(by_src[("out", ci, 0)])
-                    wires[next_wire] = Wire(w_in.src, w_out.dst, w_in.type)
+                    src, _, ty = wires.pop(by_dst[("in", ci, 0)])
+                    _, dst, _ = wires.pop(by_src[("out", ci, 0)])
+                    wires[next_wire] = (src, dst, ty)
                     next_wire += 1
                     del cells[ci]
                     changed = True
                     break
-    return cells, wires
 
 
-def _traverse(cells: dict[int, Cell], seed_wires: list[int],
-              wire_of_dst: dict[Endpoint, int],
-              wire_of_src: dict[Endpoint, int],
-              wires: dict[int, Wire]) -> list[int]:
-    """Deterministic discovery order of cells from seed wires."""
+def _traverse(nbrs: dict[int, list[int]], ends: list[tuple],
+              seeds: list[int]) -> list[int]:
+    """Deterministic discovery order of cells from seed wires: a wire
+    discovers its producer, then its consumer; a cell queues the wires at
+    its input ports, then at its output ports."""
     order: list[int] = []
     discovered: set[int] = set()
-    queued: set[int] = set(seed_wires)
-    queue = deque(seed_wires)
-
-    def discover(ci: int) -> None:
-        discovered.add(ci)
-        order.append(ci)
-        cell = cells[ci]
-        for pi in range(len(cell.in_ports())):
-            wi = wire_of_dst[("in", ci, pi)]
-            if wi not in queued:
-                queued.add(wi)
-                queue.append(wi)
-        for pi in range(len(cell.out_ports())):
-            wi = wire_of_src[("out", ci, pi)]
-            if wi not in queued:
-                queued.add(wi)
-                queue.append(wi)
-
-    while queue:
-        w = wires[queue.popleft()]
-        for ep in (w.src, w.dst):
-            if ep[0] in ("in", "out") and ep[1] not in discovered:
-                discover(ep[1])
+    queued: set[int] = set(seeds)
+    queue = list(seeds)
+    for wi in queue:  # the loop reaches the wires appended below
+        for ci in ends[wi]:
+            if ci is not None and ci not in discovered:
+                discovered.add(ci)
+                order.append(ci)
+                for wj in nbrs[ci]:
+                    if wj not in queued:
+                        queued.add(wj)
+                        queue.append(wj)
     return order
 
 
-def _serialize(cells: dict[int, Cell], wires: dict[int, Wire],
-               order: list[int], n_dom: int, n_cod: int) -> tuple:
+def _serialize(cells: dict[int, Cell], wires: list[tuple],
+               order: list[int]) -> tuple:
     pos = {ci: k for k, ci in enumerate(order)}
 
     def enc(ep: Endpoint) -> tuple:
-        if ep[0] == "dom":
-            return (0, ep[1], 0)
-        if ep[0] == "cod":
+        if ep[0] in ("dom", "cod"):
             return (0, ep[1], 0)
         return (1, pos[ep[1]], ep[2])
 
     labels = tuple(cells[ci].label() for ci in order)
-    encoded = sorted((enc(w.src), enc(w.dst), w.src[0], w.dst[0], w.type)
-                     for w in wires.values())
+    encoded = sorted((enc(src), enc(dst), src[0], dst[0], ty)
+                     for src, dst, ty in wires)
     return (labels, tuple(encoded))
 
 
+def _floating_order(cells: dict[int, Cell], wires: list[tuple],
+                    nbrs: dict[int, list[int]], ends: list[tuple],
+                    rest: list[int]) -> list[int]:
+    """Order of the cells that no boundary wire reaches: each component
+    from the root whose serialization is least, the components by that
+    serialization."""
+    comp_orders: list[tuple[tuple, list[int]]] = []
+    while rest:
+        comp = _traverse(nbrs, ends, nbrs[rest[0]])
+        members = set(comp)
+        comp_wires = [wires[wi] for wi, (src, _) in enumerate(ends)
+                      if src in members]
+        best: tuple[tuple, list[int]] | None = None
+        for root in sorted(comp):
+            local = _traverse(nbrs, ends, nbrs[root])
+            ser = _serialize(cells, comp_wires, local)
+            if best is None or ser < best[0]:
+                best = (ser, local)
+        assert best is not None
+        comp_orders.append(best)
+        rest = [ci for ci in rest if ci not in members]
+    comp_orders.sort(key=lambda pair: pair[0])
+    return [ci for _, local in comp_orders for ci in local]
+
+
+def _canonical(system: SystemOfLayers, dom: OmegaType, cod: OmegaType,
+               cells: list[Cell], wires: list[tuple],
+               fresh_cells: Iterable[int],
+               fresh_wires: Iterable[int]) -> Diagram:
+    """The canonical diagram of a well-formed diagram given by its cells and
+    its wires as ``(src, dst, type)``; ``cells`` is changed in place.
+
+    Only the cells in ``fresh_cells`` and the wires in ``fresh_wires`` may
+    break the normal form: no other cell is a sheet symmetry or an empty
+    box, every other box holds canonical content, and no other wire joins
+    two boxes.  The quotient runs only when a fresh cell or wire breaks it.
+    Nothing is validated here.
+    """
+    sig_of = system.signature
+    settled = True
+    for ci in fresh_cells:
+        cell = cells[ci]
+        if isinstance(cell, InternalBox):
+            content = internal.canonicalize(cell.content, sig_of(cell.layer))
+            cells[ci] = InternalBox(cell.layer, content)
+            settled = settled and bool(content.slices)
+        elif isinstance(cell, SheetSym):
+            settled = False
+    if settled:
+        for wi in fresh_wires:
+            src, dst, _ = wires[wi]
+            if (src[0] == "out" and dst[0] == "in"
+                    and isinstance(cells[src[1]], InternalBox)
+                    and isinstance(cells[dst[1]], InternalBox)):
+                settled = False
+                break
+    cell_map = dict(enumerate(cells))
+    if not settled:
+        wire_map = dict(enumerate(wires))
+        _normalize(sig_of, cell_map, wire_map)
+        wires = list(wire_map.values())
+
+    # one pass over the wires: each cell's wires in port order (inputs,
+    # then outputs), each wire's producing and consuming cell
+    n_in: dict[int, int] = {}
+    nbrs: dict[int, list[int]] = {}
+    for ci, cell in cell_map.items():
+        k_in, k_out = _ARITY[type(cell)]
+        n_in[ci] = k_in
+        nbrs[ci] = [0] * (k_in + k_out)
+    ends: list[tuple] = []
+    seeds = [0] * len(dom)
+    cod_wires = [0] * len(cod)
+    for wi, (src, dst, _) in enumerate(wires):
+        if src[0] == "out":
+            a = src[1]
+            nbrs[a][n_in[a] + src[2]] = wi
+        else:
+            a = None
+            seeds[src[1]] = wi
+        if dst[0] == "in":
+            b = dst[1]
+            nbrs[b][dst[2]] = wi
+        else:
+            b = None
+            cod_wires[dst[1]] = wi
+        ends.append((a, b))
+    seeds += [wi for wi in cod_wires if wi not in seeds]
+
+    order = _traverse(nbrs, ends, seeds)
+    if len(order) < len(cell_map):
+        placed = set(order)
+        order += _floating_order(cell_map, wires, nbrs, ends,
+                                 [ci for ci in sorted(cell_map)
+                                  if ci not in placed])
+
+    pos = {ci: k for k, ci in enumerate(order)}
+    # sources are distinct, so sorting the triples orders wires by source
+    triples = []
+    for src, dst, ty in wires:
+        if src[0] == "out":
+            src = ("out", pos[src[1]], src[2])
+        if dst[0] == "in":
+            dst = ("in", pos[dst[1]], dst[2])
+        triples.append((src, dst, ty))
+    triples.sort()
+    new_cells = [cell_map[ci] for ci in order]
+    canon = Diagram(system, dom, cod, new_cells, map(Wire._make, triples))
+    canon._key = (dom.entries, cod.entries,
+                  tuple(c.label() for c in new_cells), tuple(triples))
+    return canon
+
+
 def canonicalize(d: Diagram) -> CanonicalForm:
-    """Boundary-anchored canonical labeling after quotient normalization."""
+    """Boundary-anchored canonical labeling after quotient normalization.
+
+    This is a trust boundary: it validates ``d`` in full before
+    normalizing, so any diagram may be passed.  The search applies rules
+    through ``_canonical`` directly, which re-canonicalizes only what a
+    splice changed and validates nothing (see ``rewrite._apply``).
+    """
     if d._key is not None:
         return CanonicalForm(d, d._key)
     if d._canon is not None:
         return d._canon
     validate_diagram(d)
-    cells, wires = _normalize(d)
-    by_src, by_dst = _endpoint_maps(wires)
-
-    seeds = [by_src[("dom", k)] for k in range(len(d.dom))]
-    seeds += [by_dst[("cod", k)] for k in range(len(d.cod))
-              if by_dst[("cod", k)] not in seeds]
-    order = _traverse(cells, seeds, by_dst, by_src, wires)
-
-    remaining = sorted(set(cells) - set(order))
-    comp_orders: list[tuple[tuple, list[int]]] = []
-    while remaining:
-        root0 = remaining[0]
-        # grow the component from root0
-        comp = _traverse(
-            cells,
-            [by_dst[("in", root0, pi)]
-             for pi in range(len(cells[root0].in_ports()))]
-            + [by_src[("out", root0, pi)]
-               for pi in range(len(cells[root0].out_ports()))],
-            by_dst, by_src, wires)
-        if root0 not in comp:
-            comp = [root0] + comp
-        comp_wires = {wi: w for wi, w in wires.items()
-                      if w.src[0] == "out" and w.src[1] in comp}
-        best: tuple[tuple, list[int]] | None = None
-        for root in sorted(comp):
-            seed = ([by_dst[("in", root, pi)]
-                     for pi in range(len(cells[root].in_ports()))]
-                    + [by_src[("out", root, pi)]
-                       for pi in range(len(cells[root].out_ports()))])
-            local = _traverse(cells, seed, by_dst, by_src, wires)
-            ser = _serialize(cells, comp_wires, local, 0, 0)
-            if best is None or ser < best[0]:
-                best = (ser, local)
-        assert best is not None
-        comp_orders.append(best)
-        remaining = [ci for ci in remaining if ci not in comp]
-    comp_orders.sort(key=lambda pair: pair[0])
-    for _, local in comp_orders:
-        order.extend(local)
-
-    pos = {ci: k for k, ci in enumerate(order)}
-    new_cells = [cells[ci] for ci in order]
-
-    def remap(ep: Endpoint) -> Endpoint:
-        if ep[0] in ("in", "out"):
-            return (ep[0], pos[ep[1]], ep[2])
-        return ep
-
-    def sort_key(w: Wire) -> tuple:
-        s = (0, w.src[1], 0) if w.src[0] == "dom" else (1, w.src[1], w.src[2])
-        return s
-
-    new_wires = sorted((Wire(remap(w.src), remap(w.dst), w.type)
-                        for w in wires.values()), key=sort_key)
-    canon = Diagram(d.system, d.dom, d.cod, new_cells, new_wires)
-    key = (d.dom.entries, d.cod.entries,
-           tuple(c.label() for c in new_cells),
-           tuple((w.src, w.dst, w.type) for w in new_wires))
-    canon._key = key
-    d._canon = CanonicalForm(canon, key)
+    canon = _canonical(d.system, d.dom, d.cod, list(d.cells), d.wires,
+                       range(len(d.cells)), range(len(d.wires)))
+    d._canon = CanonicalForm(canon, canon._key)
     return d._canon
 
 
@@ -641,15 +685,17 @@ class LayerEqResult:
 def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
     """Three-valued equality modulo the layers' equations.
 
-    The search is ``rewrite.find_derivation`` restricted to the E family,
-    with equation insertions on: ``budget`` counts equation applications
-    across both frontiers, the smaller frontier expanding first, and an
-    ``equal`` verdict carries a derivation that ``verify_derivation``
-    replays.  A budget that runs out partway through a breadth-first level
-    leaves the verdict to the order in which moves are tried.
+    The search is ``rewrite.find_derivation`` with an engine that matches
+    the E family alone, with equation insertions on: ``budget`` counts
+    equation applications across both frontiers, the smaller frontier
+    expanding first, and an ``equal`` verdict carries a derivation that
+    ``verify_derivation`` replays.  A negative budget is rejected with
+    MalformedInput.  A budget that runs out partway through a breadth-first
+    level leaves the verdict to the order in which moves are tried.
     """
     from . import rewrite  # local import: rewrite layers on diagram
 
+    check_count("budget", budget)
     if x.sort != y.sort:
         raise SortMismatch("layer_eq requires parallel diagrams")
     cx, cy = canonicalize(x), canonicalize(y)
@@ -658,9 +704,9 @@ def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
                   if isinstance(cell, InternalBox)}
         if not any(x.system.layer(l).equations for l in layers):
             return LayerEqResult("distinct")
-    engine = rewrite.RuleEngine(x.system, equation_insertions=True)
-    out = rewrite.find_derivation(x, y, budget, engine,
-                                  rule_filter=lambda m: m.rule.family == "E")
+    engine = rewrite.RuleEngine(x.system, equation_insertions=True,
+                                families=("E",))
+    out = rewrite.find_derivation(x, y, budget, engine)
     if isinstance(out, rewrite.NotFound):
         return LayerEqResult("unknown")
     return LayerEqResult("equal", out)

@@ -75,3 +75,9 @@ class SquareViolation(LayerPropError):
 
 class MalformedInput(LayerPropError):
     """A file or literal could not be parsed into the expected shape."""
+
+
+def check_count(name: str, value: int) -> None:
+    """Reject a negative count (a budget, word length or cap) by name."""
+    if value < 0:
+        raise MalformedInput(f"{name} must not be negative, got {value}")

@@ -725,13 +725,13 @@ def nat_trans_search(p: Profunctor, q: Profunctor,
 
     ``point`` is ((a, b, x), y): the component at (a, b) must send x to y.
     With ``iso`` every component must be a bijection.  Raises
-    SearchTooLarge when the raw assignment space exceeds ``cap``.
+    SearchTooLarge when the assignment space left after the point's
+    closure exceeds ``cap``.
     """
     if p.source.objects != q.source.objects or \
             p.target.objects != q.target.objects:
         return None
     pairs = []
-    space = 1
     for a in p.source.objects:
         for b in p.target.objects:
             xs = p.elements(a, b)
@@ -742,10 +742,6 @@ def nat_trans_search(p: Profunctor, q: Profunctor,
                 return None
             if xs:
                 pairs.append((a, b))
-                space *= max(1, len(ys)) ** len(xs)
-                if space > cap:
-                    raise SearchTooLarge(
-                        f"component search space exceeds {cap}")
     assignment: dict = {}
     src, tgt = p.source, p.target
 
@@ -800,6 +796,14 @@ def nat_trans_search(p: Profunctor, q: Profunctor,
             return None
     if iso and not all(injective_ok(a, b) for a, b in pairs):
         return None
+    space = 1
+    for a, b, x in keys:
+        if space > cap:
+            break
+        if (a, b, x) not in assignment:
+            space *= len(q.elements(a, b))
+    if space > cap:
+        raise SearchTooLarge(f"component search space exceeds {cap}")
 
     def rec(i: int) -> bool:
         if i == len(keys):

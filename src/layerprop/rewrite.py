@@ -35,8 +35,9 @@ from . import diagram as dg
 from . import internal
 from .diagram import (Cap, Coarsen, Copants, Cup, Diagram, InternalBox,
                       Pants, Refine, Wire, canonical_key, canonicalize)
-from .errors import (InvalidDerivation, LayerPropError, SortMismatch,
-                     StaleMatch)
+from .errors import (InvalidDerivation, LayerPropError,
+                     SideConditionViolation, SortMismatch, StaleMatch,
+                     check_count)
 from .internal import EPSILON, InternalDiagram, Word
 from .theory import SystemOfLayers, TranslationFunctor, sheet, \
     translate_internal
@@ -97,9 +98,11 @@ class Derivation:
     steps: list[Match] = field(default_factory=list)
 
     def end(self) -> Diagram:
+        """The last state; any steps may be given, so each goes through the
+        validating ``apply_rule``."""
         d = canonicalize(self.start).diagram
         for m in self.steps:
-            d = _apply(d, m)
+            d = apply_rule(d, m)
         return d
 
     @property
@@ -111,104 +114,186 @@ class Derivation:
 # generic application
 
 
-def _successors(host: Diagram) -> dict[int, set[int]]:
-    succ: dict[int, set[int]] = {ci: set() for ci in range(len(host.cells))}
-    for w in host.wires:
-        if w.src[0] == "out" and w.dst[0] == "in":
-            succ[w.src[1]].add(w.dst[1])
-    return succ
+class _HostIndex:
+    """A canonical host's port lookups and successor lists, built in one
+    pass over its wires; every matcher run on the host shares them."""
 
+    __slots__ = ("host", "key", "by_src", "by_dst", "succ")
 
-def _is_convex(host: Diagram, removed: set[int], dom_wires: Iterable[int],
+    def __init__(self, host: Diagram, key: tuple) -> None:
+        self.host = host
+        self.key = key
+        self.by_src: dict = {}
+        self.by_dst: dict = {}
+        self.succ: list[list[int]] = [[] for _ in host.cells]
+        for wi, (src, dst, _) in enumerate(host.wires):
+            self.by_src[src] = wi
+            self.by_dst[dst] = wi
+            if src[0] == "out" and dst[0] == "in":
+                self.succ[src[1]].append(dst[1])
+
+    def wire_in(self, ci: int, pi: int = 0) -> int:
+        """The wire at input port ``pi`` of cell ``ci``."""
+        return self.by_dst[("in", ci, pi)]
+
+    def wire_out(self, ci: int, pi: int = 0) -> int:
+        """The wire at output port ``pi`` of cell ``ci``."""
+        return self.by_src[("out", ci, pi)]
+
+    def convex(self, removed: set[int], dom_wires: Iterable[int],
                cod_wires: Iterable[int]) -> bool:
-    """No path from a consumer of an output attachment back to a producer
-    of an input attachment; attachment endpoints must survive."""
-    starts = set()
-    for wi in cod_wires:
-        dst = host.wires[wi].dst
-        if dst[0] == "in":
-            if dst[1] in removed:
-                return False
-            starts.add(dst[1])
-    goals = set()
-    for wi in dom_wires:
-        src = host.wires[wi].src
-        if src[0] == "out":
-            if src[1] in removed:
-                return False
-            goals.add(src[1])
-    if not starts or not goals:
+        """No path from a consumer of an output attachment back to a
+        producer of an input attachment; attachment endpoints must
+        survive."""
+        wires = self.host.wires
+        starts = set()
+        for wi in cod_wires:
+            dst = wires[wi].dst
+            if dst[0] == "in":
+                if dst[1] in removed:
+                    return False
+                starts.add(dst[1])
+        goals = set()
+        for wi in dom_wires:
+            src = wires[wi].src
+            if src[0] == "out":
+                if src[1] in removed:
+                    return False
+                goals.add(src[1])
+        if not starts or not goals:
+            return True
+        if starts & goals:
+            return False
+        succ = self.succ
+        seen = set(starts)
+        queue = deque(starts)
+        while queue:
+            ci = queue.popleft()
+            for nj in succ[ci]:
+                if nj in goals:
+                    return False
+                if nj not in seen:
+                    seen.add(nj)
+                    queue.append(nj)
         return True
-    if starts & goals:
-        return False
-    succ = _successors(host)
-    seen = set(starts)
-    queue = deque(starts)
-    while queue:
-        ci = queue.popleft()
-        for nj in succ[ci]:
-            if nj in goals:
-                return False
-            if nj not in seen:
-                seen.add(nj)
-                queue.append(nj)
-    return True
+
+    def offer(self, out: list, rule: RewriteRule, orientation: str, cells,
+              dom_wires, cod_wires) -> None:
+        """Append the match at these cells and wires if it is convex."""
+        if self.convex(set(cells), dom_wires, cod_wires):
+            out.append(Match(rule, orientation, tuple(cells),
+                             tuple(dom_wires), tuple(cod_wires), self.key))
 
 
-def _apply(host: Diagram, m: Match) -> Diagram:
-    """Rewrite the canonical host at the match; result is canonical."""
-    host = canonicalize(host).diagram
+def _splice(host: Diagram, m: Match) -> tuple[list, list, Iterable[int],
+                                              Iterable[int]]:
+    """The host's cells and ``(src, dst, type)`` wires rewritten at the
+    match, with the indices of the new cells and of the new wires.
+
+    Only a local check is made: every attachment carries the type of the
+    replacement's boundary position, and an E payload keeps its box's layer,
+    dom and cod.  Convexity is the caller's to ensure.
+    """
     if m.box_payload is not None:
         ci, content = m.box_payload
         cell = host.cells[ci]
-        assert isinstance(cell, InternalBox)
-        new_cells = list(host.cells)
-        new_cells[ci] = InternalBox(cell.layer, content)
-        out = Diagram(host.system, host.dom, host.cod, new_cells, host.wires)
-        return canonicalize(out).diagram
+        if not (isinstance(cell, InternalBox)
+                and (content.layer, content.dom, content.cod)
+                == (cell.layer, cell.content.dom, cell.content.cod)):
+            raise SortMismatch(f"{m.rule.name}: payload does not fit cell "
+                               f"{ci}")
+        cells = list(host.cells)
+        cells[ci] = InternalBox(cell.layer, content)
+        return cells, list(host.wires), (ci,), ()
 
     repl = m.replacement
+    hw = host.wires
+    if ([hw[wi].type for wi in m.dom_wires] != list(repl.dom.entries)
+            or [hw[wi].type for wi in m.cod_wires] != list(repl.cod.entries)):
+        raise SortMismatch(f"{m.rule.name}: attachment types differ from "
+                           f"the replacement's boundary")
     removed = set(m.cells)
-    keep = [ci for ci in range(len(host.cells)) if ci not in removed]
-    old2new = {ci: i for i, ci in enumerate(keep)}
-    base = len(keep)
-    new_cells = [host.cells[ci] for ci in keep] + list(repl.cells)
-
-    def remap(ep):
-        if ep[0] in ("in", "out"):
-            return (ep[0], old2new[ep[1]], ep[2])
-        return ep
+    old2new: dict[int, int] = {}
+    cells: list = []
+    for ci, cell in enumerate(host.cells):
+        if ci not in removed:
+            old2new[ci] = len(cells)
+            cells.append(cell)
+    base = len(cells)
+    cells += repl.cells
 
     attach = set(m.dom_wires) | set(m.cod_wires)
-    new_wires: list[Wire] = []
-    for wi, w in enumerate(host.wires):
+    wires: list[tuple] = []
+    for wi, (src, dst, ty) in enumerate(hw):
         if wi in attach:
             continue
-        if (w.src[0] == "out" and w.src[1] in removed) or \
-           (w.dst[0] == "in" and w.dst[1] in removed):
-            continue
-        new_wires.append(Wire(remap(w.src), remap(w.dst), w.type))
-    for w in repl.wires:
-        if w.src[0] == "dom":
-            hw = host.wires[m.dom_wires[w.src[1]]]
-            src = remap(hw.src)
+        if src[0] == "out":
+            if src[1] in removed:
+                continue
+            src = ("out", old2new[src[1]], src[2])
+        if dst[0] == "in":
+            if dst[1] in removed:
+                continue
+            dst = ("in", old2new[dst[1]], dst[2])
+        wires.append((src, dst, ty))
+    first_new = len(wires)
+    for src, dst, ty in repl.wires:
+        if src[0] == "dom":
+            src = hw[m.dom_wires[src[1]]].src
+            if src[0] == "out":
+                src = ("out", old2new[src[1]], src[2])
         else:
-            src = ("out", base + w.src[1], w.src[2])
-        if w.dst[0] == "cod":
-            hw = host.wires[m.cod_wires[w.dst[1]]]
-            dst = remap(hw.dst)
+            src = ("out", base + src[1], src[2])
+        if dst[0] == "cod":
+            dst = hw[m.cod_wires[dst[1]]].dst
+            if dst[0] == "in":
+                dst = ("in", old2new[dst[1]], dst[2])
         else:
-            dst = ("in", base + w.dst[1], w.dst[2])
-        new_wires.append(Wire(src, dst, w.type))
-    out = Diagram(host.system, host.dom, host.cod, new_cells, new_wires)
-    return canonicalize(out).diagram
+            dst = ("in", base + dst[1], dst[2])
+        wires.append((src, dst, ty))
+    return cells, wires, range(base, len(cells)), range(first_new, len(wires))
+
+
+def _apply(host: Diagram, m: Match) -> Diagram:
+    """Rewrite the canonical host at a match the engine found on it; the
+    result is canonical.
+
+    Trusted: the match must be convex and located on this host, as every
+    match ``RuleEngine`` returns is.  Beyond ``_splice``'s local check
+    nothing is validated, and only the new cells and wires are
+    re-canonicalized (``diagram._canonical``).  ``apply_rule`` is the
+    validating entry point.
+    """
+    host = canonicalize(host).diagram
+    cells, wires, new_cells, new_wires = _splice(host, m)
+    return dg._canonical(host.system, host.dom, host.cod, cells, wires,
+                         new_cells, new_wires)
 
 
 def apply_rule(d: Diagram, m: Match) -> Diagram:
-    """Public application with staleness protection."""
-    if canonical_key(d) != m.host_key:
+    """Public application of any match, validated in full.
+
+    Rejects a match found on another diagram (StaleMatch), one naming cells
+    or wires the diagram lacks or that is not convex
+    (SideConditionViolation), and one whose attachments do not fit the
+    replacement (SortMismatch); the spliced diagram then goes through the
+    validating ``canonicalize``.
+    """
+    host = canonicalize(d).diagram
+    if host._key != m.host_key:
         raise StaleMatch("diagram changed since the match was found")
-    return _apply(d, m)
+    n_cells, n_wires = len(host.cells), len(host.wires)
+    named = m.cells + ((m.box_payload[0],) if m.box_payload else ())
+    if not (all(0 <= ci < n_cells for ci in named)
+            and all(0 <= wi < n_wires for wi in m.dom_wires + m.cod_wires)):
+        raise SideConditionViolation(
+            f"{m.rule.name}: match names cells or wires the diagram lacks")
+    if not _HostIndex(host, m.host_key).convex(set(m.cells), m.dom_wires,
+                                               m.cod_wires):
+        raise SideConditionViolation(f"{m.rule.name}: match is not convex")
+    cells, wires, _, _ = _splice(host, m)
+    return canonicalize(Diagram(host.system, host.dom, host.cod, cells,
+                                map(Wire._make, wires))).diagram
 
 
 # ---------------------------------------------------------------------------
@@ -218,28 +303,30 @@ def apply_rule(d: Diagram, m: Match) -> Diagram:
 def _preimage_words(f: TranslationFunctor, src_objects: tuple[str, ...],
                     target: Word, eps_cap: int = 3
                     ) -> tuple[list[Word], bool]:
-    """Source words whose image is exactly ``target``."""
+    """Source words whose image is exactly ``target``, in depth-first
+    order (an explicit stack: a recursive closure would be a reference
+    cycle)."""
     results: list[Word] = []
     complete = True
     images = {sym: f.word_image((sym,)) for sym in src_objects}
     ordered = sorted(src_objects)
-
-    def rec(pos: int, acc: list[str], eps_used: int) -> None:
-        nonlocal complete
+    stack: list[tuple[int, Word, int]] = [(0, (), 0)]
+    while stack:
         if len(results) >= 64:
             complete = False
-            return
+            break
+        pos, acc, eps_used = stack.pop()
         if pos == len(target):
-            results.append(tuple(acc))
+            results.append(acc)
+        children = []
         for s in ordered:
             img = images[s]
             if not img:
                 if eps_used < eps_cap:
-                    rec(pos, acc + [s], eps_used + 1)
+                    children.append((pos, acc + (s,), eps_used + 1))
             elif target[pos:pos + len(img)] == img:
-                rec(pos + len(img), acc + [s], eps_used)
-
-    rec(0, [], 0)
+                children.append((pos + len(img), acc + (s,), eps_used))
+        stack.extend(reversed(children))
     seen: set[Word] = set()
     uniq = [w for w in results if not (w in seen or seen.add(w))]
     return uniq, complete
@@ -331,13 +418,22 @@ def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
 # the engine
 
 
+FAMILIES = ("A", "E", "F", "M")
+
+
 class RuleEngine:
-    """Instantiates the rule families over one system and finds matches."""
+    """Instantiates the rule families over one system and finds matches.
+
+    ``families`` restricts matching to some of the rule families; only
+    those families' matchers run.
+    """
 
     def __init__(self, system: SystemOfLayers,
                  faithful_window_collapse: Iterable[tuple[str, str]] = (),
-                 equation_insertions: bool = False):
+                 equation_insertions: bool = False,
+                 families: Iterable[str] = FAMILIES):
         self.system = system
+        self.families = frozenset(families)
         self.collapse = frozenset(faithful_window_collapse)
         # applying an equation in the direction whose pattern is an
         # identity inserts a cancelling pair anywhere in any box; those
@@ -582,38 +678,22 @@ class RuleEngine:
                 m.cod_wires, payload)
 
     def matches(self, d: Diagram) -> list[Match]:
-        """Every rule application available on d, deterministically ordered."""
+        """Every rule application of the engine's families available on d,
+        deterministically ordered."""
         host = canonicalize(d).diagram
         key = canonical_key(host)
+        index = _HostIndex(host, key) if self.families - {"E"} else None
         found: list[Match] = []
-        found.extend(self._match_boxeq(host, key))
-        found.extend(self._match_f(host, key))
-        found.extend(self._match_a(host, key))
-        found.extend(self._match_m(host, key))
+        for family, matcher in (("E", self._match_boxeq),
+                                ("F", self._match_f), ("A", self._match_a),
+                                ("M", self._match_m)):
+            if family in self.families:
+                found.extend(matcher(host, key, index))
         found.sort(key=self._sort_key)
         return found
 
-    @staticmethod
-    def _ports(host: Diagram):
-        """Lookups ``wire_in(ci, pi)`` and ``wire_out(ci, pi)``: the wire at
-        an input or output port of a cell."""
-        by_src: dict = {}
-        by_dst: dict = {}
-        for wi, w in enumerate(host.wires):
-            by_src[w.src] = wi
-            by_dst[w.dst] = wi
-        return (lambda ci, pi=0: by_dst[("in", ci, pi)],
-                lambda ci, pi=0: by_src[("out", ci, pi)])
-
-    @staticmethod
-    def _offer(out, host, key, rule, orientation, cells, dom_wires,
-               cod_wires) -> None:
-        """Append the match at these cells and wires if it is convex."""
-        if _is_convex(host, set(cells), dom_wires, cod_wires):
-            out.append(Match(rule, orientation, tuple(cells),
-                             tuple(dom_wires), tuple(cod_wires), key))
-
-    def _match_boxeq(self, host: Diagram, key: tuple) -> list[Match]:
+    def _match_boxeq(self, host: Diagram, key: tuple,
+                     index: _HostIndex | None) -> list[Match]:
         out: list[Match] = []
         for ci, cell in enumerate(host.cells):
             if not isinstance(cell, InternalBox):
@@ -651,9 +731,10 @@ class RuleEngine:
                                               dom_word, cod_word)
         return self._lift_cache[ck]
 
-    def _match_f(self, host: Diagram, key: tuple) -> list[Match]:
+    def _match_f(self, host: Diagram, key: tuple,
+                 index: _HostIndex) -> list[Match]:
         out: list[Match] = []
-        wire_in, wire_out = self._ports(host)
+        wire_in, wire_out, offer = index.wire_in, index.wire_out, index.offer
         for ci, cell in enumerate(host.cells):
             if isinstance(cell, InternalBox):
                 sig = self.system.signature(cell.layer)
@@ -663,16 +744,16 @@ class RuleEngine:
                 if isinstance(nxt, Refine) and nxt.source == cell.layer:
                     f = self.system.functor(nxt.source, nxt.target)
                     rule = self._rule(self.rule_f1, f, cell.content)
-                    self._offer(out, host, key, rule, "fwd", (ci, dst[1]),
-                                (wire_in(ci),), (wire_out(dst[1]),))
+                    offer(out, rule, "fwd", (ci, dst[1]),
+                          (wire_in(ci),), (wire_out(dst[1]),))
                 # F2 bwd: image box feeding coarsen
                 if isinstance(nxt, Coarsen) and nxt.target == cell.layer:
                     f = self.system.functor(nxt.source, nxt.target)
                     lifts, _ = self._lift(f, cell.content, None, nxt.word)
                     for sigma in lifts:
                         rule = self._rule(self.rule_f2, f, sigma)
-                        self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
-                                    (wire_in(ci),), (wire_out(dst[1]),))
+                        offer(out, rule, "bwd", (ci, dst[1]),
+                              (wire_in(ci),), (wire_out(dst[1]),))
                 # F4 bwd: box feeding copants
                 if isinstance(nxt, Copants) and nxt.layer == cell.layer:
                     for top, bottom in internal.split_beside(cell.content,
@@ -683,9 +764,9 @@ class RuleEngine:
                             continue
                         rule = self._rule(self.rule_f4, cell.layer, top,
                                           bottom)
-                        self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
-                                    (wire_in(ci),),
-                                    (wire_out(dst[1], 0), wire_out(dst[1], 1)))
+                        offer(out, rule, "bwd", (ci, dst[1]),
+                              (wire_in(ci),),
+                              (wire_out(dst[1], 0), wire_out(dst[1], 1)))
                 # F3 bwd: pants feeding box
                 src = host.wires[wire_in(ci)].src
                 prev = host.cells[src[1]] if src[0] == "out" else None
@@ -698,9 +779,9 @@ class RuleEngine:
                             continue
                         rule = self._rule(self.rule_f3, cell.layer, top,
                                           bottom)
-                        self._offer(out, host, key, rule, "bwd", (src[1], ci),
-                                    (wire_in(src[1], 0), wire_in(src[1], 1)),
-                                    (wire_out(ci),))
+                        offer(out, rule, "bwd", (src[1], ci),
+                              (wire_in(src[1], 0), wire_in(src[1], 1)),
+                              (wire_out(ci),))
             elif isinstance(cell, Refine):
                 # F1 bwd: refine feeding a box over the target layer
                 dst = host.wires[wire_out(ci)].dst
@@ -710,8 +791,8 @@ class RuleEngine:
                     lifts, _ = self._lift(f, nxt.content, cell.word, None)
                     for sigma in lifts:
                         rule = self._rule(self.rule_f1, f, sigma)
-                        self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
-                                    (wire_in(ci),), (wire_out(dst[1]),))
+                        offer(out, rule, "bwd", (ci, dst[1]),
+                              (wire_in(ci),), (wire_out(dst[1]),))
             elif isinstance(cell, Coarsen):
                 # F2 fwd: coarsen feeding a box over the source layer
                 dst = host.wires[wire_out(ci)].dst
@@ -719,8 +800,8 @@ class RuleEngine:
                 if isinstance(nxt, InternalBox) and nxt.layer == cell.source:
                     f = self.system.functor(cell.source, cell.target)
                     rule = self._rule(self.rule_f2, f, nxt.content)
-                    self._offer(out, host, key, rule, "fwd", (ci, dst[1]),
-                                (wire_in(ci),), (wire_out(dst[1]),))
+                    offer(out, rule, "fwd", (ci, dst[1]),
+                          (wire_in(ci),), (wire_out(dst[1]),))
             elif isinstance(cell, Pants):
                 # F3 fwd: strands into pants, at least one a box
                 w0, w1 = wire_in(ci, 0), wire_in(ci, 1)
@@ -735,8 +816,8 @@ class RuleEngine:
                                       if x is not None)
                         d0 = wire_in(b0) if b0 is not None else w0
                         d1 = wire_in(b1) if b1 is not None else w1
-                        self._offer(out, host, key, rule, "fwd", cells,
-                                    (d0, d1), (wire_out(ci),))
+                        offer(out, rule, "fwd", cells,
+                              (d0, d1), (wire_out(ci),))
             elif isinstance(cell, Copants):
                 # F4 fwd: copants into strands, at least one a box
                 w0, w1 = wire_out(ci, 0), wire_out(ci, 1)
@@ -751,8 +832,8 @@ class RuleEngine:
                                       if x is not None)
                         e0 = wire_out(b0) if b0 is not None else w0
                         e1 = wire_out(b1) if b1 is not None else w1
-                        self._offer(out, host, key, rule, "fwd", cells,
-                                    (wire_in(ci),), (e0, e1))
+                        offer(out, rule, "fwd", cells,
+                              (wire_in(ci),), (e0, e1))
         return out
 
     @staticmethod
@@ -766,17 +847,18 @@ class RuleEngine:
                 opts.append((cell.content, end[1]))
         return opts
 
-    def _match_a(self, host: Diagram, key: tuple) -> list[Match]:
+    def _match_a(self, host: Diagram, key: tuple,
+                 index: _HostIndex) -> list[Match]:
         out: list[Match] = []
-        wire_in, wire_out = self._ports(host)
+        wire_in, wire_out, offer = index.wire_in, index.wire_out, index.offer
         for wi, w in enumerate(host.wires):
             for wj, v in enumerate(host.wires):
                 if wi == wj or w.type[0] != v.type[0]:
                     continue
                 rule = self._rule(self.rule_a1, w.type[0], w.type[1],
                                   v.type[1])
-                self._offer(out, host, key, rule, "fwd", (), (wi, wj),
-                            (wi, wj))
+                offer(out, rule, "fwd", (), (wi, wj),
+                      (wi, wj))
         for wi, w in enumerate(host.wires):
             layer, word = w.type
             for f in self.functors_by_source.get(layer, ()):
@@ -793,8 +875,8 @@ class RuleEngine:
                             (nxt.alpha, nxt.beta) == (cell.alpha, cell.beta):
                         rule = self._rule(self.rule_a2, cell.layer,
                                           cell.alpha, cell.beta)
-                        self._offer(out, host, key, rule, "fwd", (ci, d0[1]),
-                                    (wire_in(ci),), (wire_out(d0[1]),))
+                        offer(out, rule, "fwd", (ci, d0[1]),
+                              (wire_in(ci),), (wire_out(d0[1]),))
             elif isinstance(cell, Coarsen):
                 dst = host.wires[wire_out(ci)].dst
                 nxt = host.cells[dst[1]] if dst[0] == "in" else None
@@ -803,8 +885,8 @@ class RuleEngine:
                         == (cell.source, cell.target, cell.word)):
                     f = self.system.functor(cell.source, cell.target)
                     rule = self._rule(self.rule_a4, f, cell.word)
-                    self._offer(out, host, key, rule, "fwd", (ci, dst[1]),
-                                (wire_in(ci),), (wire_out(dst[1]),))
+                    offer(out, rule, "fwd", (ci, dst[1]),
+                          (wire_in(ci),), (wire_out(dst[1]),))
             elif isinstance(cell, Refine):
                 if (cell.source, cell.target) in self.collapse:
                     dst = host.wires[wire_out(ci)].dst
@@ -814,23 +896,24 @@ class RuleEngine:
                             == (cell.source, cell.target, cell.word)):
                         f = self.system.functor(cell.source, cell.target)
                         rule = self._rule(self.rule_a3c, f, cell.word)
-                        self._offer(out, host, key, rule, "fwd", (ci, dst[1]),
-                                    (wire_in(ci),), (wire_out(dst[1]),))
+                        offer(out, rule, "fwd", (ci, dst[1]),
+                              (wire_in(ci),), (wire_out(dst[1]),))
             elif isinstance(cell, Cap):
                 for cj, other in enumerate(host.cells):
                     if isinstance(other, Cup) and other.layer == cell.layer:
                         rule = self._rule(self.rule_a6, cell.layer)
-                        self._offer(out, host, key, rule, "fwd", (ci, cj),
-                                    (wire_in(ci),), (wire_out(cj),))
+                        offer(out, rule, "fwd", (ci, cj),
+                              (wire_in(ci),), (wire_out(cj),))
         if not host.cells and not host.wires:
             for layer in sorted(self.system.layers):
                 out.append(Match(self._rule(self.rule_a5, layer), "fwd",
                                  (), (), (), key))
         return out
 
-    def _match_m(self, host: Diagram, key: tuple) -> list[Match]:
+    def _match_m(self, host: Diagram, key: tuple,
+                 index: _HostIndex) -> list[Match]:
         out: list[Match] = []
-        wire_in, wire_out = self._ports(host)
+        wire_in, wire_out, offer = index.wire_in, index.wire_out, index.offer
         for ci, cell in enumerate(host.cells):
             if isinstance(cell, Pants):
                 w0, w1 = wire_in(ci, 0), wire_in(ci, 1)
@@ -843,45 +926,45 @@ class RuleEngine:
                         and cell.alpha == p0.alpha + p0.beta):
                     rule = self._rule(self.rule_m1, cell.layer, p0.alpha,
                                       p0.beta, cell.beta)
-                    self._offer(out, host, key, rule, "fwd", (s0[1], ci),
-                                (wire_in(s0[1], 0), wire_in(s0[1], 1), w1),
-                                (wout,))
+                    offer(out, rule, "fwd", (s0[1], ci),
+                          (wire_in(s0[1], 0), wire_in(s0[1], 1), w1),
+                          (wout,))
                 if (isinstance(p1, Pants) and s1[2] == 0
                         and p1.layer == cell.layer
                         and cell.beta == p1.alpha + p1.beta):
                     rule = self._rule(self.rule_m1, cell.layer, cell.alpha,
                                       p1.alpha, p1.beta)
-                    self._offer(out, host, key, rule, "bwd", (s1[1], ci),
-                                (w0, wire_in(s1[1], 0), wire_in(s1[1], 1)),
-                                (wout,))
+                    offer(out, rule, "bwd", (s1[1], ci),
+                          (w0, wire_in(s1[1], 0), wire_in(s1[1], 1)),
+                          (wout,))
                 if (isinstance(p0, Cup) and cell.alpha == EPSILON
                         and p0.layer == cell.layer):
                     rule = self._rule(self.rule_m3, cell.layer, cell.beta, "l")
-                    self._offer(out, host, key, rule, "fwd", (s0[1], ci),
-                                (w1,), (wout,))
+                    offer(out, rule, "fwd", (s0[1], ci),
+                          (w1,), (wout,))
                 if (isinstance(p1, Cup) and cell.beta == EPSILON
                         and p1.layer == cell.layer):
                     rule = self._rule(self.rule_m3, cell.layer, cell.alpha,
                                       "r")
-                    self._offer(out, host, key, rule, "fwd", (s1[1], ci),
-                                (w0,), (wout,))
+                    offer(out, rule, "fwd", (s1[1], ci),
+                          (w0,), (wout,))
                 if (isinstance(p0, Refine) and isinstance(p1, Refine)
                         and s0[1] != s1[1]
                         and (p0.source, p0.target) == (p1.source, p1.target)
                         and p0.target == cell.layer):
                     f = self.system.functor(p0.source, p0.target)
                     rule = self._rule(self.rule_m5a, f, p0.word, p1.word)
-                    self._offer(out, host, key, rule, "fwd",
-                                (s0[1], s1[1], ci),
-                                (wire_in(s0[1]), wire_in(s1[1])), (wout,))
+                    offer(out, rule, "fwd",
+                          (s0[1], s1[1], ci),
+                          (wire_in(s0[1]), wire_in(s1[1])), (wout,))
                 dsto = host.wires[wout].dst
                 n = host.cells[dsto[1]] if dsto[0] == "in" else None
                 if (isinstance(n, Refine) and n.source == cell.layer
                         and n.word == cell.alpha + cell.beta):
                     f = self.system.functor(n.source, n.target)
                     rule = self._rule(self.rule_m5a, f, cell.alpha, cell.beta)
-                    self._offer(out, host, key, rule, "bwd", (ci, dsto[1]),
-                                (w0, w1), (wire_out(dsto[1]),))
+                    offer(out, rule, "bwd", (ci, dsto[1]),
+                          (w0, w1), (wire_out(dsto[1]),))
             elif isinstance(cell, Copants):
                 win = wire_in(ci)
                 w0, w1 = wire_out(ci, 0), wire_out(ci, 1)
@@ -893,45 +976,45 @@ class RuleEngine:
                         and cell.alpha == n0.alpha + n0.beta):
                     rule = self._rule(self.rule_m2, cell.layer, n0.alpha,
                                       n0.beta, cell.beta)
-                    self._offer(out, host, key, rule, "fwd", (ci, d0[1]),
-                                (win,),
-                                (wire_out(d0[1], 0), wire_out(d0[1], 1), w1))
+                    offer(out, rule, "fwd", (ci, d0[1]),
+                          (win,),
+                          (wire_out(d0[1], 0), wire_out(d0[1], 1), w1))
                 if (isinstance(n1, Copants) and d1[2] == 0
                         and n1.layer == cell.layer
                         and cell.beta == n1.alpha + n1.beta):
                     rule = self._rule(self.rule_m2, cell.layer, cell.alpha,
                                       n1.alpha, n1.beta)
-                    self._offer(out, host, key, rule, "bwd", (ci, d1[1]),
-                                (win,),
-                                (w0, wire_out(d1[1], 0), wire_out(d1[1], 1)))
+                    offer(out, rule, "bwd", (ci, d1[1]),
+                          (win,),
+                          (w0, wire_out(d1[1], 0), wire_out(d1[1], 1)))
                 if (isinstance(n0, Cap) and cell.alpha == EPSILON
                         and n0.layer == cell.layer):
                     rule = self._rule(self.rule_m4, cell.layer, cell.beta, "l")
-                    self._offer(out, host, key, rule, "fwd", (ci, d0[1]),
-                                (win,), (w1,))
+                    offer(out, rule, "fwd", (ci, d0[1]),
+                          (win,), (w1,))
                 if (isinstance(n1, Cap) and cell.beta == EPSILON
                         and n1.layer == cell.layer):
                     rule = self._rule(self.rule_m4, cell.layer, cell.alpha,
                                       "r")
-                    self._offer(out, host, key, rule, "fwd", (ci, d1[1]),
-                                (win,), (w0,))
+                    offer(out, rule, "fwd", (ci, d1[1]),
+                          (win,), (w0,))
                 if (isinstance(n0, Coarsen) and isinstance(n1, Coarsen)
                         and d0[1] != d1[1]
                         and (n0.source, n0.target) == (n1.source, n1.target)
                         and n0.target == cell.layer):
                     f = self.system.functor(n0.source, n0.target)
                     rule = self._rule(self.rule_m6a, f, n0.word, n1.word)
-                    self._offer(out, host, key, rule, "fwd",
-                                (ci, d0[1], d1[1]), (win,),
-                                (wire_out(d0[1]), wire_out(d1[1])))
+                    offer(out, rule, "fwd",
+                          (ci, d0[1], d1[1]), (win,),
+                          (wire_out(d0[1]), wire_out(d1[1])))
                 srci = host.wires[win].src
                 p = host.cells[srci[1]] if srci[0] == "out" else None
                 if (isinstance(p, Coarsen) and p.source == cell.layer
                         and p.word == cell.alpha + cell.beta):
                     f = self.system.functor(p.source, p.target)
                     rule = self._rule(self.rule_m6a, f, cell.alpha, cell.beta)
-                    self._offer(out, host, key, rule, "bwd", (srci[1], ci),
-                                (wire_in(srci[1]),), (w0, w1))
+                    offer(out, rule, "bwd", (srci[1], ci),
+                          (wire_in(srci[1]),), (w0, w1))
             elif isinstance(cell, Cup):
                 wo = wire_out(ci)
                 dst = host.wires[wo].dst
@@ -940,11 +1023,11 @@ class RuleEngine:
                         and n.word == EPSILON):
                     f = self.system.functor(n.source, n.target)
                     rule = self._rule(self.rule_m5b, f)
-                    self._offer(out, host, key, rule, "fwd", (ci, dst[1]), (),
-                                (wire_out(dst[1]),))
+                    offer(out, rule, "fwd", (ci, dst[1]), (),
+                          (wire_out(dst[1]),))
                 for f in self.functors_by_target.get(cell.layer, ()):
                     rule = self._rule(self.rule_m5b, f)
-                    self._offer(out, host, key, rule, "bwd", (ci,), (), (wo,))
+                    offer(out, rule, "bwd", (ci,), (), (wo,))
             elif isinstance(cell, Cap):
                 win = wire_in(ci)
                 src = host.wires[win].src
@@ -953,11 +1036,11 @@ class RuleEngine:
                         and p.word == EPSILON):
                     f = self.system.functor(p.source, p.target)
                     rule = self._rule(self.rule_m6b, f)
-                    self._offer(out, host, key, rule, "fwd", (src[1], ci),
-                                (wire_in(src[1]),), ())
+                    offer(out, rule, "fwd", (src[1], ci),
+                          (wire_in(src[1]),), ())
                 for f in self.functors_by_target.get(cell.layer, ()):
                     rule = self._rule(self.rule_m6b, f)
-                    self._offer(out, host, key, rule, "bwd", (ci,), (win,), ())
+                    offer(out, rule, "bwd", (ci,), (win,), ())
         for wi, w in enumerate(host.wires):
             layer, word = w.type
             for side in ("l", "r"):
@@ -969,11 +1052,15 @@ class RuleEngine:
     # -- anti-moves: locate right-hand sides of one-directional rules
 
     def anti_matches(self, d: Diagram) -> list[Match]:
-        """Predecessor moves: the mechanical inverses of A-family rules."""
+        """Predecessor moves: the mechanical inverses of A-family rules
+        (none when the engine leaves out the A family)."""
+        if "A" not in self.families:
+            return []
         host = canonicalize(d).diagram
         key = canonical_key(host)
         out: list[Match] = []
-        wire_in, wire_out = self._ports(host)
+        index = _HostIndex(host, key)
+        wire_in, wire_out, offer = index.wire_in, index.wire_out, index.offer
         for ci, cell in enumerate(host.cells):
             if isinstance(cell, Pants):
                 dst = host.wires[wire_out(ci)].dst
@@ -983,9 +1070,9 @@ class RuleEngine:
                         (nxt.alpha, nxt.beta) == (cell.alpha, cell.beta):
                     rule = self._rule(self.rule_a1, cell.layer,
                                       cell.alpha, cell.beta)
-                    self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
-                                (wire_in(ci), wire_in(ci, 1)),
-                                (wire_out(dst[1]), wire_out(dst[1], 1)))
+                    offer(out, rule, "bwd", (ci, dst[1]),
+                          (wire_in(ci), wire_in(ci, 1)),
+                          (wire_out(dst[1]), wire_out(dst[1], 1)))
             elif isinstance(cell, Refine):
                 dst = host.wires[wire_out(ci)].dst
                 nxt = host.cells[dst[1]] if dst[0] == "in" else None
@@ -994,8 +1081,8 @@ class RuleEngine:
                         == (cell.source, cell.target, cell.word)):
                     f = self.system.functor(cell.source, cell.target)
                     rule = self._rule(self.rule_a3, f, cell.word)
-                    self._offer(out, host, key, rule, "bwd", (ci, dst[1]),
-                                (wire_in(ci),), (wire_out(dst[1]),))
+                    offer(out, rule, "bwd", (ci, dst[1]),
+                          (wire_in(ci),), (wire_out(dst[1]),))
             elif isinstance(cell, Cup):
                 # anti-A5 mirrors the forward restriction: the predecessor
                 # must be the empty diagram
@@ -1053,7 +1140,7 @@ class RuleEngine:
         host = canonicalize(d).diagram
         if self.isolation_matches(host):
             return False
-        _, wire_out = self._ports(host)
+        wire_out = _HostIndex(host, None).wire_out
         for ci, cell in enumerate(host.cells):
             dst = host.wires[wire_out(ci)].dst \
                 if cell.out_ports() else (None,)
@@ -1185,8 +1272,10 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     The budget counts rule applications across both frontiers.  A returned
     derivation replays from src to dst; the search expands the smaller
     frontier first, deterministically.  ``rule_filter`` restricts the move
-    set (it receives each Match and may veto it).
+    set (it receives each Match and may veto it).  A negative budget is
+    rejected with MalformedInput.
     """
+    check_count("budget", budget)
     if src.sort != dst.sort:
         raise SortMismatch("derivation endpoints must be parallel")
     if engine is None:

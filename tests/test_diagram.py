@@ -1,10 +1,12 @@
 """Diagram construction, canonical forms, and structural equality."""
 
 import gc
+import itertools
 import random
 
 import pytest
 
+import genterms
 from layerprop import diagram as dg
 from layerprop import internal, jsonio, models
 from layerprop import rewrite as rw
@@ -124,6 +126,140 @@ def test_search_leaves_no_cyclic_garbage(two_layer):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# completeness oracle: equal canonical keys exactly for isomorphic diagrams,
+# with the internal quotient recomputed naively and isomorphism found by
+# trying every cell permutation
+
+
+def _quotient(d):
+    """Cells and wire triples of d after the internal quotient: symmetries
+    spliced out, boxes joined port to port fused, identity boxes dropped,
+    box contents in interchange normal form."""
+    cells = dict(enumerate(d.cells))
+    wires = {(w.src, w.dst, w.type) for w in d.wires}
+
+    def at(end, side):
+        return next(w for w in wires if w[side] == end)
+
+    changed = True
+    while changed:
+        changed = False
+        for ci, cell in cells.items():
+            if isinstance(cell, dg.SheetSym):
+                i0, i1 = at(("in", ci, 0), 1), at(("in", ci, 1), 1)
+                o0, o1 = at(("out", ci, 0), 0), at(("out", ci, 1), 0)
+                wires -= {i0, i1, o0, o1}
+                wires |= {(i0[0], o1[1], i0[2]), (i1[0], o0[1], i1[2])}
+                del cells[ci]
+            elif isinstance(cell, dg.InternalBox):
+                out = at(("out", ci, 0), 0)
+                nxt = cells.get(out[1][1]) if out[1][0] == "in" else None
+                if isinstance(nxt, dg.InternalBox):
+                    far = at(("out", out[1][1], 0), 0)
+                    cells[ci] = dg.InternalBox(
+                        cell.layer, cell.content.then(nxt.content))
+                    wires -= {out, far}
+                    wires.add((("out", ci, 0), far[1], far[2]))
+                    del cells[out[1][1]]
+                elif not cell.content.slices:
+                    inp = at(("in", ci, 0), 1)
+                    wires -= {inp, out}
+                    wires.add((inp[0], out[1], inp[2]))
+                    del cells[ci]
+                else:
+                    continue
+            else:
+                continue
+            changed = True
+            break
+    sig_of = d.system.signature
+    for ci, cell in cells.items():
+        if isinstance(cell, dg.InternalBox):
+            cells[ci] = dg.InternalBox(cell.layer, internal.canonicalize(
+                cell.content, sig_of(cell.layer)))
+    return cells, wires
+
+
+def _isomorphic(qx, qy) -> bool:
+    (cx, wx), (cy, wy) = qx, qy
+    ids_x, ids_y = sorted(cx), sorted(cy)
+    for perm in itertools.permutations(ids_y):
+        to = dict(zip(ids_x, perm))
+        if any(cx[i] != cy[to[i]] for i in ids_x):
+            continue
+
+        def remap(ep):
+            return (ep[0], to[ep[1]], ep[2]) if ep[0] in ("in", "out") else ep
+
+        if {(remap(src), remap(dst), ty) for src, dst, ty in wx} == wy:
+            return True
+    return False
+
+
+def _relabeled(d, rng):
+    """d with its cells renumbered and its wires reordered."""
+    perm = list(range(len(d.cells)))
+    rng.shuffle(perm)
+    cells = [None] * len(perm)
+    for ci, cell in enumerate(d.cells):
+        cells[perm[ci]] = cell
+
+    def remap(ep):
+        return (ep[0], perm[ep[1]], ep[2]) if ep[0] in ("in", "out") else ep
+
+    wires = [dg.Wire(remap(w.src), remap(w.dst), w.type) for w in d.wires]
+    rng.shuffle(wires)
+    return dg.Diagram(d.system, d.dom, d.cod, cells, wires)
+
+
+def _rewired(d, rng):
+    """d with the consumers of two wires of one type swapped, or None when
+    there are no such wires or the swap makes a cycle."""
+    pairs = [(i, j) for i, v in enumerate(d.wires)
+             for j, w in enumerate(d.wires) if i < j and v.type == w.type]
+    if not pairs:
+        return None
+    i, j = rng.choice(pairs)
+    wires = list(d.wires)
+    v, w = wires[i], wires[j]
+    wires[i], wires[j] = (dg.Wire(v.src, w.dst, v.type),
+                          dg.Wire(w.src, v.dst, w.type))
+    out = dg.Diagram(d.system, d.dom, d.cod, d.cells, wires)
+    try:
+        dg.validate_diagram(out)
+    except SortMismatch:
+        return None
+    return out
+
+
+def test_canonical_keys_equal_exactly_for_isomorphic_diagrams(two_layer):
+    rng = random.Random(61)
+    sample = []
+    for t in genterms.random_terms(two_layer, rng, 60, max_cells=6):
+        d = terms.build(t, two_layer)
+        mutated = terms.build(genterms.mutate(t, two_layer, rng), two_layer)
+        sample += [d, _relabeled(d, rng), mutated, _rewired(d, rng),
+                   _rewired(mutated, rng)]
+    sample = [d for d in sample if d is not None]
+    quotients = [_quotient(d) for d in sample]
+    keys = [dg.canonical_key(d) for d in sample]
+    outcomes = {True: 0, False: 0}
+    for i, j in itertools.combinations(range(len(sample)), 2):
+        (cx, wx), (cy, wy) = quotients[i], quotients[j]
+        x, y = sample[i], sample[j]
+        if ((x.dom, x.cod, len(wx)) != (y.dom, y.cod, len(wy))
+                or sorted(map(repr, cx.values()))
+                != sorted(map(repr, cy.values()))):
+            assert keys[i] != keys[j]
+            continue
+        iso = _isomorphic(quotients[i], quotients[j])
+        assert (keys[i] == keys[j]) == iso, (i, j)
+        outcomes[iso] += 1
+    # both directions are exercised: isomorphic pairs presented
+    # differently, and pairs alike in cells and boundary that differ
+    assert outcomes[True] >= 100 and outcomes[False] >= 20, outcomes
 
 
 def test_sym_involution(single_layer):

@@ -207,6 +207,9 @@ def test_nat_search_too_large():
                       lambda g, x, a, b: x, lambda x, h, a, b: x)
     with pytest.raises(SearchTooLarge):
         pf.nat_trans_search(p, p, cap=10)
+    # a point that settles one element leaves 9^8 assignments
+    with pytest.raises(SearchTooLarge):
+        pf.nat_trans_search(p, p, point=(("o", "o", "m0"), "m0"), cap=10)
 
 
 def test_up_product_iso(arrow, z3):

@@ -1,14 +1,17 @@
 """Rule matching, application round-trips, derivation search, isolation."""
 
+import gc
 import random
 
 import pytest
 
+import genterms
 from layerprop import diagram as dg
-from layerprop import internal, models
+from layerprop import internal, models, terms
 from layerprop import rewrite as rw
 from layerprop.diagram import canonical_key, canonicalize
-from layerprop.errors import SortMismatch, StaleMatch
+from layerprop.errors import (LayerPropError, MalformedInput, SortMismatch,
+                              StaleMatch)
 from layerprop.internal import InternalDiagram
 from layerprop.theory import sheet
 
@@ -551,3 +554,126 @@ def test_backward_deletion_needs_insertions():
     assert [(m.rule.name, m.orientation) for m in dv.steps] == \
         [("E[MU;m1m2_id]", "bwd")]
     assert rw.verify_derivation(dv)
+
+
+def _check_splice(host, m):
+    """The trusted application agrees with the validating one."""
+    out = rw._apply(host, m)
+    dg.validate_diagram(out)
+    assert out._key == canonical_key(rw.apply_rule(host, m))
+
+
+def test_trusted_apply_matches_validating_path(two_layer, monkeypatch):
+    # every application the pinned searches make, re-done through the
+    # validating public path
+    cases = _pinned_cases(two_layer)
+    made = []
+    trusted = rw._apply
+
+    def recording(host, m):
+        made.append((host, m))
+        return trusted(host, m)
+
+    monkeypatch.setattr(rw, "_apply", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        for src, dst, budget in cases.values():
+            rw.find_derivation(src, dst, budget)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    monkeypatch.undo()
+    assert len(made) > 3000
+    for host, m in made:
+        _check_splice(host, m)
+    # and every match on random hosts, and on hosts where a splice joins
+    # two boxes (A2, A4, F1) or empties one (deleting m1;m2), so that the
+    # quotient runs again
+    rng = random.Random(17)
+    two, mon = two_layer, models.monoid_model().system
+    hosts = [(two, terms.build(t, two))
+             for t in genterms.random_terms(two, rng, 40, max_cells=6)]
+    hosts += [
+        (two, dg.seq_many(dg.gen_box(two, "U", "g"),
+                          dg.copants(two, "U", ("b",), ()),
+                          dg.pants(two, "U", ("b",), ()),
+                          dg.gen_box(two, "U", "h"))),
+        (two, dg.seq_many(dg.gen_box(two, "L", "gl"),
+                          dg.coarsen(two, "U", "L", ("b",)),
+                          dg.refine(two, "U", "L", ("b",)),
+                          dg.gen_box(two, "L", "hl"))),
+        (two, dg.seq_many(dg.gen_box(two, "U", "g"),
+                          dg.refine(two, "U", "L", ("b",)),
+                          dg.gen_box(two, "L", "hl"))),
+        (mon, _box(mon, "MU", "u", ["m1", "m2"])),
+    ]
+    checked = 0
+    for system, d in hosts:
+        engine = rw.RuleEngine(system, equation_insertions=True)
+        host = canonicalize(d).diagram
+        for m in engine.matches(host):
+            _check_splice(host, m)
+            checked += 1
+    assert checked > 900
+    # new box contents are put in interchange normal form
+    aa = ("a", "a")
+    host = canonicalize(dg.seq_compose(
+        dg.box(two, InternalDiagram("U", aa, aa, ((0, "u"), (1, "u")))),
+        dg.copants(two, "U", ("a",), ("a",)))).diagram
+    m = next(m for m in rw.RuleEngine(two).matches(host) if m.box_payload)
+    unsorted = InternalDiagram("U", aa, aa, ((1, "u"), (0, "u")))
+    _check_splice(host, rw.Match(m.rule, m.orientation, m.cells, (), (),
+                                 m.host_key, (m.cells[0], unsorted)))
+
+
+def test_apply_rule_rejects_forged_matches(two_layer, engine):
+    frame = dg.seq_compose(dg.refine(two_layer, "U", "L", ("a",)),
+                           dg.coarsen(two_layer, "U", "L", ("a",)))
+    host = canonicalize(dg.par_tensor(
+        frame, dg.identity(two_layer, sheet("U", ("b",))))).diagram
+    key = canonical_key(host)
+    by_type = {}
+    for wi, w in enumerate(host.wires):
+        by_type.setdefault(w.type, []).append(wi)
+    (a_in, a_out), (b_wire,) = by_type[("U", ("a",))], by_type[("U", ("b",))]
+    a3 = engine.rule_a3(two_layer.functor("U", "L"), ("a",))
+    a1 = engine.rule_a1("U", ("a",), ("a",))
+    forged = [
+        # the sheet of b where the rule wants a sheet of a
+        rw.Match(a3, "fwd", (), (b_wire,), (b_wire,), key),
+        # pants and copants around the frame: a path leaves the match's
+        # output attachment and comes back to its input attachment
+        rw.Match(a1, "fwd", (), (a_in, a_out), (a_in, a_out), key),
+        rw.Match(a3, "fwd", (), (len(host.wires),), (0,), key),
+    ]
+    for m in forged:
+        with pytest.raises(LayerPropError):
+            rw.apply_rule(host, m)
+        with pytest.raises(LayerPropError):
+            rw.Derivation(host, [m]).end()
+    # the trusted path keeps its local type check
+    with pytest.raises(SortMismatch):
+        rw._apply(host, forged[0])
+    # an equation payload that changes its box's type
+    box = canonicalize(_box(two_layer, "U", "a", ["g", "h"])).diagram
+    good = next(m for m in engine.matches(box) if m.box_payload is not None)
+    bad = rw.Match(good.rule, good.orientation, good.cells, (), (),
+                   good.host_key,
+                   (0, InternalDiagram("U", ("b",), ("b",), ())))
+    for apply in (rw.apply_rule, rw._apply):
+        with pytest.raises(SortMismatch):
+            apply(box, bad)
+    rw.apply_rule(box, good)
+
+
+def test_negative_budgets_rejected(two_layer):
+    u = _box(two_layer, "U", "a", ["u"])
+    uu = _box(two_layer, "U", "a", ["u", "u"])
+    with pytest.raises(MalformedInput,
+                       match="^budget must not be negative, got -5$"):
+        rw.find_derivation(u, uu, -5)
+    with pytest.raises(MalformedInput,
+                       match="^budget must not be negative, got -3$"):
+        dg.layer_eq(u, uu, -3)
+    assert rw.find_derivation(u, uu, 0) == rw.NotFound(0)

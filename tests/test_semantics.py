@@ -269,12 +269,28 @@ def test_interpret_isomorphic_to_coend_fold(make, words, every):
         for side in (rule.lhs, rule.rhs):
             new, ref = sm.interpret(model, side), reference_interpret(model,
                                                                       side)
-            # the cap bounds the raw assignment space, which propagation
-            # never enumerates
+            # the cap bounds the assignment space left after the point's
+            # closure, which propagation never enumerates
             assert pf.pointed_two_cell(new, ref, iso=True,
                                        cap=10 ** 30) is not None
             assert pf.pointed_two_cell(ref, new, iso=True,
                                        cap=10 ** 30) is not None
+
+
+def test_nat_search_cap_counts_after_point_closure(monoid_model):
+    # the two sheets A1[ML;e;e] starts from have 9^9 raw assignments
+    # against the coend fold, and the point's closure settles all of them
+    side = rw.RuleEngine(monoid_model.system).rule_a1("ML", (), ()).lhs
+    new = sm.interpret(monoid_model, side)
+    ref = reference_interpret(monoid_model, side)
+    raw = 1
+    for a in new.prof.source.objects:
+        for b in new.prof.target.objects:
+            raw *= len(ref.prof.elements(a, b)) ** len(new.prof.elements(a,
+                                                                         b))
+    assert raw == 387_420_489
+    assert pf.pointed_two_cell(new, ref, iso=True) is not None
+    assert pf.pointed_two_cell(ref, new, iso=True) is not None
 
 
 # -- syntax-semantics soundness -----------------------------------------------
