@@ -1,6 +1,7 @@
 """Rule matching, application round-trips, derivation search, isolation."""
 
 import gc
+import hashlib
 import random
 
 import pytest
@@ -677,3 +678,95 @@ def test_negative_budgets_rejected(two_layer):
                        match="^budget must not be negative, got -3$"):
         dg.layer_eq(u, uu, -3)
     assert rw.find_derivation(u, uu, 0) == rw.NotFound(0)
+
+
+# ---------------------------------------------------------------------------
+# pinned match sets: every match and anti-match two engines offer on a fixed
+# corpus, down to the cells, wires, rule parameters and rule sides
+
+SAMPLE_POOLS = {
+    "two": {"U": [(), ("a",), ("b",)], "L": [(), ("x",), ("y",)]},
+    "monoid": {"MU": [(), ("u",), ("u", "u")], "ML": [(), ("v",)]},
+    "meet": {"Ar": [(), ("lo",), ("hi",)],
+             "Sq": [(), ("q",), ("r",), ("q", "r")]},
+}
+
+
+def _sample_systems(two_layer):
+    """(name, system, sample_instances rules) for the three systems."""
+    out = []
+    for name, system in (("two", two_layer),
+                         ("monoid", models.monoid_model().system),
+                         ("meet", models.meet_model().system)):
+        rules = rw.sample_instances(rw.RuleEngine(system), SAMPLE_POOLS[name])
+        out.append((name, system, rules))
+    return out
+
+
+MATCH_COUNTS = {"A": 22441, "anti": 8330, "E": 328, "F": 1116, "M": 54710}
+MATCH_DIGEST = ("a98195391d7492f109f4b6df05814c4f"
+                "1a029495892a46d33dd3fd56371b2ad3")
+
+
+def test_match_sets_pinned(two_layer):
+    corpus = []
+    for name, system, rules in _sample_systems(two_layer):
+        engines = (rw.RuleEngine(system),
+                   rw.RuleEngine(system, [("U", "L")] if name == "two" else
+                                 (), equation_insertions=True))
+        corpus += [(engines, side) for rule in rules
+                   for side in (rule.lhs, rule.rhs)]
+        if name == "two":
+            rng = random.Random(17)
+            corpus += [(engines, terms.build(t, system)) for t in
+                       genterms.random_terms(system, rng, 40, max_cells=6)]
+    assert len(corpus) == 1608
+    entries = []
+    counts: dict = {}
+    sides: dict = {}  # the digest of a rule's side keys, once per rule
+    for engines, host in corpus:
+        for engine in engines:
+            for kind, found in (("matches", engine.matches(host)),
+                                ("anti", engine.anti_matches(host))):
+                for m in found:
+                    fam = "anti" if kind == "anti" else m.rule.family
+                    counts[fam] = counts.get(fam, 0) + 1
+                    if id(m.rule) not in sides:
+                        sides[id(m.rule)] = hashlib.sha256(repr(
+                            (canonical_key(m.rule.lhs),
+                             canonical_key(m.rule.rhs))).encode()).hexdigest()
+                    entries.append((kind, m.signature(), m.rule.family,
+                                    m.rule.bidirectional, m.rule.params,
+                                    sides[id(m.rule)]))
+    assert counts == MATCH_COUNTS
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == MATCH_DIGEST
+
+
+def test_every_rule_matches_its_own_sides(two_layer):
+    # the engine offers each sampled rule on its own sides, over every cell;
+    # A2 has no backward move, and an equation side that is an identity box
+    # canonicalises away
+    for name, system, rules in _sample_systems(two_layer):
+        engine = rw.RuleEngine(system, equation_insertions=True)
+        misses = []
+        for rule in rules:
+            for orientation, side in (("fwd", rule.lhs), ("bwd", rule.rhs)):
+                host = canonicalize(side).diagram
+                found = (engine.matches(host)
+                         if orientation == "fwd" or rule.bidirectional
+                         else engine.anti_matches(host))
+                every = tuple(range(len(host.cells)))
+                if not any(m.rule.name == rule.name
+                           and m.orientation == orientation
+                           and tuple(sorted(m.cells)) == every
+                           for m in found):
+                    misses.append((rule, orientation, host))
+        for rule, orientation, host in misses:
+            assert ((rule.name.startswith("A2[") and orientation == "bwd")
+                    or (rule.family == "E" and not host.cells)), \
+                (name, rule.name, orientation)
+        assert sum(r.name.startswith("A2[") and o == "bwd"
+                   for r, o, _ in misses) == \
+            sum(r.name.startswith("A2[") for r in rules)
+        assert len(rules) == {"two": 271, "monoid": 167, "meet": 346}[name]
