@@ -27,9 +27,12 @@ derivation search.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import diagram as dg
 from . import internal
@@ -39,8 +42,8 @@ from .errors import (InvalidDerivation, LayerPropError,
                      SideConditionViolation, SortMismatch, StaleMatch,
                      check_count)
 from .internal import EPSILON, InternalDiagram, Word
-from .theory import SystemOfLayers, TranslationFunctor, sheet, \
-    translate_internal
+from .theory import (OmegaType, SystemOfLayers, TranslationFunctor,
+                     translate_internal)
 
 
 def _wname(w: Word) -> str:
@@ -118,7 +121,8 @@ class _HostIndex:
     """A canonical host's port lookups and successor lists, built in one
     pass over its wires; every matcher run on the host shares them."""
 
-    __slots__ = ("host", "key", "by_src", "by_dst", "succ")
+    __slots__ = ("host", "key", "by_src", "by_dst", "succ", "by_kind",
+                 "by_type")
 
     def __init__(self, host: Diagram, key: tuple) -> None:
         self.host = host
@@ -126,9 +130,14 @@ class _HostIndex:
         self.by_src: dict = {}
         self.by_dst: dict = {}
         self.succ: list[list[int]] = [[] for _ in host.cells]
-        for wi, (src, dst, _) in enumerate(host.wires):
+        self.by_kind: dict[type, list[int]] = {}
+        for ci, cell in enumerate(host.cells):
+            self.by_kind.setdefault(type(cell), []).append(ci)
+        self.by_type: dict[tuple, list[int]] = {}
+        for wi, (src, dst, ty) in enumerate(host.wires):
             self.by_src[src] = wi
             self.by_dst[dst] = wi
+            self.by_type.setdefault(ty, []).append(wi)
             if src[0] == "out" and dst[0] == "in":
                 self.succ[src[1]].append(dst[1])
 
@@ -415,6 +424,433 @@ def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
 
 
 # ---------------------------------------------------------------------------
+# the rule table
+
+# argument kinds: a strand is a content that may also be an identity
+L, F, W, C, S, Q = "layer", "functor", "word", "content", "strand", "equation"
+
+
+@dataclass(frozen=True)
+class _Schema:
+    """One rule: its key (the names' prefix; its first letter is the
+    family), its argument kinds and its two sides, built from the arguments
+    by ``dg`` constructors.  The A family is one-directional.  ``keep``
+    leading arguments (a functor as its source and target; default all)
+    make the rule's params.  ``only`` carries an asymmetry: "whole" sides
+    match only the whole host, a "forward" rule's rhs is never matched, and
+    a "collapse" rule exists only for the engine's faithful window-collapse
+    pairs and is neither sampled nor semantically verified."""
+
+    key: str
+    kinds: tuple
+    lhs: Callable
+    rhs: Callable
+    keep: int | None = None
+    only: str = ""
+
+
+def _id(y, layer: str, *words: Word) -> Diagram:
+    """Bare sheets of one layer."""
+    return dg.identity(y, OmegaType(tuple((layer, w) for w in words)))
+
+
+def _strand(y, content: InternalDiagram) -> Diagram:
+    """A box, or the bare sheet an identity content is."""
+    if content.is_identity():
+        return _id(y, content.layer, content.dom)
+    return dg.box(y, content)
+
+
+def _eq(y, layer: str, name: str):
+    return {e.name: e for e in y.layer(layer).equations}[name]
+
+
+_seq, _par = dg.seq_many, dg.par_tensor
+_SCHEMATA = {s.key: s for s in (
+    _Schema("A1", (L, W, W), lambda y, l, a, b: _id(y, l, a, b),
+            lambda y, l, a, b: _seq(dg.pants(y, l, a, b),
+                                    dg.copants(y, l, a, b))),
+    _Schema("A2", (L, W, W),
+            lambda y, l, a, b: _seq(dg.copants(y, l, a, b),
+                                    dg.pants(y, l, a, b)),
+            lambda y, l, a, b: _id(y, l, a + b), only="forward"),
+    # the unit introduces a floating circle: offered on the empty diagram
+    # only, and undone only on a lone circle
+    _Schema("A5", (L,), lambda y, l: dg.empty_diagram(y),
+            lambda y, l: _seq(dg.cup(y, l), dg.cap(y, l)), only="whole"),
+    _Schema("A6", (L,), lambda y, l: _seq(dg.cap(y, l), dg.cup(y, l)),
+            lambda y, l: _id(y, l, EPSILON)),
+    _Schema("A3", (F, W), lambda y, f, w: _id(y, f.source, w),
+            lambda y, f, w: _seq(dg.refine(y, f.source, f.target, w),
+                                 dg.coarsen(y, f.source, f.target, w))),
+    # the window unit's left inverse, for designated faithful functors
+    _Schema("A3c", (F, W),
+            lambda y, f, w: _seq(dg.refine(y, f.source, f.target, w),
+                                 dg.coarsen(y, f.source, f.target, w)),
+            lambda y, f, w: _id(y, f.source, w), only="collapse"),
+    _Schema("A4", (F, W),
+            lambda y, f, w: _seq(dg.coarsen(y, f.source, f.target, w),
+                                 dg.refine(y, f.source, f.target, w)),
+            lambda y, f, w: _id(y, f.target, f.word_image(w))),
+    _Schema("F1", (F, C),
+            lambda y, f, s: _seq(dg.box(y, s),
+                                 dg.refine(y, f.source, f.target, s.cod)),
+            lambda y, f, s: _seq(dg.refine(y, f.source, f.target, s.dom),
+                                 dg.box(y, translate_internal(y, f, s))),
+            keep=1),
+    _Schema("F2", (F, C),
+            lambda y, f, s: _seq(dg.coarsen(y, f.source, f.target, s.dom),
+                                 dg.box(y, s)),
+            lambda y, f, s: _seq(dg.box(y, translate_internal(y, f, s)),
+                                 dg.coarsen(y, f.source, f.target, s.cod)),
+            keep=1),
+    _Schema("F3", (L, S, S),
+            lambda y, l, s, t: _seq(_par(_strand(y, s), _strand(y, t)),
+                                    dg.pants(y, l, s.cod, t.cod)),
+            lambda y, l, s, t: _seq(dg.pants(y, l, s.dom, t.dom),
+                                    dg.box(y, s.beside(t))), keep=1),
+    _Schema("F4", (L, S, S),
+            lambda y, l, s, t: _seq(dg.copants(y, l, s.dom, t.dom),
+                                    _par(_strand(y, s), _strand(y, t))),
+            lambda y, l, s, t: _seq(dg.box(y, s.beside(t)),
+                                    dg.copants(y, l, s.cod, t.cod)), keep=1),
+    _Schema("M1", (L, W, W, W),
+            lambda y, l, a, b, c: _seq(
+                _par(dg.pants(y, l, a, b), _id(y, l, c)),
+                dg.pants(y, l, a + b, c)),
+            lambda y, l, a, b, c: _seq(
+                _par(_id(y, l, a), dg.pants(y, l, b, c)),
+                dg.pants(y, l, a, b + c)), keep=1),
+    _Schema("M2", (L, W, W, W),
+            lambda y, l, a, b, c: _seq(
+                dg.copants(y, l, a + b, c),
+                _par(dg.copants(y, l, a, b), _id(y, l, c))),
+            lambda y, l, a, b, c: _seq(
+                dg.copants(y, l, a, b + c),
+                _par(_id(y, l, a), dg.copants(y, l, b, c))), keep=1),
+    _Schema("M3l", (L, W),
+            lambda y, l, a: _seq(_par(dg.cup(y, l), _id(y, l, a)),
+                                 dg.pants(y, l, EPSILON, a)),
+            lambda y, l, a: _id(y, l, a)),
+    _Schema("M3r", (L, W),
+            lambda y, l, a: _seq(_par(_id(y, l, a), dg.cup(y, l)),
+                                 dg.pants(y, l, a, EPSILON)),
+            lambda y, l, a: _id(y, l, a)),
+    _Schema("M4l", (L, W),
+            lambda y, l, a: _seq(dg.copants(y, l, EPSILON, a),
+                                 _par(dg.cap(y, l), _id(y, l, a))),
+            lambda y, l, a: _id(y, l, a)),
+    _Schema("M4r", (L, W),
+            lambda y, l, a: _seq(dg.copants(y, l, a, EPSILON),
+                                 _par(_id(y, l, a), dg.cap(y, l))),
+            lambda y, l, a: _id(y, l, a)),
+    _Schema("M5a", (F, W, W),
+            lambda y, f, a, b: _seq(
+                _par(dg.refine(y, f.source, f.target, a),
+                     dg.refine(y, f.source, f.target, b)),
+                dg.pants(y, f.target, f.word_image(a), f.word_image(b))),
+            lambda y, f, a, b: _seq(dg.pants(y, f.source, a, b),
+                                    dg.refine(y, f.source, f.target, a + b)),
+            keep=1),
+    _Schema("M5b", (F,),
+            lambda y, f: _seq(dg.cup(y, f.source),
+                              dg.refine(y, f.source, f.target, EPSILON)),
+            lambda y, f: dg.cup(y, f.target)),
+    _Schema("M6a", (F, W, W),
+            lambda y, f, a, b: _seq(
+                dg.copants(y, f.target, f.word_image(a), f.word_image(b)),
+                _par(dg.coarsen(y, f.source, f.target, a),
+                     dg.coarsen(y, f.source, f.target, b))),
+            lambda y, f, a, b: _seq(
+                dg.coarsen(y, f.source, f.target, a + b),
+                dg.copants(y, f.source, a, b)), keep=1),
+    _Schema("M6b", (F,),
+            lambda y, f: _seq(dg.coarsen(y, f.source, f.target, EPSILON),
+                              dg.cap(y, f.source)),
+            lambda y, f: dg.cap(y, f.target)),
+    # matched inside boxes through a payload (``_match_boxeq``)
+    _Schema("E", (L, Q), lambda y, l, e: dg.box(y, _eq(y, l, e).lhs),
+            lambda y, l, e: dg.box(y, _eq(y, l, e).rhs)),
+)}
+
+# the order of ``sample_instances``: (domain, members...) takes every
+# member for each choice of domain values, appended to the arguments so
+# far; words, contents and equations come from the first argument's layer
+_SAMPLES = ((), ((L,), ((W, W), "A1", "A2"), ((), "A5", "A6"),
+                 ((S, S), "F3", "F4"),
+                 ((W,), ((W, W), "M1", "M2"), "M3l", "M4l", "M3r", "M4r"),
+                 ((Q,), "E")),
+            ((F,), ((W,), "A3", "A4"), ((C,), "F1", "F2"),
+             ((W, W), "M5a", "M6a"), ((), "M5b", "M6b")))
+
+
+# ---------------------------------------------------------------------------
+# template matching
+
+
+class _Var:
+    """A schema variable; one of a content also has variables for its dom
+    and cod words, and a strand's content may be an identity."""
+
+    __slots__ = ("dom", "cod", "strand")
+
+    def __init__(self, dom=None, cod=None, strand: bool = False) -> None:
+        self.dom, self.cod, self.strand = dom, cod, strand
+
+
+@dataclass(frozen=True)
+class _Img:
+    """The image of a word or content variable under a functor variable."""
+
+    functor: "_FunctorVar"
+    var: _Var
+
+
+class _FunctorVar:
+    """A functor variable: layer variables for its ends, and images."""
+
+    def __init__(self) -> None:
+        self.source, self.target = _Var(), _Var()
+
+    def word_image(self, w: tuple) -> tuple:
+        return tuple(_Img(self, v) for v in w)
+
+    def gen_image(self, v: _Var) -> InternalDiagram:
+        return InternalDiagram(self.target, self.word_image((v.dom,)),
+                               self.word_image((v.cod,)), ((0, _Img(self, v)),))
+
+
+class _VarSystem:
+    """The system while a side is built over variables: the ``dg``
+    constructors' checks pass, and a content variable or its image is a
+    generator."""
+
+    def __init__(self, functor: _FunctorVar | None, sig: dict) -> None:
+        self.functor = lambda source, target: functor
+        self.signature = lambda layer: sig
+
+    def validate_word(self, *_) -> None:
+        pass
+
+    validate_type = layer = validate_word
+
+
+# the label fields a template cell constrains (an image word follows from
+# its functor and word)
+_FIELDS = {InternalBox: ("layer", "content"),
+           Pants: ("layer", "alpha", "beta"),
+           Copants: ("layer", "alpha", "beta"), Cup: ("layer",),
+           Cap: ("layer",), Refine: ("source", "target", "word"),
+           Coarsen: ("source", "target", "word")}
+
+
+class _Template:
+    """One side of a schema, built over variables and compiled for
+    matching.
+
+    Its cells are placed in the host from an anchor, its first cell that is
+    not a strand box, along its links (``steps``), or by kind where the side
+    falls apart; a strand box may also read as the bare sheet it stands on.
+    A side without cells is bare sheets: ``dom_of`` and ``cod_of`` give the
+    sheet at each boundary position.  ``patterns`` are the cells' label
+    fields, or the sheets' types, which ``RuleEngine._solve`` unifies with
+    the host's values.
+    """
+
+    def __init__(self, schema: _Schema, side: str) -> None:
+        self.schema, self.whole = schema, schema.only == "whole"
+        args: list = []
+        sig: dict = {}
+        self.functor = None
+        for kind in schema.kinds:
+            if kind == F:
+                self.functor = f = _FunctorVar()
+                args.append(f)
+            elif kind == W:
+                args.append((_Var(),))
+            elif kind in (C, S):
+                home = args[0] if type(args[0]) is _Var else args[0].source
+                v = _Var(_Var(), _Var(), kind == S)
+                sig[v] = ((v.dom,), (v.cod,))
+                if self.functor is not None:
+                    sig[_Img(f, v)] = (f.word_image((v.dom,)),
+                                       f.word_image((v.cod,)))
+                args.append(InternalDiagram(home, (v.dom,), (v.cod,),
+                                            ((0, v),)))
+            else:
+                args.append(_Var())
+        d = getattr(schema, side)(_VarSystem(self.functor, sig), *args)
+        self.args = [a[0] if type(a) is tuple else a.slices[0][1]
+                     if type(a) is InternalDiagram else a for a in args]
+        self.free = [v for v, k in zip(self.args, schema.kinds) if k in (L, F)]
+        self.strands = [v for v, k in zip(self.args, schema.kinds) if k == S]
+        self.kinds = [type(c) for c in d.cells]
+        self.optional = [type(c) is InternalBox and getattr(
+            c.content.slices[0][1], "strand", False) for c in d.cells]
+        self.n_wires = len(d.wires)
+        self.patterns = [getattr(c, f) for c in d.cells
+                         for f in _FIELDS[type(c)]]
+        self.dom, self.cod = [None] * len(d.dom), [None] * len(d.cod)
+        sheets, links = [], []
+        for src, dst, ty in d.wires:
+            if src[0] == "dom" and dst[0] == "cod":
+                sheets.append((src[1], dst[1]))
+                self.patterns += ty
+            elif src[0] == "dom":
+                self.dom[src[1]] = dst[1:]
+            elif dst[0] == "cod":
+                self.cod[dst[1]] = src[1:]
+            else:
+                links.append(src[1:] + dst[1:])
+        self.dom_of = [s for _, s in sorted((k, s) for s, (k, _)
+                                            in enumerate(sheets))]
+        self.cod_of = [s for _, s in sorted((j, s) for s, (_, j)
+                                            in enumerate(sheets))]
+        self.anchor = self.optional.index(False) if d.cells else None
+        self.steps: list = []
+        placed = {self.anchor}
+        while len(placed) < len(d.cells):
+            link = next((x for x in links if (x[0] in placed)
+                         != (x[2] in placed)), None)
+            if link is None:  # a part of the side no link reaches
+                b = min(set(range(len(d.cells))) - placed)
+                self.steps.append(("any", b))
+            else:
+                links.remove(link)
+                b = link[2] if link[0] in placed else link[0]
+                self.steps.append(("out" if b == link[2] else "in",) + link)
+            placed.add(b)
+        self.checks = links  # links between cells placed by other steps
+
+    def place(self, index: _HostIndex, hc: int) -> list:
+        """Each placement with the anchor at host cell hc: its host cells
+        in the side's order, its dom and cod wires, and the host values of
+        ``patterns``."""
+        m: list = [None] * len(self.kinds)
+        m[self.anchor] = hc
+        found: list = []
+        self._extend(index, m, {}, 0, found)
+        return found
+
+    def _extend(self, index: _HostIndex, m: list, skip: dict, k: int,
+                found: list) -> None:
+        host = index.host
+        if k == len(self.steps):
+            if all(index.wire_out(m[a], p) == index.wire_in(m[b], q)
+                   for a, p, b, q in self.checks):
+                found.append(self._read(index, m, skip))
+            return
+        step = self.steps[k]
+        if step[0] == "any":
+            new, hw = step[1], None
+            ends = index.by_kind.get(self.kinds[new], ())
+        else:  # a link from a's output p to b's input q
+            direction, a, p, b, q = step
+            if direction == "out":
+                hw = index.wire_out(m[a], p)
+                end, new, port = host.wires[hw].dst, b, q
+            else:
+                hw = index.wire_in(m[b], q)
+                end, new, port = host.wires[hw].src, a, p
+            ends = (end[1],) if end[0] in ("in", "out") and end[2] == port \
+                else ()
+        for hc in ends:
+            if type(host.cells[hc]) is self.kinds[new] and hc not in m:
+                m[new] = hc
+                self._extend(index, m, skip, k + 1, found)
+        m[new] = None
+        if hw is not None and self.optional[new]:  # the strand as a sheet
+            skip[new] = hw
+            self._extend(index, m, skip, k + 1, found)
+            del skip[new]
+
+    def _read(self, index: _HostIndex, m: list, skip: dict) -> tuple:
+        host, values = index.host, []
+        for c, hc in enumerate(m):
+            if hc is None:
+                layer, word = host.wires[skip[c]].type
+                values += (layer, internal.identity(layer, word))
+            else:
+                values += [getattr(host.cells[hc], f) for f in
+                           _FIELDS[self.kinds[c]]]
+        dom = tuple(skip[c] if m[c] is None else index.wire_in(m[c], q)
+                    for c, q in self.dom)
+        cod = tuple(skip[c] if m[c] is None else index.wire_out(m[c], p)
+                    for c, p in self.cod)
+        return (tuple(hc for hc in m if hc is not None), dom, cod,
+                tuple(values))
+
+
+class _Moves:
+    """Templates to match, each with an orientation: by the kind of their
+    anchor cell, those of one bare sheet, and the other bare ones; and the
+    (rule, orientation) pairs a sheet of each type carries."""
+
+    def __init__(self) -> None:
+        self.by_anchor: dict[type, list] = {}
+        self.sheets: list = []
+        self.bare: list = []
+        self.per_sheet: dict[tuple, list] = {}
+
+    def add(self, t: _Template, orientation: str) -> None:
+        if t.kinds:
+            self.by_anchor.setdefault(t.kinds[t.anchor], []).append(
+                (t, orientation))
+        else:
+            (self.sheets if len(t.dom_of) == 1 else self.bare).append(
+                (t, orientation))
+
+    def __bool__(self) -> bool:
+        return bool(self.by_anchor or self.sheets or self.bare)
+
+
+@functools.cache
+def _templates() -> tuple:
+    """(schema, lhs template, rhs template or None) of every rule matched
+    on the host, compiled once."""
+    return tuple((s, _Template(s, "lhs"),
+                  None if s.only == "forward" else _Template(s, "rhs"))
+                 for s in _SCHEMATA.values() if s.key != "E")
+
+
+def _settle(pat, val, env: dict) -> bool | None:
+    """Whether ``pat`` denotes ``val``, binding the variables this fixes;
+    None while that waits on other variables or on a search."""
+    tp = type(pat)
+    if tp is _Var:
+        have = env.get(pat)
+        if have is None:
+            env[pat] = val
+            return pat.dom is None or (_settle(pat.dom, val.dom, env)
+                                       and _settle(pat.cod, val.cod, env))
+        return have == val
+    if tp is tuple:  # a word
+        if len(pat) != 1:  # word variables settled elsewhere, concatenated
+            known = [env.get(part) for part in pat]
+            return None if None in known else sum(known, ()) == val
+        if type(pat[0]) is _Var:
+            return _settle(pat[0], val, env)
+        f, w = env.get(pat[0].functor), env.get(pat[0].var)  # an image
+        return None if f is None or w is None else f.word_image(w) == val
+    if tp is InternalDiagram:  # a content variable's box, or a search
+        (_, v), *more = pat.slices
+        return None if more or type(v) is _Img else _settle(v, val, env)
+    have = env.get(pat)  # a functor
+    if have is None:
+        env[pat] = val
+        return (_settle(pat.source, val.source, env)
+                and _settle(pat.target, val.target, env))
+    return have == val
+
+
+# per system, shared by its engines and dropped with it: the arguments a
+# template's side takes at given host values, and each rule's name, sides
+# and params (immutable, so engines may share them)
+_SHARED: "weakref.WeakKeyDictionary[SystemOfLayers, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+
+# ---------------------------------------------------------------------------
 # the engine
 
 
@@ -422,10 +858,10 @@ FAMILIES = ("A", "E", "F", "M")
 
 
 class RuleEngine:
-    """Instantiates the rule families over one system and finds matches.
+    """Instantiates the rule table over one system and finds matches.
 
     ``families`` restricts matching to some of the rule families; only
-    those families' matchers run.
+    those families' templates are matched.
     """
 
     def __init__(self, system: SystemOfLayers,
@@ -447,227 +883,53 @@ class RuleEngine:
             self.functors_by_target.setdefault(t, []).append(f)
         self._lift_cache: dict = {}
         self._eq_cache: dict = {}
-        # one instance per (builder, arguments): rules are frozen and
+        # one instance per (table key, arguments): rules are frozen and
         # application only reads the replacement's cells and wires
         self._rules: dict[tuple, RewriteRule] = {}
+        self._solved: dict[tuple, list[RewriteRule]] = {}
+        self._solutions, self._made = _SHARED.setdefault(system, ({}, {}))
+        # each lhs forward and each bidirectional rhs backward for
+        # ``matches``; the other rhs backward for ``anti_matches``
+        self._moves, self._anti = _Moves(), _Moves()
+        for schema, lhs, rhs in _templates():
+            if schema.key[0] in self.families and (
+                    schema.only != "collapse" or self.collapse):
+                self._moves.add(lhs, "fwd")
+                if rhs is not None:
+                    (self._anti if schema.key[0] == "A"
+                     else self._moves).add(rhs, "bwd")
 
     # -- rule construction
 
-    def rule_a1(self, layer: str, alpha: Word, beta: Word) -> RewriteRule:
-        sys = self.system
-        lhs = dg.identity(sys, sheet(layer, alpha) + sheet(layer, beta))
-        rhs = dg.seq_compose(dg.pants(sys, layer, alpha, beta),
-                             dg.copants(sys, layer, alpha, beta))
-        return RewriteRule(f"A1[{layer};{_wname(alpha)};{_wname(beta)}]",
-                           "A", lhs, rhs, False, (layer, alpha, beta))
+    def rule_instance(self, key: str, *args) -> RewriteRule:
+        """The rule of table entry ``key`` ("A1", "M3l", "E", ...) at its
+        arguments: layers, functors, words, box contents or an equation
+        name, in the entry's order."""
+        schema = _SCHEMATA[key]
+        made = self._made.get((key, args))
+        if made is None:
+            names = [a.name if isinstance(a, TranslationFunctor)
+                     else _wname(a) if isinstance(a, tuple)
+                     else _isig(a) if isinstance(a, InternalDiagram) else a
+                     for a in args]
+            params = sum(((a.source, a.target) if isinstance(
+                a, TranslationFunctor) else (a,) for a in args[:schema.keep]),
+                ())
+            made = self._made[key, args] = (
+                f"{key}[{';'.join(names)}]", schema.lhs(self.system, *args),
+                schema.rhs(self.system, *args), params)
+        name, lhs, rhs, params = made
+        return RewriteRule(name, key[0], lhs, rhs, key[0] != "A", params)
 
-    def rule_a2(self, layer: str, alpha: Word, beta: Word) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(dg.copants(sys, layer, alpha, beta),
-                             dg.pants(sys, layer, alpha, beta))
-        rhs = dg.identity(sys, sheet(layer, alpha + beta))
-        return RewriteRule(f"A2[{layer};{_wname(alpha)};{_wname(beta)}]",
-                           "A", lhs, rhs, False, (layer, alpha, beta))
-
-    def rule_a3(self, f: TranslationFunctor, word: Word) -> RewriteRule:
-        sys = self.system
-        lhs = dg.identity(sys, sheet(f.source, word))
-        rhs = dg.seq_compose(dg.refine(sys, f.source, f.target, word),
-                             dg.coarsen(sys, f.source, f.target, word))
-        return RewriteRule(f"A3[{f.name};{_wname(word)}]", "A", lhs, rhs,
-                           False, (f.source, f.target, word))
-
-    def rule_a3c(self, f: TranslationFunctor, word: Word) -> RewriteRule:
-        # left inverse of the window unit, for designated faithful functors;
-        # excluded from semantic verification
-        sys = self.system
-        lhs = dg.seq_compose(dg.refine(sys, f.source, f.target, word),
-                             dg.coarsen(sys, f.source, f.target, word))
-        rhs = dg.identity(sys, sheet(f.source, word))
-        return RewriteRule(f"A3c[{f.name};{_wname(word)}]", "A", lhs, rhs,
-                           False, (f.source, f.target, word))
-
-    def rule_a4(self, f: TranslationFunctor, word: Word) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(dg.coarsen(sys, f.source, f.target, word),
-                             dg.refine(sys, f.source, f.target, word))
-        rhs = dg.identity(sys, sheet(f.target, f.word_image(word)))
-        return RewriteRule(f"A4[{f.name};{_wname(word)}]", "A", lhs, rhs,
-                           False, (f.source, f.target, word))
-
-    def rule_a5(self, layer: str) -> RewriteRule:
-        sys = self.system
-        lhs = dg.empty_diagram(sys)
-        rhs = dg.seq_compose(dg.cup(sys, layer), dg.cap(sys, layer))
-        return RewriteRule(f"A5[{layer}]", "A", lhs, rhs, False, (layer,))
-
-    def rule_a6(self, layer: str) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(dg.cap(sys, layer), dg.cup(sys, layer))
-        rhs = dg.identity(sys, sheet(layer, EPSILON))
-        return RewriteRule(f"A6[{layer}]", "A", lhs, rhs, False, (layer,))
-
-    def rule_f1(self, f: TranslationFunctor,
-                sigma: InternalDiagram) -> RewriteRule:
-        sys = self.system
-        fsigma = translate_internal(sys, f, sigma)
-        lhs = dg.seq_compose(dg.box(sys, sigma),
-                             dg.refine(sys, f.source, f.target, sigma.cod))
-        rhs = dg.seq_compose(dg.refine(sys, f.source, f.target, sigma.dom),
-                             dg.box(sys, fsigma))
-        return RewriteRule(f"F1[{f.name};{_isig(sigma)}]", "F", lhs, rhs,
-                           True, (f.source, f.target))
-
-    def rule_f2(self, f: TranslationFunctor,
-                sigma: InternalDiagram) -> RewriteRule:
-        sys = self.system
-        fsigma = translate_internal(sys, f, sigma)
-        lhs = dg.seq_compose(dg.coarsen(sys, f.source, f.target, sigma.dom),
-                             dg.box(sys, sigma))
-        rhs = dg.seq_compose(dg.box(sys, fsigma),
-                             dg.coarsen(sys, f.source, f.target, sigma.cod))
-        return RewriteRule(f"F2[{f.name};{_isig(sigma)}]", "F", lhs, rhs,
-                           True, (f.source, f.target))
-
-    def _strand(self, content: InternalDiagram) -> Diagram:
-        if content.is_identity():
-            return dg.identity(self.system, sheet(content.layer, content.dom))
-        return dg.box(self.system, content)
-
-    def rule_f3(self, layer: str, sigma: InternalDiagram,
-                tau: InternalDiagram) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(
-            dg.par_tensor(self._strand(sigma), self._strand(tau)),
-            dg.pants(sys, layer, sigma.cod, tau.cod))
-        rhs = dg.seq_compose(dg.pants(sys, layer, sigma.dom, tau.dom),
-                             dg.box(sys, sigma.beside(tau)))
-        return RewriteRule(f"F3[{layer};{_isig(sigma)};{_isig(tau)}]", "F",
-                           lhs, rhs, True, (layer,))
-
-    def rule_f4(self, layer: str, sigma: InternalDiagram,
-                tau: InternalDiagram) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(
-            dg.copants(sys, layer, sigma.dom, tau.dom),
-            dg.par_tensor(self._strand(sigma), self._strand(tau)))
-        rhs = dg.seq_compose(dg.box(sys, sigma.beside(tau)),
-                             dg.copants(sys, layer, sigma.cod, tau.cod))
-        return RewriteRule(f"F4[{layer};{_isig(sigma)};{_isig(tau)}]", "F",
-                           lhs, rhs, True, (layer,))
-
-    def rule_m1(self, layer: str, alpha: Word, beta: Word,
-                gamma: Word) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(
-            dg.par_tensor(dg.pants(sys, layer, alpha, beta),
-                          dg.identity(sys, sheet(layer, gamma))),
-            dg.pants(sys, layer, alpha + beta, gamma))
-        rhs = dg.seq_compose(
-            dg.par_tensor(dg.identity(sys, sheet(layer, alpha)),
-                          dg.pants(sys, layer, beta, gamma)),
-            dg.pants(sys, layer, alpha, beta + gamma))
-        name = f"M1[{layer};{_wname(alpha)};{_wname(beta)};{_wname(gamma)}]"
-        return RewriteRule(name, "M", lhs, rhs, True, (layer,))
-
-    def rule_m2(self, layer: str, alpha: Word, beta: Word,
-                gamma: Word) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(
-            dg.copants(sys, layer, alpha + beta, gamma),
-            dg.par_tensor(dg.copants(sys, layer, alpha, beta),
-                          dg.identity(sys, sheet(layer, gamma))))
-        rhs = dg.seq_compose(
-            dg.copants(sys, layer, alpha, beta + gamma),
-            dg.par_tensor(dg.identity(sys, sheet(layer, alpha)),
-                          dg.copants(sys, layer, beta, gamma)))
-        name = f"M2[{layer};{_wname(alpha)};{_wname(beta)};{_wname(gamma)}]"
-        return RewriteRule(name, "M", lhs, rhs, True, (layer,))
-
-    def rule_m3(self, layer: str, alpha: Word, side: str) -> RewriteRule:
-        sys = self.system
-        ident = dg.identity(sys, sheet(layer, alpha))
-        if side == "l":
-            lhs = dg.seq_compose(dg.par_tensor(dg.cup(sys, layer), ident),
-                                 dg.pants(sys, layer, EPSILON, alpha))
-        else:
-            lhs = dg.seq_compose(dg.par_tensor(ident, dg.cup(sys, layer)),
-                                 dg.pants(sys, layer, alpha, EPSILON))
-        rhs = dg.identity(sys, sheet(layer, alpha))
-        return RewriteRule(f"M3{side}[{layer};{_wname(alpha)}]", "M", lhs,
-                           rhs, True, (layer, alpha))
-
-    def rule_m4(self, layer: str, alpha: Word, side: str) -> RewriteRule:
-        sys = self.system
-        ident = dg.identity(sys, sheet(layer, alpha))
-        if side == "l":
-            lhs = dg.seq_compose(dg.copants(sys, layer, EPSILON, alpha),
-                                 dg.par_tensor(dg.cap(sys, layer), ident))
-        else:
-            lhs = dg.seq_compose(dg.copants(sys, layer, alpha, EPSILON),
-                                 dg.par_tensor(ident, dg.cap(sys, layer)))
-        rhs = dg.identity(sys, sheet(layer, alpha))
-        return RewriteRule(f"M4{side}[{layer};{_wname(alpha)}]", "M", lhs,
-                           rhs, True, (layer, alpha))
-
-    def rule_m5a(self, f: TranslationFunctor, alpha: Word,
-                 beta: Word) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(
-            dg.par_tensor(dg.refine(sys, f.source, f.target, alpha),
-                          dg.refine(sys, f.source, f.target, beta)),
-            dg.pants(sys, f.target, f.word_image(alpha), f.word_image(beta)))
-        rhs = dg.seq_compose(dg.pants(sys, f.source, alpha, beta),
-                             dg.refine(sys, f.source, f.target,
-                                       alpha + beta))
-        name = f"M5a[{f.name};{_wname(alpha)};{_wname(beta)}]"
-        return RewriteRule(name, "M", lhs, rhs, True, (f.source, f.target))
-
-    def rule_m5b(self, f: TranslationFunctor) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(dg.cup(sys, f.source),
-                             dg.refine(sys, f.source, f.target, EPSILON))
-        rhs = dg.cup(sys, f.target)
-        return RewriteRule(f"M5b[{f.name}]", "M", lhs, rhs, True,
-                           (f.source, f.target))
-
-    def rule_m6a(self, f: TranslationFunctor, alpha: Word,
-                 beta: Word) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(
-            dg.copants(sys, f.target, f.word_image(alpha),
-                       f.word_image(beta)),
-            dg.par_tensor(dg.coarsen(sys, f.source, f.target, alpha),
-                          dg.coarsen(sys, f.source, f.target, beta)))
-        rhs = dg.seq_compose(dg.coarsen(sys, f.source, f.target,
-                                        alpha + beta),
-                             dg.copants(sys, f.source, alpha, beta))
-        name = f"M6a[{f.name};{_wname(alpha)};{_wname(beta)}]"
-        return RewriteRule(name, "M", lhs, rhs, True, (f.source, f.target))
-
-    def rule_m6b(self, f: TranslationFunctor) -> RewriteRule:
-        sys = self.system
-        lhs = dg.seq_compose(dg.coarsen(sys, f.source, f.target, EPSILON),
-                             dg.cap(sys, f.source))
-        rhs = dg.cap(sys, f.target)
-        return RewriteRule(f"M6b[{f.name}]", "M", lhs, rhs, True,
-                           (f.source, f.target))
-
-    def rule_e(self, layer: str, eq_name: str) -> RewriteRule:
-        sys = self.system
-        eq = {e.name: e for e in sys.layer(layer).equations}[eq_name]
-        return RewriteRule(f"E[{layer};{eq_name}]", "E", dg.box(sys, eq.lhs),
-                           dg.box(sys, eq.rhs), True, (layer, eq_name))
-
-    def _rule(self, builder, *args) -> RewriteRule:
-        """``builder(*args)``, built on first use and shared afterwards."""
-        key = (builder.__func__, args)
-        rule = self._rules.get(key)
+    def _rule(self, key: str, *args) -> RewriteRule:
+        """``rule_instance(key, *args)``, built on first use and shared
+        afterwards."""
+        rule = self._rules.get((key, args))
         if rule is None:
-            rule = self._rules[key] = builder(*args)
+            rule = self._rules[key, args] = self.rule_instance(key, *args)
         return rule
 
-    # -- host-driven matching
+    # -- matching
 
     @staticmethod
     def _sort_key(m: Match) -> tuple:
@@ -682,18 +944,152 @@ class RuleEngine:
         deterministically ordered."""
         host = canonicalize(d).diagram
         key = canonical_key(host)
-        index = _HostIndex(host, key) if self.families - {"E"} else None
         found: list[Match] = []
-        for family, matcher in (("E", self._match_boxeq),
-                                ("F", self._match_f), ("A", self._match_a),
-                                ("M", self._match_m)):
-            if family in self.families:
-                found.extend(matcher(host, key, index))
+        if "E" in self.families:
+            found.extend(self._match_boxeq(host, key))
+        if self._moves:
+            self._match(self._moves, _HostIndex(host, key), found)
         found.sort(key=self._sort_key)
         return found
 
-    def _match_boxeq(self, host: Diagram, key: tuple,
-                     index: _HostIndex | None) -> list[Match]:
+    def anti_matches(self, d: Diagram) -> list[Match]:
+        """Predecessor moves: the rhs of every one-directional rule,
+        matched backward (none when the engine leaves out the A family)."""
+        if not self._anti:
+            return []
+        host = canonicalize(d).diagram
+        found: list[Match] = []
+        self._match(self._anti, _HostIndex(host, canonical_key(host)), found)
+        found.sort(key=self._sort_key)
+        return found
+
+    def _match(self, moves: "_Moves", index: _HostIndex, out: list) -> None:
+        host, key, by_type = index.host, index.key, index.by_type
+        for kind, anchors in index.by_kind.items():
+            for t, orientation in moves.by_anchor.get(kind, ()):
+                if t.whole and (len(host.cells), len(host.wires)) != \
+                        (len(t.kinds), t.n_wires):
+                    continue
+                for hc in anchors:
+                    for cells, dom, cod, values in t.place(index, hc):
+                        for rule in self._rules_at(t, values):
+                            index.offer(out, rule, orientation, cells, dom,
+                                        cod)
+        # one sheet is always convex, and its rules depend on its type
+        for ty, wires in by_type.items():
+            found = moves.per_sheet.get(ty)
+            if found is None:
+                found = moves.per_sheet[ty] = [
+                    (rule, orientation) for t, orientation in moves.sheets
+                    for rule in self._rules_at(t, ty)]
+            for rule, orientation in found:
+                for wi in wires:
+                    out.append(Match(rule, orientation, (), (wi,), (wi,), key))
+        for t, orientation in moves.bare:  # no sheet (A5), or two (A1)
+            n = len(t.dom_of)
+            if t.whole and host.wires:
+                continue
+            for types in itertools.product(by_type, repeat=n):
+                if any(types.count(ty) > len(by_type[ty]) for ty in types):
+                    continue  # too few distinct sheets of a type
+                for rule in self._rules_at(t, sum(types, ())):
+                    for ws in itertools.product(*map(by_type.get, types)):
+                        if len(set(ws)) == n:
+                            index.offer(out, rule, orientation, (),
+                                        tuple(ws[s] for s in t.dom_of),
+                                        tuple(ws[s] for s in t.cod_of))
+
+    def _rules_at(self, t: _Template, values: tuple) -> list[RewriteRule]:
+        """The rules whose side t denotes these host values."""
+        rules = self._solved.get((t, values))
+        if rules is None:
+            found = self._solutions.get((t, values))
+            if found is None:
+                envs: list[dict] = []
+                self._solve(t, {}, list(zip(t.patterns, values)), envs)
+                found = self._solutions[t, values] = [
+                    tuple(env[v] for v in t.args) for env in envs
+                    # a strand rule moves at least one box
+                    if not (t.strands and all(env[v].is_identity()
+                                              for v in t.strands))]
+            rules = self._solved[t, values] = [
+                self._rule(t.schema.key, *args) for args in found
+                if t.schema.only != "collapse"
+                or (args[0].source, args[0].target) in self.collapse]
+        return rules
+
+    def _solve(self, t: _Template, env: dict, items: list,
+               found: list) -> None:
+        """Append to found each completion of env under which every
+        (pattern, value) of items holds.  Layers, words and contents settle
+        directly; a juxtaposed box is split (``split_beside``), an image
+        box lifted (``_lift``), an image word inverted
+        (``_preimage_words``), and an argument no pattern fixes is
+        enumerated: a functor from its source or target, a layer from the
+        system."""
+        while items:
+            pending = []
+            for pat, val in items:
+                held = _settle(pat, val, env)
+                if held is False:
+                    return
+                if held is None:
+                    pending.append((pat, val))
+            fv = t.functor
+            if (fv is not None and fv not in env and fv.source in env
+                    and fv.target in env):
+                env[fv] = self.system.functors.get((env[fv.source],
+                                                    env[fv.target]))
+                if env[fv] is None:
+                    return
+            elif len(pending) == len(items):
+                break
+            items = pending
+        for i, (pat, val) in enumerate(items):
+            options = self._options(pat, val, env)
+            if options is not None:
+                for extra in options:
+                    self._solve(t, dict(env), extra + items[:i]
+                                + items[i + 1:], found)
+                return
+        for var in t.free:
+            if var in env:
+                continue
+            if type(var) is not _FunctorVar:
+                values = sorted(self.system.layers)
+            elif var.source in env:
+                values = self.functors_by_source.get(env[var.source], [])
+            else:
+                values = self.functors_by_target.get(env.get(var.target), [])
+            for x in values:
+                self._solve(t, dict(env), [(var, x)] + items, found)
+            return
+        if not items:
+            found.append(env)
+
+    def _options(self, pat, val, env: dict) -> list | None:
+        """The ways a pattern that ``_settle`` left open can hold, each as
+        the (pattern, value) pairs it adds; None while that is open."""
+        if type(pat) is tuple:
+            img = pat[0]
+            f = env.get(img.functor) if type(img) is _Img else None
+            if len(pat) != 1 or f is None:
+                return None
+            words, _ = _preimage_words(
+                f, self.system.layer(f.source).gen_objects, val)
+            return [[(img.var, w)] for w in words]
+        parts = [g for _, g in pat.slices]
+        if len(parts) == 2:
+            sig = self.system.signature(val.layer)
+            return [list(zip(parts, split))
+                    for split in internal.split_beside(val, sig)]
+        f, v = env.get(parts[0].functor), parts[0].var
+        if f is None:
+            return None
+        lifts, _ = self._lift(f, val, env.get(v.dom), env.get(v.cod))
+        return [[(v, sigma)] for sigma in lifts]
+
+    def _match_boxeq(self, host: Diagram, key: tuple) -> list[Match]:
         out: list[Match] = []
         for ci, cell in enumerate(host.cells):
             if not isinstance(cell, InternalBox):
@@ -716,7 +1112,7 @@ class RuleEngine:
                             cell.content, lhs, rhs, sig)
                     results = self._eq_cache[ck]
                     if results and rule is None:
-                        rule = self._rule(self.rule_e, cell.layer, eq.name)
+                        rule = self._rule("E", cell.layer, eq.name)
                     for res in results:
                         out.append(Match(rule, orientation, (ci,), (), (),
                                          key, (ci, res)))
@@ -730,386 +1126,6 @@ class RuleEngine:
             self._lift_cache[ck] = lift_along(self.system, f, target,
                                               dom_word, cod_word)
         return self._lift_cache[ck]
-
-    def _match_f(self, host: Diagram, key: tuple,
-                 index: _HostIndex) -> list[Match]:
-        out: list[Match] = []
-        wire_in, wire_out, offer = index.wire_in, index.wire_out, index.offer
-        for ci, cell in enumerate(host.cells):
-            if isinstance(cell, InternalBox):
-                sig = self.system.signature(cell.layer)
-                dst = host.wires[wire_out(ci)].dst
-                nxt = host.cells[dst[1]] if dst[0] == "in" else None
-                # F1 fwd: box feeding refine
-                if isinstance(nxt, Refine) and nxt.source == cell.layer:
-                    f = self.system.functor(nxt.source, nxt.target)
-                    rule = self._rule(self.rule_f1, f, cell.content)
-                    offer(out, rule, "fwd", (ci, dst[1]),
-                          (wire_in(ci),), (wire_out(dst[1]),))
-                # F2 bwd: image box feeding coarsen
-                if isinstance(nxt, Coarsen) and nxt.target == cell.layer:
-                    f = self.system.functor(nxt.source, nxt.target)
-                    lifts, _ = self._lift(f, cell.content, None, nxt.word)
-                    for sigma in lifts:
-                        rule = self._rule(self.rule_f2, f, sigma)
-                        offer(out, rule, "bwd", (ci, dst[1]),
-                              (wire_in(ci),), (wire_out(dst[1]),))
-                # F4 bwd: box feeding copants
-                if isinstance(nxt, Copants) and nxt.layer == cell.layer:
-                    for top, bottom in internal.split_beside(cell.content,
-                                                             sig):
-                        if (top.cod, bottom.cod) != (nxt.alpha, nxt.beta):
-                            continue
-                        if top.is_identity() and bottom.is_identity():
-                            continue
-                        rule = self._rule(self.rule_f4, cell.layer, top,
-                                          bottom)
-                        offer(out, rule, "bwd", (ci, dst[1]),
-                              (wire_in(ci),),
-                              (wire_out(dst[1], 0), wire_out(dst[1], 1)))
-                # F3 bwd: pants feeding box
-                src = host.wires[wire_in(ci)].src
-                prev = host.cells[src[1]] if src[0] == "out" else None
-                if isinstance(prev, Pants) and prev.layer == cell.layer:
-                    for top, bottom in internal.split_beside(cell.content,
-                                                             sig):
-                        if (top.dom, bottom.dom) != (prev.alpha, prev.beta):
-                            continue
-                        if top.is_identity() and bottom.is_identity():
-                            continue
-                        rule = self._rule(self.rule_f3, cell.layer, top,
-                                          bottom)
-                        offer(out, rule, "bwd", (src[1], ci),
-                              (wire_in(src[1], 0), wire_in(src[1], 1)),
-                              (wire_out(ci),))
-            elif isinstance(cell, Refine):
-                # F1 bwd: refine feeding a box over the target layer
-                dst = host.wires[wire_out(ci)].dst
-                nxt = host.cells[dst[1]] if dst[0] == "in" else None
-                if isinstance(nxt, InternalBox) and nxt.layer == cell.target:
-                    f = self.system.functor(cell.source, cell.target)
-                    lifts, _ = self._lift(f, nxt.content, cell.word, None)
-                    for sigma in lifts:
-                        rule = self._rule(self.rule_f1, f, sigma)
-                        offer(out, rule, "bwd", (ci, dst[1]),
-                              (wire_in(ci),), (wire_out(dst[1]),))
-            elif isinstance(cell, Coarsen):
-                # F2 fwd: coarsen feeding a box over the source layer
-                dst = host.wires[wire_out(ci)].dst
-                nxt = host.cells[dst[1]] if dst[0] == "in" else None
-                if isinstance(nxt, InternalBox) and nxt.layer == cell.source:
-                    f = self.system.functor(cell.source, cell.target)
-                    rule = self._rule(self.rule_f2, f, nxt.content)
-                    offer(out, rule, "fwd", (ci, dst[1]),
-                          (wire_in(ci),), (wire_out(dst[1]),))
-            elif isinstance(cell, Pants):
-                # F3 fwd: strands into pants, at least one a box
-                w0, w1 = wire_in(ci, 0), wire_in(ci, 1)
-                s0, s1 = host.wires[w0].src, host.wires[w1].src
-                for c0, b0 in self._strands(host, s0, cell.alpha, cell.layer):
-                    for c1, b1 in self._strands(host, s1, cell.beta,
-                                                cell.layer):
-                        if c0.is_identity() and c1.is_identity():
-                            continue
-                        rule = self._rule(self.rule_f3, cell.layer, c0, c1)
-                        cells = tuple(x for x in (b0, b1, ci)
-                                      if x is not None)
-                        d0 = wire_in(b0) if b0 is not None else w0
-                        d1 = wire_in(b1) if b1 is not None else w1
-                        offer(out, rule, "fwd", cells,
-                              (d0, d1), (wire_out(ci),))
-            elif isinstance(cell, Copants):
-                # F4 fwd: copants into strands, at least one a box
-                w0, w1 = wire_out(ci, 0), wire_out(ci, 1)
-                d0, d1 = host.wires[w0].dst, host.wires[w1].dst
-                for c0, b0 in self._strands(host, d0, cell.alpha, cell.layer):
-                    for c1, b1 in self._strands(host, d1, cell.beta,
-                                                cell.layer):
-                        if c0.is_identity() and c1.is_identity():
-                            continue
-                        rule = self._rule(self.rule_f4, cell.layer, c0, c1)
-                        cells = tuple(x for x in (ci, b0, b1)
-                                      if x is not None)
-                        e0 = wire_out(b0) if b0 is not None else w0
-                        e1 = wire_out(b1) if b1 is not None else w1
-                        offer(out, rule, "fwd", cells,
-                              (wire_in(ci),), (e0, e1))
-        return out
-
-    @staticmethod
-    def _strands(host, end, word, layer):
-        """Strand contents at the far end of a pants/copants leg: identity,
-        or the box of ``layer`` whose port ``end`` is."""
-        opts = [(internal.identity(layer, word), None)]
-        if end[0] in ("in", "out"):
-            cell = host.cells[end[1]]
-            if isinstance(cell, InternalBox) and cell.layer == layer:
-                opts.append((cell.content, end[1]))
-        return opts
-
-    def _match_a(self, host: Diagram, key: tuple,
-                 index: _HostIndex) -> list[Match]:
-        out: list[Match] = []
-        wire_in, wire_out, offer = index.wire_in, index.wire_out, index.offer
-        for wi, w in enumerate(host.wires):
-            for wj, v in enumerate(host.wires):
-                if wi == wj or w.type[0] != v.type[0]:
-                    continue
-                rule = self._rule(self.rule_a1, w.type[0], w.type[1],
-                                  v.type[1])
-                offer(out, rule, "fwd", (), (wi, wj),
-                      (wi, wj))
-        for wi, w in enumerate(host.wires):
-            layer, word = w.type
-            for f in self.functors_by_source.get(layer, ()):
-                out.append(Match(self._rule(self.rule_a3, f, word), "fwd",
-                                 (), (wi,), (wi,), key))
-        for ci, cell in enumerate(host.cells):
-            if isinstance(cell, Copants):
-                w0, w1 = wire_out(ci), wire_out(ci, 1)
-                d0, d1 = host.wires[w0].dst, host.wires[w1].dst
-                if (d0[0] == "in" and d1[0] == "in" and d0[1] == d1[1]
-                        and d0[2] == 0 and d1[2] == 1):
-                    nxt = host.cells[d0[1]]
-                    if isinstance(nxt, Pants) and \
-                            (nxt.alpha, nxt.beta) == (cell.alpha, cell.beta):
-                        rule = self._rule(self.rule_a2, cell.layer,
-                                          cell.alpha, cell.beta)
-                        offer(out, rule, "fwd", (ci, d0[1]),
-                              (wire_in(ci),), (wire_out(d0[1]),))
-            elif isinstance(cell, Coarsen):
-                dst = host.wires[wire_out(ci)].dst
-                nxt = host.cells[dst[1]] if dst[0] == "in" else None
-                if (isinstance(nxt, Refine)
-                        and (nxt.source, nxt.target, nxt.word)
-                        == (cell.source, cell.target, cell.word)):
-                    f = self.system.functor(cell.source, cell.target)
-                    rule = self._rule(self.rule_a4, f, cell.word)
-                    offer(out, rule, "fwd", (ci, dst[1]),
-                          (wire_in(ci),), (wire_out(dst[1]),))
-            elif isinstance(cell, Refine):
-                if (cell.source, cell.target) in self.collapse:
-                    dst = host.wires[wire_out(ci)].dst
-                    nxt = host.cells[dst[1]] if dst[0] == "in" else None
-                    if (isinstance(nxt, Coarsen)
-                            and (nxt.source, nxt.target, nxt.word)
-                            == (cell.source, cell.target, cell.word)):
-                        f = self.system.functor(cell.source, cell.target)
-                        rule = self._rule(self.rule_a3c, f, cell.word)
-                        offer(out, rule, "fwd", (ci, dst[1]),
-                              (wire_in(ci),), (wire_out(dst[1]),))
-            elif isinstance(cell, Cap):
-                for cj, other in enumerate(host.cells):
-                    if isinstance(other, Cup) and other.layer == cell.layer:
-                        rule = self._rule(self.rule_a6, cell.layer)
-                        offer(out, rule, "fwd", (ci, cj),
-                              (wire_in(ci),), (wire_out(cj),))
-        if not host.cells and not host.wires:
-            for layer in sorted(self.system.layers):
-                out.append(Match(self._rule(self.rule_a5, layer), "fwd",
-                                 (), (), (), key))
-        return out
-
-    def _match_m(self, host: Diagram, key: tuple,
-                 index: _HostIndex) -> list[Match]:
-        out: list[Match] = []
-        wire_in, wire_out, offer = index.wire_in, index.wire_out, index.offer
-        for ci, cell in enumerate(host.cells):
-            if isinstance(cell, Pants):
-                w0, w1 = wire_in(ci, 0), wire_in(ci, 1)
-                wout = wire_out(ci)
-                s0, s1 = host.wires[w0].src, host.wires[w1].src
-                p0 = host.cells[s0[1]] if s0[0] == "out" else None
-                p1 = host.cells[s1[1]] if s1[0] == "out" else None
-                if (isinstance(p0, Pants) and s0[2] == 0
-                        and p0.layer == cell.layer
-                        and cell.alpha == p0.alpha + p0.beta):
-                    rule = self._rule(self.rule_m1, cell.layer, p0.alpha,
-                                      p0.beta, cell.beta)
-                    offer(out, rule, "fwd", (s0[1], ci),
-                          (wire_in(s0[1], 0), wire_in(s0[1], 1), w1),
-                          (wout,))
-                if (isinstance(p1, Pants) and s1[2] == 0
-                        and p1.layer == cell.layer
-                        and cell.beta == p1.alpha + p1.beta):
-                    rule = self._rule(self.rule_m1, cell.layer, cell.alpha,
-                                      p1.alpha, p1.beta)
-                    offer(out, rule, "bwd", (s1[1], ci),
-                          (w0, wire_in(s1[1], 0), wire_in(s1[1], 1)),
-                          (wout,))
-                if (isinstance(p0, Cup) and cell.alpha == EPSILON
-                        and p0.layer == cell.layer):
-                    rule = self._rule(self.rule_m3, cell.layer, cell.beta, "l")
-                    offer(out, rule, "fwd", (s0[1], ci),
-                          (w1,), (wout,))
-                if (isinstance(p1, Cup) and cell.beta == EPSILON
-                        and p1.layer == cell.layer):
-                    rule = self._rule(self.rule_m3, cell.layer, cell.alpha,
-                                      "r")
-                    offer(out, rule, "fwd", (s1[1], ci),
-                          (w0,), (wout,))
-                if (isinstance(p0, Refine) and isinstance(p1, Refine)
-                        and s0[1] != s1[1]
-                        and (p0.source, p0.target) == (p1.source, p1.target)
-                        and p0.target == cell.layer):
-                    f = self.system.functor(p0.source, p0.target)
-                    rule = self._rule(self.rule_m5a, f, p0.word, p1.word)
-                    offer(out, rule, "fwd",
-                          (s0[1], s1[1], ci),
-                          (wire_in(s0[1]), wire_in(s1[1])), (wout,))
-                dsto = host.wires[wout].dst
-                n = host.cells[dsto[1]] if dsto[0] == "in" else None
-                if (isinstance(n, Refine) and n.source == cell.layer
-                        and n.word == cell.alpha + cell.beta):
-                    f = self.system.functor(n.source, n.target)
-                    rule = self._rule(self.rule_m5a, f, cell.alpha, cell.beta)
-                    offer(out, rule, "bwd", (ci, dsto[1]),
-                          (w0, w1), (wire_out(dsto[1]),))
-            elif isinstance(cell, Copants):
-                win = wire_in(ci)
-                w0, w1 = wire_out(ci, 0), wire_out(ci, 1)
-                d0, d1 = host.wires[w0].dst, host.wires[w1].dst
-                n0 = host.cells[d0[1]] if d0[0] == "in" else None
-                n1 = host.cells[d1[1]] if d1[0] == "in" else None
-                if (isinstance(n0, Copants) and d0[2] == 0
-                        and n0.layer == cell.layer
-                        and cell.alpha == n0.alpha + n0.beta):
-                    rule = self._rule(self.rule_m2, cell.layer, n0.alpha,
-                                      n0.beta, cell.beta)
-                    offer(out, rule, "fwd", (ci, d0[1]),
-                          (win,),
-                          (wire_out(d0[1], 0), wire_out(d0[1], 1), w1))
-                if (isinstance(n1, Copants) and d1[2] == 0
-                        and n1.layer == cell.layer
-                        and cell.beta == n1.alpha + n1.beta):
-                    rule = self._rule(self.rule_m2, cell.layer, cell.alpha,
-                                      n1.alpha, n1.beta)
-                    offer(out, rule, "bwd", (ci, d1[1]),
-                          (win,),
-                          (w0, wire_out(d1[1], 0), wire_out(d1[1], 1)))
-                if (isinstance(n0, Cap) and cell.alpha == EPSILON
-                        and n0.layer == cell.layer):
-                    rule = self._rule(self.rule_m4, cell.layer, cell.beta, "l")
-                    offer(out, rule, "fwd", (ci, d0[1]),
-                          (win,), (w1,))
-                if (isinstance(n1, Cap) and cell.beta == EPSILON
-                        and n1.layer == cell.layer):
-                    rule = self._rule(self.rule_m4, cell.layer, cell.alpha,
-                                      "r")
-                    offer(out, rule, "fwd", (ci, d1[1]),
-                          (win,), (w0,))
-                if (isinstance(n0, Coarsen) and isinstance(n1, Coarsen)
-                        and d0[1] != d1[1]
-                        and (n0.source, n0.target) == (n1.source, n1.target)
-                        and n0.target == cell.layer):
-                    f = self.system.functor(n0.source, n0.target)
-                    rule = self._rule(self.rule_m6a, f, n0.word, n1.word)
-                    offer(out, rule, "fwd",
-                          (ci, d0[1], d1[1]), (win,),
-                          (wire_out(d0[1]), wire_out(d1[1])))
-                srci = host.wires[win].src
-                p = host.cells[srci[1]] if srci[0] == "out" else None
-                if (isinstance(p, Coarsen) and p.source == cell.layer
-                        and p.word == cell.alpha + cell.beta):
-                    f = self.system.functor(p.source, p.target)
-                    rule = self._rule(self.rule_m6a, f, cell.alpha, cell.beta)
-                    offer(out, rule, "bwd", (srci[1], ci),
-                          (wire_in(srci[1]),), (w0, w1))
-            elif isinstance(cell, Cup):
-                wo = wire_out(ci)
-                dst = host.wires[wo].dst
-                n = host.cells[dst[1]] if dst[0] == "in" else None
-                if (isinstance(n, Refine) and n.source == cell.layer
-                        and n.word == EPSILON):
-                    f = self.system.functor(n.source, n.target)
-                    rule = self._rule(self.rule_m5b, f)
-                    offer(out, rule, "fwd", (ci, dst[1]), (),
-                          (wire_out(dst[1]),))
-                for f in self.functors_by_target.get(cell.layer, ()):
-                    rule = self._rule(self.rule_m5b, f)
-                    offer(out, rule, "bwd", (ci,), (), (wo,))
-            elif isinstance(cell, Cap):
-                win = wire_in(ci)
-                src = host.wires[win].src
-                p = host.cells[src[1]] if src[0] == "out" else None
-                if (isinstance(p, Coarsen) and p.source == cell.layer
-                        and p.word == EPSILON):
-                    f = self.system.functor(p.source, p.target)
-                    rule = self._rule(self.rule_m6b, f)
-                    offer(out, rule, "fwd", (src[1], ci),
-                          (wire_in(src[1]),), ())
-                for f in self.functors_by_target.get(cell.layer, ()):
-                    rule = self._rule(self.rule_m6b, f)
-                    offer(out, rule, "bwd", (ci,), (win,), ())
-        for wi, w in enumerate(host.wires):
-            layer, word = w.type
-            for side in ("l", "r"):
-                for builder in (self.rule_m3, self.rule_m4):
-                    out.append(Match(self._rule(builder, layer, word, side),
-                                     "bwd", (), (wi,), (wi,), key))
-        return out
-
-    # -- anti-moves: locate right-hand sides of one-directional rules
-
-    def anti_matches(self, d: Diagram) -> list[Match]:
-        """Predecessor moves: the mechanical inverses of A-family rules
-        (none when the engine leaves out the A family)."""
-        if "A" not in self.families:
-            return []
-        host = canonicalize(d).diagram
-        key = canonical_key(host)
-        out: list[Match] = []
-        index = _HostIndex(host, key)
-        wire_in, wire_out, offer = index.wire_in, index.wire_out, index.offer
-        for ci, cell in enumerate(host.cells):
-            if isinstance(cell, Pants):
-                dst = host.wires[wire_out(ci)].dst
-                nxt = (host.cells[dst[1]] if dst[0] == "in" and dst[2] == 0
-                       else None)
-                if isinstance(nxt, Copants) and \
-                        (nxt.alpha, nxt.beta) == (cell.alpha, cell.beta):
-                    rule = self._rule(self.rule_a1, cell.layer,
-                                      cell.alpha, cell.beta)
-                    offer(out, rule, "bwd", (ci, dst[1]),
-                          (wire_in(ci), wire_in(ci, 1)),
-                          (wire_out(dst[1]), wire_out(dst[1], 1)))
-            elif isinstance(cell, Refine):
-                dst = host.wires[wire_out(ci)].dst
-                nxt = host.cells[dst[1]] if dst[0] == "in" else None
-                if (isinstance(nxt, Coarsen)
-                        and (nxt.source, nxt.target, nxt.word)
-                        == (cell.source, cell.target, cell.word)):
-                    f = self.system.functor(cell.source, cell.target)
-                    rule = self._rule(self.rule_a3, f, cell.word)
-                    offer(out, rule, "bwd", (ci, dst[1]),
-                          (wire_in(ci),), (wire_out(dst[1]),))
-            elif isinstance(cell, Cup):
-                # anti-A5 mirrors the forward restriction: the predecessor
-                # must be the empty diagram
-                if len(host.cells) == 2 and len(host.wires) == 1:
-                    dst = host.wires[wire_out(ci)].dst
-                    nxt = host.cells[dst[1]] if dst[0] == "in" else None
-                    if isinstance(nxt, Cap) and nxt.layer == cell.layer:
-                        rule = self._rule(self.rule_a5, cell.layer)
-                        out.append(Match(rule, "bwd", (ci, dst[1]), (),
-                                         (), key))
-        for wi, w in enumerate(host.wires):
-            layer, word = w.type
-            for f in self.functors_by_target.get(layer, ()):
-                pres, _ = _preimage_words(
-                    f, self.system.layer(f.source).gen_objects, word)
-                for src_word in pres:
-                    out.append(Match(self._rule(self.rule_a4, f, src_word),
-                                     "bwd", (), (wi,), (wi,), key))
-            if word == EPSILON:
-                out.append(Match(self._rule(self.rule_a6, layer), "bwd",
-                                 (), (wi,), (wi,), key))
-            for f in self.functors_by_source.get(layer, ()):
-                if (f.source, f.target) in self.collapse:
-                    out.append(Match(self._rule(self.rule_a3c, f, word),
-                                     "bwd", (), (wi,), (wi,), key))
-        out.sort(key=self._sort_key)
-        return out
 
     # -- isolation
 
@@ -1160,58 +1176,45 @@ class RuleEngine:
         return True
 
 
+
 def sample_instances(engine: RuleEngine,
                      words: dict[str, list[Word]]) -> list[RewriteRule]:
     """Concrete rule instances over given word pools, for tests and
-    semantic verification."""
+    semantic verification, in the order of ``_SAMPLES``."""
     sys = engine.system
     out: list[RewriteRule] = []
-    for layer in sorted(sys.layers):
-        pool = words.get(layer, [])
-        lay = sys.layer(layer)
-        sig = lay.signature
-        gens = [internal.generator(layer, g.name, sig)
+
+    def values(kind: str, args: tuple) -> list:
+        if kind == L:
+            return sorted(sys.layers)
+        if kind == F:
+            return [f for _, f in sorted(sys.functors.items())]
+        f = args[0] if isinstance(args[0], TranslationFunctor) else None
+        home = args[0] if f is None else f.source
+        lay = sys.layer(home)
+        if kind == W:
+            return words.get(home, [])
+        if kind == Q:
+            return [eq.name for eq in lay.equations]
+        gens = [internal.generator(home, g.name, lay.signature)
                 for g in lay.gen_morphisms]
-        for a in pool:
-            for b in pool:
-                out.append(engine.rule_a1(layer, a, b))
-                out.append(engine.rule_a2(layer, a, b))
-        out.append(engine.rule_a5(layer))
-        out.append(engine.rule_a6(layer))
-        for g1 in gens:
-            for g2 in gens:
-                out.append(engine.rule_f3(layer, g1, g2))
-                out.append(engine.rule_f4(layer, g1, g2))
-        for a in pool:
-            for b in pool:
-                for c in pool:
-                    out.append(engine.rule_m1(layer, a, b, c))
-                    out.append(engine.rule_m2(layer, a, b, c))
-            for side in ("l", "r"):
-                out.append(engine.rule_m3(layer, a, side))
-                out.append(engine.rule_m4(layer, a, side))
-        for eq in lay.equations:
-            out.append(engine.rule_e(layer, eq.name))
-    for (s, t), f in sorted(sys.functors.items()):
-        pool = words.get(s, [])
-        lay = sys.layer(s)
-        sig = lay.signature
-        gens = [internal.generator(s, g.name, sig) for g in lay.gen_morphisms]
-        for w in pool:
-            out.append(engine.rule_a3(f, w))
-            out.append(engine.rule_a4(f, w))
-        for g in gens:
-            # generators with identity images slide through refinements
-            # invisibly; their instances normalize to bare triangles
-            if translate_internal(sys, f, g).slices:
-                out.append(engine.rule_f1(f, g))
-                out.append(engine.rule_f2(f, g))
-        for a in pool:
-            for b in pool:
-                out.append(engine.rule_m5a(f, a, b))
-                out.append(engine.rule_m6a(f, a, b))
-        out.append(engine.rule_m5b(f))
-        out.append(engine.rule_m6b(f))
+        # generators with identity images slide through refinements
+        # invisibly; their instances normalize to bare triangles
+        return [g for g in gens
+                if f is None or translate_internal(sys, f, g).slices]
+
+    def walk(group: tuple, args: tuple, k: int = 0) -> None:
+        if k < len(group[0]):
+            for x in values(group[0][k], args):
+                walk(group, args + (x,), k + 1)
+            return
+        for member in group[1:]:
+            if isinstance(member, str):
+                out.append(engine.rule_instance(member, *args))
+            else:
+                walk(member, args)
+
+    walk(_SAMPLES, ())
     return out
 
 

@@ -638,8 +638,8 @@ def test_apply_rule_rejects_forged_matches(two_layer, engine):
     for wi, w in enumerate(host.wires):
         by_type.setdefault(w.type, []).append(wi)
     (a_in, a_out), (b_wire,) = by_type[("U", ("a",))], by_type[("U", ("b",))]
-    a3 = engine.rule_a3(two_layer.functor("U", "L"), ("a",))
-    a1 = engine.rule_a1("U", ("a",), ("a",))
+    a3 = engine.rule_instance("A3", two_layer.functor("U", "L"), ("a",))
+    a1 = engine.rule_instance("A1", "U", ("a",), ("a",))
     forged = [
         # the sheet of b where the rule wants a sheet of a
         rw.Match(a3, "fwd", (), (b_wire,), (b_wire,), key),

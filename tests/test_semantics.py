@@ -112,7 +112,7 @@ def test_side_evaluation_agrees_for_f1(monoid_model):
     engine = rw.RuleEngine(sys_)
     f = sys_.functor("MU", "ML")
     sigma = InternalDiagram("MU", ("u",), ("u",), ((0, "m1"),))
-    rule = engine.rule_f1(f, sigma)
+    rule = engine.rule_instance("F1", f, sigma)
     ev_l = sm.side_evaluation(monoid_model, rule.lhs)
     ev_r = sm.side_evaluation(monoid_model, rule.rhs)
     assert ev_l and any(l == r for l in ev_l for r in ev_r)
@@ -165,7 +165,7 @@ def test_deliberately_wrong_rule_fails(monoid_model):
 
 def test_e_rule_soundness_check(monoid_model):
     engine = rw.RuleEngine(monoid_model.system)
-    good = engine.rule_e("MU", "m1m2_id")
+    good = engine.rule_instance("E", "MU", "m1m2_id")
     assert sm.verify_rule_semantics(good, monoid_model)
 
 
@@ -280,7 +280,7 @@ def test_interpret_isomorphic_to_coend_fold(make, words, every):
 def test_nat_search_cap_counts_after_point_closure(monoid_model):
     # the two sheets A1[ML;e;e] starts from have 9^9 raw assignments
     # against the coend fold, and the point's closure settles all of them
-    side = rw.RuleEngine(monoid_model.system).rule_a1("ML", (), ()).lhs
+    side = rw.RuleEngine(monoid_model.system).rule_instance("A1", "ML", (), ()).lhs
     new = sm.interpret(monoid_model, side)
     ref = reference_interpret(monoid_model, side)
     raw = 1
