@@ -137,7 +137,7 @@ _CELLS = {"box": _INTERNAL, "pants": _SPLIT, "copants": _SPLIT,
 
 
 def _cell_shape(value) -> None:
-    _check(value, {"kind": str})
+    _check(value, {"kind": str, "id": _Opt(int)})
     if value["kind"] not in _CELLS:
         raise _Shape(f"unknown cell kind {value['kind']!r}", "kind")
     _check(value, _CELLS[value["kind"]])

@@ -397,13 +397,40 @@ def _image(f, a):
     return a if f is None else f.on_obj(a)
 
 
+def _read_side(model: FinOmegaSystem, d: Diagram, evaluate: bool
+               ) -> tuple[PointedProfunctor, list[tuple]]:
+    """The pointed profunctor of a diagram and, if ``evaluate``, its side
+    evaluations, from one slicing and one fold of the up reading; the down
+    reading is folded only when none of its pieces has an up functor."""
+    c = canonicalize(d).diagram
+    slices = layered_slices(c)
+    up = [_slice_piece(model, items, 0) for items in slices]
+    prof, s = _fold(model, c, up)
+    pointed = PointedProfunctor(reindex(prof, s.f, s.g, s.src, s.tgt), s.a,
+                                s.b, s.point)
+    evaluations: list[tuple] = []
+    if evaluate:
+        if all(p.g is None for p in up):
+            evaluations.append(_evaluation("up", s.f, s.src, s))
+        down = [_slice_piece(model, items, 1) for items in slices]
+        if all(p.f is None for p in down):
+            s = _fold(model, c, down)[1]
+            evaluations.append(_evaluation("down", s.g, s.tgt, s))
+    return pointed, evaluations
+
+
+def _evaluation(direction: str, functor, cat: FinCategory,
+                s: _Piece) -> tuple:
+    objs, gens = cat.objects, cat.generators()
+    if functor is not None:
+        objs = tuple(map(functor.on_obj, objs))
+        gens = tuple(map(functor.on_mor, gens))
+    return (direction, objs, gens, s.a, s.b, s.point)
+
+
 def interpret(model: FinOmegaSystem, d: Diagram) -> PointedProfunctor:
     """Structural evaluation of a diagram into a pointed profunctor."""
-    c = canonicalize(d).diagram
-    prof, s = _fold(model, c, [_slice_piece(model, items, 0)
-                               for items in layered_slices(c)])
-    return PointedProfunctor(reindex(prof, s.f, s.g, s.src, s.tgt), s.a,
-                             s.b, s.point)
+    return _read_side(model, d, False)[0]
 
 
 def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
@@ -415,21 +442,7 @@ def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
     mixes directions.  The functor maps the source (up) or the target
     (down) boundary; the images of its objects and generators fix it.
     """
-    c = canonicalize(d).diagram
-    slices = layered_slices(c)
-    out: list[tuple] = []
-    for down, direction in enumerate(("up", "down")):
-        pieces = [_slice_piece(model, items, down) for items in slices]
-        if any((p.f if down else p.g) is not None for p in pieces):
-            continue
-        _, s = _fold(model, c, pieces)
-        functor, cat = (s.g, s.tgt) if down else (s.f, s.src)
-        objs, gens = cat.objects, cat.generators()
-        if functor is not None:
-            objs = tuple(map(functor.on_obj, objs))
-            gens = tuple(map(functor.on_mor, gens))
-        out.append((direction, objs, gens, s.a, s.b, s.point))
-    return out
+    return _read_side(model, d, True)[1]
 
 
 # -- rule verification -------------------------------------------------------
@@ -449,14 +462,11 @@ def verify_rule_semantics(rule: RewriteRule, model: FinOmegaSystem,
         eq = {e.name: e for e in model.system.layer(layer).equations}[eq_name]
         return (model.internal_morphism(eq.lhs)
                 == model.internal_morphism(eq.rhs))
-    left = interpret(model, rule.lhs)
-    right = interpret(model, rule.rhs)
+    sliding = rule.family in ("F", "M")
+    left, ev_l = _read_side(model, rule.lhs, sliding)
+    right, ev_r = _read_side(model, rule.rhs, sliding)
     two_cell = pf.pointed_two_cell(left, right, iso=rule.bidirectional,
                                    cap=cap)
     if two_cell is None:
         return False
-    if rule.family in ("F", "M"):
-        ev_l = side_evaluation(model, rule.lhs)
-        ev_r = side_evaluation(model, rule.rhs)
-        return any(l == r for l in ev_l for r in ev_r)
-    return True
+    return not sliding or any(l == r for l in ev_l for r in ev_r)

@@ -1,4 +1,6 @@
-"""Hostile model files through ``layerprop semantics-verify``.
+"""Hostile input files through the command line: model files through
+``semantics-verify``, theory files through ``check-theory``, diagram files
+through ``export-dot`` and derivation files through ``explain2``.
 
 Every payload here is malformed: the command must exit 1 with exactly one
 ``error:`` line and no traceback.  The searches are derandomized and
@@ -13,8 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layerprop import diagram as dg
 from layerprop import jsonio, models
+from layerprop import rewrite as rw
 from layerprop.cli import main
+from layerprop.internal import InternalDiagram
 
 FUZZ = settings(derandomize=True, database=None, max_examples=50,
                 deadline=None)
@@ -38,14 +43,23 @@ def files(tmp_path_factory):
     return str(theory), root / "m.json"
 
 
-def _rejected(files, payload) -> str:
-    """Run semantics-verify on the payload; return its one error line."""
-    theory, model = files
-    model.write_text(json.dumps(payload), encoding="utf-8")
+def _argv(files, verb: str) -> list[str]:
+    """The command line that loads the payload file with ``verb``."""
+    theory, path = files[0], str(files[1])
+    return [verb, "--system", path if verb == "check-theory" else theory] + {
+        "semantics-verify": ["--model", path, "--max-word", "0"],
+        "check-theory": [], "export-dot": ["--diagram", path],
+        "explain2": ["--derivation", path, "--layer", "MU", "--equation",
+                     "m1m2_id"]}[verb]
+
+
+def _rejected(files, payload, verb: str = "semantics-verify") -> str:
+    """Run ``verb`` on the payload; return its one error line."""
+    path = files[1]
+    path.write_text(json.dumps(payload), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["semantics-verify", "--system", theory, "--model",
-                     str(model), "--max-word", "0"])
+        code = main(_argv(files, verb))
     lines = err.getvalue().splitlines()
     assert code == 1, (code, out.getvalue(), err.getvalue())
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
@@ -63,9 +77,6 @@ def _paths(node, path=()):
             yield from _paths(value, path + (i,))
 
 
-PATHS = list(_paths(MODEL))
-
-
 def _kind(value) -> str:
     if isinstance(value, bool) or value is None:
         return repr(value)
@@ -73,24 +84,78 @@ def _kind(value) -> str:
         type(value).__name__
 
 
-@FUZZ
-@given(st.data())
-def test_model_with_a_node_of_the_wrong_type(files, data):
-    path = data.draw(st.sampled_from(PATHS))
-    payload = json.loads(json.dumps(MODEL))
+def _replaced(data, valid):
+    """A copy of a valid payload with one node, at a random path, replaced
+    by random JSON of another kind."""
+    path = data.draw(st.sampled_from(list(_paths(valid))))
+    payload = json.loads(json.dumps(valid))
     node = payload
     for key in path[:-1]:
         node = node[key]
     old = node[path[-1]] if path else payload
     new = data.draw(JSON.filter(lambda v: _kind(v) != _kind(old)))
-    if path:
-        node[path[-1]] = new
-    else:
-        payload = new
-    _rejected(files, payload)
+    if not path:
+        return new
+    node[path[-1]] = new
+    return payload
+
+
+@FUZZ
+@given(st.data())
+def test_model_with_a_node_of_the_wrong_type(files, data):
+    _rejected(files, _replaced(data, MODEL))
 
 
 @FUZZ
 @given(JSON)
 def test_model_of_random_json(files, payload):
     _rejected(files, payload)
+
+
+def _valid_files():
+    """A valid theory, diagram and derivation over the monoid system; the
+    derivation deletes m1;m2 by the equation m1m2_id."""
+    sys_ = models.monoid_model().system
+    m1m2 = dg.box(sys_, InternalDiagram("MU", ("u",), ("u",),
+                                        ((0, "m1"), (0, "m2"))))
+    d = dg.seq_many(dg.copants(sys_, "MU", ("u",), ()),
+                    dg.par_tensor(m1m2, dg.cap(sys_, "MU")),
+                    dg.refine(sys_, "MU", "ML", ("u",)))
+    dv = rw.find_derivation(m1m2, dg.identity(sys_, m1m2.dom), 20)
+    return {"check-theory": jsonio.system_to_json(sys_),
+            "export-dot": jsonio.diagram_to_json(d),
+            "explain2": jsonio.derivation_to_json(dv)}
+
+
+VALID = _valid_files()
+
+
+@pytest.mark.parametrize("verb", sorted(VALID))
+def test_valid_loader_payloads_are_accepted(files, verb):
+    files[1].write_text(json.dumps(VALID[verb]), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_argv(files, verb))
+    assert code != 1 and err.getvalue() == "", (code, err.getvalue())
+
+
+@pytest.mark.parametrize("verb", sorted(VALID))
+@FUZZ
+@given(data=st.data())
+def test_loader_input_with_a_node_of_the_wrong_type(files, verb, data):
+    _rejected(files, _replaced(data, VALID[verb]), verb)
+
+
+@pytest.mark.parametrize("verb", sorted(VALID))
+@FUZZ
+@given(payload=JSON)
+def test_loader_input_of_random_json(files, verb, payload):
+    _rejected(files, payload, verb)
+
+
+def test_cell_id_of_the_wrong_type(files):
+    # the loader ignored a cell's "id", so a diagram with "id": null loaded
+    payload = json.loads(json.dumps(VALID["export-dot"]))
+    payload["cells"][1]["id"] = None
+    assert _rejected(files, payload, "export-dot") == \
+        "error: bad diagram file: cells[1].id: expected int, got null"

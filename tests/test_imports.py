@@ -1,0 +1,31 @@
+"""The kernel is stdlib-only: every module of ``src/layerprop`` imports only
+the standard library and its own sibling modules."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "layerprop"
+
+
+def test_kernel_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    own = {path.stem for path in modules}
+    assert {"rewrite", "semantics", "cli"} <= own
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    top = alias.name.partition(".")[0]
+                    assert top in sys.stdlib_module_names, where
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                top = node.module.partition(".")[0]
+                assert top in sys.stdlib_module_names, where
+            elif isinstance(node, ast.ImportFrom):
+                # relative: a sibling module of the package, never above it
+                assert node.level == 1, where
+                names = ([node.module.partition(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+                assert set(names) <= own, where
