@@ -1,6 +1,8 @@
-"""Rewrite cells between diagrams: rule families, matching, and search.
+"""Rewrite cells between diagrams: the rule table, matching, and search.
 
-The rule set consists of four families over a validated system:
+Every rule is one entry of the table ``_SCHEMATA``: a key, argument kinds
+and two sides built from the arguments by the ``dg`` constructors.  The
+four families over a validated system:
 
 * F: a box slides through a refinement/coarsening (picking up the functor's
   image) or through pants/copants (splitting into an in-layer tensor).
@@ -8,30 +10,47 @@ The rule set consists of four families over a validated system:
   one-directional.
 * M: coherence of pants/copants/cup/cap with each other and with
   refine/coarsen; invertible.
-* E: one invertible rule per layer equation, applied inside boxes.
+* E: one invertible rule per layer equation, applied inside boxes through a
+  payload (``_match_boxeq``).
 
-Matching is host-driven: rather than enumerating the infinite instance
-space, each family inspects the canonical host and yields concrete
-instantiated matches.  Backward matching of F rules inverts a translation
-functor by bounded search (``lift_along``).
+``RuleEngine.rule_instance`` builds any rule of the table, and
+``sample_instances`` walks the table over word pools.  Each A, F and M side
+is also built once over variables (``_Template``), and one matcher finds
+its convex occurrences in the canonical host, as in convex rewriting modulo
+symmetric monoidal structure (Bonchi et al., String Diagram Rewrite Theory
+II, arXiv:2104.14686; Chyp, https://github.com/akissinger/chyp, is a small
+tool built on the same idea): cells are placed from an anchor along the
+side's wires, bare sheets taken by type, and labels unified with the
+host's.  ``matches`` offers each lhs forward and each bidirectional rhs
+backward, ``anti_matches`` the rhs of the one-directional rules.  What the
+host does not fix is searched: a juxtaposed box is split
+(``internal.split_beside``), an image box lifted (``lift_along``, given the
+dom word of a matched refine or the cod word of a matched coarsen), an
+image word inverted (``_preimage_words``), and a functor no cell fixes taken
+from those with its source or target.  ``Match.cells`` lists the host image
+of each cell of the matched side in the side's construction order.
 
-Two deliberate asymmetries, both load-bearing for isolation certificates:
-the cup/cap unit (A5) introduces a floating circle and is only offered on
-the empty diagram, and ``is_isolated`` counts a match only when it touches
-a cell of the diagram or covers the diagram whole.  Unit rules whiskered
-onto interior sheet wires produce only window/pants dressing around the
-diagram; the certificate follows the generator-by-generator reading and
-ignores them, which ``check_counterfactual`` complements with an explicit
-derivation search.
+The table carries the deliberate asymmetries, load-bearing for the pinned
+searches and the isolation certificate: A2 has no backward move; the
+cup/cap unit A5 introduces a floating circle, so it is offered forward only
+on the empty diagram and backward only on a lone circle; A3c exists only
+for the engine's faithful window-collapse pairs; and an F3/F4 strand is a
+box of the layer or a bare sheet with identity content, both readings
+offered where a box is, never both strands identity.  ``is_isolated``
+counts a match only when it touches a cell of the diagram or covers the
+diagram whole.  Unit rules whiskered onto interior sheet wires produce only
+window/pants dressing around the diagram; the certificate follows the
+generator-by-generator reading and ignores them, which
+``check_counterfactual`` complements with an explicit derivation search.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from . import diagram as dg
@@ -461,6 +480,14 @@ def _strand(y, content: InternalDiagram) -> Diagram:
     return dg.box(y, content)
 
 
+def _up(y, f, w: Word) -> Diagram:
+    return dg.refine(y, f.source, f.target, w)
+
+
+def _down(y, f, w: Word) -> Diagram:
+    return dg.coarsen(y, f.source, f.target, w)
+
+
 def _eq(y, layer: str, name: str):
     return {e.name: e for e in y.layer(layer).equations}[name]
 
@@ -470,9 +497,8 @@ _SCHEMATA = {s.key: s for s in (
     _Schema("A1", (L, W, W), lambda y, l, a, b: _id(y, l, a, b),
             lambda y, l, a, b: _seq(dg.pants(y, l, a, b),
                                     dg.copants(y, l, a, b))),
-    _Schema("A2", (L, W, W),
-            lambda y, l, a, b: _seq(dg.copants(y, l, a, b),
-                                    dg.pants(y, l, a, b)),
+    _Schema("A2", (L, W, W), lambda y, l, a, b: _seq(
+        dg.copants(y, l, a, b), dg.pants(y, l, a, b)),
             lambda y, l, a, b: _id(y, l, a + b), only="forward"),
     # the unit introduces a floating circle: offered on the empty diagram
     # only, and undone only on a lone circle
@@ -481,29 +507,21 @@ _SCHEMATA = {s.key: s for s in (
     _Schema("A6", (L,), lambda y, l: _seq(dg.cap(y, l), dg.cup(y, l)),
             lambda y, l: _id(y, l, EPSILON)),
     _Schema("A3", (F, W), lambda y, f, w: _id(y, f.source, w),
-            lambda y, f, w: _seq(dg.refine(y, f.source, f.target, w),
-                                 dg.coarsen(y, f.source, f.target, w))),
+            lambda y, f, w: _seq(_up(y, f, w), _down(y, f, w))),
     # the window unit's left inverse, for designated faithful functors
-    _Schema("A3c", (F, W),
-            lambda y, f, w: _seq(dg.refine(y, f.source, f.target, w),
-                                 dg.coarsen(y, f.source, f.target, w)),
+    _Schema("A3c", (F, W), lambda y, f, w: _seq(_up(y, f, w), _down(y, f, w)),
             lambda y, f, w: _id(y, f.source, w), only="collapse"),
-    _Schema("A4", (F, W),
-            lambda y, f, w: _seq(dg.coarsen(y, f.source, f.target, w),
-                                 dg.refine(y, f.source, f.target, w)),
+    _Schema("A4", (F, W), lambda y, f, w: _seq(_down(y, f, w), _up(y, f, w)),
             lambda y, f, w: _id(y, f.target, f.word_image(w))),
-    _Schema("F1", (F, C),
-            lambda y, f, s: _seq(dg.box(y, s),
-                                 dg.refine(y, f.source, f.target, s.cod)),
-            lambda y, f, s: _seq(dg.refine(y, f.source, f.target, s.dom),
+    _Schema("F1", (F, C), lambda y, f, s: _seq(dg.box(y, s),
+                                                _up(y, f, s.cod)),
+            lambda y, f, s: _seq(_up(y, f, s.dom),
                                  dg.box(y, translate_internal(y, f, s))),
             keep=1),
-    _Schema("F2", (F, C),
-            lambda y, f, s: _seq(dg.coarsen(y, f.source, f.target, s.dom),
-                                 dg.box(y, s)),
+    _Schema("F2", (F, C), lambda y, f, s: _seq(_down(y, f, s.dom),
+                                                dg.box(y, s)),
             lambda y, f, s: _seq(dg.box(y, translate_internal(y, f, s)),
-                                 dg.coarsen(y, f.source, f.target, s.cod)),
-            keep=1),
+                                 _down(y, f, s.cod)), keep=1),
     _Schema("F3", (L, S, S),
             lambda y, l, s, t: _seq(_par(_strand(y, s), _strand(y, t)),
                                     dg.pants(y, l, s.cod, t.cod)),
@@ -514,59 +532,42 @@ _SCHEMATA = {s.key: s for s in (
                                     _par(_strand(y, s), _strand(y, t))),
             lambda y, l, s, t: _seq(dg.box(y, s.beside(t)),
                                     dg.copants(y, l, s.cod, t.cod)), keep=1),
-    _Schema("M1", (L, W, W, W),
-            lambda y, l, a, b, c: _seq(
-                _par(dg.pants(y, l, a, b), _id(y, l, c)),
-                dg.pants(y, l, a + b, c)),
-            lambda y, l, a, b, c: _seq(
-                _par(_id(y, l, a), dg.pants(y, l, b, c)),
-                dg.pants(y, l, a, b + c)), keep=1),
-    _Schema("M2", (L, W, W, W),
-            lambda y, l, a, b, c: _seq(
-                dg.copants(y, l, a + b, c),
-                _par(dg.copants(y, l, a, b), _id(y, l, c))),
-            lambda y, l, a, b, c: _seq(
-                dg.copants(y, l, a, b + c),
-                _par(_id(y, l, a), dg.copants(y, l, b, c))), keep=1),
-    _Schema("M3l", (L, W),
-            lambda y, l, a: _seq(_par(dg.cup(y, l), _id(y, l, a)),
-                                 dg.pants(y, l, EPSILON, a)),
+    _Schema("M1", (L, W, W, W), lambda y, l, a, b, c: _seq(
+        _par(dg.pants(y, l, a, b), _id(y, l, c)), dg.pants(y, l, a + b, c)),
+            lambda y, l, a, b, c: _seq(_par(_id(y, l, a), dg.pants(
+                y, l, b, c)), dg.pants(y, l, a, b + c)), keep=1),
+    _Schema("M2", (L, W, W, W), lambda y, l, a, b, c: _seq(
+        dg.copants(y, l, a + b, c), _par(dg.copants(y, l, a, b),
+                                         _id(y, l, c))),
+            lambda y, l, a, b, c: _seq(dg.copants(y, l, a, b + c), _par(
+                _id(y, l, a), dg.copants(y, l, b, c))), keep=1),
+    _Schema("M3l", (L, W), lambda y, l, a: _seq(
+        _par(dg.cup(y, l), _id(y, l, a)), dg.pants(y, l, EPSILON, a)),
             lambda y, l, a: _id(y, l, a)),
-    _Schema("M3r", (L, W),
-            lambda y, l, a: _seq(_par(_id(y, l, a), dg.cup(y, l)),
-                                 dg.pants(y, l, a, EPSILON)),
+    _Schema("M3r", (L, W), lambda y, l, a: _seq(
+        _par(_id(y, l, a), dg.cup(y, l)), dg.pants(y, l, a, EPSILON)),
             lambda y, l, a: _id(y, l, a)),
-    _Schema("M4l", (L, W),
-            lambda y, l, a: _seq(dg.copants(y, l, EPSILON, a),
-                                 _par(dg.cap(y, l), _id(y, l, a))),
+    _Schema("M4l", (L, W), lambda y, l, a: _seq(
+        dg.copants(y, l, EPSILON, a), _par(dg.cap(y, l), _id(y, l, a))),
             lambda y, l, a: _id(y, l, a)),
-    _Schema("M4r", (L, W),
-            lambda y, l, a: _seq(dg.copants(y, l, a, EPSILON),
-                                 _par(_id(y, l, a), dg.cap(y, l))),
+    _Schema("M4r", (L, W), lambda y, l, a: _seq(
+        dg.copants(y, l, a, EPSILON), _par(_id(y, l, a), dg.cap(y, l))),
             lambda y, l, a: _id(y, l, a)),
-    _Schema("M5a", (F, W, W),
-            lambda y, f, a, b: _seq(
-                _par(dg.refine(y, f.source, f.target, a),
-                     dg.refine(y, f.source, f.target, b)),
-                dg.pants(y, f.target, f.word_image(a), f.word_image(b))),
+    _Schema("M5a", (F, W, W), lambda y, f, a, b: _seq(
+        _par(_up(y, f, a), _up(y, f, b)),
+        dg.pants(y, f.target, f.word_image(a), f.word_image(b))),
             lambda y, f, a, b: _seq(dg.pants(y, f.source, a, b),
-                                    dg.refine(y, f.source, f.target, a + b)),
-            keep=1),
-    _Schema("M5b", (F,),
-            lambda y, f: _seq(dg.cup(y, f.source),
-                              dg.refine(y, f.source, f.target, EPSILON)),
+                                    _up(y, f, a + b)), keep=1),
+    _Schema("M5b", (F,), lambda y, f: _seq(dg.cup(y, f.source),
+                                           _up(y, f, EPSILON)),
             lambda y, f: dg.cup(y, f.target)),
-    _Schema("M6a", (F, W, W),
-            lambda y, f, a, b: _seq(
-                dg.copants(y, f.target, f.word_image(a), f.word_image(b)),
-                _par(dg.coarsen(y, f.source, f.target, a),
-                     dg.coarsen(y, f.source, f.target, b))),
-            lambda y, f, a, b: _seq(
-                dg.coarsen(y, f.source, f.target, a + b),
-                dg.copants(y, f.source, a, b)), keep=1),
-    _Schema("M6b", (F,),
-            lambda y, f: _seq(dg.coarsen(y, f.source, f.target, EPSILON),
-                              dg.cap(y, f.source)),
+    _Schema("M6a", (F, W, W), lambda y, f, a, b: _seq(
+        dg.copants(y, f.target, f.word_image(a), f.word_image(b)),
+        _par(_down(y, f, a), _down(y, f, b))),
+            lambda y, f, a, b: _seq(_down(y, f, a + b),
+                                    dg.copants(y, f.source, a, b)), keep=1),
+    _Schema("M6b", (F,), lambda y, f: _seq(_down(y, f, EPSILON),
+                                           dg.cap(y, f.source)),
             lambda y, f: dg.cap(y, f.target)),
     # matched inside boxes through a payload (``_match_boxeq``)
     _Schema("E", (L, Q), lambda y, l, e: dg.box(y, _eq(y, l, e).lhs),
@@ -617,22 +618,8 @@ class _FunctorVar:
 
     def gen_image(self, v: _Var) -> InternalDiagram:
         return InternalDiagram(self.target, self.word_image((v.dom,)),
-                               self.word_image((v.cod,)), ((0, _Img(self, v)),))
-
-
-class _VarSystem:
-    """The system while a side is built over variables: the ``dg``
-    constructors' checks pass, and a content variable or its image is a
-    generator."""
-
-    def __init__(self, functor: _FunctorVar | None, sig: dict) -> None:
-        self.functor = lambda source, target: functor
-        self.signature = lambda layer: sig
-
-    def validate_word(self, *_) -> None:
-        pass
-
-    validate_type = layer = validate_word
+                               self.word_image((v.cod,)),
+                               ((0, _Img(self, v)),))
 
 
 # the label fields a template cell constrains (an image word follows from
@@ -651,10 +638,9 @@ class _Template:
     Its cells are placed in the host from an anchor, its first cell that is
     not a strand box, along its links (``steps``), or by kind where the side
     falls apart; a strand box may also read as the bare sheet it stands on.
-    A side without cells is bare sheets: ``dom_of`` and ``cod_of`` give the
-    sheet at each boundary position.  ``patterns`` are the cells' label
-    fields, or the sheets' types, which ``RuleEngine._solve`` unifies with
-    the host's values.
+    A side without cells is an identity, matched on distinct host wires.
+    ``patterns`` are the cells' label fields, or the sheets' types, which
+    ``RuleEngine._solve`` unifies with the host's values.
     """
 
     def __init__(self, schema: _Schema, side: str) -> None:
@@ -679,7 +665,13 @@ class _Template:
                                             ((0, v),)))
             else:
                 args.append(_Var())
-        d = getattr(schema, side)(_VarSystem(self.functor, sig), *args)
+        # the system while the side is built over variables: the ``dg``
+        # constructors' checks pass, and content variables are generators
+        y = SimpleNamespace(functor=lambda *_: self.functor,
+                            signature=lambda _: sig, **dict.fromkeys(
+                                ("validate_word", "validate_type", "layer"),
+                                lambda *_: None))
+        d = getattr(schema, side)(y, *args)
         self.args = [a[0] if type(a) is tuple else a.slices[0][1]
                      if type(a) is InternalDiagram else a for a in args]
         self.free = [v for v, k in zip(self.args, schema.kinds) if k in (L, F)]
@@ -691,10 +683,10 @@ class _Template:
         self.patterns = [getattr(c, f) for c in d.cells
                          for f in _FIELDS[type(c)]]
         self.dom, self.cod = [None] * len(d.dom), [None] * len(d.cod)
-        sheets, links = [], []
+        links = []
         for src, dst, ty in d.wires:
-            if src[0] == "dom" and dst[0] == "cod":
-                sheets.append((src[1], dst[1]))
+            if src[0] == "dom" and dst[0] == "cod":  # an identity's sheet
+                assert src[1] == dst[1] and not d.cells
                 self.patterns += ty
             elif src[0] == "dom":
                 self.dom[src[1]] = dst[1:]
@@ -702,10 +694,6 @@ class _Template:
                 self.cod[dst[1]] = src[1:]
             else:
                 links.append(src[1:] + dst[1:])
-        self.dom_of = [s for _, s in sorted((k, s) for s, (k, _)
-                                            in enumerate(sheets))]
-        self.cod_of = [s for _, s in sorted((j, s) for s, (_, j)
-                                            in enumerate(sheets))]
         self.anchor = self.optional.index(False) if d.cells else None
         self.steps: list = []
         placed = {self.anchor}
@@ -797,7 +785,7 @@ class _Moves:
             self.by_anchor.setdefault(t.kinds[t.anchor], []).append(
                 (t, orientation))
         else:
-            (self.sheets if len(t.dom_of) == 1 else self.bare).append(
+            (self.sheets if len(t.dom) == 1 else self.bare).append(
                 (t, orientation))
 
     def __bool__(self) -> bool:
@@ -843,13 +831,6 @@ def _settle(pat, val, env: dict) -> bool | None:
     return have == val
 
 
-# per system, shared by its engines and dropped with it: the arguments a
-# template's side takes at given host values, and each rule's name, sides
-# and params (immutable, so engines may share them)
-_SHARED: "weakref.WeakKeyDictionary[SystemOfLayers, tuple]" = \
-    weakref.WeakKeyDictionary()
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -887,7 +868,7 @@ class RuleEngine:
         # application only reads the replacement's cells and wires
         self._rules: dict[tuple, RewriteRule] = {}
         self._solved: dict[tuple, list[RewriteRule]] = {}
-        self._solutions, self._made = _SHARED.setdefault(system, ({}, {}))
+        self._solutions, self._made = system._rewrite_memo
         # each lhs forward and each bidirectional rhs backward for
         # ``matches``; the other rhs backward for ``anti_matches``
         self._moves, self._anti = _Moves(), _Moves()
@@ -986,7 +967,7 @@ class RuleEngine:
                 for wi in wires:
                     out.append(Match(rule, orientation, (), (wi,), (wi,), key))
         for t, orientation in moves.bare:  # no sheet (A5), or two (A1)
-            n = len(t.dom_of)
+            n = len(t.dom)
             if t.whole and host.wires:
                 continue
             for types in itertools.product(by_type, repeat=n):
@@ -995,9 +976,7 @@ class RuleEngine:
                 for rule in self._rules_at(t, sum(types, ())):
                     for ws in itertools.product(*map(by_type.get, types)):
                         if len(set(ws)) == n:
-                            index.offer(out, rule, orientation, (),
-                                        tuple(ws[s] for s in t.dom_of),
-                                        tuple(ws[s] for s in t.cod_of))
+                            index.offer(out, rule, orientation, (), ws, ws)
 
     def _rules_at(self, t: _Template, values: tuple) -> list[RewriteRule]:
         """The rules whose side t denotes these host values."""

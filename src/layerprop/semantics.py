@@ -406,26 +406,22 @@ def _read_side(model: FinOmegaSystem, d: Diagram, evaluate: bool
     slices = layered_slices(c)
     up = [_slice_piece(model, items, 0) for items in slices]
     prof, s = _fold(model, c, up)
-    pointed = PointedProfunctor(reindex(prof, s.f, s.g, s.src, s.tgt), s.a,
-                                s.b, s.point)
     evaluations: list[tuple] = []
-    if evaluate:
-        if all(p.g is None for p in up):
-            evaluations.append(_evaluation("up", s.f, s.src, s))
-        down = [_slice_piece(model, items, 1) for items in slices]
-        if all(p.f is None for p in down):
-            s = _fold(model, c, down)[1]
-            evaluations.append(_evaluation("down", s.g, s.tgt, s))
-    return pointed, evaluations
-
-
-def _evaluation(direction: str, functor, cat: FinCategory,
-                s: _Piece) -> tuple:
-    objs, gens = cat.objects, cat.generators()
-    if functor is not None:
-        objs = tuple(map(functor.on_obj, objs))
-        gens = tuple(map(functor.on_mor, gens))
-    return (direction, objs, gens, s.a, s.b, s.point)
+    for down in (0, 1) if evaluate else ():
+        pieces = [_slice_piece(model, items, 1) for items in slices] \
+            if down else up
+        if any((p.f if down else p.g) is not None for p in pieces):
+            continue
+        e = _fold(model, c, pieces)[1] if down else s
+        functor, cat = (e.g, e.tgt) if down else (e.f, e.src)
+        objs, gens = cat.objects, cat.generators()
+        if functor is not None:
+            objs = tuple(map(functor.on_obj, objs))
+            gens = tuple(map(functor.on_mor, gens))
+        evaluations.append((("up", "down")[down], objs, gens, e.a, e.b,
+                            e.point))
+    return PointedProfunctor(reindex(prof, s.f, s.g, s.src, s.tgt), s.a, s.b,
+                             s.point), evaluations
 
 
 def interpret(model: FinOmegaSystem, d: Diagram) -> PointedProfunctor:

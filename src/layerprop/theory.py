@@ -153,6 +153,10 @@ class SystemOfLayers:
             self.functors[key] = f
         self.order: tuple[tuple[str, str], ...] = tuple(order)
         self._closure: frozenset[tuple[str, str]] | None = None
+        # shared by the rule engines over this system (``rewrite``): the
+        # arguments each template takes at given host values, and each
+        # rule's name, sides and params
+        self._rewrite_memo: tuple[dict, dict] = ({}, {})
 
     def layer(self, name: str) -> LayerPresentation:
         if name not in self.layers:

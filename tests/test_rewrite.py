@@ -3,10 +3,12 @@
 import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 
 import genterms
+from conftest import make_two_layer_system
 from layerprop import diagram as dg
 from layerprop import internal, models, terms
 from layerprop import rewrite as rw
@@ -770,3 +772,17 @@ def test_every_rule_matches_its_own_sides(two_layer):
                    for r, o, _ in misses) == \
             sum(r.name.startswith("A2[") for r in rules)
         assert len(rules) == {"two": 271, "monoid": 167, "meet": 346}[name]
+
+
+def test_rule_memo_freed_with_the_system():
+    # engines share their solutions and rule sides through the system,
+    # and rule sides refer back to it: dropping the system frees it all
+    system = make_two_layer_system()
+    host = dg.seq_compose(dg.gen_box(system, "U", "g"),
+                          dg.refine(system, "U", "L", ("b",)))
+    assert rw.RuleEngine(system).matches(host)
+    assert system._rewrite_memo[1]
+    ref = weakref.ref(system)
+    del system, host
+    gc.collect()
+    assert ref() is None
