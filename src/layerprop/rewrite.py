@@ -492,7 +492,7 @@ def _eq(y, layer: str, name: str):
     return {e.name: e for e in y.layer(layer).equations}[name]
 
 
-_seq, _par = dg.seq_many, dg.par_tensor
+_seq, _par = dg.seq_compose, dg.par_tensor
 _SCHEMATA = {s.key: s for s in (
     _Schema("A1", (L, W, W), lambda y, l, a, b: _id(y, l, a, b),
             lambda y, l, a, b: _seq(dg.pants(y, l, a, b),
@@ -887,27 +887,28 @@ class RuleEngine:
         arguments: layers, functors, words, box contents or an equation
         name, in the entry's order."""
         schema = _SCHEMATA[key]
-        made = self._made.get((key, args))
-        if made is None:
-            names = [a.name if isinstance(a, TranslationFunctor)
-                     else _wname(a) if isinstance(a, tuple)
-                     else _isig(a) if isinstance(a, InternalDiagram) else a
-                     for a in args]
-            params = sum(((a.source, a.target) if isinstance(
-                a, TranslationFunctor) else (a,) for a in args[:schema.keep]),
-                ())
-            made = self._made[key, args] = (
-                f"{key}[{';'.join(names)}]", schema.lhs(self.system, *args),
-                schema.rhs(self.system, *args), params)
-        name, lhs, rhs, params = made
-        return RewriteRule(name, key[0], lhs, rhs, key[0] != "A", params)
+        names = [a.name if isinstance(a, TranslationFunctor)
+                 else _wname(a) if isinstance(a, tuple)
+                 else _isig(a) if isinstance(a, InternalDiagram) else a
+                 for a in args]
+        params = sum(((a.source, a.target) if isinstance(a, TranslationFunctor)
+                      else (a,) for a in args[:schema.keep]), ())
+        return RewriteRule(f"{key}[{';'.join(names)}]", key[0],
+                           schema.lhs(self.system, *args),
+                           schema.rhs(self.system, *args), key[0] != "A",
+                           params)
 
     def _rule(self, key: str, *args) -> RewriteRule:
-        """``rule_instance(key, *args)``, built on first use and shared
-        afterwards."""
+        """``rule_instance(key, *args)``, built on first use over the
+        system; each engine has its own instance, sharing the sides."""
         rule = self._rules.get((key, args))
         if rule is None:
-            rule = self._rules[key, args] = self.rule_instance(key, *args)
+            made = self._made.get((key, args))
+            if made is None:
+                made = self._made[key, args] = self.rule_instance(key, *args)
+            rule = self._rules[key, args] = RewriteRule(
+                made.name, made.family, made.lhs, made.rhs,
+                made.bidirectional, made.params)
         return rule
 
     # -- matching
@@ -1160,41 +1161,42 @@ def sample_instances(engine: RuleEngine,
                      words: dict[str, list[Word]]) -> list[RewriteRule]:
     """Concrete rule instances over given word pools, for tests and
     semantic verification, in the order of ``_SAMPLES``."""
-    sys = engine.system
-    out: list[RewriteRule] = []
+    return [engine.rule_instance(key, *args) for key, args
+            in _sampled(engine.system, words, _SAMPLES, ())]
 
-    def values(kind: str, args: tuple) -> list:
-        if kind == L:
-            return sorted(sys.layers)
-        if kind == F:
-            return [f for _, f in sorted(sys.functors.items())]
-        f = args[0] if isinstance(args[0], TranslationFunctor) else None
-        home = args[0] if f is None else f.source
-        lay = sys.layer(home)
-        if kind == W:
-            return words.get(home, [])
-        if kind == Q:
-            return [eq.name for eq in lay.equations]
-        gens = [internal.generator(home, g.name, lay.signature)
-                for g in lay.gen_morphisms]
-        # generators with identity images slide through refinements
-        # invisibly; their instances normalize to bare triangles
-        return [g for g in gens
-                if f is None or translate_internal(sys, f, g).slices]
 
-    def walk(group: tuple, args: tuple, k: int = 0) -> None:
-        if k < len(group[0]):
-            for x in values(group[0][k], args):
-                walk(group, args + (x,), k + 1)
-            return
+def _sampled(sys: SystemOfLayers, words: dict[str, list[Word]],
+             group: tuple, args: tuple):
+    """(table key, arguments) of each instance a sampling group makes."""
+    for choice in itertools.product(*(_domain(sys, words, kind, args)
+                                      for kind in group[0])):
         for member in group[1:]:
             if isinstance(member, str):
-                out.append(engine.rule_instance(member, *args))
+                yield member, args + choice
             else:
-                walk(member, args)
+                yield from _sampled(sys, words, member, args + choice)
 
-    walk(_SAMPLES, ())
-    return out
+
+def _domain(sys: SystemOfLayers, words: dict[str, list[Word]], kind: str,
+            args: tuple) -> list:
+    """The sampled values of an argument kind, after ``args``."""
+    if kind == L:
+        return sorted(sys.layers)
+    if kind == F:
+        return [f for _, f in sorted(sys.functors.items())]
+    f = args[0] if isinstance(args[0], TranslationFunctor) else None
+    home = args[0] if f is None else f.source
+    lay = sys.layer(home)
+    if kind == W:
+        return words.get(home, [])
+    if kind == Q:
+        return [eq.name for eq in lay.equations]
+    sig = lay.signature
+    gens = [internal.generator(home, g.name, sig) for g in lay.gen_morphisms]
+    # generators with identity images slide through refinements
+    # invisibly; their instances normalize to bare triangles
+    return [g for g in gens
+            if f is None or translate_internal(sys, f, g).slices]
 
 
 # ---------------------------------------------------------------------------

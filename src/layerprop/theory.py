@@ -154,8 +154,8 @@ class SystemOfLayers:
         self.order: tuple[tuple[str, str], ...] = tuple(order)
         self._closure: frozenset[tuple[str, str]] | None = None
         # shared by the rule engines over this system (``rewrite``): the
-        # arguments each template takes at given host values, and each
-        # rule's name, sides and params
+        # arguments each template takes at given host values, and the
+        # rules built
         self._rewrite_memo: tuple[dict, dict] = ({}, {})
 
     def layer(self, name: str) -> LayerPresentation:

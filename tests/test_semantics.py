@@ -163,6 +163,20 @@ def test_deliberately_wrong_rule_fails(monoid_model):
     assert not sm.verify_rule_semantics(bogus, monoid_model)
 
 
+def test_rule_verification_slices_each_side_once(monoid_model, monkeypatch):
+    # interpretation and side evaluation share one slicing and one up fold
+    engine = rw.RuleEngine(monoid_model.system)
+    rule = engine.rule_instance("F1", monoid_model.system.functor("MU", "ML"),
+                                InternalDiagram("MU", ("u",), ("u",),
+                                                ((0, "m1"),)))
+    cut = []
+    slices = sm.layered_slices
+    monkeypatch.setattr(sm, "layered_slices",
+                        lambda d: cut.append(d) or slices(d))
+    assert sm.verify_rule_semantics(rule, monoid_model)
+    assert len(cut) == 2
+
+
 def test_e_rule_soundness_check(monoid_model):
     engine = rw.RuleEngine(monoid_model.system)
     good = engine.rule_instance("E", "MU", "m1m2_id")
@@ -280,7 +294,8 @@ def test_interpret_isomorphic_to_coend_fold(make, words, every):
 def test_nat_search_cap_counts_after_point_closure(monoid_model):
     # the two sheets A1[ML;e;e] starts from have 9^9 raw assignments
     # against the coend fold, and the point's closure settles all of them
-    side = rw.RuleEngine(monoid_model.system).rule_instance("A1", "ML", (), ()).lhs
+    engine = rw.RuleEngine(monoid_model.system)
+    side = engine.rule_instance("A1", "ML", (), ()).lhs
     new = sm.interpret(monoid_model, side)
     ref = reference_interpret(monoid_model, side)
     raw = 1
