@@ -945,7 +945,7 @@ class RuleEngine:
         found.sort(key=self._sort_key)
         return found
 
-    def _match(self, moves: "_Moves", index: _HostIndex, out: list) -> None:
+    def _match(self, moves: _Moves, index: _HostIndex, out: list) -> None:
         host, key, by_type = index.host, index.key, index.by_type
         for kind, anchors in index.by_kind.items():
             for t, orientation in moves.by_anchor.get(kind, ()):
