@@ -5,14 +5,14 @@ __version__ = "0.1.0"
 
 from .theory import (Equation, LayerPresentation, MorphismGen, OmegaType,
                      Sort, SystemOfLayers, TranslationFunctor, is_internal,
-                     sheet, translate_word, validate_system)
+                     sheet, validate_system)
 from .internal import InternalDiagram
 from .diagram import (Diagram, box, canonicalize, canonical_key, cap,
                       coarsen, copants, cup, empty_diagram, export_dot,
                       fuse_internal, gen_box, identity, layer_eq,
                       par_tensor, pants, refine, seq_compose, sheet_sym,
                       structural_eq)
-from .terms import build, infer_sort
+from .terms import build
 from .rewrite import (Derivation, Match, NotFound, RewriteRule, RuleEngine,
                       apply_rule, find_derivation, verify_derivation)
 from .explain import (ExplanationVerdict, check_counterfactual,

@@ -21,7 +21,8 @@ from . import rewrite as rw
 from .errors import FixtureInvalid, MalformedInput
 from .internal import InternalDiagram, Word
 from .theory import (Equation, LayerPresentation, MorphismGen,
-                     SystemOfLayers, TranslationFunctor, validate_system)
+                     SystemOfLayers, TranslationFunctor, translate_internal,
+                     validate_system)
 
 TAU = "tau"
 
@@ -523,7 +524,6 @@ def _with_fixtures(sys_: SystemOfLayers, universe, engine) -> CcsSystem:
     content = reduction_rule_content(universe)
     sigma = dg.box(sys_, content)
     f = sys_.functor("Red", "LTS")
-    from .theory import translate_internal
     image = translate_internal(sys_, f, content)
     explanation = dg.seq_many(
         dg.refine(sys_, "Red", "LTS", content.dom),

@@ -112,14 +112,11 @@ def cmd_check_theory(args) -> int:
 def cmd_typecheck(args) -> int:
     sys_ = _load_system(args.system)
     if args.term is not None:
-        term = sexpr.parse_term(args.term)
-        sort = terms.infer_sort(term, sys_)
-        d = terms.build(term, sys_)
+        d = terms.build(sexpr.parse_term(args.term), sys_)
     else:
         d = _load_diagram(sys_, args.diagram)
-        sort = d.sort
     payload = {"sort": jsonio.diagram_to_json(d)["sort"]}
-    _report(args, payload, [f"sort: {sort.pretty()}"])
+    _report(args, payload, [f"sort: {d.sort.pretty()}"])
     return OK
 
 
@@ -160,8 +157,10 @@ def cmd_derive(args) -> int:
 
 def _collapse_pairs(args) -> list[tuple[str, str]]:
     pairs = []
-    for item in getattr(args, "collapse", None) or ():
-        src, tgt = item.split(">", 1)
+    for item in args.collapse or ():
+        src, sep, tgt = item.partition(">")
+        if not sep:
+            raise MalformedInput(f"--collapse expects SRC>TGT, got {item!r}")
         pairs.append((src, tgt))
     return pairs
 
@@ -355,10 +354,17 @@ def cmd_export_dot(args) -> int:
     return OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input (exit 1), not argparse's exit 2,
+    which here would read as a failed check."""
+
+    def error(self, message: str):
+        raise MalformedInput(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="layerprop",
-        description="multi-layer string diagram kernel")
+    parser = _Parser(prog="layerprop",
+                     description="multi-layer string diagram kernel")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, budget_default=10_000):
@@ -366,6 +372,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="machine-readable output")
         p.add_argument("--budget", type=int, default=budget_default,
                        help="rewrite application budget")
+
+    def collapse(p):
         p.add_argument("--collapse", action="append", metavar="SRC>TGT",
                        help="enable window collapse for a faithful functor")
 
@@ -376,8 +384,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("typecheck", help="sort of a term or diagram")
     p.add_argument("--system", required=True)
-    p.add_argument("--term", help="s-expression term")
-    p.add_argument("--diagram", help="diagram file")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--term", help="s-expression term")
+    g.add_argument("--diagram", help="diagram file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_typecheck)
 
@@ -393,6 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dst", required=True)
     p.add_argument("--out", help="write the derivation here")
     common(p)
+    collapse(p)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("explain", help="check an explanation of a morphism")
@@ -401,6 +411,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="explained morphism: file or generator name")
     p.add_argument("--diagram", required=True, help="the explanation")
     common(p)
+    collapse(p)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("explain2",
@@ -409,7 +420,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--derivation", required=True)
     p.add_argument("--layer", required=True)
     p.add_argument("--equation", required=True)
-    common(p)
+    p.add_argument("--json", action="store_true")
+    collapse(p)
     p.set_defaults(func=cmd_explain2)
 
     p = sub.add_parser("counterfactual",
@@ -418,6 +430,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--diagram", required=True)
     common(p, budget_default=2_000)
+    collapse(p)
     p.set_defaults(func=cmd_counterfactual)
 
     p = sub.add_parser("semantics-verify",
@@ -465,8 +478,8 @@ def _check_counts(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         _check_counts(args)
         return args.func(args)
     except MalformedInput as exc:

@@ -355,8 +355,8 @@ def seq_compose(x: Diagram, y: Diagram) -> Diagram:
     if x.system is not y.system:
         raise SortMismatch("diagrams built over different systems")
     if x.cod != y.dom:
-        raise SortMismatch(f"middle types differ: {x.cod.pretty()} vs "
-                           f"{y.dom.pretty()}")
+        raise SortMismatch(f"cannot compose {x.sort.pretty()} with "
+                           f"{y.sort.pretty()}")
     shift = len(x.cells)
     x_mid: dict[int, Wire] = {}
     wires: list[Wire] = []
@@ -423,7 +423,10 @@ def fuse_internal(x: Diagram, y: Diagram,
     if cx is None or cy is None:
         raise SideConditionViolation(
             "in-layer tensor requires both operands internal to one sheet")
-    if cx.layer != cy.layer or (layer is not None and cx.layer != layer):
+    if layer is not None and not cx.layer == cy.layer == layer:
+        raise SideConditionViolation(
+            f"in-layer tensor operand not internal to {layer!r}")
+    if cx.layer != cy.layer:
         raise SideConditionViolation(
             f"in-layer tensor operands live in {cx.layer!r} and {cy.layer!r}")
     return box(x.system, cx.beside(cy))
@@ -716,11 +719,6 @@ def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
 # export
 
 
-_DOT_NAMES = {"box": "box", "pants": "pants", "copants": "copants",
-              "cup": "cup", "cap": "cap", "refine": "refine",
-              "coarsen": "coarsen", "sym": "sym"}
-
-
 def export_dot(d: Diagram) -> str:
     """Deterministic DOT rendering of the canonical form."""
     c = canonicalize(d).diagram
@@ -731,7 +729,7 @@ def export_dot(d: Diagram) -> str:
         lines.append(f'  cod{k} [shape=point, xlabel="{layer}"];')
     for ci, cell in enumerate(c.cells):
         lab = cell.label()
-        kind = _DOT_NAMES[lab[0]]
+        kind = lab[0]
         if kind == "box":
             text = (f"box {cell.layer}: {' '.join(cell.content.dom) or 'e'}"
                     f" -> {' '.join(cell.content.cod) or 'e'}")

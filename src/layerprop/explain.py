@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rewrite as rw
-from .diagram import (Coarsen, Diagram, InternalBox, Refine, canonical_key,
-                      canonicalize, structural_eq)
+from .diagram import (Coarsen, Diagram, InternalBox, Refine, box,
+                      canonical_key, canonicalize, structural_eq)
 from .errors import InvalidDerivation, SortMismatch
 from .rewrite import Derivation, RuleEngine
 from .theory import SystemOfLayers
@@ -165,9 +165,8 @@ def check_explanation_2(eta: Derivation, layer: str, eq_name: str
     if not rw.verify_derivation(eta):
         raise InvalidDerivation("derivation does not replay")
     eq = equations[eq_name]
-    from . import diagram as dg
-    lhs_key = canonical_key(dg.box(sys, eq.lhs))
-    rhs_key = canonical_key(dg.box(sys, eq.rhs))
+    lhs_key = canonical_key(box(sys, eq.lhs))
+    rhs_key = canonical_key(box(sys, eq.rhs))
     ends = {canonical_key(eta.start), eta.end_key}
     reasons: list[str] = []
     if ends != {lhs_key, rhs_key}:

@@ -852,6 +852,8 @@ class RuleEngine:
         self.system = system
         self.families = frozenset(families)
         self.collapse = frozenset(faithful_window_collapse)
+        for pair in sorted(self.collapse):  # each names a stored functor
+            system.functor(*pair)
         # applying an equation in the direction whose pattern is an
         # identity inserts a cancelling pair anywhere in any box; those
         # moves never make progress toward a distinct diagram and would
@@ -1216,7 +1218,8 @@ def replay(start: Diagram, signatures: list[tuple],
         for name, _ in named:
             if (name or "").startswith("A3c["):  # "A3c[SRC>TGT;word]"
                 src, _, tgt = name[4:].partition(";")[0].partition(">")
-                collapse.add((src, tgt))
+                if (src, tgt) in start.system.functors:
+                    collapse.add((src, tgt))
         inserting = {(f"E[{layer};{eq.name}]", orientation)
                      for layer, lay in start.system.layers.items()
                      for eq in lay.equations

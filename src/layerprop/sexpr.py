@@ -75,63 +75,39 @@ def _atom(node) -> str:
 def _term(node) -> terms.Term:
     if not isinstance(node, list) or not node:
         raise MalformedInput(f"expected a term form, found {node!r}")
-    head = _atom(node[0])
-    args = node[1:]
-
-    def need(n: int) -> None:
-        if len(args) != n:
-            raise MalformedInput(f"({head} ...) takes {n} arguments, "
-                                 f"got {len(args)}")
-
-    if head == "empty":
-        need(0)
-        return terms.Empty()
-    if head == "id":
-        need(2)
-        return terms.Id(_atom(args[0]), _word(args[1]))
-    if head == "gen":
-        need(2)
-        return terms.Gen(_atom(args[0]), _atom(args[1]))
-    if head == "cup":
-        need(1)
-        return terms.CupT(_atom(args[0]))
-    if head == "cap":
-        need(1)
-        return terms.CapT(_atom(args[0]))
-    if head == "pants":
-        need(3)
-        return terms.PantsT(_atom(args[0]), _word(args[1]), _word(args[2]))
-    if head == "copants":
-        need(3)
-        return terms.CopantsT(_atom(args[0]), _word(args[1]), _word(args[2]))
-    if head == "refine":
-        need(3)
-        return terms.RefineT(_atom(args[0]), _atom(args[1]), _word(args[2]))
-    if head == "coarsen":
-        need(3)
-        return terms.CoarsenT(_atom(args[0]), _atom(args[1]), _word(args[2]))
-    if head == "sym":
-        need(4)
-        return terms.SymT(_atom(args[0]), _word(args[1]), _atom(args[2]),
-                          _word(args[3]))
-    if head == "seq":
+    head, args = _atom(node[0]), node[1:]
+    if head in _CHAINS:
         if len(args) < 2:
-            raise MalformedInput("(seq ...) needs at least two terms")
+            raise MalformedInput(f"({head} ...) needs at least two terms")
         out = _term(args[0])
         for a in args[1:]:
-            out = terms.Seq(out, _term(a))
+            out = _CHAINS[head](out, _term(a))
         return out
-    if head == "par":
-        if len(args) < 2:
-            raise MalformedInput("(par ...) needs at least two terms")
-        out = _term(args[0])
-        for a in args[1:]:
-            out = terms.Par(out, _term(a))
-        return out
-    if head == "fuse":
-        need(3)
-        return terms.Fuse(_atom(args[0]), _term(args[1]), _term(args[2]))
-    raise MalformedInput(f"unknown term form {head!r}")
+    if head not in _FORMS:
+        raise MalformedInput(f"unknown term form {head!r}")
+    cls, readers = _FORMS[head]
+    if len(args) != len(readers):
+        raise MalformedInput(f"({head} ...) takes {len(readers)} arguments, "
+                             f"got {len(args)}")
+    return cls(*(read(a) for read, a in zip(readers, args)))
+
+
+# the forms folding a chain of two or more terms, left to right
+_CHAINS = {"seq": terms.Seq, "par": terms.Par}
+# every other form: its term class and a reader per argument
+_FORMS = {
+    "empty": (terms.Empty, ()),
+    "id": (terms.Id, (_atom, _word)),
+    "gen": (terms.Gen, (_atom, _atom)),
+    "cup": (terms.CupT, (_atom,)),
+    "cap": (terms.CapT, (_atom,)),
+    "pants": (terms.PantsT, (_atom, _word, _word)),
+    "copants": (terms.CopantsT, (_atom, _word, _word)),
+    "refine": (terms.RefineT, (_atom, _atom, _word)),
+    "coarsen": (terms.CoarsenT, (_atom, _atom, _word)),
+    "sym": (terms.SymT, (_atom, _word, _atom, _word)),
+    "fuse": (terms.Fuse, (_atom, _term, _term)),
+}
 
 
 def parse_term(text: str) -> terms.Term:

@@ -1,19 +1,20 @@
-"""Term syntax for diagrams and its recursive sort discipline.
+"""Term syntax for diagrams; typing is by construction.
 
-Terms mirror the constructors of the calculus one-to-one.  ``infer_sort``
-assigns sorts by structural recursion and enforces the side condition that
-the in-layer tensor only applies to internal terms; ``build`` elaborates a
-term into a port-graph diagram.
+Terms mirror the constructors of the calculus one-to-one.  ``build``
+elaborates a term through the ``diagram`` constructors, which carry the sort
+rules: a term is well sorted exactly when it builds, and its sort is the
+sort of the diagram it builds.  The one syntactic rule is the side
+condition of the in-layer tensor: both operands must be internal terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import diagram as dg
-from .errors import SideConditionViolation, SortMismatch
-from .internal import EPSILON, InternalDiagram, Word
-from .theory import EMPTY_TYPE, Sort, SystemOfLayers, sheet
+from .errors import SideConditionViolation
+from .internal import InternalDiagram, Word
+from .theory import SystemOfLayers, sheet
 
 
 @dataclass(frozen=True)
@@ -111,122 +112,38 @@ def is_internal_term(t: Term) -> bool:
     """Built from generators, identities, composition and in-layer tensor."""
     if isinstance(t, (Gen, Id, BoxT)):
         return True
-    if isinstance(t, (Seq,)):
+    if isinstance(t, Seq):
         return is_internal_term(t.first) and is_internal_term(t.second)
     if isinstance(t, Fuse):
         return is_internal_term(t.top) and is_internal_term(t.bottom)
     return False
 
 
-def infer_sort(t: Term, sys: SystemOfLayers) -> Sort:
-    """Sort assignment by the construction rules; raises on ill-typed terms."""
-    if isinstance(t, Empty):
-        return Sort(EMPTY_TYPE, EMPTY_TYPE)
-    if isinstance(t, Id):
-        sys.validate_word(t.layer, t.word)
-        s = sheet(t.layer, t.word)
-        return Sort(s, s)
-    if isinstance(t, Gen):
-        sig = sys.signature(t.layer)
-        if t.name not in sig:
-            from .errors import UnknownGenerator
-            raise UnknownGenerator(
-                f"no generator {t.name!r} in layer {t.layer!r}")
-        dom, cod = sig[t.name]
-        return Sort(sheet(t.layer, dom), sheet(t.layer, cod))
-    if isinstance(t, BoxT):
-        from . import internal
-        internal.validate(t.content, sys.signature(t.content.layer))
-        return Sort(sheet(t.content.layer, t.content.dom),
-                    sheet(t.content.layer, t.content.cod))
-    if isinstance(t, CupT):
-        sys.layer(t.layer)
-        return Sort(EMPTY_TYPE, sheet(t.layer, EPSILON))
-    if isinstance(t, CapT):
-        sys.layer(t.layer)
-        return Sort(sheet(t.layer, EPSILON), EMPTY_TYPE)
-    if isinstance(t, PantsT):
-        sys.validate_word(t.layer, t.alpha)
-        sys.validate_word(t.layer, t.beta)
-        return Sort(sheet(t.layer, t.alpha) + sheet(t.layer, t.beta),
-                    sheet(t.layer, t.alpha + t.beta))
-    if isinstance(t, CopantsT):
-        sys.validate_word(t.layer, t.alpha)
-        sys.validate_word(t.layer, t.beta)
-        return Sort(sheet(t.layer, t.alpha + t.beta),
-                    sheet(t.layer, t.alpha) + sheet(t.layer, t.beta))
-    if isinstance(t, RefineT):
-        f = sys.functor(t.source, t.target)
-        sys.validate_word(t.source, t.word)
-        return Sort(sheet(t.source, t.word),
-                    sheet(t.target, f.word_image(t.word)))
-    if isinstance(t, CoarsenT):
-        f = sys.functor(t.source, t.target)
-        sys.validate_word(t.source, t.word)
-        return Sort(sheet(t.target, f.word_image(t.word)),
-                    sheet(t.source, t.word))
-    if isinstance(t, SymT):
-        sys.validate_word(t.layer1, t.alpha)
-        sys.validate_word(t.layer2, t.beta)
-        return Sort(sheet(t.layer1, t.alpha) + sheet(t.layer2, t.beta),
-                    sheet(t.layer2, t.beta) + sheet(t.layer1, t.alpha))
-    if isinstance(t, Seq):
-        s1 = infer_sort(t.first, sys)
-        s2 = infer_sort(t.second, sys)
-        if s1.cod != s2.dom:
-            raise SortMismatch(
-                f"cannot compose {s1.pretty()} with {s2.pretty()}")
-        return Sort(s1.dom, s2.cod)
-    if isinstance(t, Par):
-        s1 = infer_sort(t.top, sys)
-        s2 = infer_sort(t.bottom, sys)
-        return Sort(s1.dom + s2.dom, s1.cod + s2.cod)
-    if isinstance(t, Fuse):
-        if not (is_internal_term(t.top) and is_internal_term(t.bottom)):
-            raise SideConditionViolation(
-                "in-layer tensor applied to a non-internal term")
-        s1 = infer_sort(t.top, sys)
-        s2 = infer_sort(t.bottom, sys)
-        for s in (s1, s2):
-            if len(s.dom) != 1 or s.dom.entries[0][0] != t.layer:
-                raise SideConditionViolation(
-                    f"in-layer tensor operand not internal to {t.layer!r}")
-        (l1, a), (l2, b) = s1.dom.entries[0], s2.dom.entries[0]
-        (_, c), (_, d) = s1.cod.entries[0], s2.cod.entries[0]
-        return Sort(sheet(t.layer, a + b), sheet(t.layer, c + d))
-    raise TypeError(f"not a term: {t!r}")
+# each leaf term's constructor, called with the system and the term's fields
+# in order; the constructors carry the sort rules
+_LEAVES = {
+    Empty: dg.empty_diagram,
+    Id: lambda sys, layer, word: dg.identity(sys, sheet(layer, word)),
+    Gen: dg.gen_box, BoxT: dg.box, CupT: dg.cup, CapT: dg.cap,
+    PantsT: dg.pants, CopantsT: dg.copants, RefineT: dg.refine,
+    CoarsenT: dg.coarsen, SymT: dg.sheet_sym,
+}
 
 
 def build(t: Term, sys: SystemOfLayers) -> dg.Diagram:
-    """Elaborate a term into a diagram; typing errors propagate."""
-    infer_sort(t, sys)
-    if isinstance(t, Empty):
-        return dg.empty_diagram(sys)
-    if isinstance(t, Id):
-        return dg.identity(sys, sheet(t.layer, t.word))
-    if isinstance(t, Gen):
-        return dg.gen_box(sys, t.layer, t.name)
-    if isinstance(t, BoxT):
-        return dg.box(sys, t.content)
-    if isinstance(t, CupT):
-        return dg.cup(sys, t.layer)
-    if isinstance(t, CapT):
-        return dg.cap(sys, t.layer)
-    if isinstance(t, PantsT):
-        return dg.pants(sys, t.layer, t.alpha, t.beta)
-    if isinstance(t, CopantsT):
-        return dg.copants(sys, t.layer, t.alpha, t.beta)
-    if isinstance(t, RefineT):
-        return dg.refine(sys, t.source, t.target, t.word)
-    if isinstance(t, CoarsenT):
-        return dg.coarsen(sys, t.source, t.target, t.word)
-    if isinstance(t, SymT):
-        return dg.sheet_sym(sys, t.layer1, t.alpha, t.layer2, t.beta)
+    """Elaborate a term into a diagram, whose sort is the term's; an
+    ill-sorted term raises at its first ill-sorted subterm."""
     if isinstance(t, Seq):
         return dg.seq_compose(build(t.first, sys), build(t.second, sys))
     if isinstance(t, Par):
         return dg.par_tensor(build(t.top, sys), build(t.bottom, sys))
     if isinstance(t, Fuse):
+        if not (is_internal_term(t.top) and is_internal_term(t.bottom)):
+            raise SideConditionViolation(
+                "in-layer tensor applied to a non-internal term")
         return dg.fuse_internal(build(t.top, sys), build(t.bottom, sys),
                                 t.layer)
-    raise TypeError(f"not a term: {t!r}")
+    ctor = _LEAVES.get(type(t))
+    if ctor is None:
+        raise TypeError(f"not a term: {t!r}")
+    return ctor(sys, *(getattr(t, f.name) for f in fields(t)))

@@ -202,11 +202,6 @@ class SystemOfLayers:
             self.validate_word(layer, w)
 
 
-def translate_word(f: TranslationFunctor, w: Word) -> Word:
-    """Homomorphic image of an object word."""
-    return f.word_image(w)
-
-
 def translate_internal(sys: SystemOfLayers, f: TranslationFunctor,
                        d: InternalDiagram) -> InternalDiagram:
     if d.layer != f.source:

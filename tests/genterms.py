@@ -66,7 +66,7 @@ def random_terms(sys_: SystemOfLayers, rng: random.Random, count: int,
     prims = primitive_pool(sys_)
     pool: list[tuple[Term, Sort]] = []
     for p in prims:
-        pool.append((p, terms.infer_sort(p, sys_)))
+        pool.append((p, terms.build(p, sys_).sort))
     out: list[Term] = []
     attempts = 0
     while len(out) < count and attempts < count * 60:
@@ -98,7 +98,7 @@ def random_terms(sys_: SystemOfLayers, rng: random.Random, count: int,
             cand = x
         if cell_count(cand) > max_cells:
             continue
-        sort = terms.infer_sort(cand, sys_)
+        sort = terms.build(cand, sys_).sort
         pool.append((cand, sort))
         if cell_count(cand) > 0:
             out.append(cand)
@@ -137,20 +137,18 @@ def mutate(t: Term, sys_: SystemOfLayers, rng: random.Random) -> Term:
         return _rebuild(_par_chain(t), Par, rng)
     if kind == 2:
         # unit: pad with an identity on a random side
-        sort = terms.infer_sort(t, sys_)
+        sort = terms.build(t, sys_).sort
         if rng.random() < 0.5:
             return Seq(id_term_of_type(sort.dom), t)
         return Seq(t, id_term_of_type(sort.cod))
     if kind == 3 and isinstance(t, Par) and isinstance(t.top, Seq) \
             and isinstance(t.bottom, Seq):
-        mid_top = terms.infer_sort(t.top.first, sys_).cod
-        mid_bot = terms.infer_sort(t.bottom.first, sys_).cod
         # interchange: (a;b) par (c;d) = (a par c); (b par d)
         return Seq(Par(t.top.first, t.bottom.first),
                    Par(t.top.second, t.bottom.second))
     if kind == 4:
         # symmetry involution on two adjacent output sheets
-        sort = terms.infer_sort(t, sys_)
+        sort = terms.build(t, sys_).sort
         entries = sort.cod.entries
         if len(entries) >= 2:
             i = rng.randrange(len(entries) - 1)

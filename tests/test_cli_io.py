@@ -38,6 +38,55 @@ def test_sexpr_errors():
         sexpr.parse_term("(seq (id W a))")
 
 
+@pytest.mark.parametrize("text, message", [
+    # a wrong argument count, for every form with a fixed count
+    ("(empty W)", "(empty ...) takes 0 arguments, got 1"),
+    ("(id W)", "(id ...) takes 2 arguments, got 1"),
+    ("(id W a b)", "(id ...) takes 2 arguments, got 3"),
+    ("(gen W)", "(gen ...) takes 2 arguments, got 1"),
+    ("(cup)", "(cup ...) takes 1 arguments, got 0"),
+    ("(cap W a)", "(cap ...) takes 1 arguments, got 2"),
+    ("(pants W a)", "(pants ...) takes 3 arguments, got 2"),
+    ("(copants W a b c)", "(copants ...) takes 3 arguments, got 4"),
+    ("(refine U L)", "(refine ...) takes 3 arguments, got 2"),
+    ("(coarsen U L a b)", "(coarsen ...) takes 3 arguments, got 4"),
+    ("(sym W a W)", "(sym ...) takes 4 arguments, got 3"),
+    ("(fuse W (id W a))", "(fuse ...) takes 3 arguments, got 2"),
+    # a non-word where a word goes
+    ("(id W ((a)))", "not an object word: [['a']]"),
+    ("(pants W a (b (c)))", "not an object word: ['b', ['c']]"),
+    ("(sym W a W (()))", "not an object word: [[]]"),
+    # a non-atom where a symbol goes
+    ("(id (W) a)", "expected a symbol, found ['W']"),
+    ("(gen W (p))", "expected a symbol, found ['p']"),
+    ("(cup (W))", "expected a symbol, found ['W']"),
+    ("(refine U (L) a)", "expected a symbol, found ['L']"),
+    ("(fuse () (id W a) (id W a))", "expected a symbol, found []"),
+    ("((seq) (id W a))", "expected a symbol, found ['seq']"),
+    # chains of fewer than two terms
+    ("(seq (id W a))", "(seq ...) needs at least two terms"),
+    ("(par (id W a))", "(par ...) needs at least two terms"),
+    ("(seq)", "(seq ...) needs at least two terms"),
+    ("(par)", "(par ...) needs at least two terms"),
+    # unknown heads and non-terms where a term goes
+    ("(frobnicate W)", "unknown term form 'frobnicate'"),
+    ("(Seq (id W a) (id W a))", "unknown term form 'Seq'"),
+    ("()", "expected a term form, found []"),
+    ("(seq x (id W a))", "expected a term form, found 'x'"),
+    ("(par (id W a) ())", "expected a term form, found []"),
+    ("(fuse W p (id W a))", "expected a term form, found 'p'"),
+    # the reader
+    ("", "unexpected end of input"),
+    ("(seq (id W a)", "unbalanced parenthesis"),
+    (")", "unexpected ')'"),
+    ("(empty) (empty)", "trailing input after term"),
+])
+def test_sexpr_error_messages(text, message):
+    with pytest.raises(MalformedInput) as err:
+        sexpr.parse_term(text)
+    assert str(err.value) == message
+
+
 def test_system_json_round_trip(two_layer):
     payload = jsonio.system_to_json(two_layer)
     again = jsonio.system_from_json(payload)

@@ -13,8 +13,7 @@ from layerprop import rewrite as rw
 from layerprop import terms
 from layerprop.errors import SideConditionViolation, SortMismatch
 from layerprop.internal import InternalDiagram
-from layerprop.terms import infer_sort
-from layerprop.theory import EMPTY_TYPE, sheet
+from layerprop.theory import EMPTY_TYPE, SystemOfLayers, sheet
 
 
 def test_pants_sort(single_layer):
@@ -92,6 +91,23 @@ def test_fuse_rejects_pants(single_layer):
     p = dg.pants(single_layer, "W", ("a",), ("b",))
     with pytest.raises(SideConditionViolation):
         dg.fuse_internal(sigma, p)
+
+
+@pytest.mark.parametrize("chain", [terms.Seq, terms.Par])
+def test_build_checks_each_leaf_word_once(single_layer, monkeypatch, chain):
+    # elaboration is linear: a 200-deep chain of identities validates each
+    # leaf's word once, not once per enclosing node
+    calls = []
+    validate_word = SystemOfLayers.validate_word
+    monkeypatch.setattr(SystemOfLayers, "validate_word",
+                        lambda self, *args: calls.append(args)
+                        or validate_word(self, *args))
+    t = terms.Id("W", ("a",))
+    for _ in range(199):
+        t = chain(t, terms.Id("W", ("a",)))
+    d = terms.build(t, single_layer)
+    assert len(calls) == 200
+    assert len(d.wires) == (1 if chain is terms.Seq else 200)
 
 
 def test_box_fusion_in_canonical_form(single_layer):

@@ -1,8 +1,9 @@
-"""Hostile input files through the command line: model files through
+"""Hostile input through the command line: model files through
 ``semantics-verify``, theory files through ``check-theory``, diagram files
-through ``export-dot`` and derivation files through ``explain2``.
+through ``export-dot``, derivation files through ``explain2``, and hostile
+options on valid files through a sample of verbs.
 
-Every payload here is malformed: the command must exit 1 with exactly one
+Every input here is malformed: the command must exit 1 with exactly one
 ``error:`` line and no traceback.  The searches are derandomized and
 bounded, so the suite stays deterministic.
 """
@@ -53,18 +54,23 @@ def _argv(files, verb: str) -> list[str]:
                      "m1m2_id"]}[verb]
 
 
-def _rejected(files, payload, verb: str = "semantics-verify") -> str:
-    """Run ``verb`` on the payload; return its one error line."""
-    path = files[1]
-    path.write_text(json.dumps(payload), encoding="utf-8")
+def _hostile(argv: list[str]) -> str:
+    """Run the command line; it must exit 1 with one error line, which is
+    returned."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(_argv(files, verb))
+        code = main(argv)
     lines = err.getvalue().splitlines()
     assert code == 1, (code, out.getvalue(), err.getvalue())
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "Traceback" not in err.getvalue()
     return lines[0]
+
+
+def _rejected(files, payload, verb: str = "semantics-verify") -> str:
+    """Run ``verb`` on the payload; return its one error line."""
+    files[1].write_text(json.dumps(payload), encoding="utf-8")
+    return _hostile(_argv(files, verb))
 
 
 def _paths(node, path=()):
@@ -159,3 +165,87 @@ def test_cell_id_of_the_wrong_type(files):
     payload["cells"][1]["id"] = None
     assert _rejected(files, payload, "export-dot") == \
         "error: bad diagram file: cells[1].id: expected int, got null"
+
+
+# -- hostile options on valid files -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def valid(files):
+    """Paths of a valid theory, model, diagram and derivation."""
+    root = files[1].parent
+    paths = {"t": files[0]}
+    for key, name, payload in (("m", "model.json", MODEL),
+                               ("d", "d.json", VALID["export-dot"]),
+                               ("dv", "dv.json", VALID["explain2"])):
+        (root / name).write_text(json.dumps(payload), encoding="utf-8")
+        paths[key] = str(root / name)
+    return paths
+
+
+# each command line names the files by key; every one is a usage error or
+# an option value the verb must reject before it runs a check
+HOSTILE_OPTIONS = [
+    ["derive", "--system", "t"],
+    ["derive", "--system", "t", "--src", "d", "--dst", "d", "--collapse",
+     "MU"],
+    ["derive", "--system", "t", "--src", "d", "--dst", "d", "--collapse",
+     "X>Y"],
+    ["explain", "--system", "t", "--sigma", "d", "--diagram", "d",
+     "--collapse", "MU-ML"],
+    ["counterfactual", "--system", "t", "--sigma", "d", "--diagram", "d",
+     "--collapse", "ML>MU"],
+    ["explain2", "--system", "t", "--derivation", "dv", "--layer", "MU",
+     "--equation", "m1m2_id", "--collapse", "MU>"],
+    ["explain2", "--system", "t", "--derivation", "dv", "--layer", "MU",
+     "--equation", "m1m2_id", "--budget", "5"],
+    ["eq", "--system", "t", "d", "d", "--budget", "abc"],
+    ["eq", "--system", "t", "d", "d", "--collapse", "MU>ML"],
+    ["typecheck", "--system", "t"],
+    ["typecheck", "--system", "t", "--term", "(empty)", "--diagram", "d"],
+    ["export-dot", "--system", "t", "--diagram", "d", "--json"],
+    ["check-theory", "--system", "t", "--budget", "1"],
+    ["semantics-verify", "--system", "t", "--model", "m", "--max-word",
+     "two"],
+    ["semantics-verify", "--system", "t", "--model", "m", "--cap", "1e6"],
+    ["chem", "--budget", "1.5"],
+    ["chem", "--collapse", "A>B"],
+    ["ccs", "--budget"],
+    ["circuit", "--frob"],
+    ["frobnicate"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE_OPTIONS, ids=" ".join)
+def test_hostile_options_on_valid_files(valid, argv):
+    _hostile([valid.get(a, a) for a in argv])
+
+
+def _not_a_count(text: str) -> bool:
+    try:
+        return int(text) < 0
+    except ValueError:
+        return True
+
+
+COUNT_OPTIONS = {
+    "--budget": ["derive", "--system", "t", "--src", "d", "--dst", "d"],
+    "--max-word": ["semantics-verify", "--system", "t", "--model", "m"],
+    "--cap": ["semantics-verify", "--system", "t", "--model", "m"],
+}
+
+
+@FUZZ
+@given(option=st.sampled_from(sorted(COUNT_OPTIONS)),
+       value=st.text(max_size=6).filter(_not_a_count))
+def test_count_option_of_random_text(valid, option, value):
+    _hostile([valid.get(a, a) for a in COUNT_OPTIONS[option]]
+             + [option, value])
+
+
+@FUZZ
+@given(value=st.text(max_size=6).filter(lambda v: v != "MU>ML"))
+def test_collapse_option_of_random_text(valid, value):
+    _hostile(["derive", "--system", valid["t"], "--src", valid["d"],
+              "--dst", valid["d"], "--collapse", value])

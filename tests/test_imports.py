@@ -29,3 +29,31 @@ def test_kernel_imports_only_the_standard_library():
                 names = ([node.module.partition(".")[0]] if node.module
                          else [alias.name for alias in node.names])
                 assert set(names) <= own, where
+
+
+def _siblings(node: ast.ImportFrom) -> set[str]:
+    """The sibling modules a relative import names."""
+    return ({node.module.partition(".")[0]} if node.module
+            else {alias.name for alias in node.names})
+
+
+def test_function_local_imports_only_break_cycles():
+    # a sibling is imported inside a function only when it imports the
+    # importer at top level, so that a module-level import would be a cycle
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    top = {name: set().union(*(_siblings(node) for node in tree.body
+                               if isinstance(node, ast.ImportFrom)
+                               and node.level == 1))
+           for name, tree in trees.items()}
+    local = {(name, sibling, node.lineno)
+             for name, tree in trees.items() for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for sibling in _siblings(node)}
+    assert [f"{name}.py:{line} imports {sibling}"
+            for name, sibling, line in sorted(local)
+            if name not in top[sibling]] == []
+    assert {pair[:2] for pair in local} == {("diagram", "rewrite"),
+                                            ("theory", "diagram")}

@@ -9,8 +9,7 @@ from layerprop.internal import InternalDiagram
 from layerprop.theory import (EMPTY_TYPE, Equation, LayerPresentation,
                               MorphismGen, OmegaType, SystemOfLayers,
                               TranslationFunctor, compose_functors,
-                              is_internal, sheet, translate_word,
-                              validate_system)
+                              is_internal, sheet, validate_system)
 
 from conftest import make_two_layer_system
 
@@ -63,14 +62,14 @@ def test_chain_with_perturbed_composite_reports_closure_violation():
 
 def test_translate_word_homomorphism_example():
     f = TranslationFunctor("A", "B", (("a", ("x", "y")),))
-    assert translate_word(f, ("a", "a")) == ("x", "y", "x", "y")
-    assert translate_word(f, ()) == ()
+    assert f.word_image(("a", "a")) == ("x", "y", "x", "y")
+    assert f.word_image(()) == ()
 
 
 def test_translate_word_unknown_symbol():
     f = TranslationFunctor("A", "B", (("a", ("x",)),))
     with pytest.raises(UnknownSymbol):
-        translate_word(f, ("zz",))
+        f.word_image(("zz",))
 
 
 def test_translate_word_random_splits_are_homomorphic():
@@ -80,8 +79,7 @@ def test_translate_word_random_splits_are_homomorphic():
     for _ in range(100):
         w = tuple(rng.choice("abc") for _ in range(rng.randint(0, 8)))
         k = rng.randint(0, len(w))
-        assert (translate_word(f, w)
-                == translate_word(f, w[:k]) + translate_word(f, w[k:]))
+        assert f.word_image(w) == f.word_image(w[:k]) + f.word_image(w[k:])
 
 
 def test_is_internal_cases():
