@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import diagram as dg
 from . import explain
 from . import rewrite as rw
-from .errors import FixtureInvalid, MalformedInput
+from .errors import MAX_NESTING, FixtureInvalid, MalformedInput
 from .internal import InternalDiagram, Word
 from .theory import (Equation, LayerPresentation, MorphismGen,
                      SystemOfLayers, TranslationFunctor, translate_internal,
@@ -54,12 +54,21 @@ def co(action: str) -> str:
     return action[:-1] if action.endswith("'") else action + "'"
 
 
+def _prefixes(p: Process) -> tuple[list[str], Process]:
+    """The actions of a prefix chain and the process after them; a loop,
+    because a chain nests as deep as it is long."""
+    actions = []
+    while isinstance(p, Prefix):
+        actions.append(p.action)
+        p = p.body
+    return actions, p
+
+
 def render(p: Process) -> str:
-    if isinstance(p, Nil):
-        return "0"
-    if isinstance(p, Prefix):
-        return f"{p.action}.{render(p.body)}"
-    return f"({render(p.left)}|{render(p.right)})"
+    actions, p = _prefixes(p)
+    rest = ("0" if isinstance(p, Nil)
+            else f"({render(p.left)}|{render(p.right)})")
+    return "".join(f"{a}." for a in actions) + rest
 
 
 def parse_process(text: str) -> Process:
@@ -74,29 +83,16 @@ def parse_process(text: str) -> Process:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def parse() -> Process:
+    def parse(depth: int) -> Process:
         nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            error("unexpected end of process")
-        ch = text[pos]
-        if ch == "0":
-            pos += 1
-            return NIL
-        if ch == "(":
-            pos += 1
-            left = parse()
+        actions = []  # a prefix chain is read in a loop
+        while True:
             skip_ws()
-            if pos >= len(text) or text[pos] != "|":
-                error("expected '|'")
-            pos += 1
-            right = parse()
-            skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                error("expected ')'")
-            pos += 1
-            return Par(left, right)
-        if ch.isalpha():
+            if pos >= len(text):
+                error("unexpected end of process")
+            ch = text[pos]
+            if not ch.isalpha():
+                break
             name = ""
             while pos < len(text) and (text[pos].isalnum()
                                        or text[pos] in "_'"):
@@ -106,10 +102,33 @@ def parse_process(text: str) -> Process:
             if pos >= len(text) or text[pos] != ".":
                 error("expected '.' after an action")
             pos += 1
-            return Prefix(name, parse())
-        error(f"unexpected character {ch!r}")
+            actions.append(name)
+        if ch == "0":
+            pos += 1
+            out = NIL
+        elif ch == "(":
+            if depth == MAX_NESTING:
+                error(f"process nested deeper than {MAX_NESTING} "
+                      "parentheses")
+            pos += 1
+            left = parse(depth + 1)
+            skip_ws()
+            if pos >= len(text) or text[pos] != "|":
+                error("expected '|'")
+            pos += 1
+            right = parse(depth + 1)
+            skip_ws()
+            if pos >= len(text) or text[pos] != ")":
+                error("expected ')'")
+            pos += 1
+            out = Par(left, right)
+        else:
+            error(f"unexpected character {ch!r}")
+        for name in reversed(actions):
+            out = Prefix(name, out)
+        return out
 
-    out = parse()
+    out = parse(0)
     skip_ws()
     if pos != len(text):
         error("trailing input")
@@ -129,11 +148,13 @@ def _threads(p: Process) -> list[Process]:
 
 
 def _term_key(p: Process) -> tuple:
-    if isinstance(p, Nil):
-        return ("0",)
-    if isinstance(p, Prefix):
-        return ("pre", p.action, _term_key(p.body))
-    return ("par", _term_key(p.left), _term_key(p.right))
+    """Equal exactly for equal terms.  A prefix chain is one flat entry,
+    which orders keys as one nested entry per action would, and compares
+    without recursing once per action."""
+    actions, p = _prefixes(p)
+    key = (("0",) if isinstance(p, Nil)
+           else ("par", _term_key(p.left), _term_key(p.right)))
+    return ("pre", tuple(actions), key) if actions else key
 
 
 def congruence_key(p: Process) -> tuple:

@@ -4,6 +4,10 @@ Exit codes: 0 success (valid/certified/equal/found), 1 malformed input,
 2 check failed (invalid/refuted/distinct), 3 budget exhausted (unknown).
 Output is deterministic for fixed inputs; ``--json`` switches the report
 to a machine-readable envelope.
+
+Each verb handler imports the modules it runs, so a verb loads only those:
+``check-theory`` and ``export-dot`` never load the rewrite engine or the
+profunctor semantics.
 """
 
 from __future__ import annotations
@@ -11,23 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import ccs as ccs_mod
-from . import chem as chem_mod
-from . import circuits as cx
 from . import diagram as dg
 from . import jsonio
-from . import rewrite as rw
-from . import sexpr, terms
 from .errors import (LayerPropError, MalformedInput, SearchTooLarge,
                      check_count)
-from .explain import (check_counterfactual, check_explanation_1,
-                      check_explanation_2)
-from .rewrite import NotFound, RuleEngine
-from .semantics import verify_rule_semantics
 from .theory import SystemOfLayers, validate_system
+
+if TYPE_CHECKING:
+    from . import circuits as cx
 
 OK, MALFORMED, FAILED, EXHAUSTED = 0, 1, 2, 3
 
@@ -59,6 +57,7 @@ def _load_diagram(sys_: SystemOfLayers, spec: str) -> dg.Diagram:
         except (OSError, UnicodeDecodeError) as exc:
             raise MalformedInput(f"cannot read {spec}: {exc}")
         if text.lstrip().startswith("("):
+            from . import sexpr, terms
             return terms.build(sexpr.parse_term(text), sys_)
         try:
             payload = json.loads(text)
@@ -112,6 +111,7 @@ def cmd_check_theory(args) -> int:
 def cmd_typecheck(args) -> int:
     sys_ = _load_system(args.system)
     if args.term is not None:
+        from . import sexpr, terms
         d = terms.build(sexpr.parse_term(args.term), sys_)
     else:
         d = _load_diagram(sys_, args.diagram)
@@ -135,12 +135,13 @@ def cmd_eq(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from . import rewrite as rw
     sys_ = _load_system(args.system)
     src = _load_diagram(sys_, args.src)
     dst = _load_diagram(sys_, args.dst)
-    engine = RuleEngine(sys_, _collapse_pairs(args))
+    engine = rw.RuleEngine(sys_, _collapse_pairs(args))
     out = rw.find_derivation(src, dst, args.budget, engine)
-    if isinstance(out, NotFound):
+    if isinstance(out, rw.NotFound):
         _report(args, {"result": "not-found", "budget": out.budget},
                 [f"no derivation within budget {out.budget}"])
         return EXHAUSTED
@@ -166,6 +167,8 @@ def _collapse_pairs(args) -> list[tuple[str, str]]:
 
 
 def cmd_explain(args) -> int:
+    from .explain import check_explanation_1
+    from .rewrite import RuleEngine
     sys_ = _load_system(args.system)
     sigma = _load_diagram(sys_, args.sigma)
     e = _load_diagram(sys_, args.diagram)
@@ -175,6 +178,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_explain2(args) -> int:
+    from .explain import check_explanation_2
+    from .rewrite import RuleEngine
     sys_ = _load_system(args.system)
     engine = RuleEngine(sys_, _collapse_pairs(args))
     dv = jsonio.derivation_from_json(sys_, _load_json(args.derivation),
@@ -184,6 +189,8 @@ def cmd_explain2(args) -> int:
 
 
 def cmd_counterfactual(args) -> int:
+    from .explain import check_counterfactual
+    from .rewrite import RuleEngine
     sys_ = _load_system(args.system)
     sigma = _load_diagram(sys_, args.sigma)
     e = _load_diagram(sys_, args.diagram)
@@ -193,6 +200,8 @@ def cmd_counterfactual(args) -> int:
 
 
 def cmd_semantics_verify(args) -> int:
+    from . import rewrite as rw
+    from .semantics import verify_rule_semantics
     sys_ = _load_system(args.system)
     model = jsonio.model_from_json(sys_, _load_json(args.model))
     problems = []
@@ -214,7 +223,7 @@ def cmd_semantics_verify(args) -> int:
             pool += [(s, t) for s in lay.gen_objects
                      for t in lay.gen_objects]
         words[name] = pool
-    engine = RuleEngine(sys_)
+    engine = rw.RuleEngine(sys_)
     rules = rw.sample_instances(engine, words)
     failures, undecided = [], []
     checked = 0
@@ -241,6 +250,7 @@ def cmd_semantics_verify(args) -> int:
 
 
 def cmd_chem(args) -> int:
+    from . import chem as chem_mod
     cs = chem_mod.build_chem_system()
     if args.emit:
         _emit_chem(cs, Path(args.emit))
@@ -260,7 +270,8 @@ def _emit_chem(cs, outdir: Path) -> None:
 
 
 def cmd_ccs(args) -> int:
-    if args.lts:
+    from . import ccs as ccs_mod
+    if args.lts is not None:
         process = ccs_mod.parse_process(args.lts)
         sys.stdout.write(ccs_mod.lts_dot(process))
         return OK
@@ -290,6 +301,9 @@ def cmd_ccs(args) -> int:
 
 
 def _ratfunc_from_param(raw) -> cx.RatFunc:
+    from fractions import Fraction
+
+    from . import circuits as cx
     if isinstance(raw, (int, float, str)):
         return cx.RatFunc.const(Fraction(str(raw)))
     if isinstance(raw, dict):
@@ -306,6 +320,7 @@ def _ratfunc_to_json(r: cx.RatFunc) -> dict:
 
 def _load_bipoles(path: str) -> list[cx.Bipole]:
     """A one-wire circuit file: a JSON list of {"kind", "param"} objects."""
+    from . import circuits as cx
     raw = _load_json(path)
     if not isinstance(raw, list):
         raise MalformedInput(f"{path}: expected a list of bipoles, got "
@@ -325,6 +340,7 @@ def _load_bipoles(path: str) -> list[cx.Bipole]:
 
 
 def cmd_circuit(args) -> int:
+    from . import circuits as cx
     cs = cx.build_circuit_system()
     if args.emit:
         outdir = Path(args.emit)

@@ -81,3 +81,9 @@ def check_count(name: str, value: int) -> None:
     """Reject a negative count (a budget, word length or cap) by name."""
     if value < 0:
         raise MalformedInput(f"{name} must not be negative, got {value}")
+
+
+# how deep the text readers (s-expression terms, CCS processes) let
+# parentheses nest: elaborating a form recurses once or twice per level, and
+# this keeps it well inside Python's default recursion limit of 1000
+MAX_NESTING = 200

@@ -7,19 +7,21 @@ repeated runs serialize byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import diagram as dg
-from . import rewrite as rw
 from .diagram import (Cap, Coarsen, Copants, Cup, Diagram, InternalBox,
                       Pants, Refine, SheetSym, Wire, canonicalize)
 from .errors import MalformedInput
-from .explain import ExplanationVerdict
 from .internal import InternalDiagram
-from .profunctor import FinFunctor, FinMonoidalCategory
-from .semantics import FinOmegaSystem
 from .theory import (Equation, LayerPresentation, MorphismGen, OmegaType,
                      SystemOfLayers, TranslationFunctor)
+
+if TYPE_CHECKING:  # the derivation and model codecs import these on use
+    from . import rewrite as rw
+    from .explain import ExplanationVerdict
+    from .profunctor import FinMonoidalCategory
+    from .semantics import FinOmegaSystem
 
 
 def dumps(payload: Any) -> str:
@@ -380,6 +382,7 @@ def derivation_from_json(sys_: SystemOfLayers, payload: dict,
                          engine: rw.RuleEngine | None = None
                          ) -> rw.Derivation:
     """Reconstruct by replaying: each recorded step must re-match."""
+    from . import rewrite as rw
     _checked(payload, _DERIVATION, "derivation file")
     start = diagram_from_json(sys_, payload["start"])
     signatures = []
@@ -445,6 +448,8 @@ def model_to_json(model: FinOmegaSystem) -> dict:
 
 
 def model_from_json(sys_: SystemOfLayers, payload: dict) -> FinOmegaSystem:
+    from .profunctor import FinFunctor
+    from .semantics import FinOmegaSystem
     _checked(payload, _MODEL, "model file")
     cats: dict[str, FinMonoidalCategory] = {}
     for layer, raw in payload["categories"].items():
@@ -482,6 +487,7 @@ def model_from_json(sys_: SystemOfLayers, payload: dict) -> FinOmegaSystem:
 def _category(layer: str, raw: dict) -> FinMonoidalCategory:
     """A model category whose tables are total and land in it, so that the
     law checks read no missing entry."""
+    from .profunctor import FinMonoidalCategory
     at = f"categories.{layer}"
     objects, names = raw["objects"], [m["name"] for m in raw["morphisms"]]
     objs, mors = set(objects), set(names)

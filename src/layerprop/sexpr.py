@@ -9,12 +9,14 @@ Grammar (words are bare symbols for length one, or parenthesized lists;
           | (refine SOURCE TARGET WORD) | (coarsen SOURCE TARGET WORD)
           | (sym LAYER WORD LAYER WORD)
           | (seq term term+) | (par term term+) | (fuse LAYER term term)
+
+Parentheses nest at most ``errors.MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
 from . import terms
-from .errors import MalformedInput
+from .errors import MAX_NESTING, MalformedInput
 from .internal import Word
 
 
@@ -38,15 +40,18 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def _read(tokens: list[str], pos: int):
+def _read(tokens: list[str], pos: int, depth: int = 0):
     if pos >= len(tokens):
         raise MalformedInput("unexpected end of input")
     tok = tokens[pos]
     if tok == "(":
+        if depth == MAX_NESTING:
+            raise MalformedInput(
+                f"term nested deeper than {MAX_NESTING} parentheses")
         items = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos)
+            item, pos = _read(tokens, pos, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise MalformedInput("unbalanced parenthesis")

@@ -110,13 +110,16 @@ Term = (Empty | Id | Gen | BoxT | CupT | CapT | PantsT | CopantsT | RefineT
 
 def is_internal_term(t: Term) -> bool:
     """Built from generators, identities, composition and in-layer tensor."""
-    if isinstance(t, (Gen, Id, BoxT)):
-        return True
-    if isinstance(t, Seq):
-        return is_internal_term(t.first) and is_internal_term(t.second)
-    if isinstance(t, Fuse):
-        return is_internal_term(t.top) and is_internal_term(t.bottom)
-    return False
+    pending = [t]  # a loop, not recursion: a chain nests as deep as it is long
+    while pending:
+        t = pending.pop()
+        if isinstance(t, Seq):
+            pending += (t.second, t.first)
+        elif isinstance(t, Fuse):
+            pending += (t.bottom, t.top)
+        elif not isinstance(t, (Gen, Id, BoxT)):
+            return False
+    return True
 
 
 # each leaf term's constructor, called with the system and the term's fields
@@ -130,13 +133,26 @@ _LEAVES = {
 }
 
 
+# the two chain forms, each with its composition
+_CHAINS = {Seq: dg.seq_compose, Par: dg.par_tensor}
+
+
 def build(t: Term, sys: SystemOfLayers) -> dg.Diagram:
     """Elaborate a term into a diagram, whose sort is the term's; an
     ill-sorted term raises at its first ill-sorted subterm."""
-    if isinstance(t, Seq):
-        return dg.seq_compose(build(t.first, sys), build(t.second, sys))
-    if isinstance(t, Par):
-        return dg.par_tensor(build(t.top, sys), build(t.bottom, sys))
+    kind = type(t)
+    if kind in _CHAINS:
+        # (seq t1 ... tn) reads as a left spine n-1 deep: fold it in a loop,
+        # building the operands in the order the recursion would
+        operands = []
+        while type(t) is kind:
+            left, right = (getattr(t, f.name) for f in fields(t))
+            operands.append(right)
+            t = left
+        out = build(t, sys)
+        for right in reversed(operands):
+            out = _CHAINS[kind](out, build(right, sys))
+        return out
     if isinstance(t, Fuse):
         if not (is_internal_term(t.top) and is_internal_term(t.bottom)):
             raise SideConditionViolation(

@@ -480,3 +480,132 @@ def test_cli_derivation_unparsable_collapse_rule(tmp_path, capsys):
     assert main(["explain2", "--system", t, "--derivation", x, "--layer",
                  "U", "--equation", "gh_is_u"]) == 1
     assert "does not re-match" in _single_error_line(capsys)
+
+
+# -- input nested deeper than the recursion limit -----------------------------
+
+
+def test_cli_typechecks_a_long_chain(tmp_path, capsys):
+    t = _write(tmp_path, "t.json",
+               jsonio.system_to_json(make_two_layer_system()))
+    chain = tmp_path / "long.sexp"
+    chain.write_text("(seq " + " ".join(["(id U a)"] * 1200) + ")",
+                     encoding="utf-8")
+    assert main(["typecheck", "--system", t, "--term", "(id U a)"]) == 0
+    one = capsys.readouterr().out
+    assert main(["typecheck", "--system", t, "--diagram", str(chain)]) == 0
+    assert capsys.readouterr().out == one
+
+
+def test_cli_rejects_deep_parentheses(tmp_path, capsys):
+    t = _write(tmp_path, "t.json",
+               jsonio.system_to_json(make_two_layer_system()))
+    nested = tmp_path / "nested.sexp"
+    nested.write_text("(" * 1200 + ")" * 1200, encoding="utf-8")
+    assert main(["typecheck", "--system", t, "--diagram", str(nested)]) == 1
+    assert _single_error_line(capsys) == \
+        "error: term nested deeper than 200 parentheses"
+
+
+def test_cli_ccs_lts_empty_process(capsys):
+    assert main(["ccs", "--lts", ""]) == 1
+    assert _single_error_line(capsys) == \
+        "error: unexpected end of process at position 0 in ''"
+
+
+def test_cli_ccs_lts_long_prefix_chain(capsys):
+    assert main(["ccs", "--lts", "a." * 1500 + "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(" -> ") == 1500
+    assert '[label="0"];' in out
+
+
+def test_cli_ccs_lts_rejects_deep_parentheses(capsys):
+    process = "(" * 1500 + "a.0" + "|0)" * 1500
+    assert main(["ccs", "--lts", process]) == 1
+    assert _single_error_line(capsys).startswith(
+        "error: process nested deeper than 200 parentheses at position 200")
+
+
+# -- what each verb loads -----------------------------------------------------
+
+# runs cli.main on its arguments, then writes the loaded layerprop modules
+# to the file named first
+_LOADED = """\
+import json, sys
+from layerprop import cli
+code = cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as out:
+    json.dump([code, sorted(m.partition(".")[2] for m in sys.modules
+                            if m.startswith("layerprop."))], out)
+"""
+
+_SEARCH = {"rewrite", "explain"}
+_SEMANTICS = {"profunctor", "semantics", "models"}
+_CASES = {"chem", "ccs", "circuits"}
+
+
+def test_each_verb_loads_only_its_modules(tmp_path, capsys):
+    fx = tmp_path / "fx"
+    assert main(["chem", "--emit", str(fx)]) == 0
+    assert main(["ccs", "--emit", str(fx)]) == 0
+    capsys.readouterr()
+    two = _write(fx, "two.json",
+                 jsonio.system_to_json(make_two_layer_system()))
+    for name, text in (("gh.sexp", "(seq (gen U g) (gen U h))"),
+                       ("u.sexp", "(gen U u)"),
+                       ("pair.sexp", "(par (gen U g) (gen U g))"),
+                       ("swap.sexp", "(seq (par (gen U g) (id U a)) "
+                                     "(par (id U b) (gen U g)))")):
+        (fx / name).write_text(text, encoding="utf-8")
+    (fx / "series.json").write_text(json.dumps(
+        [{"kind": "resistor", "param": r} for r in (2, 3)]), encoding="utf-8")
+
+    def f(name):
+        return str(fx / name)
+
+    chem_sys, ccs_sys = f("chem.json"), f("ccs.json")
+    light = _SEARCH | _SEMANTICS | _CASES
+    # (argv, exit code, modules it must not load)
+    cases = [
+        (["check-theory", "--system", chem_sys], 0, light),
+        (["check-theory", "--system", f("missing.json")], 1, light),
+        (["typecheck", "--system", two, "--term", "(gen U g)"], 0, light),
+        (["typecheck", "--system", two, "--term", "(seq (gen U g)"], 1,
+         light),
+        (["typecheck", "--system", two, "--diagram", f("swap.sexp"),
+          "--json"], 0, light),
+        (["export-dot", "--system", chem_sys, "--diagram",
+          f("glucose.json")], 0, light),
+        (["export-dot", "--system", two, "--diagram", f("swap.sexp")], 0,
+         light),
+        (["eq", "--system", two, f("swap.sexp"), f("pair.sexp")], 0, light),
+        (["eq", "--system", two, f("gh.sexp"), f("u.sexp")], 0,
+         _SEMANTICS | _CASES),
+        (["derive", "--system", two, "--src", f("gh.sexp"), "--dst",
+          f("u.sexp"), "--out", f("dv.json")], 0, _SEMANTICS | _CASES),
+        (["explain2", "--system", two, "--derivation", f("dv.json"),
+          "--layer", "U", "--equation", "gh_is_u"], 2, _SEMANTICS | _CASES),
+        (["explain", "--system", chem_sys, "--sigma", "phosphorylation",
+          "--diagram", f("glucose.json"), "--budget", "600"], 0,
+         _SEMANTICS | _CASES),
+        (["counterfactual", "--system", ccs_sys, "--sigma", f("red1.json"),
+          "--diagram", f("lts2.json")], 0, _SEMANTICS | _CASES),
+        (["chem"], 0, _SEMANTICS),
+        (["ccs"], 0, _SEMANTICS),
+        (["circuit"], 0, _SEMANTICS),
+        (["circuit", "--file", f("series.json")], 0, _SEMANTICS),
+    ]
+    report = tmp_path / "loaded.json"
+    for argv, code, banned in cases:
+        proc = subprocess.run([sys.executable, "-c", _LOADED, str(report),
+                               *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        got, loaded = json.loads(report.read_text(encoding="utf-8"))
+        assert got == code, (argv, proc.stderr)
+        assert banned.isdisjoint(loaded), (argv, banned & set(loaded))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, layerprop; print(sorted("
+         "m for m in sys.modules if m.startswith('layerprop.')))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -37,9 +37,20 @@ def _siblings(node: ast.ImportFrom) -> set[str]:
             else {alias.name for alias in node.names})
 
 
-def test_function_local_imports_only_break_cycles():
-    # a sibling is imported inside a function only when it imports the
-    # importer at top level, so that a module-level import would be a cycle
+# function-local sibling imports that defer loading rather than break a
+# cycle: each CLI verb handler imports what it runs, and jsonio's derivation
+# and model codecs import the search and the semantics on use
+DEFERRED = ({("cli", sibling) for sibling in (
+    "sexpr", "terms", "rewrite", "explain", "semantics", "chem", "ccs",
+    "circuits")}
+    | {("jsonio", sibling) for sibling in ("rewrite", "profunctor",
+                                           "semantics")})
+
+
+def test_function_local_imports_break_cycles_or_defer_loading():
+    # any other sibling is imported inside a function only when it imports
+    # the importer at top level, so that a module-level import would be a
+    # cycle
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     top = {name: set().union(*(_siblings(node) for node in tree.body
@@ -54,6 +65,7 @@ def test_function_local_imports_only_break_cycles():
              for sibling in _siblings(node)}
     assert [f"{name}.py:{line} imports {sibling}"
             for name, sibling, line in sorted(local)
-            if name not in top[sibling]] == []
+            if (name, sibling) not in DEFERRED
+            and name not in top[sibling]] == []
     assert {pair[:2] for pair in local} == {("diagram", "rewrite"),
-                                            ("theory", "diagram")}
+                                            ("theory", "diagram")} | DEFERRED
