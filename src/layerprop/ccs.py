@@ -76,7 +76,12 @@ def parse_process(text: str) -> Process:
     pos = 0
 
     def error(msg):
-        raise MalformedInput(f"{msg} at position {pos} in {text!r}")
+        # a long text shows 40 characters on each side of pos
+        lo, hi = max(pos - 40, 0), pos + 40
+        if len(text) <= 80:
+            lo, hi = 0, len(text)
+        shown = "..." * (lo > 0) + repr(text[lo:hi]) + "..." * (hi < len(text))
+        raise MalformedInput(f"{msg} at position {pos} in {shown}")
 
     def skip_ws():
         nonlocal pos

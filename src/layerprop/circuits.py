@@ -15,14 +15,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import diagram as dg
-from . import explain
-from . import rewrite as rw
 from .errors import ArityMismatch, FixtureInvalid, SquareViolation
 from .internal import InternalDiagram
 from .theory import (Equation, LayerPresentation, MorphismGen,
                      SystemOfLayers, TranslationFunctor, validate_system)
+
+if TYPE_CHECKING:  # the series check imports these on use
+    from .explain import ExplanationVerdict
 
 
 # -- exact scalars -----------------------------------------------------------
@@ -493,7 +495,6 @@ class CircuitSystem:
     bipoles: tuple[Bipole, ...]
     impedances: dict[str, Impedance]
     relations: dict[str, AffineRelation]
-    engine: rw.RuleEngine
 
 
 def build_circuit_system(bipoles: tuple[Bipole, ...] = DEFAULT_BIPOLES
@@ -583,8 +584,7 @@ def build_circuit_system(bipoles: tuple[Bipole, ...] = DEFAULT_BIPOLES
     report = validate_system(sys_)
     if not report.ok:
         raise FixtureInvalid("; ".join(report.violations))
-    engine = rw.RuleEngine(sys_, [("ECirc", "GAA")])
-    return CircuitSystem(sys_, tuple(bipoles), imps, rels, engine)
+    return CircuitSystem(sys_, tuple(bipoles), imps, rels)
 
 
 def _series_fixture(bipoles) -> tuple[str, str, str] | None:
@@ -600,9 +600,11 @@ def _series_fixture(bipoles) -> tuple[str, str, str] | None:
 
 
 def check_series_explanation(cs: CircuitSystem, budget: int = 3000
-                             ) -> explain.ExplanationVerdict:
+                             ) -> ExplanationVerdict:
     """The series-resistor law in the circuit layer, explained by a
     rewrite that windows into the relation layer."""
+    from . import explain
+    from . import rewrite as rw
     series = _series_fixture(cs.bipoles)
     if series is None:
         raise FixtureInvalid("no additive resistor triple available")
@@ -615,7 +617,8 @@ def check_series_explanation(cs: CircuitSystem, budget: int = 3000
     def no_top_equation(m: rw.Match) -> bool:
         return not (m.rule.family == "E" and m.rule.params[0] == "ECirc")
 
-    eta = rw.find_derivation(lhs, rhs, budget, cs.engine,
+    eta = rw.find_derivation(lhs, rhs, budget,
+                             rw.RuleEngine(sys_, [("ECirc", "GAA")]),
                              rule_filter=no_top_equation)
     if isinstance(eta, rw.NotFound):
         return explain.ExplanationVerdict(

@@ -341,7 +341,8 @@ def _load_bipoles(path: str) -> list[cx.Bipole]:
 
 def cmd_circuit(args) -> int:
     from . import circuits as cx
-    cs = cx.build_circuit_system()
+    # the system is for the fixture and the series check, not for --file
+    cs = cx.build_circuit_system() if args.emit or not args.file else None
     if args.emit:
         outdir = Path(args.emit)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,13 @@ labelings.  Canonicalization additionally normalizes the internal quotient:
 sheet symmetries are spliced into the wiring, sequentially adjacent boxes of
 one layer fuse, identity boxes disappear, and box contents take their
 interchange normal form.
+
+The subclasses of ``Cell`` are the one table of cell kinds: each declares
+its tag, label fields and port counts, and ``CONSTRUCTORS`` gives its checked
+constructor.  Labels, DOT text, the diagram file codec and the fields rule
+templates match are read from it.  A new cell kind takes a class and a
+constructor here, a ``rewrite._SCHEMATA`` row per rule that moves it, and a
+piece in ``semantics._PIECES``.
 """
 
 from __future__ import annotations
@@ -29,10 +36,36 @@ Endpoint = tuple
 SheetType = tuple[str, Word]
 
 
+# how a label field reads: a name (of a layer or a functor's end), a word,
+# or a box content, which labels and diagram files flatten to its dom, cod
+# and slices (its layer is the cell's)
+NAME, WORD, CONTENT = "name", "word", "content"
+
+
+class Cell:
+    """A diagram cell.  Each kind declares its ``tag`` (a label's first item,
+    a diagram file's "kind"), ``ports`` counts (inputs, outputs) and
+    ``label_fields`` with how each reads; other fields follow from these."""
+
+    def label(self) -> tuple:
+        """The tag, then the label fields; computed once per cell."""
+        label = self.__dict__.get("_label")
+        if label is None:
+            label = [self.tag]
+            for name, reader in self.label_fields:
+                value = getattr(self, name)
+                label += ((value.dom, value.cod, value.slices)
+                          if reader == CONTENT else (value,))
+            label = self.__dict__["_label"] = tuple(label)
+        return label
+
+
 @dataclass(frozen=True)
-class InternalBox:
+class InternalBox(Cell):
     layer: str
     content: InternalDiagram
+    tag, ports = "box", (1, 1)
+    label_fields = (("layer", NAME), ("content", CONTENT))
 
     def in_ports(self) -> tuple[SheetType, ...]:
         return ((self.layer, self.content.dom),)
@@ -40,16 +73,14 @@ class InternalBox:
     def out_ports(self) -> tuple[SheetType, ...]:
         return ((self.layer, self.content.cod),)
 
-    def label(self) -> tuple:
-        return ("box", self.layer, self.content.dom, self.content.cod,
-                self.content.slices)
-
 
 @dataclass(frozen=True)
-class Pants:
+class Pants(Cell):
     layer: str
     alpha: Word
     beta: Word
+    tag, ports = "pants", (2, 1)
+    label_fields = (("layer", NAME), ("alpha", WORD), ("beta", WORD))
 
     def in_ports(self):
         return ((self.layer, self.alpha), (self.layer, self.beta))
@@ -57,29 +88,20 @@ class Pants:
     def out_ports(self):
         return ((self.layer, self.alpha + self.beta),)
 
-    def label(self):
-        return ("pants", self.layer, self.alpha, self.beta)
-
 
 @dataclass(frozen=True)
-class Copants:
+class Copants(Cell):
     layer: str
     alpha: Word
     beta: Word
-
-    def in_ports(self):
-        return ((self.layer, self.alpha + self.beta),)
-
-    def out_ports(self):
-        return ((self.layer, self.alpha), (self.layer, self.beta))
-
-    def label(self):
-        return ("copants", self.layer, self.alpha, self.beta)
+    tag, ports, label_fields = "copants", (1, 2), Pants.label_fields
+    in_ports, out_ports = Pants.out_ports, Pants.in_ports  # ports reversed
 
 
 @dataclass(frozen=True)
-class Cup:
+class Cup(Cell):
     layer: str
+    tag, ports, label_fields = "cup", (0, 1), (("layer", NAME),)
 
     def in_ports(self):
         return ()
@@ -87,30 +109,22 @@ class Cup:
     def out_ports(self):
         return ((self.layer, EPSILON),)
 
-    def label(self):
-        return ("cup", self.layer)
-
 
 @dataclass(frozen=True)
-class Cap:
+class Cap(Cell):
     layer: str
-
-    def in_ports(self):
-        return ((self.layer, EPSILON),)
-
-    def out_ports(self):
-        return ()
-
-    def label(self):
-        return ("cap", self.layer)
+    tag, ports, label_fields = "cap", (1, 0), Cup.label_fields
+    in_ports, out_ports = Cup.out_ports, Cup.in_ports  # ports reversed
 
 
 @dataclass(frozen=True)
-class Refine:
+class Refine(Cell):
     source: str
     target: str
     word: Word
     image: Word
+    tag, ports = "refine", (1, 1)
+    label_fields = (("source", NAME), ("target", NAME), ("word", WORD))
 
     def in_ports(self):
         return ((self.source, self.word),)
@@ -118,46 +132,32 @@ class Refine:
     def out_ports(self):
         return ((self.target, self.image),)
 
-    def label(self):
-        return ("refine", self.source, self.target, self.word)
-
 
 @dataclass(frozen=True)
-class Coarsen:
+class Coarsen(Cell):
     source: str
     target: str
     word: Word
     image: Word
-
-    def in_ports(self):
-        return ((self.target, self.image),)
-
-    def out_ports(self):
-        return ((self.source, self.word),)
-
-    def label(self):
-        return ("coarsen", self.source, self.target, self.word)
+    tag, ports, label_fields = "coarsen", (1, 1), Refine.label_fields
+    in_ports, out_ports = Refine.out_ports, Refine.in_ports  # ports reversed
 
 
 @dataclass(frozen=True)
-class SheetSym:
+class SheetSym(Cell):
     layer1: str
     alpha: Word
     layer2: str
     beta: Word
+    tag, ports = "sym", (2, 2)
+    label_fields = (("layer1", NAME), ("alpha", WORD), ("layer2", NAME),
+                    ("beta", WORD))
 
     def in_ports(self):
         return ((self.layer1, self.alpha), (self.layer2, self.beta))
 
     def out_ports(self):
         return ((self.layer2, self.beta), (self.layer1, self.alpha))
-
-    def label(self):
-        return ("sym", self.layer1, self.alpha, self.layer2, self.beta)
-
-
-Cell = (InternalBox | Pants | Copants | Cup | Cap | Refine | Coarsen
-        | SheetSym)
 
 
 class Wire(NamedTuple):
@@ -287,6 +287,7 @@ def _single_cell(sys: SystemOfLayers, cell: Cell) -> Diagram:
 
 
 def box(sys: SystemOfLayers, content: InternalDiagram) -> Diagram:
+    sys.validate_word(content.layer, content.dom)
     internal.validate(content, sys.signature(content.layer))
     return _single_cell(sys, InternalBox(content.layer, content))
 
@@ -338,6 +339,14 @@ def sheet_sym(sys: SystemOfLayers, layer1: str, alpha: Word, layer2: str,
     sys.validate_word(layer1, alpha)
     sys.validate_word(layer2, beta)
     return _single_cell(sys, SheetSym(layer1, alpha, layer2, beta))
+
+
+# each cell kind's checked constructor, called with the system and the
+# cell's label fields in order (a box's layer is its content's)
+CONSTRUCTORS = {InternalBox: lambda sys, layer, content: box(sys, content),
+                Pants: pants, Copants: copants, Cup: cup, Cap: cap,
+                Refine: refine, Coarsen: coarsen, SheetSym: sheet_sym}
+CELL_KINDS = {kind.tag: kind for kind in CONSTRUCTORS}
 
 
 def _shift_endpoint(ep: Endpoint, cell_shift: int, dom_shift: int = 0,
@@ -434,11 +443,6 @@ def fuse_internal(x: Diagram, y: Diagram,
 
 # ---------------------------------------------------------------------------
 # canonicalization
-
-
-# ports per cell kind, as ``in_ports()`` and ``out_ports()`` list them
-_ARITY = {InternalBox: (1, 1), Pants: (2, 1), Copants: (1, 2), Cup: (0, 1),
-          Cap: (1, 0), Refine: (1, 1), Coarsen: (1, 1), SheetSym: (2, 2)}
 
 
 def _endpoint_maps(wires: dict[int, tuple]):
@@ -601,7 +605,7 @@ def _canonical(system: SystemOfLayers, dom: OmegaType, cod: OmegaType,
     n_in: dict[int, int] = {}
     nbrs: dict[int, list[int]] = {}
     for ci, cell in cell_map.items():
-        k_in, k_out = _ARITY[type(cell)]
+        k_in, k_out = cell.ports
         n_in[ci] = k_in
         nbrs[ci] = [0] * (k_in + k_out)
     ends: list[tuple] = []
@@ -719,32 +723,32 @@ def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
 # export
 
 
+def _node_text(cell: Cell) -> str:
+    """The tag and the names before the first word, joined by '>'
+    ("refine U>L"), then a box content's dom -> cod ("box U: a -> b")."""
+    text, sep = cell.tag, " "
+    for name, reader in cell.label_fields:
+        value = getattr(cell, name)
+        if reader == WORD:
+            break
+        text += (sep + value if reader == NAME else ": " + " -> ".join(
+            " ".join(w) or "e" for w in (value.dom, value.cod)))
+        sep = ">"
+    return text
+
+
 def export_dot(d: Diagram) -> str:
     """Deterministic DOT rendering of the canonical form."""
     c = canonicalize(d).diagram
     lines = ["digraph diagram {", "  rankdir=LR;"]
-    for k, (layer, w) in enumerate(c.dom.entries):
-        lines.append(f'  dom{k} [shape=point, xlabel="{layer}"];')
-    for k, (layer, w) in enumerate(c.cod.entries):
-        lines.append(f'  cod{k} [shape=point, xlabel="{layer}"];')
+    for end, t in (("dom", c.dom), ("cod", c.cod)):
+        lines += [f'  {end}{k} [shape=point, xlabel="{layer}"];'
+                  for k, (layer, _) in enumerate(t.entries)]
     for ci, cell in enumerate(c.cells):
-        lab = cell.label()
-        kind = lab[0]
-        if kind == "box":
-            text = (f"box {cell.layer}: {' '.join(cell.content.dom) or 'e'}"
-                    f" -> {' '.join(cell.content.cod) or 'e'}")
-        elif kind in ("refine", "coarsen"):
-            text = f"{kind} {cell.source}>{cell.target}"
-        else:
-            text = f"{kind} {lab[1]}"
-        lines.append(f'  c{ci} [shape=box, label="{text}"];')
+        lines.append(f'  c{ci} [shape=box, label="{_node_text(cell)}"];')
 
     def node(ep: Endpoint) -> str:
-        if ep[0] == "dom":
-            return f"dom{ep[1]}"
-        if ep[0] == "cod":
-            return f"cod{ep[1]}"
-        return f"c{ep[1]}"
+        return f"{ep[0]}{ep[1]}" if ep[0] in ("dom", "cod") else f"c{ep[1]}"
 
     for w in c.wires:
         layer, word = w.type

@@ -41,44 +41,34 @@ def _single_path(d: Diagram) -> list | None:
         chain.append(c.cells[ci])
         cursor = by_src.get(("out", ci, 0))
         seen += 1
-        if len(c.cells[ci].out_ports()) != 1 or \
-                len(c.cells[ci].in_ports()) != 1:
+        if c.cells[ci].ports != (1, 1):
             return None
     return None
 
 
-def is_window(d: Diagram) -> bool:
-    """Refine, then an internal morphism of the lower layer, then coarsen."""
+def _framed(d: Diagram, first_kind: type, last_kind: type,
+            inner: str) -> bool:
+    """A ``first_kind`` cell, at most one box in its ``inner`` layer, then
+    a ``last_kind`` cell of the same translation."""
     chain = _single_path(d)
-    if chain is None or not chain:
+    if not chain:
         return False
     first, last = chain[0], chain[-1]
-    if not (isinstance(first, Refine) and isinstance(last, Coarsen)):
-        return False
-    if (first.source, first.target) != (last.source, last.target):
-        return False
-    middle = chain[1:-1]
-    if len(middle) > 1:
-        return False
-    return all(isinstance(c, InternalBox) and c.layer == first.target
-               for c in middle)
+    return (isinstance(first, first_kind) and isinstance(last, last_kind)
+            and (first.source, first.target) == (last.source, last.target)
+            and len(chain) <= 3
+            and all(isinstance(c, InternalBox)
+                    and c.layer == getattr(first, inner) for c in chain[1:-1]))
+
+
+def is_window(d: Diagram) -> bool:
+    """Refine, then an internal morphism of the lower layer, then coarsen."""
+    return _framed(d, Refine, Coarsen, "target")
 
 
 def is_cowindow(d: Diagram) -> bool:
     """Coarsen, then an internal morphism of the upper layer, then refine."""
-    chain = _single_path(d)
-    if chain is None or not chain:
-        return False
-    first, last = chain[0], chain[-1]
-    if not (isinstance(first, Coarsen) and isinstance(last, Refine)):
-        return False
-    if (first.source, first.target) != (last.source, last.target):
-        return False
-    middle = chain[1:-1]
-    if len(middle) > 1:
-        return False
-    return all(isinstance(c, InternalBox) and c.layer == first.source
-               for c in middle)
+    return _framed(d, Coarsen, Refine, "source")
 
 
 def contains_window(d: Diagram) -> bool:

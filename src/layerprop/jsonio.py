@@ -10,9 +10,8 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from . import diagram as dg
-from .diagram import (Cap, Coarsen, Copants, Cup, Diagram, InternalBox,
-                      Pants, Refine, SheetSym, Wire, canonicalize)
-from .errors import MalformedInput
+from .diagram import Diagram, Wire, canonicalize
+from .errors import LayerPropError, MalformedInput
 from .internal import InternalDiagram
 from .theory import (Equation, LayerPresentation, MorphismGen, OmegaType,
                      SystemOfLayers, TranslationFunctor)
@@ -129,13 +128,15 @@ _THEORY = {
                        "morphisms": {str: _INTERNAL}}]),
     "order": _Opt([(str, str)]),
 }
-_SPLIT = {"layer": str, "alpha": _WORD, "beta": _WORD}
-_FRAME = {"source": str, "target": str, "word": _WORD}
-_CELLS = {"box": _INTERNAL, "pants": _SPLIT, "copants": _SPLIT,
-          "cup": {"layer": str}, "cap": {"layer": str},
-          "refine": _FRAME, "coarsen": _FRAME,
-          "sym": {"layer1": str, "alpha": _WORD, "layer2": str,
-                  "beta": _WORD}}
+# a cell's fields in a diagram file: a name or a word under its field's
+# key, a box content flat beside its cell's layer
+_FIELD_SHAPES = {dg.NAME: lambda name: {name: str},
+                 dg.WORD: lambda name: {name: _WORD},
+                 dg.CONTENT: lambda name: {"dom": _WORD, "cod": _WORD,
+                                           "slices": [(int, str)]}}
+_CELLS = {tag: {key: shape for name, reader in kind.label_fields
+                for key, shape in _FIELD_SHAPES[reader](name).items()}
+          for tag, kind in dg.CELL_KINDS.items()}
 
 
 def _cell_shape(value) -> None:
@@ -262,67 +263,27 @@ def system_from_json(payload: dict) -> SystemOfLayers:
 
 
 def _cell_to_json(cell) -> dict:
-    if isinstance(cell, InternalBox):
-        return {"kind": "box", **internal_to_json(cell.content)}
-    if isinstance(cell, Pants):
-        return {"kind": "pants", "layer": cell.layer,
-                "alpha": list(cell.alpha), "beta": list(cell.beta)}
-    if isinstance(cell, Copants):
-        return {"kind": "copants", "layer": cell.layer,
-                "alpha": list(cell.alpha), "beta": list(cell.beta)}
-    if isinstance(cell, Cup):
-        return {"kind": "cup", "layer": cell.layer}
-    if isinstance(cell, Cap):
-        return {"kind": "cap", "layer": cell.layer}
-    if isinstance(cell, Refine):
-        return {"kind": "refine", "source": cell.source,
-                "target": cell.target, "word": list(cell.word)}
-    if isinstance(cell, Coarsen):
-        return {"kind": "coarsen", "source": cell.source,
-                "target": cell.target, "word": list(cell.word)}
-    if isinstance(cell, SheetSym):
-        return {"kind": "sym", "layer1": cell.layer1,
-                "alpha": list(cell.alpha), "layer2": cell.layer2,
-                "beta": list(cell.beta)}
-    raise MalformedInput(f"unknown cell {cell!r}")
+    out = {"kind": cell.tag}
+    for name, reader in cell.label_fields:
+        value = getattr(cell, name)
+        out.update(internal_to_json(value) if reader == dg.CONTENT else
+                   {name: value if reader == dg.NAME else list(value)})
+    return out
 
 
 def _cell_from_json(sys_: SystemOfLayers, payload: dict):
-    kind = payload.get("kind")
-    if kind == "box":
-        content = _internal(payload)
-        return InternalBox(content.layer, content)
-    if kind == "pants":
-        return Pants(payload["layer"], tuple(payload["alpha"]),
-                     tuple(payload["beta"]))
-    if kind == "copants":
-        return Copants(payload["layer"], tuple(payload["alpha"]),
-                       tuple(payload["beta"]))
-    if kind == "cup":
-        return Cup(payload["layer"])
-    if kind == "cap":
-        return Cap(payload["layer"])
-    if kind == "refine":
-        f = sys_.functor(payload["source"], payload["target"])
-        word = tuple(payload["word"])
-        return Refine(payload["source"], payload["target"], word,
-                      f.word_image(word))
-    if kind == "coarsen":
-        f = sys_.functor(payload["source"], payload["target"])
-        word = tuple(payload["word"])
-        return Coarsen(payload["source"], payload["target"], word,
-                       f.word_image(word))
-    if kind == "sym":
-        return SheetSym(payload["layer1"], tuple(payload["alpha"]),
-                        payload["layer2"], tuple(payload["beta"]))
-    raise MalformedInput(f"unknown cell kind {kind!r}")
+    """The cell of a shape-checked payload, by its kind's constructor."""
+    kind = dg.CELL_KINDS[payload["kind"]]
+    values = [_internal(payload) if reader == dg.CONTENT
+              else payload[name] if reader == dg.NAME
+              else tuple(payload[name]) for name, reader in kind.label_fields]
+    return dg.CONSTRUCTORS[kind](sys_, *values).cells[0]
 
 
 def _endpoint_to_json(ep) -> list:
     if ep[0] in ("dom", "cod"):
         return [ep[0], ep[1]]
-    side = "cell"
-    return [side, ep[1], ep[2], "out" if ep[0] == "out" else "in"]
+    return ["cell", ep[1], ep[2], ep[0]]
 
 
 def diagram_to_json(d: Diagram) -> dict:
@@ -341,11 +302,27 @@ def diagram_to_json(d: Diagram) -> dict:
 
 def diagram_from_json(sys_: SystemOfLayers, payload: dict) -> Diagram:
     _checked(payload, _DIAGRAM, "diagram file")
-    dom = OmegaType(tuple((layer, tuple(w))
-                          for layer, w in payload["sort"]["dom"]))
-    cod = OmegaType(tuple((layer, tuple(w))
-                          for layer, w in payload["sort"]["cod"]))
-    cells = [_cell_from_json(sys_, c) for c in payload["cells"]]
+    return _diagram(sys_, payload, "bad diagram file: ")
+
+
+def _diagram(sys_: SystemOfLayers, payload: dict, at: str) -> Diagram:
+    """A diagram from a payload that passed its shape check, checked
+    against the system; ``at`` starts a rejection's message."""
+    cells = []
+    for i, c in enumerate(payload["cells"]):
+        try:
+            cells.append(_cell_from_json(sys_, c))
+        except LayerPropError as exc:
+            raise MalformedInput(f"{at}cells[{i}]: {exc}") from None
+    sort = []
+    for end in ("dom", "cod"):
+        t = OmegaType(tuple((layer, tuple(w))
+                            for layer, w in payload["sort"][end]))
+        try:
+            sys_.validate_type(t)
+        except LayerPropError as exc:
+            raise MalformedInput(f"{at}sort.{end}: {exc}") from None
+        sort.append(t)
 
     def endpoint(raw, role):
         if raw[0] in ("dom", "cod"):
@@ -356,7 +333,7 @@ def diagram_from_json(sys_: SystemOfLayers, payload: dict) -> Diagram:
     wires = [Wire(endpoint(w["source"], "out"), endpoint(w["target"], "in"),
                   (w["type"][0], tuple(w["type"][1])))
              for w in payload["wires"]]
-    d = Diagram(sys_, dom, cod, cells, wires)
+    d = Diagram(sys_, *sort, cells, wires)
     dg.validate_diagram(d)
     return d
 
@@ -384,7 +361,7 @@ def derivation_from_json(sys_: SystemOfLayers, payload: dict,
     """Reconstruct by replaying: each recorded step must re-match."""
     from . import rewrite as rw
     _checked(payload, _DERIVATION, "derivation file")
-    start = diagram_from_json(sys_, payload["start"])
+    start = _diagram(sys_, payload["start"], "bad derivation file: start.")
     signatures = []
     for step in payload.get("steps", ()):
         anchor = step.get("anchor", {})

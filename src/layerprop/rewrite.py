@@ -55,8 +55,8 @@ from typing import Callable, Iterable
 
 from . import diagram as dg
 from . import internal
-from .diagram import (Cap, Coarsen, Copants, Cup, Diagram, InternalBox,
-                      Pants, Refine, Wire, canonical_key, canonicalize)
+from .diagram import (Coarsen, Diagram, InternalBox, Refine, Wire,
+                      canonical_key, canonicalize)
 from .errors import (InvalidDerivation, LayerPropError,
                      SideConditionViolation, SortMismatch, StaleMatch,
                      check_count)
@@ -622,15 +622,6 @@ class _FunctorVar:
                                ((0, _Img(self, v)),))
 
 
-# the label fields a template cell constrains (an image word follows from
-# its functor and word)
-_FIELDS = {InternalBox: ("layer", "content"),
-           Pants: ("layer", "alpha", "beta"),
-           Copants: ("layer", "alpha", "beta"), Cup: ("layer",),
-           Cap: ("layer",), Refine: ("source", "target", "word"),
-           Coarsen: ("source", "target", "word")}
-
-
 class _Template:
     """One side of a schema, built over variables and compiled for
     matching.
@@ -680,8 +671,10 @@ class _Template:
         self.optional = [type(c) is InternalBox and getattr(
             c.content.slices[0][1], "strand", False) for c in d.cells]
         self.n_wires = len(d.wires)
-        self.patterns = [getattr(c, f) for c in d.cells
-                         for f in _FIELDS[type(c)]]
+        # the label fields each cell constrains (an image follows from them)
+        self.fields = [[f for f, _ in c.label_fields] for c in d.cells]
+        self.patterns = [getattr(c, f) for c, fs in zip(d.cells, self.fields)
+                         for f in fs]
         self.dom, self.cod = [None] * len(d.dom), [None] * len(d.cod)
         links = []
         for src, dst, ty in d.wires:
@@ -759,8 +752,8 @@ class _Template:
                 layer, word = host.wires[skip[c]].type
                 values += (layer, internal.identity(layer, word))
             else:
-                values += [getattr(host.cells[hc], f) for f in
-                           _FIELDS[self.kinds[c]]]
+                values += [getattr(host.cells[hc], f)
+                           for f in self.fields[c]]
         dom = tuple(skip[c] if m[c] is None else index.wire_in(m[c], q)
                     for c, q in self.dom)
         cod = tuple(skip[c] if m[c] is None else index.wire_out(m[c], p)

@@ -210,46 +210,73 @@ def _down(f: _Functor, b) -> _Piece:
     return _Piece(None, f, f.target, f.source, a, b, f.target.ident(a))
 
 
-def _cell_pieces(model: FinOmegaSystem, cell: Cell) -> tuple[_Piece, _Piece]:
-    """The cell's piece read up and read down; they differ only for a
-    sheet symmetry, which is up(swap) and down(swap^-1)."""
-    if isinstance(cell, InternalBox):
-        cat1 = product_category([model.category(cell.layer)])
-        piece = _Piece(None, None, cat1, cat1,
-                       (model.word_obj(cell.layer, cell.content.dom),),
-                       (model.word_obj(cell.layer, cell.content.cod),),
-                       (model.internal_morphism(cell.content),))
-        return piece, piece
-    if isinstance(cell, (Pants, Copants)):
-        cat = model.category(cell.layer)
-        f = _Functor(product_category([cat, cat]), product_category([cat]),
-                     lambda ab: (cat.tensor_obj(*ab),),
-                     lambda mn: (cat.tensor_mor(*mn),))
-        a = (model.word_obj(cell.layer, cell.alpha),
-             model.word_obj(cell.layer, cell.beta))
-    elif isinstance(cell, (Cup, Cap)):
-        cat = model.category(cell.layer)
-        f = _Functor(product_category([]), product_category([cat]),
-                     lambda _: (cat.unit,), lambda _: (cat.ident(cat.unit),))
-        a = ()
-    elif isinstance(cell, (Refine, Coarsen)):
-        ff = model.functor(cell.source, cell.target)
-        f = _Functor(product_category([model.category(cell.source)]),
-                     product_category([model.category(cell.target)]),
-                     lambda x: (ff.on_obj(x[0]),), lambda m: (ff.on_mor(m[0]),))
-        a = (model.word_obj(cell.source, cell.word),)
-    elif isinstance(cell, SheetSym):
-        c1 = model.category(cell.layer1)
-        c2 = model.category(cell.layer2)
-        src, tgt = product_category([c1, c2]), product_category([c2, c1])
-        a = (model.word_obj(cell.layer1, cell.alpha),
-             model.word_obj(cell.layer2, cell.beta))
-        return (_up(_Functor(src, tgt, _swap, _swap), a),
-                _down(_Functor(tgt, src, _swap, _swap), _swap(a)))
-    else:
-        raise ModelIncomplete(f"cell {cell!r} has no interpretation")
-    piece = (_up if isinstance(cell, (Pants, Cup, Refine)) else _down)(f, a)
+def _box_pieces(model: FinOmegaSystem, cell: InternalBox):
+    cat1 = product_category([model.category(cell.layer)])
+    piece = _Piece(None, None, cat1, cat1,
+                   (model.word_obj(cell.layer, cell.content.dom),),
+                   (model.word_obj(cell.layer, cell.content.cod),),
+                   (model.internal_morphism(cell.content),))
     return piece, piece
+
+
+def _tensor(model: FinOmegaSystem, cell: Pants | Copants):
+    cat = model.category(cell.layer)
+    f = _Functor(product_category([cat, cat]), product_category([cat]),
+                 lambda ab: (cat.tensor_obj(*ab),),
+                 lambda mn: (cat.tensor_mor(*mn),))
+    return f, (model.word_obj(cell.layer, cell.alpha),
+               model.word_obj(cell.layer, cell.beta))
+
+
+def _unit(model: FinOmegaSystem, cell: Cup | Cap):
+    cat = model.category(cell.layer)
+    f = _Functor(product_category([]), product_category([cat]),
+                 lambda _: (cat.unit,), lambda _: (cat.ident(cat.unit),))
+    return f, ()
+
+
+def _translation(model: FinOmegaSystem, cell: Refine | Coarsen):
+    ff = model.functor(cell.source, cell.target)
+    f = _Functor(product_category([model.category(cell.source)]),
+                 product_category([model.category(cell.target)]),
+                 lambda x: (ff.on_obj(x[0]),), lambda m: (ff.on_mor(m[0]),))
+    return f, (model.word_obj(cell.source, cell.word),)
+
+
+def _sym_pieces(model: FinOmegaSystem, cell: SheetSym):
+    c1, c2 = model.category(cell.layer1), model.category(cell.layer2)
+    src, tgt = product_category([c1, c2]), product_category([c2, c1])
+    a = (model.word_obj(cell.layer1, cell.alpha),
+         model.word_obj(cell.layer2, cell.beta))
+    return (_up(_Functor(src, tgt, _swap, _swap), a),
+            _down(_Functor(tgt, src, _swap, _swap), _swap(a)))
+
+
+def _read(direction, functor_at):
+    """A cell's pieces: ``direction`` (up or down) of a functor at objects,
+    both given by ``functor_at``."""
+    def pieces(model, cell):
+        piece = direction(*functor_at(model, cell))
+        return piece, piece
+    return pieces
+
+
+# each cell kind's pieces, read up and read down; they differ only for a
+# sheet symmetry, which is up(swap) and down(swap^-1)
+_PIECES = {
+    InternalBox: _box_pieces, SheetSym: _sym_pieces,
+    Pants: _read(_up, _tensor), Copants: _read(_down, _tensor),
+    Cup: _read(_up, _unit), Cap: _read(_down, _unit),
+    Refine: _read(_up, _translation), Coarsen: _read(_down, _translation),
+}
+
+
+def _cell_pieces(model: FinOmegaSystem, cell: Cell) -> tuple[_Piece, _Piece]:
+    """The cell's piece read up and read down."""
+    pieces = _PIECES.get(type(cell))
+    if pieces is None:
+        raise ModelIncomplete(f"cell {cell!r} has no interpretation")
+    return pieces(model, cell)
 
 
 def _swap(pair: tuple) -> tuple:
@@ -317,7 +344,7 @@ def layered_slices(d: Diagram) -> list[list]:
         ready = None
         for ci in sorted(remaining):
             ins = [by_dst[("in", ci, pi)]
-                   for pi in range(len(c.cells[ci].in_ports()))]
+                   for pi in range(c.cells[ci].ports[0])]
             if all(wi in frontier for wi in ins):
                 ready = (ci, ins)
                 break
@@ -341,8 +368,7 @@ def layered_slices(d: Diagram) -> list[list]:
         items.extend(("wire", wire_type(w))
                      for w in frontier[target + len(ins):])
         slices.append(items)
-        outs = [by_src[("out", ci, pi)]
-                for pi in range(len(cell.out_ports()))]
+        outs = [by_src[("out", ci, pi)] for pi in range(cell.ports[1])]
         frontier[target:target + len(ins)] = outs
         remaining.discard(ci)
     # realize the output boundary ordering

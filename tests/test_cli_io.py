@@ -431,6 +431,42 @@ def test_cli_theory_file_shape(tmp_path, capsys, payload, path):
     assert _single_error_line(capsys) == f"error: bad theory file: {path}"
 
 
+def _one_cell(cell, dom, cod):
+    """A diagram file of one cell whose ports are the boundary, in order."""
+    return {"sort": {"dom": dom, "cod": cod}, "cells": [cell], "wires": [
+        {"source": ["dom", k], "target": ["cell", 0, k, "in"], "type": t}
+        for k, t in enumerate(dom)] + [
+        {"source": ["cell", 0, k, "out"], "target": ["cod", k], "type": t}
+        for k, t in enumerate(cod)]}
+
+
+def _pants(layer, beta):
+    return _one_cell({"kind": "pants", "layer": layer, "alpha": ["a"],
+                      "beta": [beta]}, [[layer, ["a"]], [layer, [beta]]],
+                     [[layer, ["a", beta]]])
+
+
+# files that name what the system does not declare
+UNDECLARED = [
+    (_one_cell({"kind": "box", "layer": "U", "dom": ["a"], "cod": ["b"],
+                "slices": [[0, "zz"]]}, [["U", ["a"]]], [["U", ["b"]]]),
+     "cells[0]: unknown generator 'zz'"),
+    (_one_cell({"kind": "box", "layer": "U", "dom": ["a", "z"],
+                "cod": ["b", "z"], "slices": [[0, "g"]]},
+               [["U", ["a", "z"]]], [["U", ["b", "z"]]]),
+     "cells[0]: object 'z' not declared in layer 'U'"),
+    (_pants("NOPE", "b"), "cells[0]: no layer named 'NOPE'"),
+    (_pants("U", "z"), "cells[0]: object 'z' not declared in layer 'U'"),
+    (_one_cell({"kind": "refine", "source": "L", "target": "U",
+                "word": ["x"]}, [["L", ["x"]]], [["U", ["a"]]]),
+     "cells[0]: no translation 'L' -> 'U'"),
+    ({"sort": {"dom": [["U", ["z"]]], "cod": [["U", ["z"]]]}, "cells": [],
+      "wires": [{"source": ["dom", 0], "target": ["cod", 0],
+                 "type": ["U", ["z"]]}]},
+     "sort.dom: object 'z' not declared in layer 'U'"),
+]
+
+
 @pytest.mark.parametrize("payload, path", [
     (3, "top level: expected an object, got int"),
     ([1], "top level: expected an object, got list"),
@@ -446,6 +482,7 @@ def test_cli_theory_file_shape(tmp_path, capsys, payload, path):
       "cells": [], "wires": [{"source": ["cell", 0], "target": ["cod", 0],
                               "type": ["U", ["a"]]}]},
      "wires[0].source: expected 3 items, got 2"),
+    *UNDECLARED,
 ])
 def test_cli_diagram_file_shape(tmp_path, capsys, payload, path):
     t = _write(tmp_path, "t.json",
@@ -460,6 +497,8 @@ def test_cli_diagram_file_shape(tmp_path, capsys, payload, path):
     ({"start": 3}, "start: expected an object, got int"),
     ({"start": {"sort": {"dom": [], "cod": []}, "cells": [], "wires": []},
       "steps": [3]}, "steps[0]: expected an object, got int"),
+    ({"start": _pants("U", "z")},
+     "start.cells[0]: object 'z' not declared in layer 'U'"),
 ])
 def test_cli_derivation_file_shape(tmp_path, capsys, payload, path):
     t = _write(tmp_path, "t.json",
@@ -523,8 +562,11 @@ def test_cli_ccs_lts_long_prefix_chain(capsys):
 def test_cli_ccs_lts_rejects_deep_parentheses(capsys):
     process = "(" * 1500 + "a.0" + "|0)" * 1500
     assert main(["ccs", "--lts", process]) == 1
-    assert _single_error_line(capsys).startswith(
+    line = _single_error_line(capsys)
+    assert line.startswith(
         "error: process nested deeper than 200 parentheses at position 200")
+    # the message quotes only the input around the position
+    assert line.endswith(f" in ...{'(' * 80!r}...") and len(line) < 160
 
 
 # -- what each verb loads -----------------------------------------------------
@@ -594,7 +636,7 @@ def test_each_verb_loads_only_its_modules(tmp_path, capsys):
         (["chem"], 0, _SEMANTICS),
         (["ccs"], 0, _SEMANTICS),
         (["circuit"], 0, _SEMANTICS),
-        (["circuit", "--file", f("series.json")], 0, _SEMANTICS),
+        (["circuit", "--file", f("series.json")], 0, _SEMANTICS | _SEARCH),
     ]
     report = tmp_path / "loaded.json"
     for argv, code, banned in cases:

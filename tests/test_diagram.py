@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import random
 
 import pytest
@@ -10,8 +11,10 @@ import genterms
 from layerprop import diagram as dg
 from layerprop import internal, jsonio, models
 from layerprop import rewrite as rw
+from layerprop import semantics as sm
 from layerprop import terms
-from layerprop.errors import SideConditionViolation, SortMismatch
+from layerprop.errors import (ModelIncomplete, SideConditionViolation,
+                              SortMismatch)
 from layerprop.internal import InternalDiagram
 from layerprop.theory import EMPTY_TYPE, SystemOfLayers, sheet
 
@@ -492,3 +495,58 @@ def test_fuse_strictly_associative(single_layer):
     left = dg.fuse_internal(dg.fuse_internal(x, y), z)
     right = dg.fuse_internal(x, dg.fuse_internal(y, z))
     assert dg.structural_eq(left, right)
+
+
+# -- the table of cell kinds --------------------------------------------------
+
+_M1 = InternalDiagram("MU", ("u",), ("u",), ((0, "m1"),))
+# per cell kind: its constructor's arguments over the monoid model's system,
+# the label and the DOT node text of the cell it builds
+CELL_SAMPLES = {
+    dg.InternalBox: (("MU", _M1), ("box", "MU", ("u",), ("u",), ((0, "m1"),)),
+                     "box MU: u -> u"),
+    dg.Pants: (("MU", ("u",), ()), ("pants", "MU", ("u",), ()), "pants MU"),
+    dg.Copants: (("MU", (), ("u",)), ("copants", "MU", (), ("u",)),
+                 "copants MU"),
+    dg.Cup: (("MU",), ("cup", "MU"), "cup MU"),
+    dg.Cap: (("ML",), ("cap", "ML"), "cap ML"),
+    dg.Refine: (("MU", "ML", ("u",)), ("refine", "MU", "ML", ("u",)),
+                "refine MU>ML"),
+    dg.Coarsen: (("MU", "ML", ("u", "u")),
+                 ("coarsen", "MU", "ML", ("u", "u")), "coarsen MU>ML"),
+    dg.SheetSym: (("MU", ("u",), "ML", ("v",)),
+                  ("sym", "MU", ("u",), "ML", ("v",)), "sym MU"),
+}
+
+
+def test_cell_kind_table():
+    # every kind of the table has a sample, and what is read from the table
+    # holds for it: tag, label, port counts, codec, DOT text and semantics
+    model = models.monoid_model()
+    assert set(CELL_SAMPLES) == set(dg.CONSTRUCTORS)
+    assert dg.CELL_KINDS == {kind.tag: kind for kind in CELL_SAMPLES}
+    for kind, (args, label, text) in CELL_SAMPLES.items():
+        (cell,) = dg.CONSTRUCTORS[kind](model.system, *args).cells
+        assert type(cell) is kind
+        assert cell.label() == label and label[0] == kind.tag
+        assert cell.label() is cell.label()  # computed once
+        assert kind.ports == (len(cell.in_ports()), len(cell.out_ports()))
+        payload = json.loads(jsonio.dumps(jsonio._cell_to_json(cell)))
+        assert payload["kind"] == kind.tag
+        back = jsonio._cell_from_json(model.system, payload)
+        assert back == cell and back.label() == label
+        assert dg._node_text(cell) == text
+        up, down = sm._cell_pieces(model, cell)
+        assert (up == down) == (kind is not dg.SheetSym)
+    with pytest.raises(ModelIncomplete):
+        sm._cell_pieces(model, object())
+
+
+def test_cell_dot_text_in_export(two_layer):
+    d = dg.seq_many(dg.gen_box(two_layer, "U", "g"),
+                    dg.refine(two_layer, "U", "L", ("b",)),
+                    dg.coarsen(two_layer, "U", "L", ("b",)))
+    texts = [line.partition("label=")[2] for line in
+             dg.export_dot(d).splitlines() if "shape=box" in line]
+    assert sorted(texts) == ['"box U: a -> b"];', '"coarsen U>L"];',
+                             '"refine U>L"];']

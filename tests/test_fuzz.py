@@ -159,6 +159,37 @@ def test_loader_input_of_random_json(files, verb, payload):
     _rejected(files, payload, verb)
 
 
+def _name_paths(valid, under=()):
+    """Paths below ``under`` of a diagram payload's name strings (layers,
+    objects, generators), leaving out cell kinds and endpoint tags."""
+    out = []
+    for path in _paths(valid):
+        node = valid
+        for key in path:
+            node = node[key]
+        if (isinstance(node, str) and path[:len(under)] == under
+                and path[-1] != "kind" and not ("wires" in path and (
+                    "source" in path or "target" in path))):
+            out.append(path)
+    return out
+
+
+@pytest.mark.parametrize("verb, under", [("export-dot", ()),
+                                         ("explain2", ("start",))])
+@FUZZ
+@given(data=st.data())
+def test_diagram_naming_an_undeclared_name(files, verb, under, data):
+    # the loader builds cells through the checked constructors and checks
+    # the sort, so a name the system does not declare is rejected
+    path = data.draw(st.sampled_from(_name_paths(VALID[verb], under)))
+    payload = json.loads(json.dumps(VALID[verb]))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "zz"
+    _rejected(files, payload, verb)
+
+
 def test_cell_id_of_the_wrong_type(files):
     # the loader ignored a cell's "id", so a diagram with "id": null loaded
     payload = json.loads(json.dumps(VALID["export-dot"]))

@@ -38,13 +38,15 @@ def _siblings(node: ast.ImportFrom) -> set[str]:
 
 
 # function-local sibling imports that defer loading rather than break a
-# cycle: each CLI verb handler imports what it runs, and jsonio's derivation
-# and model codecs import the search and the semantics on use
+# cycle: each CLI verb handler imports what it runs, jsonio's derivation
+# and model codecs import the search and the semantics on use, and the
+# circuit series check imports the search
 DEFERRED = ({("cli", sibling) for sibling in (
     "sexpr", "terms", "rewrite", "explain", "semantics", "chem", "ccs",
     "circuits")}
     | {("jsonio", sibling) for sibling in ("rewrite", "profunctor",
-                                           "semantics")})
+                                           "semantics")}
+    | {("circuits", sibling) for sibling in ("rewrite", "explain")})
 
 
 def test_function_local_imports_break_cycles_or_defer_loading():

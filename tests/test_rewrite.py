@@ -10,7 +10,7 @@ import pytest
 import genterms
 from conftest import make_two_layer_system
 from layerprop import diagram as dg
-from layerprop import internal, models, terms
+from layerprop import internal, jsonio, models, terms
 from layerprop import rewrite as rw
 from layerprop.diagram import canonical_key, canonicalize
 from layerprop.errors import (LayerPropError, MalformedInput, SortMismatch,
@@ -710,7 +710,10 @@ MATCH_DIGEST = ("a98195391d7492f109f4b6df05814c4f"
                 "1a029495892a46d33dd3fd56371b2ad3")
 
 
-def test_match_sets_pinned(two_layer):
+def _pinned_corpus(two_layer) -> list:
+    """(engines, host) pairs: every side of the sampled rules and random
+    two-layer terms, each with a plain engine and one with the collapse
+    and equation insertions on."""
     corpus = []
     for name, system, rules in _sample_systems(two_layer):
         engines = (rw.RuleEngine(system),
@@ -723,6 +726,11 @@ def test_match_sets_pinned(two_layer):
             corpus += [(engines, terms.build(t, system)) for t in
                        genterms.random_terms(system, rng, 40, max_cells=6)]
     assert len(corpus) == 1608
+    return corpus
+
+
+def test_match_sets_pinned(two_layer):
+    corpus = _pinned_corpus(two_layer)
     entries = []
     counts: dict = {}
     sides: dict = {}  # the digest of a rule's side keys, once per rule
@@ -743,6 +751,23 @@ def test_match_sets_pinned(two_layer):
     assert counts == MATCH_COUNTS
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
     assert digest == MATCH_DIGEST
+
+
+DIAGRAM_JSON_DIGEST = ("5755958b2bf2ac07acaeccf81865fd40"
+                       "779f50b064b04660b673a3369c5beb8b")
+
+
+def test_diagram_json_pinned(two_layer):
+    # the diagram codec's output on the pinned hosts, so that a drift of the
+    # codec or of canonical forms shows; each file reads back to its host
+    out = []
+    for engines, host in _pinned_corpus(two_layer):
+        payload = jsonio.diagram_to_json(host)
+        back = jsonio.diagram_from_json(engines[0].system, payload)
+        assert canonical_key(back) == canonical_key(host)
+        out.append(jsonio.dumps(payload))
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == DIAGRAM_JSON_DIGEST
 
 
 def test_every_rule_matches_its_own_sides(two_layer):
