@@ -166,15 +166,19 @@ def _collapse_pairs(args) -> list[tuple[str, str]]:
     return pairs
 
 
-def cmd_explain(args) -> int:
-    from .explain import check_explanation_1
+def _check_diagram(args, check) -> int:
+    """``check(diagram, sigma, budget, engine)`` on the loaded files."""
     from .rewrite import RuleEngine
     sys_ = _load_system(args.system)
     sigma = _load_diagram(sys_, args.sigma)
     e = _load_diagram(sys_, args.diagram)
     engine = RuleEngine(sys_, _collapse_pairs(args))
-    verdict = check_explanation_1(e, sigma, args.budget, engine)
-    return _verdict_exit(args, verdict)
+    return _verdict_exit(args, check(e, sigma, args.budget, engine))
+
+
+def cmd_explain(args) -> int:
+    from .explain import check_explanation_1
+    return _check_diagram(args, check_explanation_1)
 
 
 def cmd_explain2(args) -> int:
@@ -190,13 +194,7 @@ def cmd_explain2(args) -> int:
 
 def cmd_counterfactual(args) -> int:
     from .explain import check_counterfactual
-    from .rewrite import RuleEngine
-    sys_ = _load_system(args.system)
-    sigma = _load_diagram(sys_, args.sigma)
-    e = _load_diagram(sys_, args.diagram)
-    engine = RuleEngine(sys_, _collapse_pairs(args))
-    verdict = check_counterfactual(e, sigma, args.budget, engine)
-    return _verdict_exit(args, verdict)
+    return _check_diagram(args, check_counterfactual)
 
 
 def cmd_semantics_verify(args) -> int:
@@ -253,20 +251,20 @@ def cmd_chem(args) -> int:
     from . import chem as chem_mod
     cs = chem_mod.build_chem_system()
     if args.emit:
-        _emit_chem(cs, Path(args.emit))
+        _emit(args.emit, {
+            "chem.json": jsonio.system_to_json(cs.system),
+            "glucose.json": jsonio.diagram_to_json(cs.explanation),
+            "sigma.json": jsonio.diagram_to_json(cs.explained)})
     verdict = chem_mod.check_glucose_explanation(cs, args.budget)
     return _verdict_exit(args, verdict, {"case": "glucose-phosphorylation"})
 
 
-def _emit_chem(cs, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "chem.json").write_text(
-        jsonio.dumps(jsonio.system_to_json(cs.system)), encoding="utf-8")
-    (outdir / "glucose.json").write_text(
-        jsonio.dumps(jsonio.diagram_to_json(cs.explanation)),
-        encoding="utf-8")
-    (outdir / "sigma.json").write_text(
-        jsonio.dumps(jsonio.diagram_to_json(cs.explained)), encoding="utf-8")
+def _emit(outdir: str, files: dict[str, dict]) -> None:
+    """Write each payload as JSON to its file name in ``outdir``."""
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        (out / name).write_text(jsonio.dumps(payload), encoding="utf-8")
 
 
 def cmd_ccs(args) -> int:
@@ -277,19 +275,11 @@ def cmd_ccs(args) -> int:
         return OK
     cs = ccs_mod.build_ccs_system()
     if args.emit:
-        outdir = Path(args.emit)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "ccs.json").write_text(
-            jsonio.dumps(jsonio.system_to_json(cs.system)), encoding="utf-8")
-        (outdir / "red1.json").write_text(
-            jsonio.dumps(jsonio.diagram_to_json(cs.explained)),
-            encoding="utf-8")
-        (outdir / "lts1.json").write_text(
-            jsonio.dumps(jsonio.diagram_to_json(cs.explanation)),
-            encoding="utf-8")
-        (outdir / "lts2.json").write_text(
-            jsonio.dumps(jsonio.diagram_to_json(cs.counterfactual)),
-            encoding="utf-8")
+        _emit(args.emit, {
+            "ccs.json": jsonio.system_to_json(cs.system),
+            "red1.json": jsonio.diagram_to_json(cs.explained),
+            "lts1.json": jsonio.diagram_to_json(cs.explanation),
+            "lts2.json": jsonio.diagram_to_json(cs.counterfactual)})
     valid, counter = ccs_mod.check_ccs_fixtures(cs, args.budget)
     payload = {"explanation": jsonio.verdict_to_json(valid),
                "counterfactual": jsonio.verdict_to_json(counter)}
@@ -344,10 +334,7 @@ def cmd_circuit(args) -> int:
     # the system is for the fixture and the series check, not for --file
     cs = cx.build_circuit_system() if args.emit or not args.file else None
     if args.emit:
-        outdir = Path(args.emit)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "circuit.json").write_text(
-            jsonio.dumps(jsonio.system_to_json(cs.system)), encoding="utf-8")
+        _emit(args.emit, {"circuit.json": jsonio.system_to_json(cs.system)})
     if args.file:
         z = cx.boxing_B(_load_bipoles(args.file))
         rel = cx.wrapping_W(z)

@@ -12,10 +12,11 @@ interchange normal form.
 
 The subclasses of ``Cell`` are the one table of cell kinds: each declares
 its tag, label fields and port counts, and ``CONSTRUCTORS`` gives its checked
-constructor.  Labels, DOT text, the diagram file codec and the fields rule
-templates match are read from it.  A new cell kind takes a class and a
-constructor here, a ``rewrite._SCHEMATA`` row per rule that moves it, and a
-piece in ``semantics._PIECES``.
+constructor.  Labels, DOT text, the diagram file codec, the fields rule
+templates match, the term leaf (``terms.Cell``) and the s-expression form
+(``sexpr._FORMS``, for a kind without a box content) are read from it.  A
+new cell kind takes a class and a constructor here, a ``rewrite._SCHEMATA``
+row per rule that moves it, and a piece in ``semantics._PIECES``.
 """
 
 from __future__ import annotations
@@ -341,9 +342,18 @@ def sheet_sym(sys: SystemOfLayers, layer1: str, alpha: Word, layer2: str,
     return _single_cell(sys, SheetSym(layer1, alpha, layer2, beta))
 
 
+def _layer_box(sys: SystemOfLayers, layer: str,
+               content: InternalDiagram) -> Diagram:
+    """A box given its layer, which must be its content's."""
+    if layer != content.layer:
+        raise SortMismatch(f"a box of layer {layer!r} holds a content of "
+                           f"layer {content.layer!r}")
+    return box(sys, content)
+
+
 # each cell kind's checked constructor, called with the system and the
-# cell's label fields in order (a box's layer is its content's)
-CONSTRUCTORS = {InternalBox: lambda sys, layer, content: box(sys, content),
+# cell's label fields in order
+CONSTRUCTORS = {InternalBox: _layer_box,
                 Pants: pants, Copants: copants, Cup: cup, Cap: cap,
                 Refine: refine, Coarsen: coarsen, SheetSym: sheet_sym}
 CELL_KINDS = {kind.tag: kind for kind in CONSTRUCTORS}

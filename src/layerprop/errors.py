@@ -42,7 +42,8 @@ class ModelIncomplete(LayerPropError):
 
 
 class SearchTooLarge(LayerPropError):
-    """A natural-transformation component search exceeded the configured cap."""
+    """A search exceeded its cap: a natural-transformation component
+    search, or the enumeration of an interchange class."""
 
 
 class StaleMatch(LayerPropError):

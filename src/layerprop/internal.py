@@ -10,11 +10,12 @@ leftmost-first representative of that class.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import SortMismatch, UnknownGenerator
+from .errors import SearchTooLarge, SortMismatch, UnknownGenerator
 
 Word = tuple[str, ...]
 Slice = tuple[int, str]
@@ -124,10 +125,17 @@ def _commute(a: Slice, b: Slice, sig: GenSig) -> tuple[Slice, Slice] | None:
     return sw[0] if sw else None
 
 
-def interchange_class(slices: Iterable[Slice], sig: GenSig,
-                      cap: int = 20000) -> set[tuple[Slice, ...]]:
-    """All orderings reachable by adjacent interchange swaps (BFS, capped)."""
+# an interchange class of more orderings raises SearchTooLarge, but
+# ``rewrite_occurrences`` searches only the first orderings reached
+CLASS_ORDERINGS, OCCURRENCE_ORDERINGS = 20000, 5000
+
+
+def _reachable(slices: Iterable[Slice],
+               sig: GenSig) -> Iterator[tuple[Slice, ...]]:
+    """The orderings reachable by adjacent interchange swaps, breadth
+    first, starting with the given one."""
     start = tuple(slices)
+    yield start
     seen = {start}
     queue = deque([start])
     while queue:
@@ -136,11 +144,21 @@ def interchange_class(slices: Iterable[Slice], sig: GenSig,
             for b2, a2 in _swaps(cur[i], cur[i + 1], sig):
                 nxt = cur[:i] + (b2, a2) + cur[i + 2:]
                 if nxt not in seen:
-                    if len(seen) >= cap:
-                        return seen
                     seen.add(nxt)
                     queue.append(nxt)
-    return seen
+                    yield nxt
+
+
+def interchange_class(slices: Iterable[Slice],
+                      sig: GenSig) -> set[tuple[Slice, ...]]:
+    """All orderings reachable by adjacent interchange swaps; a class of
+    more than ``CLASS_ORDERINGS`` raises SearchTooLarge."""
+    found = set(itertools.islice(_reachable(slices, sig),
+                                 CLASS_ORDERINGS + 1))
+    if len(found) > CLASS_ORDERINGS:
+        raise SearchTooLarge(
+            f"interchange class exceeds {CLASS_ORDERINGS} orderings")
+    return found
 
 
 def _greedy_canonical(slices: tuple[Slice, ...],
@@ -174,7 +192,8 @@ def _greedy_canonical(slices: tuple[Slice, ...],
 
 
 def canonical_slices(slices: Iterable[Slice], sig: GenSig) -> tuple[Slice, ...]:
-    """Deterministic representative of the interchange-equivalence class."""
+    """Deterministic representative of the interchange-equivalence class;
+    SearchTooLarge when the class must be enumerated and is too large."""
     tup = tuple(slices)
     if not tup:
         return ()
@@ -188,28 +207,30 @@ def canonicalize(d: InternalDiagram, sig: GenSig) -> InternalDiagram:
                            canonical_slices(d.slices, sig))
 
 
-def orderings(slices: tuple[Slice, ...], sig: GenSig,
-              cap: int = 20000) -> Iterator[tuple[Slice, ...]]:
-    """Deterministic iteration over the interchange class."""
-    return iter(sorted(interchange_class(slices, sig, cap)))
+def orderings(slices: tuple[Slice, ...],
+              sig: GenSig) -> Iterator[tuple[Slice, ...]]:
+    """Deterministic iteration over the interchange class, or over the
+    first ``OCCURRENCE_ORDERINGS`` orderings reached of a larger one."""
+    return iter(sorted(itertools.islice(_reachable(slices, sig),
+                                        OCCURRENCE_ORDERINGS)))
 
 
 def rewrite_occurrences(host: InternalDiagram, lhs: InternalDiagram,
-                        rhs: InternalDiagram, sig: GenSig,
-                        ordering_cap: int = 5000) -> list[InternalDiagram]:
+                        rhs: InternalDiagram,
+                        sig: GenSig) -> list[InternalDiagram]:
     """Replace one occurrence of ``lhs`` inside ``host`` by ``rhs``.
 
     An occurrence is a contiguous block in some interchange-equivalent
     ordering of the host whose slices coincide with the (whiskered) lhs and
     whose starting word carries lhs.dom at the block's columns.  Results are
     deduplicated by canonical form; the search is exhaustive up to
-    ``ordering_cap`` orderings.
+    ``OCCURRENCE_ORDERINGS`` orderings.
     """
     if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
         raise SortMismatch("equation sides must be parallel")
     m = len(lhs.slices)
     results: dict[tuple[Slice, ...], InternalDiagram] = {}
-    for order in orderings(host.slices, sig, cap=ordering_cap):
+    for order in orderings(host.slices, sig):
         words = run_slices(host.dom, order, sig)
         for s in range(len(order) - m + 1):
             w = words[s]

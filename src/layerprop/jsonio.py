@@ -146,21 +146,29 @@ def _cell_shape(value) -> None:
     _check(value, _CELLS[value["kind"]])
 
 
-def _endpoint_shape(value) -> None:
-    """["dom"|"cod", i] or ["cell", cell, port(, "in"|"out")]."""
-    if isinstance(value, list) and value[:1] in (["dom"], ["cod"]):
-        _check(value, (str, int))
-    elif isinstance(value, list) and len(value) == 4:
-        _check(value, (str, int, int, str))
-    else:
-        _check(value, (str, int, int))
+def _endpoint_shape(role: str):
+    """The shape of a wire's source ("out") or target ("in") endpoint:
+    ["dom"|"cod", i] or ["cell", cell, port(, role)]."""
+    def shape(value) -> None:
+        if isinstance(value, list) and value[:1] in (["dom"], ["cod"]):
+            _check(value, (str, int))
+            return
+        if isinstance(value, list) and len(value) == 4:
+            _check(value, (str, int, int, str))
+            if value[3] != role:
+                raise _Shape(f"expected port {role!r}, got {value[3]!r}")
+        else:
+            _check(value, (str, int, int))
+        if value[0] != "cell":
+            raise _Shape(f"expected 'dom', 'cod' or 'cell', got {value[0]!r}")
+    return shape
 
 
 _DIAGRAM = {
     "sort": {"dom": [(str, _WORD)], "cod": [(str, _WORD)]},
     "cells": [_cell_shape],
-    "wires": [{"source": _endpoint_shape, "target": _endpoint_shape,
-               "type": (str, _WORD)}],
+    "wires": [{"source": _endpoint_shape("out"),
+               "target": _endpoint_shape("in"), "type": (str, _WORD)}],
 }
 _DERIVATION = {
     "start": _DIAGRAM,
@@ -327,8 +335,7 @@ def _diagram(sys_: SystemOfLayers, payload: dict, at: str) -> Diagram:
     def endpoint(raw, role):
         if raw[0] in ("dom", "cod"):
             return (raw[0], raw[1])
-        port = raw[3] if len(raw) > 3 else role
-        return (port, raw[1], raw[2])
+        return (role, raw[1], raw[2])
 
     wires = [Wire(endpoint(w["source"], "out"), endpoint(w["target"], "in"),
                   (w["type"][0], tuple(w["type"][1])))

@@ -55,8 +55,8 @@ from typing import Callable, Iterable
 
 from . import diagram as dg
 from . import internal
-from .diagram import (Coarsen, Diagram, InternalBox, Refine, Wire,
-                      canonical_key, canonicalize)
+from .diagram import (Diagram, InternalBox, Wire, canonical_key,
+                      canonicalize)
 from .errors import (InvalidDerivation, LayerPropError,
                      SideConditionViolation, SortMismatch, StaleMatch,
                      check_count)
@@ -160,11 +160,11 @@ class _HostIndex:
             if src[0] == "out" and dst[0] == "in":
                 self.succ[src[1]].append(dst[1])
 
-    def wire_in(self, ci: int, pi: int = 0) -> int:
+    def wire_in(self, ci: int, pi: int) -> int:
         """The wire at input port ``pi`` of cell ``ci``."""
         return self.by_dst[("in", ci, pi)]
 
-    def wire_out(self, ci: int, pi: int = 0) -> int:
+    def wire_out(self, ci: int, pi: int) -> int:
         """The wire at output port ``pi`` of cell ``ci``."""
         return self.by_src[("out", ci, pi)]
 
@@ -328,19 +328,26 @@ def apply_rule(d: Diagram, m: Match) -> Diagram:
 # bounded inversion of a translation functor
 
 
+# the bounds of inverting a translation: source words per target word and
+# objects of empty image in each; lift states per root word, and slices a
+# lift may have beyond the target's
+PREIMAGE_WORDS, PREIMAGE_EPS = 64, 3
+LIFT_STATES, LIFT_SLACK = 5000, 4
+
+
 def _preimage_words(f: TranslationFunctor, src_objects: tuple[str, ...],
-                    target: Word, eps_cap: int = 3
-                    ) -> tuple[list[Word], bool]:
+                    target: Word) -> tuple[list[Word], bool]:
     """Source words whose image is exactly ``target``, in depth-first
     order (an explicit stack: a recursive closure would be a reference
-    cycle)."""
+    cycle); the second component reports whether the search was
+    exhaustive (False once a bound cut it)."""
     results: list[Word] = []
     complete = True
     images = {sym: f.word_image((sym,)) for sym in src_objects}
     ordered = sorted(src_objects)
     stack: list[tuple[int, Word, int]] = [(0, (), 0)]
     while stack:
-        if len(results) >= 64:
+        if len(results) >= PREIMAGE_WORDS:
             complete = False
             break
         pos, acc, eps_used = stack.pop()
@@ -350,8 +357,10 @@ def _preimage_words(f: TranslationFunctor, src_objects: tuple[str, ...],
         for s in ordered:
             img = images[s]
             if not img:
-                if eps_used < eps_cap:
+                if eps_used < PREIMAGE_EPS:
                     children.append((pos, acc + (s,), eps_used + 1))
+                else:  # longer preimages exist that the search skips
+                    complete = False
             elif target[pos:pos + len(img)] == img:
                 children.append((pos + len(img), acc + (s,), eps_used))
         stack.extend(reversed(children))
@@ -362,12 +371,14 @@ def _preimage_words(f: TranslationFunctor, src_objects: tuple[str, ...],
 
 def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
                target: InternalDiagram, dom_word: Word | None = None,
-               cod_word: Word | None = None, state_cap: int = 5000,
-               eps_slack: int = 4) -> tuple[list[InternalDiagram], bool]:
+               cod_word: Word | None = None
+               ) -> tuple[list[InternalDiagram], bool]:
     """Internal diagrams over f.source whose translation is ``target``.
 
     Bounded breadth-first search; the second component reports whether the
-    search was exhaustive (False once any cap was hit).
+    search was exhaustive: False once ``LIFT_STATES`` or a preimage bound
+    was hit.  Candidates longer than ``LIFT_SLACK`` allows are dropped
+    unreported.
     """
     src_layer = sys.layer(f.source)
     sig = src_layer.signature
@@ -377,7 +388,7 @@ def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
     for _, g in target_canon:
         target_counts[g] = target_counts.get(g, 0) + 1
     gen_images = {g.name: f.gen_image(g.name) for g in src_layer.gen_morphisms}
-    max_len = len(target_canon) + eps_slack
+    max_len = len(target_canon) + LIFT_SLACK
 
     complete = True
     if dom_word is not None:
@@ -397,7 +408,7 @@ def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
         while queue:
             word, slices = queue.popleft()
             explored += 1
-            if explored > state_cap:
+            if explored > LIFT_STATES:
                 complete = False
                 break
             cand = InternalDiagram(f.source, root, word, slices)
@@ -764,14 +775,12 @@ class _Template:
 
 class _Moves:
     """Templates to match, each with an orientation: by the kind of their
-    anchor cell, those of one bare sheet, and the other bare ones; and the
-    (rule, orientation) pairs a sheet of each type carries."""
+    anchor cell, those of one bare sheet, and the other bare ones."""
 
     def __init__(self) -> None:
         self.by_anchor: dict[type, list] = {}
         self.sheets: list = []
         self.bare: list = []
-        self.per_sheet: dict[tuple, list] = {}
 
     def add(self, t: _Template, orientation: str) -> None:
         if t.kinds:
@@ -857,7 +866,6 @@ class RuleEngine:
         for (s, t), f in sorted(system.functors.items()):
             self.functors_by_source.setdefault(s, []).append(f)
             self.functors_by_target.setdefault(t, []).append(f)
-        self._lift_cache: dict = {}
         self._eq_cache: dict = {}
         # one instance per (table key, arguments): rules are frozen and
         # application only reads the replacement's cells and wires
@@ -919,15 +927,21 @@ class RuleEngine:
     def matches(self, d: Diagram) -> list[Match]:
         """Every rule application of the engine's families available on d,
         deterministically ordered."""
-        host = canonicalize(d).diagram
+        return self._matches(canonicalize(d).diagram)[0]
+
+    def _matches(self, host: Diagram) -> tuple[list[Match], bool]:
+        """``matches`` on a canonical host, and whether every search that
+        inverts a translation was exhaustive."""
         key = canonical_key(host)
         found: list[Match] = []
         if "E" in self.families:
             found.extend(self._match_boxeq(host, key))
+        exhaustive = True
         if self._moves:
-            self._match(self._moves, _HostIndex(host, key), found)
+            exhaustive = self._match(self._moves, _HostIndex(host, key),
+                                     found)
         found.sort(key=self._sort_key)
-        return found
+        return found, exhaustive
 
     def anti_matches(self, d: Diagram) -> list[Match]:
         """Predecessor moves: the rhs of every one-directional rule,
@@ -940,8 +954,11 @@ class RuleEngine:
         found.sort(key=self._sort_key)
         return found
 
-    def _match(self, moves: _Moves, index: _HostIndex, out: list) -> None:
+    def _match(self, moves: _Moves, index: _HostIndex, out: list) -> bool:
+        """Append the moves' matches on the host to out; whether every
+        search that inverts a translation was exhaustive."""
         host, key, by_type = index.host, index.key, index.by_type
+        exhaustive = True
         for kind, anchors in index.by_kind.items():
             for t, orientation in moves.by_anchor.get(kind, ()):
                 if t.whole and (len(host.cells), len(host.wires)) != \
@@ -949,19 +966,20 @@ class RuleEngine:
                     continue
                 for hc in anchors:
                     for cells, dom, cod, values in t.place(index, hc):
-                        for rule in self._rules_at(t, values):
+                        rules, done = self._rules_at(t, values)
+                        exhaustive = exhaustive and done
+                        for rule in rules:
                             index.offer(out, rule, orientation, cells, dom,
                                         cod)
         # one sheet is always convex, and its rules depend on its type
         for ty, wires in by_type.items():
-            found = moves.per_sheet.get(ty)
-            if found is None:
-                found = moves.per_sheet[ty] = [
-                    (rule, orientation) for t, orientation in moves.sheets
-                    for rule in self._rules_at(t, ty)]
-            for rule, orientation in found:
-                for wi in wires:
-                    out.append(Match(rule, orientation, (), (wi,), (wi,), key))
+            for t, orientation in moves.sheets:
+                rules, done = self._rules_at(t, ty)
+                exhaustive = exhaustive and done
+                for rule in rules:
+                    for wi in wires:
+                        out.append(Match(rule, orientation, (), (wi,), (wi,),
+                                         key))
         for t, orientation in moves.bare:  # no sheet (A5), or two (A1)
             n = len(t.dom)
             if t.whole and host.wires:
@@ -969,45 +987,53 @@ class RuleEngine:
             for types in itertools.product(by_type, repeat=n):
                 if any(types.count(ty) > len(by_type[ty]) for ty in types):
                     continue  # too few distinct sheets of a type
-                for rule in self._rules_at(t, sum(types, ())):
+                rules, done = self._rules_at(t, sum(types, ()))
+                exhaustive = exhaustive and done
+                for rule in rules:
                     for ws in itertools.product(*map(by_type.get, types)):
                         if len(set(ws)) == n:
                             index.offer(out, rule, orientation, (), ws, ws)
+        return exhaustive
 
-    def _rules_at(self, t: _Template, values: tuple) -> list[RewriteRule]:
-        """The rules whose side t denotes these host values."""
-        rules = self._solved.get((t, values))
-        if rules is None:
+    def _rules_at(self, t: _Template, values: tuple
+                  ) -> tuple[list[RewriteRule], bool]:
+        """The rules whose side t denotes these host values, and whether
+        the search for them was exhaustive."""
+        solved = self._solved.get((t, values))
+        if solved is None:
             found = self._solutions.get((t, values))
             if found is None:
                 envs: list[dict] = []
-                self._solve(t, {}, list(zip(t.patterns, values)), envs)
-                found = self._solutions[t, values] = [
+                exhaustive = self._solve(t, {}, list(zip(t.patterns, values)),
+                                         envs)
+                found = self._solutions[t, values] = ([
                     tuple(env[v] for v in t.args) for env in envs
                     # a strand rule moves at least one box
                     if not (t.strands and all(env[v].is_identity()
-                                              for v in t.strands))]
-            rules = self._solved[t, values] = [
-                self._rule(t.schema.key, *args) for args in found
+                                              for v in t.strands))],
+                    exhaustive)
+            solved = self._solved[t, values] = ([
+                self._rule(t.schema.key, *args) for args in found[0]
                 if t.schema.only != "collapse"
-                or (args[0].source, args[0].target) in self.collapse]
-        return rules
+                or (args[0].source, args[0].target) in self.collapse],
+                found[1])
+        return solved
 
     def _solve(self, t: _Template, env: dict, items: list,
-               found: list) -> None:
+               found: list) -> bool:
         """Append to found each completion of env under which every
-        (pattern, value) of items holds.  Layers, words and contents settle
-        directly; a juxtaposed box is split (``split_beside``), an image
-        box lifted (``_lift``), an image word inverted
-        (``_preimage_words``), and an argument no pattern fixes is
-        enumerated: a functor from its source or target, a layer from the
-        system."""
+        (pattern, value) of items holds; return whether every search below
+        was exhaustive.  Layers, words and contents settle directly; a
+        juxtaposed box is split (``split_beside``), an image box lifted
+        (``lift_along``), an image word inverted (``_preimage_words``), and an
+        argument no pattern fixes is enumerated: a functor from its source
+        or target, a layer from the system."""
         while items:
             pending = []
             for pat, val in items:
                 held = _settle(pat, val, env)
                 if held is False:
-                    return
+                    return True
                 if held is None:
                     pending.append((pat, val))
             fv = t.functor
@@ -1016,17 +1042,19 @@ class RuleEngine:
                 env[fv] = self.system.functors.get((env[fv.source],
                                                     env[fv.target]))
                 if env[fv] is None:
-                    return
+                    return True
             elif len(pending) == len(items):
                 break
             items = pending
         for i, (pat, val) in enumerate(items):
             options = self._options(pat, val, env)
             if options is not None:
+                options, exhaustive = options
                 for extra in options:
-                    self._solve(t, dict(env), extra + items[:i]
-                                + items[i + 1:], found)
-                return
+                    if not self._solve(t, dict(env), extra + items[:i]
+                                       + items[i + 1:], found):
+                        exhaustive = False
+                return exhaustive
         for var in t.free:
             if var in env:
                 continue
@@ -1036,33 +1064,38 @@ class RuleEngine:
                 values = self.functors_by_source.get(env[var.source], [])
             else:
                 values = self.functors_by_target.get(env.get(var.target), [])
+            exhaustive = True
             for x in values:
-                self._solve(t, dict(env), [(var, x)] + items, found)
-            return
+                if not self._solve(t, dict(env), [(var, x)] + items, found):
+                    exhaustive = False
+            return exhaustive
         if not items:
             found.append(env)
+        return True
 
-    def _options(self, pat, val, env: dict) -> list | None:
+    def _options(self, pat, val, env: dict) -> tuple[list, bool] | None:
         """The ways a pattern that ``_settle`` left open can hold, each as
-        the (pattern, value) pairs it adds; None while that is open."""
+        the (pattern, value) pairs it adds, and whether their search was
+        exhaustive; None while that is open."""
         if type(pat) is tuple:
             img = pat[0]
             f = env.get(img.functor) if type(img) is _Img else None
             if len(pat) != 1 or f is None:
                 return None
-            words, _ = _preimage_words(
+            words, exhaustive = _preimage_words(
                 f, self.system.layer(f.source).gen_objects, val)
-            return [[(img.var, w)] for w in words]
+            return [[(img.var, w)] for w in words], exhaustive
         parts = [g for _, g in pat.slices]
         if len(parts) == 2:
             sig = self.system.signature(val.layer)
             return [list(zip(parts, split))
-                    for split in internal.split_beside(val, sig)]
+                    for split in internal.split_beside(val, sig)], True
         f, v = env.get(parts[0].functor), parts[0].var
         if f is None:
             return None
-        lifts, _ = self._lift(f, val, env.get(v.dom), env.get(v.cod))
-        return [[(v, sigma)] for sigma in lifts]
+        lifts, exhaustive = lift_along(self.system, f, val, env.get(v.dom),
+                                       env.get(v.cod))
+        return [[(v, sigma)] for sigma in lifts], exhaustive
 
     def _match_boxeq(self, host: Diagram, key: tuple) -> list[Match]:
         out: list[Match] = []
@@ -1093,31 +1126,27 @@ class RuleEngine:
                                          key, (ci, res)))
         return out
 
-    def _lift(self, f: TranslationFunctor, target: InternalDiagram,
-              dom_word: Word | None, cod_word: Word | None):
-        ck = (f.source, f.target, target.dom, target.cod, target.slices,
-              dom_word, cod_word)
-        if ck not in self._lift_cache:
-            self._lift_cache[ck] = lift_along(self.system, f, target,
-                                              dom_word, cod_word)
-        return self._lift_cache[ck]
-
     # -- isolation
 
     def isolation_matches(self, d: Diagram) -> list[Match]:
         """Matches that count for the isolation certificate: every match
         interacting with a cell, plus matches covering the whole diagram."""
-        host = canonicalize(d).diagram
+        return self._isolation(canonicalize(d).diagram)[0]
+
+    def _isolation(self, host: Diagram) -> tuple[list[Match], bool]:
+        """``isolation_matches`` on a canonical host, and whether every
+        search that inverts a translation was exhaustive."""
+        found, exhaustive = self._matches(host)
         out = []
         n_wires = len(host.wires)
-        for m in self.matches(host):
+        for m in found:
             if m.cells or m.box_payload is not None:
                 out.append(m)
                 continue
             touched = set(m.dom_wires) | set(m.cod_wires)
             if not host.cells and len(touched) == n_wires:
                 out.append(m)
-        return out
+        return out, exhaustive
 
     def is_isolated(self, d: Diagram) -> bool:
         """Certificate that no generated rewrite interacts with d.
@@ -1125,30 +1154,11 @@ class RuleEngine:
         Goes through the rule families one by one against d's cells (rules
         whose matched side is a bare sheet wire count only when they cover
         the whole diagram).  Translated-box matching inverts functors by
-        bounded search; if a search hits its cap the certificate
-        conservatively fails.
+        bounded search; if any search on d was cut by a bound the
+        certificate conservatively fails.
         """
-        host = canonicalize(d).diagram
-        if self.isolation_matches(host):
-            return False
-        wire_out = _HostIndex(host, None).wire_out
-        for ci, cell in enumerate(host.cells):
-            dst = host.wires[wire_out(ci)].dst \
-                if cell.out_ports() else (None,)
-            nxt = host.cells[dst[1]] if dst[0] == "in" else None
-            if isinstance(cell, InternalBox) and isinstance(nxt, Coarsen) \
-                    and nxt.target == cell.layer:
-                f = self.system.functor(nxt.source, nxt.target)
-                _, ok = self._lift(f, cell.content, None, nxt.word)
-                if not ok:
-                    return False
-            if isinstance(cell, Refine) and isinstance(nxt, InternalBox) \
-                    and nxt.layer == cell.target:
-                f = self.system.functor(cell.source, cell.target)
-                _, ok = self._lift(f, nxt.content, cell.word, None)
-                if not ok:
-                    return False
-        return True
+        found, exhaustive = self._isolation(canonicalize(d).diagram)
+        return exhaustive and not found
 
 
 

@@ -10,11 +10,14 @@ Grammar (words are bare symbols for length one, or parenthesized lists;
           | (sym LAYER WORD LAYER WORD)
           | (seq term term+) | (par term term+) | (fuse LAYER term term)
 
-Parentheses nest at most ``errors.MAX_NESTING`` deep.
+The cell forms (``cup`` to ``sym``) are the tags of ``diagram.CELL_KINDS``
+with their label fields in order.  Parentheses nest at most
+``errors.MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
+from . import diagram as dg
 from . import terms
 from .errors import MAX_NESTING, MalformedInput
 from .internal import Word
@@ -90,29 +93,30 @@ def _term(node) -> terms.Term:
         return out
     if head not in _FORMS:
         raise MalformedInput(f"unknown term form {head!r}")
-    cls, readers = _FORMS[head]
+    make, readers = _FORMS[head]
     if len(args) != len(readers):
         raise MalformedInput(f"({head} ...) takes {len(readers)} arguments, "
                              f"got {len(args)}")
-    return cls(*(read(a) for read, a in zip(readers, args)))
+    return make(*(read(a) for read, a in zip(readers, args)))
 
 
 # the forms folding a chain of two or more terms, left to right
 _CHAINS = {"seq": terms.Seq, "par": terms.Par}
-# every other form: its term class and a reader per argument
+# every other form: its term's maker and a reader per argument
 _FORMS = {
     "empty": (terms.Empty, ()),
     "id": (terms.Id, (_atom, _word)),
     "gen": (terms.Gen, (_atom, _atom)),
-    "cup": (terms.CupT, (_atom,)),
-    "cap": (terms.CapT, (_atom,)),
-    "pants": (terms.PantsT, (_atom, _word, _word)),
-    "copants": (terms.CopantsT, (_atom, _word, _word)),
-    "refine": (terms.RefineT, (_atom, _atom, _word)),
-    "coarsen": (terms.CoarsenT, (_atom, _atom, _word)),
-    "sym": (terms.SymT, (_atom, _word, _atom, _word)),
     "fuse": (terms.Fuse, (_atom, _term, _term)),
 }
+# a cell kind's form is its tag with its label fields; a box content has no
+# written form, so a box is written with ``gen``, ``seq`` and ``fuse``
+_FIELD_READERS = {dg.NAME: _atom, dg.WORD: _word}
+_FORMS.update(
+    (tag, (lambda *args, kind=kind: terms.Cell(kind, args),
+           tuple(_FIELD_READERS[reader] for _, reader in kind.label_fields)))
+    for tag, kind in dg.CELL_KINDS.items()
+    if all(reader in _FIELD_READERS for _, reader in kind.label_fields))
 
 
 def parse_term(text: str) -> terms.Term:

@@ -3,8 +3,10 @@
 Terms mirror the constructors of the calculus one-to-one.  ``build``
 elaborates a term through the ``diagram`` constructors, which carry the sort
 rules: a term is well sorted exactly when it builds, and its sort is the
-sort of the diagram it builds.  The one syntactic rule is the side
-condition of the in-layer tensor: both operands must be internal terms.
+sort of the diagram it builds.  A single cell is one leaf, ``Cell``, named
+by its class in ``diagram.CONSTRUCTORS``, so a new cell kind needs no term
+of its own.  The one syntactic rule is the side condition of the in-layer
+tensor: both operands must be internal terms.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from . import diagram as dg
 from .errors import SideConditionViolation
-from .internal import InternalDiagram, Word
+from .internal import Word
 from .theory import SystemOfLayers, sheet
 
 
@@ -35,54 +37,12 @@ class Gen:
 
 
 @dataclass(frozen=True)
-class BoxT:
-    content: InternalDiagram
+class Cell:
+    """One cell: ``kind`` is a key of ``diagram.CONSTRUCTORS`` and ``args``
+    its label fields' values in order."""
 
-
-@dataclass(frozen=True)
-class CupT:
-    layer: str
-
-
-@dataclass(frozen=True)
-class CapT:
-    layer: str
-
-
-@dataclass(frozen=True)
-class PantsT:
-    layer: str
-    alpha: Word
-    beta: Word
-
-
-@dataclass(frozen=True)
-class CopantsT:
-    layer: str
-    alpha: Word
-    beta: Word
-
-
-@dataclass(frozen=True)
-class RefineT:
-    source: str
-    target: str
-    word: Word
-
-
-@dataclass(frozen=True)
-class CoarsenT:
-    source: str
-    target: str
-    word: Word
-
-
-@dataclass(frozen=True)
-class SymT:
-    layer1: str
-    alpha: Word
-    layer2: str
-    beta: Word
+    kind: type
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -104,12 +64,12 @@ class Fuse:
     bottom: "Term"
 
 
-Term = (Empty | Id | Gen | BoxT | CupT | CapT | PantsT | CopantsT | RefineT
-        | CoarsenT | SymT | Seq | Par | Fuse)
+Term = Empty | Id | Gen | Cell | Seq | Par | Fuse
 
 
 def is_internal_term(t: Term) -> bool:
-    """Built from generators, identities, composition and in-layer tensor."""
+    """Built from generators, identities, boxes, composition and in-layer
+    tensor."""
     pending = [t]  # a loop, not recursion: a chain nests as deep as it is long
     while pending:
         t = pending.pop()
@@ -117,19 +77,18 @@ def is_internal_term(t: Term) -> bool:
             pending += (t.second, t.first)
         elif isinstance(t, Fuse):
             pending += (t.bottom, t.top)
-        elif not isinstance(t, (Gen, Id, BoxT)):
+        elif not (isinstance(t, (Gen, Id)) or isinstance(t, Cell)
+                  and t.kind is dg.InternalBox):
             return False
     return True
 
 
-# each leaf term's constructor, called with the system and the term's fields
-# in order; the constructors carry the sort rules
+# each leaf term's diagram; the constructors carry the sort rules
 _LEAVES = {
-    Empty: dg.empty_diagram,
-    Id: lambda sys, layer, word: dg.identity(sys, sheet(layer, word)),
-    Gen: dg.gen_box, BoxT: dg.box, CupT: dg.cup, CapT: dg.cap,
-    PantsT: dg.pants, CopantsT: dg.copants, RefineT: dg.refine,
-    CoarsenT: dg.coarsen, SymT: dg.sheet_sym,
+    Empty: lambda sys, t: dg.empty_diagram(sys),
+    Id: lambda sys, t: dg.identity(sys, sheet(t.layer, t.word)),
+    Gen: lambda sys, t: dg.gen_box(sys, t.layer, t.name),
+    Cell: lambda sys, t: dg.CONSTRUCTORS[t.kind](sys, *t.args),
 }
 
 
@@ -159,7 +118,7 @@ def build(t: Term, sys: SystemOfLayers) -> dg.Diagram:
                 "in-layer tensor applied to a non-internal term")
         return dg.fuse_internal(build(t.top, sys), build(t.bottom, sys),
                                 t.layer)
-    ctor = _LEAVES.get(type(t))
-    if ctor is None:
+    leaf = _LEAVES.get(kind)
+    if leaf is None:
         raise TypeError(f"not a term: {t!r}")
-    return ctor(sys, *(getattr(t, f.name) for f in fields(t)))
+    return leaf(sys, t)

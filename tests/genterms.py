@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 
+from layerprop import diagram as dg
 from layerprop import terms
-from layerprop.terms import (CapT, CoarsenT, CopantsT, CupT, Empty, Fuse,
-                             Gen, Id, PantsT, Par, RefineT, Seq, SymT, Term)
+from layerprop.terms import Cell, Empty, Fuse, Gen, Id, Par, Seq, Term
 from layerprop.theory import EMPTY_TYPE, OmegaType, SystemOfLayers, Sort
 
 
@@ -30,22 +30,23 @@ def primitive_pool(sys_: SystemOfLayers) -> list[Term]:
             prims.append(Id(name, w))
         for g in lay.gen_morphisms:
             prims.append(Gen(name, g.name))
-        prims.append(CupT(name))
-        prims.append(CapT(name))
+        prims.append(Cell(dg.Cup, (name,)))
+        prims.append(Cell(dg.Cap, (name,)))
         for a in words[:3]:
             for b in words[:3]:
-                prims.append(PantsT(name, a, b))
-                prims.append(CopantsT(name, a, b))
+                prims.append(Cell(dg.Pants, (name, a, b)))
+                prims.append(Cell(dg.Copants, (name, a, b)))
     for (src, tgt), f in sorted(sys_.functors.items()):
         lay = sys_.layer(src)
         for w in [(), (lay.gen_objects[0],)]:
-            prims.append(RefineT(src, tgt, w))
-            prims.append(CoarsenT(src, tgt, w))
+            prims.append(Cell(dg.Refine, (src, tgt, w)))
+            prims.append(Cell(dg.Coarsen, (src, tgt, w)))
     layer_names = sorted(sys_.layers)
     for l1 in layer_names:
         for l2 in layer_names:
-            prims.append(SymT(l1, (sys_.layer(l1).gen_objects[0],),
-                              l2, (sys_.layer(l2).gen_objects[0],)))
+            prims.append(Cell(dg.SheetSym, (
+                l1, (sys_.layer(l1).gen_objects[0],),
+                l2, (sys_.layer(l2).gen_objects[0],))))
     return prims
 
 
@@ -153,8 +154,8 @@ def mutate(t: Term, sys_: SystemOfLayers, rng: random.Random) -> Term:
         if len(entries) >= 2:
             i = rng.randrange(len(entries) - 1)
             (l1, a), (l2, b) = entries[i], entries[i + 1]
-            swap = SymT(l1, a, l2, b)
-            swap_back = SymT(l2, b, l1, a)
+            swap = Cell(dg.SheetSym, (l1, a, l2, b))
+            swap_back = Cell(dg.SheetSym, (l2, b, l1, a))
             pad: Term = Seq(swap, swap_back)
             for k in range(i):
                 pad = Par(Id(*entries[i - 1 - k]), pad)

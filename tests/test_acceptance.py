@@ -23,8 +23,7 @@ from layerprop.diagram import canonical_key, canonicalize
 from layerprop.errors import (LayerPropError, SideConditionViolation,
                               SortMismatch, UnknownGenerator, UnknownSymbol)
 from layerprop.internal import InternalDiagram
-from layerprop.terms import (CapT, CoarsenT, CopantsT, CupT, Empty, Fuse,
-                             Gen, Id, PantsT, Par, RefineT, Seq, SymT)
+from layerprop.terms import Cell, Empty, Fuse, Gen, Id, Par, Seq
 from layerprop.theory import EMPTY_TYPE, OmegaType, sheet
 
 import genterms
@@ -60,27 +59,32 @@ def _oracle_sort(t, sys_):
             raise UnknownGenerator(t.name)
         d, c = table[t.name]
         return (ty((t.layer, d)), ty((t.layer, c)))
-    if isinstance(t, CupT):
-        return ((), ty((t.layer, ())))
-    if isinstance(t, CapT):
-        return (ty((t.layer, ())), ())
-    if isinstance(t, PantsT):
-        return (ty((t.layer, t.alpha), (t.layer, t.beta)),
-                ty((t.layer, t.alpha + t.beta)))
-    if isinstance(t, CopantsT):
-        return (ty((t.layer, t.alpha + t.beta)),
-                ty((t.layer, t.alpha), (t.layer, t.beta)))
-    if isinstance(t, RefineT):
-        f = sys_.functor(t.source, t.target)
-        return (ty((t.source, t.word)),
-                ty((t.target, f.word_image(t.word))))
-    if isinstance(t, CoarsenT):
-        f = sys_.functor(t.source, t.target)
-        return (ty((t.target, f.word_image(t.word))),
-                ty((t.source, t.word)))
-    if isinstance(t, SymT):
-        return (ty((t.layer1, t.alpha), (t.layer2, t.beta)),
-                ty((t.layer2, t.beta), (t.layer1, t.alpha)))
+    if isinstance(t, Cell) and t.kind is dg.Cup:
+        (layer,) = t.args
+        return ((), ty((layer, ())))
+    if isinstance(t, Cell) and t.kind is dg.Cap:
+        (layer,) = t.args
+        return (ty((layer, ())), ())
+    if isinstance(t, Cell) and t.kind is dg.Pants:
+        layer, alpha, beta = t.args
+        return (ty((layer, alpha), (layer, beta)),
+                ty((layer, alpha + beta)))
+    if isinstance(t, Cell) and t.kind is dg.Copants:
+        layer, alpha, beta = t.args
+        return (ty((layer, alpha + beta)),
+                ty((layer, alpha), (layer, beta)))
+    if isinstance(t, Cell) and t.kind is dg.Refine:
+        source, target, word = t.args
+        f = sys_.functor(source, target)
+        return (ty((source, word)), ty((target, f.word_image(word))))
+    if isinstance(t, Cell) and t.kind is dg.Coarsen:
+        source, target, word = t.args
+        f = sys_.functor(source, target)
+        return (ty((target, f.word_image(word))), ty((source, word)))
+    if isinstance(t, Cell) and t.kind is dg.SheetSym:
+        layer1, alpha, layer2, beta = t.args
+        return (ty((layer1, alpha), (layer2, beta)),
+                ty((layer2, beta), (layer1, alpha)))
     if isinstance(t, Seq):
         d1, c1 = _oracle_sort(t.first, sys_)
         d2, c2 = _oracle_sort(t.second, sys_)
@@ -131,7 +135,7 @@ def test_criterion_1_typing():
             else Gen("U", "k")
         broken.append((Seq(t, mism), SortMismatch))
     for i in range(25):
-        broken.append((Fuse("U", PantsT("U", ("a",), ("b",)),
+        broken.append((Fuse("U", Cell(dg.Pants, ("U", ("a",), ("b",))),
                             Gen("U", "g")), SideConditionViolation))
     for i in range(25):
         broken.append((Gen("U", f"missing{i}"), UnknownGenerator))

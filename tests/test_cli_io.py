@@ -446,6 +446,12 @@ def _pants(layer, beta):
                      [[layer, ["a", beta]]])
 
 
+def _retarget(payload, target):
+    """The payload with its first wire's target endpoint replaced."""
+    payload["wires"][0]["target"] = target
+    return payload
+
+
 # files that name what the system does not declare
 UNDECLARED = [
     (_one_cell({"kind": "box", "layer": "U", "dom": ["a"], "cod": ["b"],
@@ -483,6 +489,11 @@ UNDECLARED = [
                               "type": ["U", ["a"]]}]},
      "wires[0].source: expected 3 items, got 2"),
     *UNDECLARED,
+    # a cell endpoint is tagged "cell", and its port names its role
+    (_retarget(_pants("U", "b"), ["zz", 0, 0, "in"]),
+     "wires[0].target: expected 'dom', 'cod' or 'cell', got 'zz'"),
+    (_retarget(_pants("U", "b"), ["cell", 0, 0, "out"]),
+     "wires[0].target: expected port 'in', got 'out'"),
 ])
 def test_cli_diagram_file_shape(tmp_path, capsys, payload, path):
     t = _write(tmp_path, "t.json",
@@ -544,6 +555,31 @@ def test_cli_rejects_deep_parentheses(tmp_path, capsys):
     assert main(["typecheck", "--system", t, "--diagram", str(nested)]) == 1
     assert _single_error_line(capsys) == \
         "error: term nested deeper than 200 parentheses"
+
+
+def _states(n, offsets):
+    """A diagram file of one W box of n states s: e -> a, stored at
+    offsets 0, 1, ... (each after the last) or all at offset 0."""
+    slices = [[k if offsets == "rising" else 0, "s"] for k in range(n)]
+    return _one_cell({"kind": "box", "layer": "W", "dom": [],
+                      "cod": ["a"] * n, "slices": slices},
+                     [["W", []]], [["W", ["a"] * n]])
+
+
+def test_cli_eq_of_a_too_large_interchange_class(tmp_path, capsys,
+                                                 single_layer):
+    # independent states commute, so both files store one box; the class of
+    # eight has 8! = 40320 orderings, more than are enumerated, and its
+    # least member is not taken from a cut of it
+    t = _write(tmp_path, "t.json", jsonio.system_to_json(single_layer))
+    for n, code in ((7, 0), (8, 1)):
+        x = _write(tmp_path, "x.json", _states(n, "rising"))
+        y = _write(tmp_path, "y.json", _states(n, "zero"))
+        assert main(["eq", "--system", t, x, y]) == code
+        if code == 0:
+            assert capsys.readouterr().out == "equal (structurally)\n"
+    assert _single_error_line(capsys) == \
+        "error: SearchTooLarge: interchange class exceeds 20000 orderings"
 
 
 def test_cli_ccs_lts_empty_process(capsys):

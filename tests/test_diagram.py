@@ -12,7 +12,7 @@ from layerprop import diagram as dg
 from layerprop import internal, jsonio, models
 from layerprop import rewrite as rw
 from layerprop import semantics as sm
-from layerprop import terms
+from layerprop import sexpr, terms
 from layerprop.errors import (ModelIncomplete, SideConditionViolation,
                               SortMismatch)
 from layerprop.internal import InternalDiagram
@@ -540,6 +540,31 @@ def test_cell_kind_table():
         assert (up == down) == (kind is not dg.SheetSym)
     with pytest.raises(ModelIncomplete):
         sm._cell_pieces(model, object())
+
+
+def _sexp(value) -> str:
+    return value if isinstance(value, str) else f"({' '.join(value)})"
+
+
+def test_cell_kind_terms():
+    # every kind without a box content has an s-expression form under its
+    # tag that reads its label fields and builds through its constructor;
+    # a box is a term leaf too, of its content's layer only
+    system = models.monoid_model().system
+    for tag, kind in dg.CELL_KINDS.items():
+        args = CELL_SAMPLES[kind][0]
+        leaf = terms.Cell(kind, args)
+        built = dg.CONSTRUCTORS[kind](system, *args)
+        assert terms.build(leaf, system).cells == built.cells
+        if any(reader == dg.CONTENT for _, reader in kind.label_fields):
+            assert tag not in sexpr._FORMS
+            continue
+        assert len(sexpr._FORMS[tag][1]) == len(kind.label_fields)
+        text = f"({tag} {' '.join(map(_sexp, args))})"
+        assert sexpr.parse_term(text) == leaf
+    assert terms.is_internal_term(terms.Cell(dg.InternalBox, ("MU", _M1)))
+    with pytest.raises(SortMismatch):
+        terms.build(terms.Cell(dg.InternalBox, ("ML", _M1)), system)
 
 
 def test_cell_dot_text_in_export(two_layer):

@@ -16,7 +16,8 @@ from layerprop.diagram import canonical_key, canonicalize
 from layerprop.errors import (LayerPropError, MalformedInput, SortMismatch,
                               StaleMatch)
 from layerprop.internal import InternalDiagram
-from layerprop.theory import sheet
+from layerprop.theory import (LayerPresentation, MorphismGen, SystemOfLayers,
+                              TranslationFunctor, sheet)
 
 
 @pytest.fixture
@@ -237,6 +238,55 @@ def test_is_isolated_brute_force_agreement(two_layer, engine):
     for d in samples:
         brute = engine.isolation_matches(d)
         assert engine.is_isolated(d) == (not brute)
+
+
+def _padded_system():
+    """U -> L where U's object e translates to the empty word and U's one
+    generator needs four e's: m: e e e e a -> b goes to gl: x -> y.  L's zl
+    is no translation."""
+    upper = LayerPresentation("U", ("a", "b", "e"), (
+        MorphismGen("m", ("e", "e", "e", "e", "a"), ("b",)),))
+    lower = LayerPresentation("L", ("x", "y"), (
+        MorphismGen("gl", ("x",), ("y",)), MorphismGen("zl", ("x",), ("y",))))
+    f = TranslationFunctor(
+        "U", "L", (("a", ("x",)), ("b", ("y",)), ("e", ())),
+        (("m", InternalDiagram("L", ("x",), ("y",), ((0, "gl"),))),))
+    return SystemOfLayers([upper, lower], [f], order=[("L", "U")])
+
+
+def test_is_isolated_fails_on_a_cut_lift(monkeypatch):
+    # F1 backward lifts zl along the refine: a complete search shows that
+    # nothing lifts, and one cut after its first state shows nothing
+    def host(system):
+        return dg.seq_compose(dg.refine(system, "U", "L", ("a",)),
+                              dg.gen_box(system, "L", "zl"))
+
+    system = _padded_system()
+    assert rw.RuleEngine(system).is_isolated(host(system))
+    monkeypatch.setattr(rw, "LIFT_STATES", 0)
+    system = _padded_system()
+    engine = rw.RuleEngine(system)
+    assert not engine.isolation_matches(host(system))
+    assert not engine.is_isolated(host(system))
+
+
+def test_is_isolated_fails_on_a_cut_preimage(monkeypatch):
+    # F2 backward lifts gl along the coarsen: the lift's dom is a preimage
+    # of x, and the one that works, e e e e a, has more e's than the
+    # preimage search tries, so the certificate must not hold
+    def host(system):
+        return dg.seq_compose(dg.gen_box(system, "L", "gl"),
+                              dg.coarsen(system, "U", "L", ("b",)))
+
+    system = _padded_system()
+    engine = rw.RuleEngine(system)
+    assert not engine.isolation_matches(host(system))
+    assert not engine.is_isolated(host(system))
+    # with room for four e's the search finds the F2 move it missed
+    monkeypatch.setattr(rw, "PREIMAGE_EPS", 4)
+    system = _padded_system()
+    found = rw.RuleEngine(system).isolation_matches(host(system))
+    assert [m.rule.name for m in found] == ["F2[U>L;e.e.e.e.a>0.m]"]
 
 
 def test_window_collapse_flag(two_layer):
