@@ -215,6 +215,13 @@ def orderings(slices: tuple[Slice, ...],
                                         OCCURRENCE_ORDERINGS)))
 
 
+def orderings_complete(slices: tuple[Slice, ...], sig: GenSig) -> bool:
+    """Whether ``orderings`` yields the whole interchange class."""
+    rest = itertools.islice(_reachable(slices, sig), OCCURRENCE_ORDERINGS,
+                            None)
+    return next(rest, None) is None
+
+
 def rewrite_occurrences(host: InternalDiagram, lhs: InternalDiagram,
                         rhs: InternalDiagram,
                         sig: GenSig) -> list[InternalDiagram]:
@@ -224,7 +231,8 @@ def rewrite_occurrences(host: InternalDiagram, lhs: InternalDiagram,
     ordering of the host whose slices coincide with the (whiskered) lhs and
     whose starting word carries lhs.dom at the block's columns.  Results are
     deduplicated by canonical form; the search is exhaustive up to
-    ``OCCURRENCE_ORDERINGS`` orderings.
+    ``OCCURRENCE_ORDERINGS`` orderings (``orderings_complete`` tells whether
+    that cut the class).
     """
     if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
         raise SortMismatch("equation sides must be parallel")

@@ -42,6 +42,14 @@ diagram whole.  Unit rules whiskered onto interior sheet wires produce only
 window/pants dressing around the diagram; the certificate follows the
 generator-by-generator reading and ignores them, which
 ``check_counterfactual`` complements with an explicit derivation search.
+
+The matcher only proposes: ``apply_rule``, which ``replay`` and
+``Derivation.end`` apply through, checks that the host cut at a match's
+cells and wires has the canonical key of the side it replaces, or that an E
+payload is one of the box's rewrites by the equation.  An engine is only
+its settings over one memo per system (``SystemOfLayers._rewrite_memo``):
+the rules a template denotes at given host values, one rule per table key
+and arguments, and the rewrites of each box content by an equation side.
 """
 
 from __future__ import annotations
@@ -302,10 +310,10 @@ def apply_rule(d: Diagram, m: Match) -> Diagram:
     """Public application of any match, validated in full.
 
     Rejects a match found on another diagram (StaleMatch), one naming cells
-    or wires the diagram lacks or that is not convex
-    (SideConditionViolation), and one whose attachments do not fit the
-    replacement (SortMismatch); the spliced diagram then goes through the
-    validating ``canonicalize``.
+    or wires the diagram lacks, that is not convex or that is not an
+    occurrence of the side it replaces (SideConditionViolation), and one
+    whose attachments do not fit the replacement (SortMismatch); the spliced
+    diagram then goes through the validating ``canonicalize``.
     """
     host = canonicalize(d).diagram
     if host._key != m.host_key:
@@ -320,8 +328,55 @@ def apply_rule(d: Diagram, m: Match) -> Diagram:
                                                m.cod_wires):
         raise SideConditionViolation(f"{m.rule.name}: match is not convex")
     cells, wires, _, _ = _splice(host, m)
+    if not _occurs(host, m):
+        raise SideConditionViolation(
+            f"{m.rule.name}: match is not an occurrence of the rule's side")
     return canonicalize(Diagram(host.system, host.dom, host.cod, cells,
                                 map(Wire._make, wires))).diagram
+
+
+def _occurs(host: Diagram, m: Match) -> bool:
+    """Whether the match's cells and wires are an occurrence of the side it
+    replaces: for an E step, the payload is a rewrite of the box by the
+    equation; otherwise the host cut there has that side's canonical
+    key."""
+    side = m.rule.lhs if m.orientation == "fwd" else m.rule.rhs
+    if m.box_payload is None:
+        try:
+            return canonical_key(_cut(host, m)) == canonical_key(side)
+        except SortMismatch:  # another wire crosses the cut
+            return False
+    ci, content = m.box_payload
+    boxes = [d.cells[0] for d in (side, m.replacement)
+             if len(d.cells) == 1 and isinstance(d.cells[0], InternalBox)]
+    sig = host.system.signature(content.layer)
+    internal.validate(content, sig)
+    slices = internal.canonical_slices(content.slices, sig)
+    return len(boxes) == 2 and any(
+        r.slices == slices for r in internal.rewrite_occurrences(
+            host.cells[ci].content, *(b.content for b in boxes), sig))
+
+
+def _cut(host: Diagram, m: Match) -> Diagram:
+    """The host at the match's cells, bounded by its dom and cod wires in
+    their order; a wire that crosses that boundary elsewhere leaves a port
+    unattached, which validation rejects."""
+    inside = {ci: k for k, ci in enumerate(m.cells)}
+    dom = {wi: ("dom", k) for k, wi in enumerate(m.dom_wires)}
+    cod = {wi: ("cod", k) for k, wi in enumerate(m.cod_wires)}
+    wires = []
+    for wi, (src, dst, ty) in enumerate(host.wires):
+        src = dom.get(wi) or (("out", inside[src[1]], src[2])
+                              if src[0] == "out" and src[1] in inside
+                              else None)
+        dst = cod.get(wi) or (("in", inside[dst[1]], dst[2])
+                              if dst[0] == "in" and dst[1] in inside else None)
+        if src and dst:
+            wires.append(Wire(src, dst, ty))
+    types = [OmegaType(tuple(host.wires[wi].type for wi in ws))
+             for ws in (m.dom_wires, m.cod_wires)]
+    return Diagram(host.system, *types, [host.cells[ci] for ci in m.cells],
+                   wires)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +432,8 @@ def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
 
     Bounded breadth-first search; the second component reports whether the
     search was exhaustive: False once ``LIFT_STATES`` or a preimage bound
-    was hit.  Candidates longer than ``LIFT_SLACK`` allows are dropped
-    unreported.
+    was hit, or once a candidate whose image still fits the target is
+    dropped for having more than ``LIFT_SLACK`` slices beyond the target's.
     """
     src_layer = sys.layer(f.source)
     sig = src_layer.signature
@@ -387,6 +442,15 @@ def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
     target_counts: dict[str, int] = {}
     for _, g in target_canon:
         target_counts[g] = target_counts.get(g, 0) + 1
+
+    def fits(slices) -> bool:  # no generator more often than the target's
+        counts: dict[str, int] = {}
+        for _, g in slices:
+            counts[g] = counts.get(g, 0) + 1
+            if counts[g] > target_counts.get(g, 0):
+                return False
+        return True
+
     gen_images = {g.name: f.gen_image(g.name) for g in src_layer.gen_morphisms}
     max_len = len(target_canon) + LIFT_SLACK
 
@@ -415,22 +479,14 @@ def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
             img = internal.translate(cand, f.target, f.word_image,
                                      lambda g: gen_images[g], sig)
             img_canon = internal.canonical_slices(img.slices, tgt_sig)
-            counts: dict[str, int] = {}
-            ok = True
-            for _, g in img_canon:
-                counts[g] = counts.get(g, 0) + 1
-                if counts[g] > target_counts.get(g, 0):
-                    ok = False
-                    break
-            if not ok:
+            if not fits(img_canon):
                 continue
             if (img_canon == target_canon
                     and (cod_word is None or word == cod_word)):
                 key = (root, internal.canonical_slices(slices, sig))
                 results.setdefault(
                     key, InternalDiagram(f.source, root, word, key[1]))
-            if len(slices) >= max_len:
-                continue
+            past_slack = len(slices) >= max_len
             for gname in sorted(sig):
                 gdom, gcod = sig[gname]
                 gimg = gen_images[gname]
@@ -445,10 +501,16 @@ def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
                     toff = len(f.word_image(word[:off]))
                     ext = img.slices + tuple((toff + po, pg)
                                              for po, pg in gimg.slices)
+                    if past_slack and not (complete and fits(ext)):
+                        continue
                     st = (nxt_word, internal.canonical_slices(ext, tgt_sig))
-                    if st not in seen:
-                        seen.add(st)
-                        queue.append((nxt_word, nxt_slices))
+                    if st in seen:
+                        continue
+                    if past_slack:  # a candidate the bound drops
+                        complete = False
+                        continue
+                    seen.add(st)
+                    queue.append((nxt_word, nxt_slices))
     ordered = [results[k] for k in sorted(results)]
     return ordered, complete
 
@@ -861,17 +923,7 @@ class RuleEngine:
         # moves never make progress toward a distinct diagram and would
         # defeat the isolation certificate, so they are off by default
         self.equation_insertions = equation_insertions
-        self.functors_by_source: dict[str, list[TranslationFunctor]] = {}
-        self.functors_by_target: dict[str, list[TranslationFunctor]] = {}
-        for (s, t), f in sorted(system.functors.items()):
-            self.functors_by_source.setdefault(s, []).append(f)
-            self.functors_by_target.setdefault(t, []).append(f)
-        self._eq_cache: dict = {}
-        # one instance per (table key, arguments): rules are frozen and
-        # application only reads the replacement's cells and wires
-        self._rules: dict[tuple, RewriteRule] = {}
-        self._solved: dict[tuple, list[RewriteRule]] = {}
-        self._solutions, self._made = system._rewrite_memo
+        self._memo = system._rewrite_memo
         # each lhs forward and each bidirectional rhs backward for
         # ``matches``; the other rhs backward for ``anti_matches``
         self._moves, self._anti = _Moves(), _Moves()
@@ -902,57 +954,39 @@ class RuleEngine:
                            params)
 
     def _rule(self, key: str, *args) -> RewriteRule:
-        """``rule_instance(key, *args)``, built on first use over the
-        system; each engine has its own instance, sharing the sides."""
-        rule = self._rules.get((key, args))
+        """``rule_instance(key, *args)``, built once per system: rules are
+        frozen, and application only reads the replacement's cells and
+        wires."""
+        rule = self._memo.get((key, args))
         if rule is None:
-            made = self._made.get((key, args))
-            if made is None:
-                made = self._made[key, args] = self.rule_instance(key, *args)
-            rule = self._rules[key, args] = RewriteRule(
-                made.name, made.family, made.lhs, made.rhs,
-                made.bidirectional, made.params)
+            rule = self._memo[key, args] = self.rule_instance(key, *args)
         return rule
 
     # -- matching
 
-    @staticmethod
-    def _sort_key(m: Match) -> tuple:
-        payload = ()
-        if m.box_payload is not None:
-            payload = (m.box_payload[0], m.box_payload[1].slices)
-        return (m.rule.name, m.orientation, m.cells, m.dom_wires,
-                m.cod_wires, payload)
-
     def matches(self, d: Diagram) -> list[Match]:
         """Every rule application of the engine's families available on d,
         deterministically ordered."""
-        return self._matches(canonicalize(d).diagram)[0]
-
-    def _matches(self, host: Diagram) -> tuple[list[Match], bool]:
-        """``matches`` on a canonical host, and whether every search that
-        inverts a translation was exhaustive."""
-        key = canonical_key(host)
-        found: list[Match] = []
-        if "E" in self.families:
-            found.extend(self._match_boxeq(host, key))
-        exhaustive = True
-        if self._moves:
-            exhaustive = self._match(self._moves, _HostIndex(host, key),
-                                     found)
-        found.sort(key=self._sort_key)
-        return found, exhaustive
+        return self._matches(d, self._moves, "E" in self.families)[0]
 
     def anti_matches(self, d: Diagram) -> list[Match]:
         """Predecessor moves: the rhs of every one-directional rule,
         matched backward (none when the engine leaves out the A family)."""
-        if not self._anti:
-            return []
+        return self._matches(d, self._anti, False)[0]
+
+    def _matches(self, d: Diagram, moves: _Moves, boxeq: bool
+                 ) -> tuple[list[Match], bool]:
+        """The moves' matches on d, and E's if ``boxeq``, in signature
+        order; and whether every search a bound can cut was exhaustive."""
         host = canonicalize(d).diagram
+        key = canonical_key(host)
         found: list[Match] = []
-        self._match(self._anti, _HostIndex(host, canonical_key(host)), found)
-        found.sort(key=self._sort_key)
-        return found
+        exhaustive = not boxeq or self._match_boxeq(host, key, found)
+        if moves:
+            exhaustive = self._match(moves, _HostIndex(host, key),
+                                     found) and exhaustive
+        found.sort(key=Match.signature)
+        return found, exhaustive
 
     def _match(self, moves: _Moves, index: _HostIndex, out: list) -> bool:
         """Append the moves' matches on the host to out; whether every
@@ -999,25 +1033,22 @@ class RuleEngine:
                   ) -> tuple[list[RewriteRule], bool]:
         """The rules whose side t denotes these host values, and whether
         the search for them was exhaustive."""
-        solved = self._solved.get((t, values))
-        if solved is None:
-            found = self._solutions.get((t, values))
-            if found is None:
-                envs: list[dict] = []
-                exhaustive = self._solve(t, {}, list(zip(t.patterns, values)),
-                                         envs)
-                found = self._solutions[t, values] = ([
-                    tuple(env[v] for v in t.args) for env in envs
-                    # a strand rule moves at least one box
-                    if not (t.strands and all(env[v].is_identity()
-                                              for v in t.strands))],
-                    exhaustive)
-            solved = self._solved[t, values] = ([
-                self._rule(t.schema.key, *args) for args in found[0]
-                if t.schema.only != "collapse"
-                or (args[0].source, args[0].target) in self.collapse],
-                found[1])
-        return solved
+        found = self._memo.get((t, values))
+        if found is None:
+            envs: list[dict] = []
+            exhaustive = self._solve(t, {}, list(zip(t.patterns, values)),
+                                     envs)
+            found = self._memo[t, values] = ([
+                self._rule(t.schema.key, *(env[v] for v in t.args))
+                for env in envs
+                # a strand rule moves at least one box
+                if not (t.strands and all(env[v].is_identity()
+                                          for v in t.strands))],
+                exhaustive)
+        if t.schema.only == "collapse":  # the engine's pairs only
+            return [rule for rule in found[0]
+                    if rule.params[:2] in self.collapse], found[1]
+        return found
 
     def _solve(self, t: _Template, env: dict, items: list,
                found: list) -> bool:
@@ -1060,10 +1091,10 @@ class RuleEngine:
                 continue
             if type(var) is not _FunctorVar:
                 values = sorted(self.system.layers)
-            elif var.source in env:
-                values = self.functors_by_source.get(env[var.source], [])
-            else:
-                values = self.functors_by_target.get(env.get(var.target), [])
+            else:  # from its source if that is known, else its target
+                end = "source" if var.source in env else "target"
+                values = [f for _, f in sorted(self.system.functors.items())
+                          if getattr(f, end) == env.get(getattr(var, end))]
             exhaustive = True
             for x in values:
                 if not self._solve(t, dict(env), [(var, x)] + items, found):
@@ -1097,15 +1128,17 @@ class RuleEngine:
                                        env.get(v.cod))
         return [[(v, sigma)] for sigma in lifts], exhaustive
 
-    def _match_boxeq(self, host: Diagram, key: tuple) -> list[Match]:
-        out: list[Match] = []
+    def _match_boxeq(self, host: Diagram, key: tuple, out: list) -> bool:
+        """Append each box's rewrites by its layer's equations to out;
+        whether every occurrence search covered its box's interchange
+        class."""
+        exhaustive = True
         for ci, cell in enumerate(host.cells):
             if not isinstance(cell, InternalBox):
                 continue
             sig = self.system.signature(cell.layer)
             content_gens = {g for _, g in cell.content.slices}
             for eq in self.system.layer(cell.layer).equations:
-                rule = None
                 for orientation, lhs, rhs in (("fwd", eq.lhs, eq.rhs),
                                               ("bwd", eq.rhs, eq.lhs)):
                     if not lhs.slices and not self.equation_insertions:
@@ -1113,40 +1146,37 @@ class RuleEngine:
                     pattern_gens = {g for _, g in lhs.slices}
                     if pattern_gens and not pattern_gens <= content_gens:
                         continue
-                    ck = (cell.layer, cell.content.dom, cell.content.slices,
-                          eq.name, orientation)
-                    if ck not in self._eq_cache:
-                        self._eq_cache[ck] = internal.rewrite_occurrences(
-                            cell.content, lhs, rhs, sig)
-                    results = self._eq_cache[ck]
-                    if results and rule is None:
-                        rule = self._rule("E", cell.layer, eq.name)
+                    ck = (cell.content, eq.name, orientation)
+                    if ck not in self._memo:
+                        self._memo[ck] = (
+                            internal.rewrite_occurrences(cell.content, lhs,
+                                                         rhs, sig),
+                            internal.orderings_complete(cell.content.slices,
+                                                        sig))
+                    results, complete = self._memo[ck]
+                    exhaustive = exhaustive and complete
                     for res in results:
-                        out.append(Match(rule, orientation, (ci,), (), (),
-                                         key, (ci, res)))
-        return out
+                        out.append(Match(self._rule("E", cell.layer, eq.name),
+                                         orientation, (ci,), (), (), key,
+                                         (ci, res)))
+        return exhaustive
 
     # -- isolation
 
     def isolation_matches(self, d: Diagram) -> list[Match]:
         """Matches that count for the isolation certificate: every match
         interacting with a cell, plus matches covering the whole diagram."""
-        return self._isolation(canonicalize(d).diagram)[0]
+        return self._isolation(d)[0]
 
-    def _isolation(self, host: Diagram) -> tuple[list[Match], bool]:
-        """``isolation_matches`` on a canonical host, and whether every
-        search that inverts a translation was exhaustive."""
-        found, exhaustive = self._matches(host)
-        out = []
-        n_wires = len(host.wires)
-        for m in found:
-            if m.cells or m.box_payload is not None:
-                out.append(m)
-                continue
-            touched = set(m.dom_wires) | set(m.cod_wires)
-            if not host.cells and len(touched) == n_wires:
-                out.append(m)
-        return out, exhaustive
+    def _isolation(self, d: Diagram) -> tuple[list[Match], bool]:
+        """``isolation_matches``, and whether every search on d that a
+        bound can cut was exhaustive."""
+        host = canonicalize(d).diagram
+        found, exhaustive = self._matches(host, self._moves,
+                                          "E" in self.families)
+        return [m for m in found if m.cells or m.box_payload is not None
+                or (not host.cells and len(set(m.dom_wires + m.cod_wires))
+                    == len(host.wires))], exhaustive
 
     def is_isolated(self, d: Diagram) -> bool:
         """Certificate that no generated rewrite interacts with d.
@@ -1157,7 +1187,7 @@ class RuleEngine:
         bounded search; if any search on d was cut by a bound the
         certificate conservatively fails.
         """
-        found, exhaustive = self._isolation(canonicalize(d).diagram)
+        found, exhaustive = self._isolation(d)
         return exhaustive and not found
 
 
@@ -1210,26 +1240,14 @@ def _domain(sys: SystemOfLayers, words: dict[str, list[Word]], kind: str,
 
 def replay(start: Diagram, signatures: list[tuple],
            engine: RuleEngine | None = None) -> Derivation:
-    """Rebuild a derivation from its step signatures, each re-matched on
-    the state the steps before it reached.  Without an engine, the settings
-    come from the steps: collapse pairs from ``A3c`` names, and equation
-    insertions if an E step matches an equation's identity side.  Raises
+    """Rebuild a derivation from its step signatures, each picked among the
+    matches on the state the steps before it reached and applied through
+    ``apply_rule``; the default engine (every window collapse, equation
+    insertions on) offers each step any engine can.  Raises
     InvalidDerivation at the first step that does not re-match."""
     if engine is None:
-        named = {sig[:2] for sig in signatures}
-        collapse = set()
-        for name, _ in named:
-            if (name or "").startswith("A3c["):  # "A3c[SRC>TGT;word]"
-                src, _, tgt = name[4:].partition(";")[0].partition(">")
-                if (src, tgt) in start.system.functors:
-                    collapse.add((src, tgt))
-        inserting = {(f"E[{layer};{eq.name}]", orientation)
-                     for layer, lay in start.system.layers.items()
-                     for eq in lay.equations
-                     for orientation, side in (("fwd", eq.lhs),
-                                               ("bwd", eq.rhs))
-                     if not side.slices}
-        engine = RuleEngine(start.system, collapse, bool(named & inserting))
+        engine = RuleEngine(start.system, start.system.functors,
+                            equation_insertions=True)
     start = canonicalize(start).diagram
     current = start
     steps: list[Match] = []
@@ -1239,7 +1257,7 @@ def replay(start: Diagram, signatures: list[tuple],
         if step is None:
             raise InvalidDerivation(f"step {sig[0]!r} does not re-match")
         steps.append(step)
-        current = _apply(current, step)
+        current = apply_rule(current, step)
     return Derivation(start, steps)
 
 
@@ -1270,93 +1288,65 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
         raise SortMismatch("derivation endpoints must be parallel")
     if engine is None:
         engine = RuleEngine(src.system)
-    src_c = canonicalize(src).diagram
-    dst_c = canonicalize(dst).diagram
+    src_c, dst_c = canonicalize(src).diagram, canonicalize(dst).diagram
     k_src, k_dst = canonical_key(src_c), canonical_key(dst_c)
     if k_src == k_dst:
         return Derivation(src_c, [])
 
-    spent = 0
-    fwd_tree: dict[tuple, tuple[tuple, Match] | None] = {k_src: None}
-    bwd_tree: dict[tuple, tuple | None] = {k_dst: None}
-    diagrams: dict[tuple, Diagram] = {k_src: src_c, k_dst: dst_c}
-    frontier_f: list[tuple] = [k_src]
-    frontier_b: list[tuple] = [k_dst]
+    def forward(state: Diagram) -> list[Match]:
+        return [m for m in engine.matches(state)
+                if rule_filter is None or rule_filter(m)]
 
-    def allowed(moves):
-        if rule_filter is None:
-            return moves
-        return [m for m in moves if rule_filter(m)]
+    def backward(state: Diagram) -> list[Match]:
+        # a backward move needs a forward inverse the engine offers; an
+        # equation applied toward its identity side inverts to an insertion
+        moves = [m for m in engine.matches(state) if m.rule.bidirectional
+                 and (engine.equation_insertions or m.box_payload is None
+                      or m.replacement.cells[0].content.slices)]
+        return [m for m in moves + engine.anti_matches(state)
+                if rule_filter is None or rule_filter(m)]
+
+    # each side's tree maps a state to (the state it came from, the move)
+    trees: tuple[dict, dict] = ({k_src: None}, {k_dst: None})
+    frontiers = [[k_src], [k_dst]]
+    diagrams: dict[tuple, Diagram] = {k_src: src_c, k_dst: dst_c}
 
     def stitched(meet: tuple) -> Derivation:
         chain: list[Match] = []
         k = meet
-        while fwd_tree[k] is not None:
-            prev, m = fwd_tree[k]
+        while trees[0][k] is not None:
+            k, m = trees[0][k]
             chain.append(m)
-            k = prev
         chain.reverse()
         k = meet
-        while bwd_tree[k] is not None:
-            nxt = bwd_tree[k]
-            state = diagrams[k]
-            found = None
-            for m in allowed(engine.matches(state)):
-                if canonical_key(_apply(state, m)) == nxt:
-                    found = m
-                    break
-            if found is None:
-                raise AssertionError("backward edge has no forward replay")
-            chain.append(found)
+        # ``backward`` offers only moves whose inverse ``forward`` offers
+        while trees[1][k] is not None:
+            nxt, state = trees[1][k][0], diagrams[k]
+            chain.append(next(m for m in forward(state)
+                              if canonical_key(_apply(state, m)) == nxt))
             k = nxt
         return Derivation(src_c, chain)
 
-    while (frontier_f or frontier_b) and spent < budget:
-        expand_forward = bool(frontier_f) and (
-            not frontier_b or len(frontier_f) <= len(frontier_b))
-        if expand_forward:
-            new_f: list[tuple] = []
-            for key in frontier_f:
-                state = diagrams[key]
-                for m in allowed(engine.matches(state)):
-                    if spent >= budget:
-                        break
-                    spent += 1
-                    nxt = _apply(state, m)
-                    nk = canonical_key(nxt)
-                    if nk in fwd_tree:
-                        continue
-                    fwd_tree[nk] = (key, m)
-                    diagrams.setdefault(nk, nxt)
-                    if nk in bwd_tree:
-                        return stitched(nk)
-                    new_f.append(nk)
-            frontier_f = new_f
-        else:
-            new_b: list[tuple] = []
-            for key in frontier_b:
-                state = diagrams[key]
-                # a backward move needs a forward inverse the engine
-                # offers; an equation applied toward its identity side
-                # inverts to an insertion
-                moves = ([m for m in engine.matches(state)
-                          if m.rule.bidirectional
-                          and (engine.equation_insertions
-                               or m.box_payload is None
-                               or m.replacement.cells[0].content.slices)]
-                         + engine.anti_matches(state))
-                for m in allowed(moves):
-                    if spent >= budget:
-                        break
-                    spent += 1
-                    pred = _apply(state, m)
-                    pk = canonical_key(pred)
-                    if pk in bwd_tree:
-                        continue
-                    bwd_tree[pk] = key
-                    diagrams.setdefault(pk, pred)
-                    if pk in fwd_tree:
-                        return stitched(pk)
-                    new_b.append(pk)
-            frontier_b = new_b
+    spent = 0
+    while (frontiers[0] or frontiers[1]) and spent < budget:
+        side = 1 if not frontiers[0] or (
+            frontiers[1] and len(frontiers[1]) < len(frontiers[0])) else 0
+        tree, other = trees[side], trees[1 - side]
+        new: list[tuple] = []
+        for key in frontiers[side]:
+            state = diagrams[key]
+            for m in (forward, backward)[side](state):
+                if spent == budget:
+                    return NotFound(budget)
+                spent += 1
+                nxt = _apply(state, m)
+                nk = canonical_key(nxt)
+                if nk in tree:
+                    continue
+                tree[nk] = (key, m)
+                diagrams.setdefault(nk, nxt)
+                if nk in other:
+                    return stitched(nk)
+                new.append(nk)
+        frontiers[side] = new
     return NotFound(budget)

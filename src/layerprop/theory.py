@@ -153,10 +153,11 @@ class SystemOfLayers:
             self.functors[key] = f
         self.order: tuple[tuple[str, str], ...] = tuple(order)
         self._closure: frozenset[tuple[str, str]] | None = None
-        # shared by the rule engines over this system (``rewrite``): the
-        # arguments each template takes at given host values, and the
-        # rules built
-        self._rewrite_memo: tuple[dict, dict] = ({}, {})
+        # shared by the rule engines over this system (``rewrite``): per
+        # (template, host values) its rules, per (table key, arguments) the
+        # rule, per (box content, equation, orientation) the rewrites; the
+        # first and last also say whether their search was exhaustive
+        self._rewrite_memo: dict[tuple, object] = {}
 
     def layer(self, name: str) -> LayerPresentation:
         if name not in self.layers:

@@ -1,5 +1,6 @@
 """Rule matching, application round-trips, derivation search, isolation."""
 
+import dataclasses
 import gc
 import hashlib
 import random
@@ -13,11 +14,11 @@ from layerprop import diagram as dg
 from layerprop import internal, jsonio, models, terms
 from layerprop import rewrite as rw
 from layerprop.diagram import canonical_key, canonicalize
-from layerprop.errors import (LayerPropError, MalformedInput, SortMismatch,
-                              StaleMatch)
+from layerprop.errors import (LayerPropError, MalformedInput,
+                              SideConditionViolation, SortMismatch, StaleMatch)
 from layerprop.internal import InternalDiagram
-from layerprop.theory import (LayerPresentation, MorphismGen, SystemOfLayers,
-                              TranslationFunctor, sheet)
+from layerprop.theory import (Equation, LayerPresentation, MorphismGen,
+                              SystemOfLayers, TranslationFunctor, sheet)
 
 
 @pytest.fixture
@@ -287,6 +288,71 @@ def test_is_isolated_fails_on_a_cut_preimage(monkeypatch):
     system = _padded_system()
     found = rw.RuleEngine(system).isolation_matches(host(system))
     assert [m.rule.name for m in found] == ["F2[U>L;e.e.e.e.a>0.m]"]
+
+
+def _slack_system():
+    """U -> L where p0..p5: a_i -> a_{i+1} translate to identities and
+    m: a6 -> b to gl: x -> y."""
+    objects = tuple(f"a{i}" for i in range(7)) + ("b",)
+    upper = LayerPresentation("U", objects, tuple(
+        MorphismGen(f"p{i}", (f"a{i}",), (f"a{i + 1}",)) for i in range(6))
+        + (MorphismGen("m", ("a6",), ("b",)),))
+    lower = LayerPresentation("L", ("x", "y"),
+                              (MorphismGen("gl", ("x",), ("y",)),))
+    f = TranslationFunctor(
+        "U", "L", tuple((o, ("x",)) for o in objects[:-1]) + (("b", ("y",)),),
+        tuple((f"p{i}", InternalDiagram("L", ("x",), ("x",), ()))
+              for i in range(6))
+        + (("m", InternalDiagram("L", ("x",), ("y",), ((0, "gl"),))),))
+    return SystemOfLayers([upper, lower], [f], order=[("L", "U")])
+
+
+def test_is_isolated_fails_past_the_lift_slack(monkeypatch):
+    # F1 backward lifts gl along the refine of a0; the one lift,
+    # p0;...;p5;m, is longer than the slack allows
+    def host(system):
+        return dg.seq_compose(dg.refine(system, "U", "L", ("a0",)),
+                              dg.gen_box(system, "L", "gl"))
+
+    system = _slack_system()
+    engine = rw.RuleEngine(system)
+    assert not engine.isolation_matches(host(system))
+    assert not engine.is_isolated(host(system))
+    monkeypatch.setattr(rw, "LIFT_SLACK", 8)
+    system = _slack_system()
+    found = rw.RuleEngine(system).isolation_matches(host(system))
+    assert [m.rule.name for m in found] == \
+        ["F1[U>L;a0>0.p0;0.p1;0.p2;0.p3;0.p4;0.p5;0.m]"]
+
+
+def _interchange_system():
+    """One layer W: a, p, q, r: a -> a, and p beside q equals q beside
+    p."""
+    aa = ("a", "a")
+    layer = LayerPresentation(
+        "W", ("a",), tuple(MorphismGen(g, ("a",), ("a",)) for g in "pqr"),
+        (Equation("pq", InternalDiagram("W", aa, aa, ((0, "p"), (1, "q"))),
+                  InternalDiagram("W", aa, aa, ((0, "q"), (1, "p")))),))
+    return SystemOfLayers([layer], [], order=[])
+
+
+def test_is_isolated_fails_on_a_cut_occurrence_search(monkeypatch):
+    # p and q become adjacent only after q passes eight r's, deeper than
+    # the first OCCURRENCE_ORDERINGS orderings reach
+    def host(system):
+        slices = (((0, "p"),) + ((0, "r"),) * 8 + ((1, "q"),)
+                  + tuple((k, "r") for k in range(2, 10)))
+        return dg.box(system, InternalDiagram("W", ("a",) * 10, ("a",) * 10,
+                                              slices))
+
+    system = _interchange_system()
+    engine = rw.RuleEngine(system)
+    assert not engine.isolation_matches(host(system))
+    assert not engine.is_isolated(host(system))
+    monkeypatch.setattr(internal, "OCCURRENCE_ORDERINGS", 15000)
+    system = _interchange_system()
+    found = rw.RuleEngine(system).isolation_matches(host(system))
+    assert {m.rule.name for m in found} == {"E[W;pq]"}
 
 
 def test_window_collapse_flag(two_layer):
@@ -582,8 +648,9 @@ def test_search_results_pinned(two_layer):
     assert got == PINNED
 
 
-def test_rule_instances_shared_per_engine(two_layer, engine):
-    # matching hands out one RewriteRule object per rule instance
+def test_rule_instances_shared_per_system(two_layer, engine):
+    # matching hands out one RewriteRule object per rule instance, to every
+    # engine over the system
     host = dg.identity(two_layer, sheet("U", ("a",)) + sheet("U", ("b",)))
     seen: dict = {}
     for d in (host, canonicalize(host).diagram, dg.par_tensor(host, host)):
@@ -591,8 +658,23 @@ def test_rule_instances_shared_per_engine(two_layer, engine):
             assert seen.setdefault(m.rule.name, m.rule) is m.rule
     assert len(seen) > 10
     fresh = rw.RuleEngine(two_layer).matches(host)[0].rule
-    assert fresh is not seen[fresh.name]
+    assert fresh is seen[fresh.name]
     assert dg.structural_eq(fresh.rhs, seen[fresh.name].rhs)
+
+
+def test_equation_rewrites_shared_per_system(two_layer, monkeypatch):
+    # a second engine reads the rewrites of a box the first one matched
+    calls = []
+    real = internal.rewrite_occurrences
+    monkeypatch.setattr(internal, "rewrite_occurrences",
+                        lambda *args: calls.append(args) or real(*args))
+    box = _box(two_layer, "U", "a", ["g", "h", "u"])
+    first = rw.RuleEngine(two_layer).matches(box)
+    assert calls and any(m.box_payload for m in first)
+    calls.clear()
+    again = rw.RuleEngine(two_layer).matches(box)
+    assert calls == []
+    assert [m.signature() for m in again] == [m.signature() for m in first]
 
 
 def test_backward_deletion_needs_insertions():
@@ -669,13 +751,15 @@ def test_trusted_apply_matches_validating_path(two_layer, monkeypatch):
             _check_splice(host, m)
             checked += 1
     assert checked > 900
-    # new box contents are put in interchange normal form
+    # new box contents are put in interchange normal form: the rewrite of
+    # the first u by g;h, written in another order
     aa = ("a", "a")
     host = canonicalize(dg.seq_compose(
         dg.box(two, InternalDiagram("U", aa, aa, ((0, "u"), (1, "u")))),
         dg.copants(two, "U", ("a",), ("a",)))).diagram
     m = next(m for m in rw.RuleEngine(two).matches(host) if m.box_payload)
-    unsorted = InternalDiagram("U", aa, aa, ((1, "u"), (0, "u")))
+    assert m.box_payload[1].slices == ((0, "g"), (0, "h"), (1, "u"))
+    unsorted = InternalDiagram("U", aa, aa, ((1, "u"), (0, "g"), (0, "h")))
     _check_splice(host, rw.Match(m.rule, m.orientation, m.cells, (), (),
                                  m.host_key, (m.cells[0], unsorted)))
 
@@ -717,6 +801,33 @@ def test_apply_rule_rejects_forged_matches(two_layer, engine):
     for apply in (rw.apply_rule, rw._apply):
         with pytest.raises(SortMismatch):
             apply(box, bad)
+    rw.apply_rule(box, good)
+
+
+def test_apply_rule_checks_the_occurrence(two_layer, engine):
+    # F1 matched on u, carrying the rule of u;u: the match's cells are no
+    # occurrence of that rule's lhs, so u must not become F(u;u)
+    f = two_layer.functor("U", "L")
+    u = internal.generator("U", "u", two_layer.signature("U"))
+    rule = engine.rule_instance("F1", f, u)
+    host = canonicalize(rule.lhs).diagram
+    m = next(m for m in engine.matches(host)
+             if m.rule.name == rule.name and m.orientation == "fwd")
+    forged = dataclasses.replace(m, rule=engine.rule_instance("F1", f,
+                                                              u.then(u)))
+    assert forged.rule.name == "F1[U>L;a>0.u;0.u]"
+    with pytest.raises(SideConditionViolation, match="not an occurrence"):
+        rw.apply_rule(host, forged)
+    with pytest.raises(SideConditionViolation, match="not an occurrence"):
+        rw.Derivation(host, [forged]).end()
+    assert canonical_key(rw.apply_rule(host, m)) == canonical_key(rule.rhs)
+    # an equation payload of the box's type that is no rewrite of the box
+    box = canonicalize(_box(two_layer, "U", "a", ["g", "h"])).diagram
+    good = next(m for m in engine.matches(box) if m.box_payload is not None)
+    uu = InternalDiagram("U", ("a",), ("a",), ((0, "u"), (0, "u")))
+    bad = dataclasses.replace(good, box_payload=(0, uu))
+    with pytest.raises(SideConditionViolation, match="not an occurrence"):
+        rw.apply_rule(box, bad)
     rw.apply_rule(box, good)
 
 
@@ -856,7 +967,7 @@ def test_rule_memo_freed_with_the_system():
     host = dg.seq_compose(dg.gen_box(system, "U", "g"),
                           dg.refine(system, "U", "L", ("b",)))
     assert rw.RuleEngine(system).matches(host)
-    assert system._rewrite_memo[1]
+    assert system._rewrite_memo
     ref = weakref.ref(system)
     del system, host
     gc.collect()
