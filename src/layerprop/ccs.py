@@ -345,44 +345,45 @@ def build_ccs_system(roots: tuple[str, ...] = DEFAULT_ROOTS) -> CcsSystem:
     proc_syms = [render(p) for p in universe]
     by_sym = {render(p): p for p in universe}
 
+    gens: dict[str, list[MorphismGen]] = {"Red": [], "LTS": []}
+    eqs: dict[str, list[Equation]] = {"Red": [], "LTS": []}
+
+    def iso(layer, name, dom, cod):
+        """name: dom -> cod in layer, its inverse name~ and the two
+        equations that make them inverse."""
+        gens[layer] += (MorphismGen(name, dom, cod),
+                        MorphismGen(name + "~", cod, dom))
+        for law, w, first, then in (("retract", dom, name, name + "~"),
+                                    ("section", cod, name + "~", name)):
+            eqs[layer].append(Equation(
+                f"{name}.{law}",
+                InternalDiagram(layer, w, w, ((0, first), (0, then))),
+                InternalDiagram(layer, w, w, ())))
+
     # upper layer: bracketed process trees with congruence isomorphisms
-    red_gens: list[MorphismGen] = []
-    red_eqs: list[Equation] = []
-
-    def iso(name, dom, cod):
-        red_gens.append(MorphismGen(name, dom, cod))
-        red_gens.append(MorphismGen(name + "~", cod, dom))
-        red_eqs.append(Equation(
-            name + ".retract",
-            InternalDiagram("Red", dom, dom, ((0, name), (0, name + "~"))),
-            InternalDiagram("Red", dom, dom, ())))
-        red_eqs.append(Equation(
-            name + ".section",
-            InternalDiagram("Red", cod, cod, ((0, name + "~"), (0, name))),
-            InternalDiagram("Red", cod, cod, ())))
-
     for p in universe:
         for q in universe:
             if Par(p, q) in universe:
-                iso(f"pack[{render(p)}|{render(q)}]",
+                iso("Red", f"pack[{render(p)}|{render(q)}]",
                     (render(p), render(q)), (render(Par(p, q)),))
-            iso(f"comm[{render(p)}|{render(q)}]",
+            iso("Red", f"comm[{render(p)}|{render(q)}]",
                 (render(p), render(q)), (render(q), render(p)))
-    iso("zero", ("0",), ())
+    iso("Red", "zero", ("0",), ())
     for p in universe:
         if Par(NIL, p) in universe:
-            iso(f"unitl[{render(p)}]", (render(Par(NIL, p)),), (render(p),))
+            iso("Red", f"unitl[{render(p)}]", (render(Par(NIL, p)),),
+                (render(p),))
     for p in universe:
         for q in universe:
             for a in names:
                 if Prefix(a, p) in universe and Prefix(co(a), q) in universe:
-                    red_gens.append(MorphismGen(
+                    gens["Red"].append(MorphismGen(
                         f"R[{a};{render(p)}|{render(q)}]",
                         (render(Prefix(a, p)), render(Prefix(co(a), q))),
                         (render(p), render(q))))
 
-    red = LayerPresentation("Red", tuple(proc_syms), tuple(red_gens),
-                            tuple(red_eqs))
+    red = LayerPresentation("Red", tuple(proc_syms), tuple(gens["Red"]),
+                            tuple(eqs["Red"]))
 
     # lower layer: (process, pending action) states
     pending_states: list[tuple[Process, str]] = []
@@ -394,24 +395,9 @@ def build_ccs_system(roots: tuple[str, ...] = DEFAULT_ROOTS) -> CcsSystem:
                             key=lambda s: (state_symbol(*s),))
     state_syms = [state_symbol(p, a) for p, a in pending_states]
 
-    lts_gens: list[MorphismGen] = []
-    lts_eqs: list[Equation] = []
-
-    def lts_iso(name, dom, cod):
-        lts_gens.append(MorphismGen(name, dom, cod))
-        lts_gens.append(MorphismGen(name + "~", cod, dom))
-        lts_eqs.append(Equation(
-            name + ".retract",
-            InternalDiagram("LTS", dom, dom, ((0, name), (0, name + "~"))),
-            InternalDiagram("LTS", dom, dom, ())))
-        lts_eqs.append(Equation(
-            name + ".section",
-            InternalDiagram("LTS", cod, cod, ((0, name + "~"), (0, name))),
-            InternalDiagram("LTS", cod, cod, ())))
-
     for p in universe:
         if isinstance(p, Prefix):
-            lts_gens.append(MorphismGen(
+            gens["LTS"].append(MorphismGen(
                 f"fire[{render(p)}]",
                 (state_symbol(p),), (state_symbol(p.body, p.action),)))
     actions = sorted({a for _, a in pending_states if a != TAU})
@@ -421,22 +407,21 @@ def build_ccs_system(roots: tuple[str, ...] = DEFAULT_ROOTS) -> CcsSystem:
         for p, pa in pending_states:
             for q, qa in pending_states:
                 if pa == a and qa == co(a):
-                    lts_gens.append(MorphismGen(
+                    gens["LTS"].append(MorphismGen(
                         f"sync[{a};{render(p)}|{render(q)}]",
                         (state_symbol(p, a), state_symbol(q, co(a))),
                         (state_symbol(p), state_symbol(q))))
     for s1 in state_syms:
         for s2 in state_syms:
-            lts_iso(f"bswap[{s1}|{s2}]", (s1, s2), (s2, s1))
-    lts_iso("bzero", (state_symbol(NIL),), ())
+            iso("LTS", f"bswap[{s1}|{s2}]", (s1, s2), (s2, s1))
+    iso("LTS", "bzero", (state_symbol(NIL),), ())
     for p in universe:
         if isinstance(p, Par):
-            lts_iso(f"bsplit[{render(p)}]",
-                    (state_symbol(p),),
-                    (state_symbol(p.left), state_symbol(p.right)))
+            iso("LTS", f"bsplit[{render(p)}]", (state_symbol(p),),
+                (state_symbol(p.left), state_symbol(p.right)))
 
-    lts = LayerPresentation("LTS", tuple(state_syms), tuple(lts_gens),
-                            tuple(lts_eqs))
+    lts = LayerPresentation("LTS", tuple(state_syms), tuple(gens["LTS"]),
+                            tuple(eqs["LTS"]))
 
     # the translation: flatten a process into its thread states
     def flatten(p: Process) -> Word:
@@ -464,11 +449,11 @@ def build_ccs_system(roots: tuple[str, ...] = DEFAULT_ROOTS) -> CcsSystem:
         return out
 
     mor_map: list[tuple[str, InternalDiagram]] = []
-    for gen in red_gens:
+    for gen in gens["Red"]:
         name = gen.name
         dom_img = tuple(s for sym in gen.dom for s in flatten(by_sym[sym]))
         cod_img = tuple(s for sym in gen.cod for s in flatten(by_sym[sym]))
-        if name.startswith(("pack[", "pack[", "unitl[")) and \
+        if name.startswith(("pack[", "unitl[")) and \
                 not name.endswith("~"):
             if name.startswith("unitl["):
                 img = InternalDiagram("LTS", dom_img, cod_img,

@@ -207,38 +207,43 @@ def canonicalize(d: InternalDiagram, sig: GenSig) -> InternalDiagram:
                            canonical_slices(d.slices, sig))
 
 
-def orderings(slices: tuple[Slice, ...],
-              sig: GenSig) -> Iterator[tuple[Slice, ...]]:
-    """Deterministic iteration over the interchange class, or over the
-    first ``OCCURRENCE_ORDERINGS`` orderings reached of a larger one."""
-    return iter(sorted(itertools.islice(_reachable(slices, sig),
-                                        OCCURRENCE_ORDERINGS)))
+def orderings(slices: tuple[Slice, ...], sig: GenSig
+              ) -> tuple[list[tuple[Slice, ...]], bool]:
+    """The interchange class in a deterministic order, or the first
+    ``OCCURRENCE_ORDERINGS`` orderings reached of a larger one; and whether
+    that is the whole class."""
+    reached = list(itertools.islice(_reachable(slices, sig),
+                                    OCCURRENCE_ORDERINGS + 1))
+    return (sorted(reached[:OCCURRENCE_ORDERINGS]),
+            len(reached) <= OCCURRENCE_ORDERINGS)
 
 
-def orderings_complete(slices: tuple[Slice, ...], sig: GenSig) -> bool:
-    """Whether ``orderings`` yields the whole interchange class."""
-    rest = itertools.islice(_reachable(slices, sig), OCCURRENCE_ORDERINGS,
-                            None)
-    return next(rest, None) is None
+class Occurrences(list):
+    """The rewrites ``rewrite_occurrences`` found, and whether its search
+    covered the host's whole interchange class (``complete``)."""
+
+    def __init__(self, found: Iterable[InternalDiagram], complete: bool):
+        super().__init__(found)
+        self.complete = complete
 
 
 def rewrite_occurrences(host: InternalDiagram, lhs: InternalDiagram,
-                        rhs: InternalDiagram,
-                        sig: GenSig) -> list[InternalDiagram]:
+                        rhs: InternalDiagram, sig: GenSig) -> Occurrences:
     """Replace one occurrence of ``lhs`` inside ``host`` by ``rhs``.
 
     An occurrence is a contiguous block in some interchange-equivalent
     ordering of the host whose slices coincide with the (whiskered) lhs and
     whose starting word carries lhs.dom at the block's columns.  Results are
     deduplicated by canonical form; the search is exhaustive up to
-    ``OCCURRENCE_ORDERINGS`` orderings (``orderings_complete`` tells whether
-    that cut the class).
+    ``OCCURRENCE_ORDERINGS`` orderings, and the result's ``complete`` says
+    whether that covered the class.
     """
     if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
         raise SortMismatch("equation sides must be parallel")
     m = len(lhs.slices)
     results: dict[tuple[Slice, ...], InternalDiagram] = {}
-    for order in orderings(host.slices, sig):
+    orders, complete = orderings(host.slices, sig)
+    for order in orders:
         words = run_slices(host.dom, order, sig)
         for s in range(len(order) - m + 1):
             w = words[s]
@@ -259,7 +264,7 @@ def rewrite_occurrences(host: InternalDiagram, lhs: InternalDiagram,
                 cand = InternalDiagram(host.layer, host.dom, host.cod,
                                        canonical_slices(new, sig))
                 results.setdefault(cand.slices, cand)
-    return [results[k] for k in sorted(results)]
+    return Occurrences((results[k] for k in sorted(results)), complete)
 
 
 def split_beside(d: InternalDiagram, sig: GenSig

@@ -1,7 +1,7 @@
 """Finite categories, profunctors, reindexing and coend composition.
 
 Everything here is exhaustively enumerable: categories carry explicit
-object/morphism lists, functors explicit tables, and profunctors explicit
+object/morphism lists, functors memoised maps, and profunctors explicit
 element sets with bimodule actions.  ``Reindexed`` restricts a profunctor
 along functors, P(F-, G-), which by co-Yoneda is what composing with a
 representable comes to.  Profunctor composition in general quotients the
@@ -18,6 +18,7 @@ naturality squares of composites follow from those of their factors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -284,19 +285,25 @@ class FinMonoidalCategory(FinCategory):
         return out
 
 
-@dataclass
-class FinFunctor:
-    name: str
-    source: FinCategory
-    target: FinCategory
-    obj_map: dict
-    mor_map: dict
+class Functor:
+    """A functor whose images are computed on demand and memoised, so that a
+    product or a composite of functors never tabulates its source."""
 
-    def on_obj(self, a):
-        return self.obj_map[a]
+    def __init__(self, name: str, source: FinCategory, target: FinCategory,
+                 on_obj: Callable, on_mor: Callable):
+        self.name, self.source, self.target = name, source, target
+        self.on_obj = functools.cache(on_obj)
+        self.on_mor = functools.cache(on_mor)
 
-    def on_mor(self, f):
-        return self.mor_map[f]
+
+class FinFunctor(Functor):
+    """A functor given by its tables of object and morphism images."""
+
+    def __init__(self, name: str, source: FinCategory, target: FinCategory,
+                 obj_map: dict, mor_map: dict):
+        super().__init__(name, source, target, obj_map.__getitem__,
+                         mor_map.__getitem__)
+        self.obj_map, self.mor_map = obj_map, mor_map
 
     def validate(self) -> list[str]:
         out = []
@@ -330,25 +337,24 @@ class FinFunctor:
         return out
 
 
-def identity_functor(c: FinCategory) -> FinFunctor:
-    return FinFunctor(f"id_{c.name}", c, c,
-                      {a: a for a in c.objects},
-                      {f: f for f in c.morphisms})
+def identity_functor(c: FinCategory) -> Functor:
+    return Functor(f"id_{c.name}", c, c, _same, _same)
 
 
-def product_functor(fs: list[FinFunctor]) -> FinFunctor:
-    src = product_category([f.source for f in fs])
-    tgt = product_category([f.target for f in fs])
-    obj_map = {a: tuple(f.obj_map[ai] for f, ai in zip(fs, a))
-               for a in src.objects}
-    mor_map = {m: tuple(f.mor_map[mi] for f, mi in zip(fs, m))
-               for m in src.morphisms}
-    name = "(" + "x".join(f.name for f in fs) + ")"
-    return FinFunctor(name, src, tgt, obj_map, mor_map)
+def product_functor(fs: list[Functor]) -> Functor:
+    def componentwise(maps: list) -> Callable:
+        return lambda x: tuple(m(xi) for m, xi in zip(maps, x))
+    return Functor("(" + "x".join(f.name for f in fs) + ")",
+                   product_category([f.source for f in fs]),
+                   product_category([f.target for f in fs]),
+                   componentwise([f.on_obj for f in fs]),
+                   componentwise([f.on_mor for f in fs]))
 
 
 class Profunctor:
-    """Explicit bimodule: elements per object pair with two actions."""
+    """Explicit bimodule: elements per object pair with two actions, x in
+    P(a, b) to lact(g, x, a, b) in P(a', b) for g: a' -> a and to
+    ract(x, h, a, b) in P(a, b') for h: b -> b'."""
 
     def __init__(self, name: str, source: FinCategory, target: FinCategory,
                  elements: dict, lact: Callable, ract: Callable):
@@ -356,8 +362,8 @@ class Profunctor:
         self.source = source
         self.target = target
         self._elements = elements
-        self._lact = lact
-        self._ract = ract
+        self.lact = lact
+        self.ract = ract
 
     def elements(self, a, b) -> tuple:
         return self._elements.get((a, b), ())
@@ -365,14 +371,6 @@ class Profunctor:
     def reprs(self, a, b) -> list[str]:
         """``repr`` of each element of P(a, b), in order."""
         return [repr(x) for x in self.elements(a, b)]
-
-    def lact(self, g, x, a, b):
-        """Action of g: a' -> a on x in P(a, b), landing in P(a', b)."""
-        return self._lact(g, x, a, b)
-
-    def ract(self, x, h, a, b):
-        """Action of h: b -> b' on x in P(a, b), landing in P(a, b')."""
-        return self._ract(x, h, a, b)
 
 
 def validate_profunctor(p: Profunctor) -> list[str]:
@@ -447,7 +445,7 @@ def hom_profunctor(c: FinCategory) -> Profunctor:
     return c._hom_prof
 
 
-def embed(f: FinFunctor, direction: str) -> Profunctor:
+def embed(f: Functor, direction: str) -> Profunctor:
     """Covariant ("up") or contravariant ("down") embedding of a functor."""
     c, d = f.source, f.target
     elements = {}
@@ -845,7 +843,7 @@ def pointed_two_cell(pp: PointedProfunctor, qq: PointedProfunctor,
 # adjunction triangles
 
 
-def check_adjunction_triangles(f: FinFunctor) -> list[str]:
+def check_adjunction_triangles(f: Functor) -> list[str]:
     """Element-wise triangle identities for up(F) left adjoint to down(F)."""
     out: list[str] = []
     up = embed(f, "up")
@@ -858,25 +856,17 @@ def check_adjunction_triangles(f: FinFunctor) -> list[str]:
         return ud.inject(a, a2, f.on_obj(a), d.ident(f.on_obj(a)),
                          f.on_mor(h))
 
-    # triangle for up: p in D(Fa, b): route through unit then counit
     for a in c.objects:
-        rep = unit(c.ident(a), a, a)
-        b0, x0, y0 = rep  # some representative of the unit class at a
+        _, x0, y0 = unit(c.ident(a), a, a)  # a representative of the unit
         for b in d.objects:
+            # triangle for up, p in D(Fa, b): [x0, [y0, p]] evaluates the
+            # counit on [y0, p], then the right unit isomorphism
             for p in up.elements(a, b):
-                # [x0, [y0, p]]: evaluate the counit on [y0, p], then the
-                # right unit isomorphism
-                t1 = d.then(x0, d.then(y0, p))
-                if t1 != p:
+                if d.then(x0, d.then(y0, p)) != p:
                     out.append(f"up-triangle fails at {(a, b, p)!r}")
-    # triangle for down: q in D(b, Fa)
-    for a in c.objects:
-        rep = unit(c.ident(a), a, a)
-        b0, x0, y0 = rep
-        for b in d.objects:
+            # triangle for down, q in D(b, Fa)
             for q in down.elements(b, a):
-                t2 = d.then(d.then(q, x0), y0)
-                if t2 != q:
+                if d.then(d.then(q, x0), y0) != q:
                     out.append(f"down-triangle fails at {(b, a, q)!r}")
     return out
 

@@ -1148,13 +1148,10 @@ class RuleEngine:
                         continue
                     ck = (cell.content, eq.name, orientation)
                     if ck not in self._memo:
-                        self._memo[ck] = (
-                            internal.rewrite_occurrences(cell.content, lhs,
-                                                         rhs, sig),
-                            internal.orderings_complete(cell.content.slices,
-                                                        sig))
-                    results, complete = self._memo[ck]
-                    exhaustive = exhaustive and complete
+                        self._memo[ck] = internal.rewrite_occurrences(
+                            cell.content, lhs, rhs, sig)
+                    results = self._memo[ck]
+                    exhaustive = exhaustive and results.complete
                     for res in results:
                         out.append(Match(self._rule("E", cell.layer, eq.name),
                                          orientation, (ci,), (), (), key,

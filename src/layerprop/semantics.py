@@ -3,11 +3,12 @@
 A model binds each layer to a finite strict monoidal category, each object
 symbol to an object, each morphism generator to a morphism, and each
 translation functor to a finite monoidal functor.  Interpretation slices
-the canonical diagram into sequential layers of parallel cells (inserting
-sheet swaps where the wiring crosses).  Every slice is representable, a
-pointed hom_M(F-, G-) with F the up and G the down part, so the fold
-reindexes by co-Yoneda and takes a coend quotient only where a down piece
-meets an up piece.
+the canonical diagram into sequential layers of parallel cells, or a
+permutation of the sheets where the wiring crosses.  Each cell has one
+piece, a pointed hom_M(F-, G-) with F the up and G the down part; only a
+permutation P reads two ways, up(P) or down(P^-1).  So every slice is
+representable, and the fold reindexes by co-Yoneda and takes a coend
+quotient only where a down piece meets an up piece.
 
 Rule verification searches for a point-preserving natural transformation
 between the two interpreted sides; for the invertible families it must be
@@ -19,7 +20,6 @@ distinguished point.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,8 +30,9 @@ from .diagram import (Cap, Cell, Coarsen, Copants, Cup, Diagram,
 from .errors import BoundaryMismatch, ModelIncomplete
 from .internal import InternalDiagram, Word
 from .profunctor import (ComposedProfunctor, FinCategory, FinFunctor,
-                         FinMonoidalCategory, PointedProfunctor, Profunctor,
-                         hom_profunctor, product_category, reindex)
+                         FinMonoidalCategory, Functor, PointedProfunctor,
+                         Profunctor, hom_profunctor, product_category,
+                         reindex)
 from .rewrite import RewriteRule
 from .theory import SystemOfLayers
 
@@ -83,9 +84,15 @@ class FinOmegaSystem:
         return self.functors[(source, target)]
 
     def validate(self) -> list[str]:
-        """Structural agreement between the model and the presentation
-        (categories and functors themselves are validated separately)."""
+        """The category and functor laws, then, once they hold, the
+        agreement between the model and the presentation."""
         out: list[str] = []
+        for cat in self.categories.values():
+            out += cat.validate_monoidal()
+        for f in self.functors.values():
+            out += f.validate()
+        if out:  # the bindings are checked by evaluating in the model
+            return out
         for name, lay in self.system.layers.items():
             if name not in self.categories:
                 out.append(f"layer {name!r} unbound")
@@ -133,24 +140,13 @@ class FinOmegaSystem:
 # -- interpretation ----------------------------------------------------------
 
 
-class _Functor:
-    """A functor between product categories whose images are computed on
-    demand and memoised, so that a product or a composite of functors never
-    tabulates its source."""
-
-    def __init__(self, source: FinCategory, target: FinCategory,
-                 on_obj: Callable, on_mor: Callable):
-        self.source, self.target = source, target
-        self.on_obj = functools.cache(on_obj)
-        self.on_mor = functools.cache(on_mor)
-
-
 def _compose(f, g):
     """f then g; None stands for an identity."""
     if f is None or g is None:
         return g if f is None else f
-    return _Functor(f.source, g.target, lambda a: g.on_obj(f.on_obj(a)),
-                    lambda m: g.on_mor(f.on_mor(m)))
+    return Functor(f"{f.name};{g.name}", f.source, g.target,
+                   lambda a: g.on_obj(f.on_obj(a)),
+                   lambda m: g.on_mor(f.on_mor(m)))
 
 
 def _flat_product(fs: list, widths: list[int], source: FinCategory,
@@ -174,16 +170,16 @@ def _flat_product(fs: list, widths: list[int], source: FinCategory,
             return out + x[last:]
         return apply
 
-    return _Functor(source, target, split_apply("on_obj"),
-                    split_apply("on_mor"))
+    return Functor("x".join(f.name for f, _, _ in spans), source, target,
+                   split_apply("on_obj"), split_apply("on_mor"))
 
 
 @dataclass(frozen=True)
 class _Piece:
     """hom_M(F-, G-) from ``src`` to ``tgt`` pointed in hom_M(F a, G b),
     for F: src -> M and G: tgt -> M (None: an identity).  A wire or box is
-    (id, id), an up piece (pants, cup, refine, sheet symmetry) is (F, id),
-    a down piece (copants, cap, coarsen) is (id, G)."""
+    (id, id), an up piece (pants, cup, refine, permutation) is (F, id), a
+    down piece (copants, cap, coarsen, inverse permutation) is (id, G)."""
 
     f: object
     g: object
@@ -198,106 +194,111 @@ class _Piece:
         return self.src if self.f is None else self.f.target
 
 
-def _up(f: _Functor, a) -> _Piece:
+def _up(f: Functor, a) -> _Piece:
     """up(F) pointed at the identity of F a."""
     b = f.on_obj(a)
     return _Piece(f, None, f.source, f.target, a, b, f.target.ident(b))
 
 
-def _down(f: _Functor, b) -> _Piece:
+def _down(f: Functor, b) -> _Piece:
     """down(F) pointed at the identity of F b."""
     a = f.on_obj(b)
     return _Piece(None, f, f.target, f.source, a, b, f.target.ident(a))
 
 
-def _box_pieces(model: FinOmegaSystem, cell: InternalBox):
+def _box(model: FinOmegaSystem, cell: InternalBox) -> _Piece:
+    """hom of the box's sheet pointed at the box's morphism."""
     cat1 = product_category([model.category(cell.layer)])
-    piece = _Piece(None, None, cat1, cat1,
-                   (model.word_obj(cell.layer, cell.content.dom),),
-                   (model.word_obj(cell.layer, cell.content.cod),),
-                   (model.internal_morphism(cell.content),))
-    return piece, piece
+    content = cell.content
+    return _Piece(None, None, cat1, cat1,
+                  (model.word_obj(cell.layer, content.dom),),
+                  (model.word_obj(cell.layer, content.cod),),
+                  (model.internal_morphism(content),))
 
 
 def _tensor(model: FinOmegaSystem, cell: Pants | Copants):
     cat = model.category(cell.layer)
-    f = _Functor(product_category([cat, cat]), product_category([cat]),
-                 lambda ab: (cat.tensor_obj(*ab),),
-                 lambda mn: (cat.tensor_mor(*mn),))
+    f = Functor("tensor", product_category([cat, cat]),
+                product_category([cat]), lambda ab: (cat.tensor_obj(*ab),),
+                lambda mn: (cat.tensor_mor(*mn),))
     return f, (model.word_obj(cell.layer, cell.alpha),
                model.word_obj(cell.layer, cell.beta))
 
 
 def _unit(model: FinOmegaSystem, cell: Cup | Cap):
     cat = model.category(cell.layer)
-    f = _Functor(product_category([]), product_category([cat]),
-                 lambda _: (cat.unit,), lambda _: (cat.ident(cat.unit),))
-    return f, ()
+    return Functor("unit", product_category([]), product_category([cat]),
+                   lambda _: (cat.unit,), lambda _: (cat.ident(cat.unit),)), ()
 
 
 def _translation(model: FinOmegaSystem, cell: Refine | Coarsen):
     ff = model.functor(cell.source, cell.target)
-    f = _Functor(product_category([model.category(cell.source)]),
-                 product_category([model.category(cell.target)]),
-                 lambda x: (ff.on_obj(x[0]),), lambda m: (ff.on_mor(m[0]),))
+    f = Functor(ff.name, product_category([model.category(cell.source)]),
+                product_category([model.category(cell.target)]),
+                lambda x: (ff.on_obj(x[0]),), lambda m: (ff.on_mor(m[0]),))
     return f, (model.word_obj(cell.source, cell.word),)
 
 
-def _sym_pieces(model: FinOmegaSystem, cell: SheetSym):
-    c1, c2 = model.category(cell.layer1), model.category(cell.layer2)
-    src, tgt = product_category([c1, c2]), product_category([c2, c1])
-    a = (model.word_obj(cell.layer1, cell.alpha),
-         model.word_obj(cell.layer2, cell.beta))
-    return (_up(_Functor(src, tgt, _swap, _swap), a),
-            _down(_Functor(tgt, src, _swap, _swap), _swap(a)))
+def _perm(model: FinOmegaSystem, types: tuple, order: tuple,
+          down: bool = False) -> _Piece:
+    """up(P), or down(P^-1) if ``down``, for the permutation P of the
+    sheets ``types`` that moves the sheet at order[k] to place k."""
+    cats = [model.category(layer) for layer, _ in types]
+    a = tuple(model.word_obj(layer, word) for layer, word in types)
+    if down:   # P^-1 moves the sheet at place k back to order[k]
+        cats, a = [cats[i] for i in order], tuple(a[i] for i in order)
+        order = sorted(range(len(order)), key=order.__getitem__)
+
+    def permute(x):
+        return tuple(x[i] for i in order)
+    f = Functor("perm", product_category(cats),
+                product_category([cats[i] for i in order]), permute, permute)
+    return _down(f, a) if down else _up(f, a)
 
 
-def _read(direction, functor_at):
-    """A cell's pieces: ``direction`` (up or down) of a functor at objects,
-    both given by ``functor_at``."""
-    def pieces(model, cell):
-        piece = direction(*functor_at(model, cell))
-        return piece, piece
-    return pieces
-
-
-# each cell kind's pieces, read up and read down; they differ only for a
-# sheet symmetry, which is up(swap) and down(swap^-1)
+# each cell kind's piece; canonical diagrams hold no sheet symmetry, whose
+# piece is the permutation of its two sheets read up
 _PIECES = {
-    InternalBox: _box_pieces, SheetSym: _sym_pieces,
-    Pants: _read(_up, _tensor), Copants: _read(_down, _tensor),
-    Cup: _read(_up, _unit), Cap: _read(_down, _unit),
-    Refine: _read(_up, _translation), Coarsen: _read(_down, _translation),
+    InternalBox: _box,
+    SheetSym: lambda model, cell: _perm(
+        model, ((cell.layer1, cell.alpha), (cell.layer2, cell.beta)),
+        (1, 0)),
+    Pants: lambda model, cell: _up(*_tensor(model, cell)),
+    Copants: lambda model, cell: _down(*_tensor(model, cell)),
+    Cup: lambda model, cell: _up(*_unit(model, cell)),
+    Cap: lambda model, cell: _down(*_unit(model, cell)),
+    Refine: lambda model, cell: _up(*_translation(model, cell)),
+    Coarsen: lambda model, cell: _down(*_translation(model, cell)),
 }
 
 
-def _cell_pieces(model: FinOmegaSystem, cell: Cell) -> tuple[_Piece, _Piece]:
-    """The cell's piece read up and read down."""
-    pieces = _PIECES.get(type(cell))
-    if pieces is None:
+def _cell_piece(model: FinOmegaSystem, cell: Cell) -> _Piece:
+    piece = _PIECES.get(type(cell))
+    if piece is None:
         raise ModelIncomplete(f"cell {cell!r} has no interpretation")
-    return pieces(model, cell)
+    return piece(model, cell)
 
 
-def _swap(pair: tuple) -> tuple:
-    return pair[::-1]
+def _item_piece(model: FinOmegaSystem, item: tuple, down: bool) -> _Piece:
+    kind, *payload = item
+    if kind == "cell":
+        return _cell_piece(model, *payload)
+    if kind == "perm":
+        return _perm(model, *payload, down)
+    (layer, word), = payload   # a wire is the identity box of its sheet
+    return _box(model, InternalBox(layer, InternalDiagram(layer, word, word)))
 
 
-def _slice_piece(model: FinOmegaSystem, items, down: int) -> _Piece:
-    """The flat product of a slice's pieces, sheet symmetries read up
-    (``down`` 0) or down (1)."""
+def _slice_piece(model: FinOmegaSystem, items: list, down: bool) -> _Piece:
+    """The flat product of a slice's pieces, a permutation read up or, if
+    ``down``, down."""
     parts = []
-    for kind, payload in items:
-        if kind == "cell":
-            if ("cell", payload) not in model._cache:
-                model._cache["cell", payload] = _cell_pieces(model, payload)
-            parts.append(model._cache["cell", payload][down])
-            continue
-        layer, word = payload
-        cat1 = product_category([model.category(layer)])
-        obj = (model.word_obj(layer, word),)
-        parts.append(_Piece(None, None, cat1, cat1, obj, obj,
-                            cat1.ident(obj)))
+    for item in items:
+        key = item, down and item[0] == "perm"
+        piece = model._cache.get(key)
+        if piece is None:
+            piece = model._cache[key] = _item_piece(model, item, down)
+        parts.append(piece)
     if len(parts) == 1:
         return parts[0]
 
@@ -318,9 +319,10 @@ def _slice_piece(model: FinOmegaSystem, items, down: int) -> _Piece:
 def layered_slices(d: Diagram) -> list[list]:
     """Cut the canonical diagram into sequential slices.
 
-    Each slice is a list of items, either ("cell", cell) or
-    ("wire", sheet_type); synthetic sheet symmetries are inserted to bring
-    a cell's inputs adjacent and to realize the output boundary order.
+    Each slice is a list of items, ("cell", cell) or ("wire", sheet_type),
+    or the single item ("perm", sheet_types, order), which moves the sheet at
+    order[k] to place k: one brings a cell's inputs adjacent where they are
+    apart, and one realizes the output boundary order.
     """
     c = canonicalize(d).diagram
     by_src = {w.src: wi for wi, w in enumerate(c.wires)}
@@ -331,54 +333,34 @@ def layered_slices(d: Diagram) -> list[list]:
     def wire_type(wi):
         return c.wires[wi].type
 
-    def emit_swap(i):
-        t1, t2 = wire_type(frontier[i]), wire_type(frontier[i + 1])
-        items = [("wire", wire_type(w)) for w in frontier[:i]]
-        items.append(("cell", SheetSym(t1[0], t1[1], t2[0], t2[1])))
-        items.extend(("wire", wire_type(w)) for w in frontier[i + 2:])
-        slices.append(items)
-        frontier[i], frontier[i + 1] = frontier[i + 1], frontier[i]
+    def reorder(wires):
+        if wires != frontier:
+            slices.append([("perm", tuple(map(wire_type, frontier)),
+                            tuple(map(frontier.index, wires)))])
+            frontier[:] = wires
 
     remaining = set(range(len(c.cells)))
     while remaining:
-        ready = None
         for ci in sorted(remaining):
             ins = [by_dst[("in", ci, pi)]
                    for pi in range(c.cells[ci].ports[0])]
             if all(wi in frontier for wi in ins):
-                ready = (ci, ins)
                 break
-        assert ready is not None, "acyclic diagram must have a ready cell"
-        ci, ins = ready
-        if ins:
-            target = min(frontier.index(wi) for wi in ins)
-            for k, wi in enumerate(ins):
-                pos = frontier.index(wi)
-                while pos > target + k:
-                    emit_swap(pos - 1)
-                    pos -= 1
-                while pos < target + k:
-                    emit_swap(pos)
-                    pos += 1
         else:
-            target = len(frontier)
+            raise AssertionError("acyclic diagram must have a ready cell")
+        target = min(map(frontier.index, ins), default=len(frontier))
+        reorder(frontier[:target] + ins
+                + [wi for wi in frontier[target:] if wi not in ins])
         cell = c.cells[ci]
-        items = [("wire", wire_type(w)) for w in frontier[:target]]
-        items.append(("cell", cell))
-        items.extend(("wire", wire_type(w))
-                     for w in frontier[target + len(ins):])
+        items = [("wire", wire_type(w)) for w in frontier]
+        items[target:target + len(ins)] = [("cell", cell)]
         slices.append(items)
         outs = [by_src[("out", ci, pi)] for pi in range(cell.ports[1])]
         frontier[target:target + len(ins)] = outs
         remaining.discard(ci)
-    # realize the output boundary ordering
     want = [by_dst[("cod", k)] for k in range(len(c.cod))]
-    for k, wi in enumerate(want):
-        pos = frontier.index(wi)
-        while pos > k:
-            emit_swap(pos - 1)
-            pos -= 1
-    assert frontier == want
+    assert sorted(frontier) == sorted(want)
+    reorder(want)
     return slices
 
 
@@ -426,19 +408,21 @@ def _image(f, a):
 def _read_side(model: FinOmegaSystem, d: Diagram, evaluate: bool
                ) -> tuple[PointedProfunctor, list[tuple]]:
     """The pointed profunctor of a diagram and, if ``evaluate``, its side
-    evaluations, from one slicing and one fold of the up reading; the down
-    reading is folded only when none of its pieces has an up functor."""
+    evaluations, from one slicing and one fold of the up reading.  Only a
+    permutation reads differently down, so the down reading is folded only
+    when the slicing holds one and none of its pieces has an up functor."""
     c = canonicalize(d).diagram
     slices = layered_slices(c)
-    up = [_slice_piece(model, items, 0) for items in slices]
+    up = [_slice_piece(model, items, False) for items in slices]
     prof, s = _fold(model, c, up)
     evaluations: list[tuple] = []
-    for down in (0, 1) if evaluate else ():
-        pieces = [_slice_piece(model, items, 1) for items in slices] \
-            if down else up
+    for down in (False, True) if evaluate else ():
+        pieces = up
+        if down and any(items[0][0] == "perm" for items in slices):
+            pieces = [_slice_piece(model, items, True) for items in slices]
         if any((p.f if down else p.g) is not None for p in pieces):
             continue
-        e = _fold(model, c, pieces)[1] if down else s
+        e = s if pieces is up else _fold(model, c, pieces)[1]
         functor, cat = (e.g, e.tgt) if down else (e.f, e.src)
         objs, gens = cat.objects, cat.generators()
         if functor is not None:

@@ -536,10 +536,10 @@ def test_cell_kind_table():
         back = jsonio._cell_from_json(model.system, payload)
         assert back == cell and back.label() == label
         assert dg._node_text(cell) == text
-        up, down = sm._cell_pieces(model, cell)
-        assert (up == down) == (kind is not dg.SheetSym)
+        piece = sm._cell_piece(model, cell)
+        assert (len(piece.a), len(piece.b)) == kind.ports
     with pytest.raises(ModelIncomplete):
-        sm._cell_pieces(model, object())
+        sm._cell_piece(model, object())
 
 
 def _sexp(value) -> str:

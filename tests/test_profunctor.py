@@ -40,7 +40,7 @@ def test_broken_action_detected(z3):
     broken = pf.Profunctor(
         "broken", z3, z3, hom._elements,
         lambda g, x, a, b: "1" if (g, x) == ("1", "1") else z3.then(g, x),
-        hom._ract)
+        hom.ract)
     report = pf.validate_profunctor(broken)
     assert any("left" in line for line in report)
 

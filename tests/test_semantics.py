@@ -1,6 +1,7 @@
 """Interpretation into pointed profunctors and rule verification."""
 
 import gc
+import hashlib
 import random
 import weakref
 
@@ -13,7 +14,8 @@ from layerprop import rewrite as rw
 from layerprop import semantics as sm
 from layerprop.errors import ModelIncomplete
 from layerprop.internal import InternalDiagram
-from layerprop.theory import sheet, validate_system
+from layerprop.theory import (LayerPresentation, MorphismGen, SystemOfLayers,
+                              TranslationFunctor, sheet, validate_system)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,27 @@ def test_sheet_symmetry_interprets(meet_model):
     assert out.tgt_obj == ("q", "lo")
 
 
+def test_cyclic_permutation_reads_both_ways(meet_model):
+    # lo, q, hi to q, hi, lo is one permutation P of the sheets, read up as
+    # P and down as P^-1
+    sys_ = meet_model.system
+    d = dg.seq_compose(
+        dg.par_tensor(dg.sheet_sym(sys_, "Ar", ("lo",), "Sq", ("q",)),
+                      dg.identity(sys_, sheet("Ar", ("hi",)))),
+        dg.par_tensor(dg.identity(sys_, sheet("Sq", ("q",))),
+                      dg.sheet_sym(sys_, "Ar", ("lo",), "Ar", ("hi",))))
+    assert [[item[0] for item in items]
+            for items in sm.layered_slices(d)] == [["perm"]]
+    ar, sq = meet_model.category("Ar"), meet_model.category("Sq")
+    src = pf.product_category([ar, sq, ar]).objects
+    tgt = pf.product_category([sq, ar, ar]).objects
+    up, down = sm.side_evaluation(meet_model, d)
+    assert up[0] == "up" and up[1] == tuple((x, y, z) for z, x, y in src)
+    assert down[0] == "down" and down[1] == tuple((z, x, y)
+                                                  for x, y, z in tgt)
+    assert up[3:5] == down[3:5] == (("lo", "q", "hi"), ("q", "hi", "lo"))
+
+
 def test_side_evaluation_agrees_for_f1(monoid_model):
     sys_ = monoid_model.system
     engine = rw.RuleEngine(sys_)
@@ -163,6 +186,42 @@ def test_deliberately_wrong_rule_fails(monoid_model):
     assert not sm.verify_rule_semantics(bogus, monoid_model)
 
 
+def _identifying_model():
+    """Ar translated into a Sq with the one object p: lo and hi both go to
+    p and up to p's identity."""
+    upper = LayerPresentation("Ar", ("lo", "hi"),
+                              (MorphismGen("up", ("lo",), ("hi",)),))
+    lower = LayerPresentation("Sq", ("p",))
+    f = TranslationFunctor(
+        "Ar", "Sq", (("lo", ("p",)), ("hi", ("p",))),
+        (("up", InternalDiagram("Sq", ("p",), ("p",), ())),))
+    ca = models.arrow_meet_category()
+    cs = models._poset_category("Sq", ["p"], {("p", "p")}, {("p", "p"): "p"})
+    return sm.FinOmegaSystem(
+        SystemOfLayers([upper, lower], [f], order=[("Sq", "Ar")]),
+        {"Ar": ca, "Sq": cs},
+        {("Ar", "lo"): "lo", ("Ar", "hi"): "hi", ("Sq", "p"): "p"},
+        {("Ar", "up"): "lo<hi"},
+        {("Ar", "Sq"): pf.FinFunctor("identify", ca, cs,
+                                     {"lo": "p", "hi": "p"},
+                                     {m: "p<p" for m in ca.morphisms})})
+
+
+def test_rule_without_a_pointed_two_cell_fails():
+    # the window on lo has an element over (hi, lo), where lo's identity has
+    # none, so no 2-cell takes the window to the identity; the reverse rule,
+    # the window's unit, has one
+    model = _identifying_model()
+    assert validate_system(model.system).ok and model.validate() == []
+    ident = dg.identity(model.system, sheet("Ar", ("lo",)))
+    window = dg.seq_compose(dg.refine(model.system, "Ar", "Sq", ("lo",)),
+                            dg.coarsen(model.system, "Ar", "Sq", ("lo",)))
+    collapse = rw.RewriteRule("collapse", "A", window, ident, False)
+    assert not sm.verify_rule_semantics(collapse, model)
+    unit = rw.RewriteRule("unit", "A", ident, window, False)
+    assert sm.verify_rule_semantics(unit, model)
+
+
 def test_rule_verification_slices_each_side_once(monoid_model, monkeypatch):
     # interpretation and side evaluation share one slicing and one up fold
     engine = rw.RuleEngine(monoid_model.system)
@@ -181,6 +240,28 @@ def test_e_rule_soundness_check(monoid_model):
     engine = rw.RuleEngine(monoid_model.system)
     good = engine.rule_instance("E", "MU", "m1m2_id")
     assert sm.verify_rule_semantics(good, monoid_model)
+
+
+CRITERION_4_DIGEST = ("f8b930dd41a30d284aa99ed228559ee2"
+                      "e1235f7ca4d2a19168b56e005e53769a")
+
+
+def test_criterion_4_verdicts_pinned(monoid_model, meet_model):
+    # the verdict and the side evaluations (direction, object and generator
+    # images, boundaries, point) of every instance of the criterion-4 pools
+    entries = []
+    for model, words in (
+            (monoid_model, {"MU": [(), ("u",), ("u", "u")],
+                            "ML": [(), ("v",)]}),
+            (meet_model, {"Ar": [(), ("lo",), ("hi",)],
+                          "Sq": [(), ("q",), ("r",), ("q", "r")]})):
+        for rule in rw.sample_instances(rw.RuleEngine(model.system), words):
+            entries.append((rule.name, sm.verify_rule_semantics(rule, model),
+                            sm.side_evaluation(model, rule.lhs),
+                            sm.side_evaluation(model, rule.rhs)))
+    assert len(entries) == 513
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == CRITERION_4_DIGEST
 
 
 # -- the coend fold as a reference --------------------------------------------
@@ -219,8 +300,8 @@ def _product(pp, qq):
 
 def reference_interpret(model, d):
     """Interpretation by explicit coend quotients: each slice is the product
-    of its wires' homs and its cells' embeddings (sheet symmetries up), and
-    point_compose folds the slices."""
+    of its wires' homs and its cells' embeddings, or the embedding of its
+    permutation read up, and point_compose folds the slices."""
     c = dg.canonicalize(d).diagram
 
     def hom_at(layer, word):
@@ -229,17 +310,13 @@ def reference_interpret(model, d):
         return pf.PointedProfunctor(pf.hom_profunctor(cat1), obj, obj,
                                     cat1.ident(obj))
 
-    def table(f):
-        return pf.FinFunctor("f", f.source, f.target,
-                             {a: f.on_obj(a) for a in f.source.objects},
-                             {m: f.on_mor(m) for m in f.source.morphisms})
-
-    def part(kind, payload):
+    def part(kind, *payload):
         if kind == "wire":
-            return hom_at(*payload)
-        piece = sm._cell_pieces(model, payload)[0]
-        prof = (pf.embed(table(piece.f), "up") if piece.f is not None else
-                pf.embed(table(piece.g), "down") if piece.g is not None
+            return hom_at(*payload[0])
+        piece = (sm._perm(model, *payload) if kind == "perm"
+                 else sm._cell_piece(model, *payload))
+        prof = (pf.embed(piece.f, "up") if piece.f is not None else
+                pf.embed(piece.g, "down") if piece.g is not None
                 else pf.hom_profunctor(piece.src))
         return pf.PointedProfunctor(prof, piece.a, piece.b, piece.point)
 
