@@ -434,7 +434,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--max-word", type=int, default=2)
     p.add_argument("--cap", type=int, default=1_000_000,
-                   help="natural transformation search cap")
+                   help="cap on the A family's natural transformation search")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_semantics_verify)
 

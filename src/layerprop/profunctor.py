@@ -803,14 +803,12 @@ def nat_trans_search(p: Profunctor, q: Profunctor,
     if space > cap:
         raise SearchTooLarge(f"component search space exceeds {cap}")
 
-    def rec(i: int) -> bool:
-        if i == len(keys):
-            return True
-        key = keys[i]
-        a, b, x = key
-        if key in assignment:
-            return rec(i + 1)
-        for y in q.elements(a, b):
+    def choose(key, options) -> list | None:
+        """Assign the key the first of ``options`` that propagates (and
+        keeps the touched components injective under ``iso``); the keys
+        that choice added, or None when no option is left."""
+        a, b, _ = key
+        for y in options:
             assignment[key] = y
             added = propagate([(key, y)])
             ok = added is not None
@@ -818,16 +816,34 @@ def nat_trans_search(p: Profunctor, q: Profunctor,
                 # only the components this assignment touched can collide
                 touched = {(a, b)} | {(k[0], k[1]) for k in added}
                 ok = all(injective_ok(a2, b2) for a2, b2 in touched)
-            if ok and rec(i + 1):
-                return True
+            if ok:
+                return added
             if added is not None:
                 undo(added)
             del assignment[key]
-        return False
+        return None
 
-    if rec(0):
-        return dict(assignment)
-    return None
+    # depth-first over the unassigned keys in order, one frame per choice:
+    # (key index, the options left, the keys the current option added)
+    frames: list = []
+    i = 0
+    while True:
+        while i < len(keys) and keys[i] in assignment:
+            i += 1
+        if i == len(keys):
+            return dict(assignment)
+        a, b, _ = keys[i]
+        options = iter(q.elements(a, b))
+        added = choose(keys[i], options)
+        while added is None:   # backtrack to the latest choice left open
+            if not frames:
+                return None
+            i, options, added = frames.pop()
+            undo(added)
+            del assignment[keys[i]]
+            added = choose(keys[i], options)
+        frames.append((i, options, added))
+        i += 1
 
 
 def pointed_two_cell(pp: PointedProfunctor, qq: PointedProfunctor,

@@ -10,12 +10,20 @@ permutation P reads two ways, up(P) or down(P^-1).  So every slice is
 representable, and the fold reindexes by co-Yoneda and takes a coend
 quotient only where a down piece meets an up piece.
 
-Rule verification searches for a point-preserving natural transformation
-between the two interpreted sides; for the invertible families it must be
-an isomorphism, and for sides built purely from covariant (or purely
-contravariant) embeddings the same walk evaluates each side down to a
-single functor, which must agree on objects, on generators and on the
-distinguished point.
+Rule verification follows the family.  An E rule holds when both sides of
+its equation denote one morphism.  An F or M (sliding) rule holds when its
+sides have a common side evaluation: a side built purely of up pieces folds
+to hom_M(F-, -) with no coend, and its up evaluation is F on the objects
+and generators of the source boundary, with the boundaries and the point.
+By Yoneda, Nat(up F, up F') = Nat(F', F) (Loregian, *(Co)end Calculus*,
+arXiv:1501.02503, section 2), so two sides that evaluate up alike carry the
+identity as a pointed natural isomorphism, and no search is needed; down
+evaluations, hom_M(-, G-), are dual, and a side holding a permutation is
+pointed-isomorphic to its down reading through up(P) = down(P^-1).  An A
+rule holds when a point-preserving natural transformation, an isomorphism
+for invertible rules, takes the interpreted left side to the right one;
+that search (``profunctor.pointed_two_cell``) runs element by element and
+is the only one ``cap`` bounds.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .profunctor import (ComposedProfunctor, FinCategory, FinFunctor,
                          Profunctor, hom_profunctor, product_category,
                          reindex)
 from .rewrite import RewriteRule
-from .theory import SystemOfLayers
+from .theory import OmegaType, SystemOfLayers
 
 
 @dataclass
@@ -364,16 +372,16 @@ def layered_slices(d: Diagram) -> list[list]:
     return slices
 
 
-def _fold(model: FinOmegaSystem, c: Diagram, pieces: list[_Piece]
+def _fold(model: FinOmegaSystem, dom: OmegaType, pieces: list[_Piece]
           ) -> tuple[Profunctor, _Piece]:
-    """Compose the slices' pieces left to right into P(F-, G-), returned
-    as P and the accumulated F, G, boundaries and point.  By co-Yoneda a
-    step only reindexes, up(F) ; Q = Q(F-, -) while the chain so far is
-    hom(F-, -) and P ; down(G) = P(-, G-), except where a down piece meets
-    an up piece: there it takes a coend."""
-    entries = c.dom.entries
-    src = product_category([model.category(layer) for layer, _ in entries])
-    a0 = tuple(model.word_obj(layer, w) for layer, w in entries)
+    """Compose the slices' pieces left to right, from the boundary ``dom``,
+    into P(F-, G-), returned as P and the accumulated F, G, boundaries and
+    point.  By co-Yoneda a step only reindexes, up(F) ; Q = Q(F-, -) while
+    the chain so far is hom(F-, -) and P ; down(G) = P(-, G-), except where
+    a down piece meets an up piece: there it takes a coend."""
+    src = product_category([model.category(layer) for layer, _ in
+                            dom.entries])
+    a0 = tuple(model.word_obj(layer, w) for layer, w in dom.entries)
     prof: Profunctor = hom_profunctor(src)
     f = g = None
     tgt, b, point = src, a0, src.ident(a0)
@@ -405,38 +413,14 @@ def _image(f, a):
     return a if f is None else f.on_obj(a)
 
 
-def _read_side(model: FinOmegaSystem, d: Diagram, evaluate: bool
-               ) -> tuple[PointedProfunctor, list[tuple]]:
-    """The pointed profunctor of a diagram and, if ``evaluate``, its side
-    evaluations, from one slicing and one fold of the up reading.  Only a
-    permutation reads differently down, so the down reading is folded only
-    when the slicing holds one and none of its pieces has an up functor."""
-    c = canonicalize(d).diagram
-    slices = layered_slices(c)
-    up = [_slice_piece(model, items, False) for items in slices]
-    prof, s = _fold(model, c, up)
-    evaluations: list[tuple] = []
-    for down in (False, True) if evaluate else ():
-        pieces = up
-        if down and any(items[0][0] == "perm" for items in slices):
-            pieces = [_slice_piece(model, items, True) for items in slices]
-        if any((p.f if down else p.g) is not None for p in pieces):
-            continue
-        e = s if pieces is up else _fold(model, c, pieces)[1]
-        functor, cat = (e.g, e.tgt) if down else (e.f, e.src)
-        objs, gens = cat.objects, cat.generators()
-        if functor is not None:
-            objs = tuple(map(functor.on_obj, objs))
-            gens = tuple(map(functor.on_mor, gens))
-        evaluations.append((("up", "down")[down], objs, gens, e.a, e.b,
-                            e.point))
-    return PointedProfunctor(reindex(prof, s.f, s.g, s.src, s.tgt), s.a, s.b,
-                             s.point), evaluations
-
-
 def interpret(model: FinOmegaSystem, d: Diagram) -> PointedProfunctor:
-    """Structural evaluation of a diagram into a pointed profunctor."""
-    return _read_side(model, d, False)[0]
+    """Structural evaluation of a diagram into a pointed profunctor: the
+    fold of its slices read up."""
+    pieces = [_slice_piece(model, items, False)
+              for items in layered_slices(d)]
+    prof, s = _fold(model, d.dom, pieces)
+    return PointedProfunctor(reindex(prof, s.f, s.g, s.src, s.tgt), s.a, s.b,
+                             s.point)
 
 
 def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
@@ -445,10 +429,34 @@ def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
 
     Returns one (direction, object images, generator images, src_obj,
     tgt_obj, point) tuple per available direction, none when the diagram
-    mixes directions.  The functor maps the source (up) or the target
-    (down) boundary; the images of its objects and generators fix it.
+    mixes directions.  The up evaluation exists when no slice read up has a
+    down part, so the side folds to hom_M(F-, -) with no coend; the down
+    evaluation when no slice read down has an up part, so it folds to
+    hom_M(-, G-).  The functor F maps the source boundary, G the target
+    one; the images of its objects and generators fix it.  Only a
+    permutation reads differently down, so the down reading is sliced into
+    pieces of its own only when the slicing holds one.
     """
-    return _read_side(model, d, True)[1]
+    slices = layered_slices(d)
+    up = [_slice_piece(model, items, False) for items in slices]
+    down = up
+    if any(items[0][0] == "perm" for items in slices):
+        down = [_slice_piece(model, items, True) for items in slices]
+    evaluations: list[tuple] = []
+    e = None
+    for direction, pieces in (("up", up), ("down", down)):
+        if any((p.g if direction == "up" else p.f) is not None
+               for p in pieces):
+            continue
+        if e is None or pieces is not up:   # the up fold serves both
+            e = _fold(model, d.dom, pieces)[1]
+        functor, cat = (e.f, e.src) if direction == "up" else (e.g, e.tgt)
+        objs, gens = cat.objects, cat.generators()
+        if functor is not None:
+            objs = tuple(map(functor.on_obj, objs))
+            gens = tuple(map(functor.on_mor, gens))
+        evaluations.append((direction, objs, gens, e.a, e.b, e.point))
+    return evaluations
 
 
 # -- rule verification -------------------------------------------------------
@@ -456,9 +464,20 @@ def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
 
 def verify_rule_semantics(rule: RewriteRule, model: FinOmegaSystem,
                           cap: int = 1_000_000) -> bool:
-    """A pointed 2-cell exists from the interpreted left side to the
-    interpreted right side (an isomorphism for invertible rules), and for
-    sliding/coherence rules the canonical evaluation witnesses agree."""
+    """Whether the rule holds in the model.
+
+    E: both sides of the equation denote one morphism.  F and M (the
+    sliding rules): the two sides have a common side evaluation.  This is
+    the whole check, by Yoneda, Nat(up F, up F') = Nat(F', F): two sides
+    that evaluate up alike are both hom_M(F-, -) with the same F on objects
+    and generators, the same boundaries and the same point, so the
+    identity is a pointed natural isomorphism between them; down is dual,
+    and a side holding a permutation P is pointed-isomorphic to its down
+    reading through up(P) = down(P^-1).  Sides with no common evaluation
+    fail.  A: a pointed 2-cell, an isomorphism for invertible rules, from
+    the interpreted left side to the interpreted right side, searched
+    element by element; ``cap`` bounds that search only.
+    """
     if rule.name.startswith("A3c["):
         raise ModelIncomplete(
             "window-collapse rules are excluded from semantic verification")
@@ -468,11 +487,10 @@ def verify_rule_semantics(rule: RewriteRule, model: FinOmegaSystem,
         eq = {e.name: e for e in model.system.layer(layer).equations}[eq_name]
         return (model.internal_morphism(eq.lhs)
                 == model.internal_morphism(eq.rhs))
-    sliding = rule.family in ("F", "M")
-    left, ev_l = _read_side(model, rule.lhs, sliding)
-    right, ev_r = _read_side(model, rule.rhs, sliding)
-    two_cell = pf.pointed_two_cell(left, right, iso=rule.bidirectional,
-                                   cap=cap)
-    if two_cell is None:
-        return False
-    return not sliding or any(l == r for l in ev_l for r in ev_r)
+    if rule.family in ("F", "M"):
+        ev_l = side_evaluation(model, rule.lhs)
+        ev_r = side_evaluation(model, rule.rhs)
+        return any(l == r for l in ev_l for r in ev_r)
+    return pf.pointed_two_cell(interpret(model, rule.lhs),
+                               interpret(model, rule.rhs),
+                               iso=rule.bidirectional, cap=cap) is not None

@@ -182,6 +182,17 @@ def test_nat_iso_self(square):
         assert key[2] == val  # the first iso found is the identity
 
 
+def test_nat_search_keys_past_the_recursion_limit(square):
+    # a boundary of four squares has 6561 morphisms, one key each; the
+    # search walks them with an explicit stack, not a call per key
+    c = pf.product_category([square] * 4)
+    assert len(c.morphisms) == 6561
+    pp = pf.pointed_hom(c, c.ident(c.objects[0]))
+    iso = pf.pointed_two_cell(pp, pp, iso=True)
+    assert iso is not None and len(iso) == 6561
+    assert all(key[2] == val for key, val in iso.items())
+
+
 def test_nat_iso_cardinality_prefilter(z3, arrow):
     hom_z = pf.hom_profunctor(z3)
     up = pf.embed(pf.FinFunctor(

@@ -175,15 +175,119 @@ def test_verify_rules_meet_model(meet_model):
     assert failures == []
 
 
-def test_deliberately_wrong_rule_fails(monoid_model):
-    sys_ = monoid_model.system
+def _wrong_rule(sys_):
+    """Pants against pants followed by a box on the merged sheet."""
     lhs = dg.pants(sys_, "MU", ("u",), ("u",))
     rhs = dg.seq_compose(
         dg.pants(sys_, "MU", ("u",), ("u",)),
         dg.box(sys_, InternalDiagram("MU", ("u", "u"), ("u", "u"),
                                      ((0, "m1"),))))
-    bogus = rw.RewriteRule("bogus", "M", lhs, rhs, True, ())
-    assert not sm.verify_rule_semantics(bogus, monoid_model)
+    return rw.RewriteRule("bogus", "M", lhs, rhs, True, ())
+
+
+def test_deliberately_wrong_rule_fails(monoid_model):
+    assert not sm.verify_rule_semantics(_wrong_rule(monoid_model.system),
+                                        monoid_model)
+
+
+CRITERION_4_WORDS = (
+    ("monoid_model", {"MU": [(), ("u",), ("u", "u")], "ML": [(), ("v",)]}),
+    ("meet_model", {"Ar": [(), ("lo",), ("hi",)],
+                    "Sq": [(), ("q",), ("r",), ("q", "r")]}))
+
+
+def _agree(model, rule) -> bool:
+    return any(l == r for l in sm.side_evaluation(model, rule.lhs)
+               for r in sm.side_evaluation(model, rule.rhs))
+
+
+def _searched(model, rule, iso: bool):
+    """The element search's pointed 2-cell between the interpreted sides."""
+    return pf.pointed_two_cell(sm.interpret(model, rule.lhs),
+                               sm.interpret(model, rule.rhs), iso=iso)
+
+
+@pytest.mark.parametrize("name, count", [("monoid_model", 130),
+                                         ("meet_model", 284)])
+def test_sliding_verdicts_match_the_element_search(name, count, request):
+    # the search, kept as an independent oracle: on every F and M instance
+    # (and the wrong rule) it finds a 2-cell fixing every element exactly
+    # when the side evaluations agree, and that agreement is the verdict
+    model = request.getfixturevalue(name)
+    words = dict(CRITERION_4_WORDS)[name]
+    rules = [r for r in rw.sample_instances(rw.RuleEngine(model.system),
+                                            words) if r.family in ("F", "M")]
+    assert len(rules) == count
+    if name == "monoid_model":
+        rules.append(_wrong_rule(model.system))
+    for rule in rules:
+        cell = _searched(model, rule, rule.bidirectional)
+        identity = cell is not None and all(
+            key[2] == val for key, val in cell.items())
+        agree = _agree(model, rule)
+        assert sm.verify_rule_semantics(rule, model) == agree == identity, \
+            rule.name
+
+
+def _counit_past_a_crossing(sys_, box: bool):
+    """The counit law M4l beside an ML sheet that crosses its output:
+    copants((), u) beside v, a sheet swap of u and v, then the cap, against
+    the swap alone, followed by an m1 box on u if ``box``."""
+    u, v = sheet("MU", ("u",)), sheet("ML", ("v",))
+    lhs = dg.seq_compose(
+        dg.seq_compose(
+            dg.par_tensor(dg.copants(sys_, "MU", (), ("u",)),
+                          dg.identity(sys_, v)),
+            dg.par_tensor(dg.identity(sys_, sheet("MU", ())),
+                          dg.sheet_sym(sys_, "MU", ("u",), "ML", ("v",)))),
+        dg.par_tensor(dg.par_tensor(dg.cap(sys_, "MU"), dg.identity(sys_, v)),
+                      dg.identity(sys_, u)))
+    rhs = dg.sheet_sym(sys_, "MU", ("u",), "ML", ("v",))
+    if box:
+        rhs = dg.seq_compose(rhs, dg.par_tensor(dg.identity(sys_, v), dg.box(
+            sys_, InternalDiagram("MU", ("u",), ("u",), ((0, "m1"),)))))
+    return rw.RewriteRule("M4l-crossed", "M", lhs, rhs, True, ())
+
+
+def test_down_only_side_with_a_permutation(monoid_model):
+    # the left side folds to hom(-, G-) only in its down reading, where the
+    # crossing is read as down(P^-1); the right side is the crossing alone
+    rule = _counit_past_a_crossing(monoid_model.system, False)
+    assert sm.layered_slices(rule.lhs)[-1][0][0] == "perm"
+    assert [e[0] for e in sm.side_evaluation(monoid_model, rule.lhs)] == [
+        "down"]
+    assert [e[0] for e in sm.side_evaluation(monoid_model, rule.rhs)] == [
+        "up", "down"]
+    assert sm.verify_rule_semantics(rule, monoid_model)
+    # the search finds a pointed isomorphism both ways
+    left = sm.interpret(monoid_model, rule.lhs)
+    right = sm.interpret(monoid_model, rule.rhs)
+    assert pf.pointed_two_cell(left, right, iso=True) is not None
+    assert pf.pointed_two_cell(right, left, iso=True) is not None
+    # a box on the right breaks the law; the search still finds a pointed
+    # iso (m1 is invertible), so the verdict rests on the evaluations, as
+    # the conjunction of the two did before
+    wrong = _counit_past_a_crossing(monoid_model.system, True)
+    assert _searched(monoid_model, wrong, True) is not None
+    assert not _agree(monoid_model, wrong)
+    assert not sm.verify_rule_semantics(wrong, monoid_model)
+
+
+def test_sliding_rules_run_no_element_search(monoid_model, monkeypatch):
+    calls = []
+    search = pf.nat_trans_search
+    monkeypatch.setattr(pf, "nat_trans_search",
+                        lambda *a, **k: calls.append(a) or search(*a, **k))
+    words = dict(CRITERION_4_WORDS)["monoid_model"]
+    rules = rw.sample_instances(rw.RuleEngine(monoid_model.system), words)
+    sliding = [r for r in rules if r.family in ("F", "M")]
+    assert sliding and all(sm.verify_rule_semantics(r, monoid_model)
+                           for r in sliding)
+    assert calls == []
+    # the counter sees the searches the A family still runs
+    assert sm.verify_rule_semantics(
+        next(r for r in rules if r.family == "A"), monoid_model)
+    assert len(calls) == 1
 
 
 def _identifying_model():
@@ -223,7 +327,7 @@ def test_rule_without_a_pointed_two_cell_fails():
 
 
 def test_rule_verification_slices_each_side_once(monoid_model, monkeypatch):
-    # interpretation and side evaluation share one slicing and one up fold
+    # the side evaluations slice each side once and interpret neither
     engine = rw.RuleEngine(monoid_model.system)
     rule = engine.rule_instance("F1", monoid_model.system.functor("MU", "ML"),
                                 InternalDiagram("MU", ("u",), ("u",),
