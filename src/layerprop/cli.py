@@ -13,6 +13,7 @@ profunctor semantics.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -207,14 +208,9 @@ def cmd_semantics_verify(args) -> int:
         _report(args, {"ok": False, "violations": problems},
                 ["model invalid:"] + [f"  {p}" for p in problems])
         return MALFORMED
-    words = {}
-    for name, lay in sys_.layers.items():
-        pool = [()]
-        pool += [(s,) for s in lay.gen_objects]
-        if args.max_word >= 2:
-            pool += [(s, t) for s in lay.gen_objects
-                     for t in lay.gen_objects]
-        words[name] = pool
+    words = {name: [w for n in range(args.max_word + 1)
+                    for w in itertools.product(lay.gen_objects, repeat=n)]
+             for name, lay in sys_.layers.items()}
     engine = rw.RuleEngine(sys_)
     rules = rw.sample_instances(engine, words)
     failures, undecided = [], []
@@ -432,7 +428,9 @@ def make_parser() -> argparse.ArgumentParser:
                        help="verify rule families over a finite model")
     p.add_argument("--system", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--max-word", type=int, default=2)
+    p.add_argument("--max-word", type=int, default=2,
+                   help="sample rule instances over every word of length 0 "
+                        "to MAX_WORD in each layer's generating objects")
     p.add_argument("--cap", type=int, default=1_000_000,
                    help="cap on the A family's natural transformation search")
     p.add_argument("--json", action="store_true")

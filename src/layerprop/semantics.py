@@ -15,15 +15,21 @@ its equation denote one morphism.  An F or M (sliding) rule holds when its
 sides have a common side evaluation: a side built purely of up pieces folds
 to hom_M(F-, -) with no coend, and its up evaluation is F on the objects
 and generators of the source boundary, with the boundaries and the point.
-By Yoneda, Nat(up F, up F') = Nat(F', F) (Loregian, *(Co)end Calculus*,
-arXiv:1501.02503, section 2), so two sides that evaluate up alike carry the
-identity as a pointed natural isomorphism, and no search is needed; down
-evaluations, hom_M(-, G-), are dual, and a side holding a permutation is
-pointed-isomorphic to its down reading through up(P) = down(P^-1).  An A
-rule holds when a point-preserving natural transformation, an isomorphism
-for invertible rules, takes the interpreted left side to the right one;
-that search (``profunctor.pointed_two_cell``) runs element by element and
-is the only one ``cap`` bounds.
+It is computed by pushing those objects and generators forward through the
+cells' pieces slice by slice, one column per boundary component, and
+carrying the point as F(point) ; p; a down evaluation pushes the target
+boundary backward through each G, carrying p ; G(point), which by
+functoriality is the forward composite.  No composed functor or profunctor
+is built for a side evaluation.  By Yoneda, Nat(up F, up F') = Nat(F', F)
+(Loregian, *(Co)end Calculus*, arXiv:1501.02503, section 2), so two sides
+that evaluate up alike carry the identity as a pointed natural isomorphism,
+and no search is needed; down evaluations, hom_M(-, G-), are dual, and a
+side holding a permutation is pointed-isomorphic to its down reading
+through up(P) = down(P^-1).  An A rule holds when a point-preserving
+natural transformation, an isomorphism for invertible rules, takes the
+interpreted left side to the right one; that search
+(``profunctor.pointed_two_cell``) runs element by element and is the only
+one ``cap`` bounds.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ class FinOmegaSystem:
     objects: dict[tuple[str, str], object]          # (layer, symbol) -> obj
     generators: dict[tuple[str, str], object]       # (layer, gen) -> mor
     functors: dict[tuple[str, str], FinFunctor] = field(default_factory=dict)
+    # the pieces of slice items, and the functors those pieces share
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def category(self, layer: str) -> FinMonoidalCategory:
@@ -224,11 +231,22 @@ def _box(model: FinOmegaSystem, cell: InternalBox) -> _Piece:
                   (model.internal_morphism(content),))
 
 
+def _shared(model: FinOmegaSystem, key: tuple, build: Callable) -> Functor:
+    """The functor ``build`` makes, built once per model and ``key``: the
+    pieces of all pants and copants of a layer, or of all refinements and
+    coarsenings along a translation, share one memo, so a boundary pushed
+    through a new piece mostly meets images already computed."""
+    f = model._cache.get(key)
+    if f is None:
+        f = model._cache[key] = build()
+    return f
+
+
 def _tensor(model: FinOmegaSystem, cell: Pants | Copants):
     cat = model.category(cell.layer)
-    f = Functor("tensor", product_category([cat, cat]),
-                product_category([cat]), lambda ab: (cat.tensor_obj(*ab),),
-                lambda mn: (cat.tensor_mor(*mn),))
+    f = _shared(model, ("tensor", cell.layer), lambda: Functor(
+        "tensor", product_category([cat, cat]), product_category([cat]),
+        lambda ab: (cat.tensor_obj(*ab),), lambda mn: (cat.tensor_mor(*mn),)))
     return f, (model.word_obj(cell.layer, cell.alpha),
                model.word_obj(cell.layer, cell.beta))
 
@@ -241,9 +259,12 @@ def _unit(model: FinOmegaSystem, cell: Cup | Cap):
 
 def _translation(model: FinOmegaSystem, cell: Refine | Coarsen):
     ff = model.functor(cell.source, cell.target)
-    f = Functor(ff.name, product_category([model.category(cell.source)]),
-                product_category([model.category(cell.target)]),
-                lambda x: (ff.on_obj(x[0]),), lambda m: (ff.on_mor(m[0]),))
+    f = _shared(model, ("translation", cell.source, cell.target),
+                lambda: Functor(
+                    ff.name, product_category([model.category(cell.source)]),
+                    product_category([model.category(cell.target)]),
+                    lambda x: (ff.on_obj(x[0]),),
+                    lambda m: (ff.on_mor(m[0]),)))
     return f, (model.word_obj(cell.source, cell.word),)
 
 
@@ -297,9 +318,9 @@ def _item_piece(model: FinOmegaSystem, item: tuple, down: bool) -> _Piece:
     return _box(model, InternalBox(layer, InternalDiagram(layer, word, word)))
 
 
-def _slice_piece(model: FinOmegaSystem, items: list, down: bool) -> _Piece:
-    """The flat product of a slice's pieces, a permutation read up or, if
-    ``down``, down."""
+def _parts(model: FinOmegaSystem, items: list, down: bool) -> list[_Piece]:
+    """The pieces of a slice's items, a permutation read up or, if
+    ``down``, down, each built once per model."""
     parts = []
     for item in items:
         key = item, down and item[0] == "perm"
@@ -307,6 +328,13 @@ def _slice_piece(model: FinOmegaSystem, items: list, down: bool) -> _Piece:
         if piece is None:
             piece = model._cache[key] = _item_piece(model, item, down)
         parts.append(piece)
+    return parts
+
+
+def _slice_piece(model: FinOmegaSystem, items: list, down: bool) -> _Piece:
+    """The flat product of a slice's pieces, a permutation read up or, if
+    ``down``, down."""
+    parts = _parts(model, items, down)
     if len(parts) == 1:
         return parts[0]
 
@@ -372,6 +400,13 @@ def layered_slices(d: Diagram) -> list[list]:
     return slices
 
 
+def _meet(b: tuple, a: tuple) -> None:
+    """Check that the boundary ``b`` one slice ends at is the boundary
+    ``a`` the next one starts at."""
+    if a != b:
+        raise BoundaryMismatch(f"points do not meet: {b!r} vs {a!r}")
+
+
 def _fold(model: FinOmegaSystem, dom: OmegaType, pieces: list[_Piece]
           ) -> tuple[Profunctor, _Piece]:
     """Compose the slices' pieces left to right, from the boundary ``dom``,
@@ -387,8 +422,7 @@ def _fold(model: FinOmegaSystem, dom: OmegaType, pieces: list[_Piece]
     tgt, b, point = src, a0, src.ident(a0)
     lo = hi = a0            # F a0 and G b, the point's objects in P
     for s in pieces:
-        if s.a != b:
-            raise BoundaryMismatch(f"points do not meet: {b!r} vs {s.a!r}")
+        _meet(b, s.a)
         if s.f is None:
             point = prof.ract(point, s.point if g is None
                               else g.on_mor(s.point), lo, hi)
@@ -423,6 +457,69 @@ def interpret(model: FinOmegaSystem, d: Diagram) -> PointedProfunctor:
                              s.point)
 
 
+def _map_columns(method: Callable, cols: list, n: int):
+    """The columns of ``method`` on each of the n rows the columns ``cols``
+    hold; a part of width zero reads n empty rows."""
+    return zip(*map(method, zip(*cols) if cols else itertools.repeat((), n)))
+
+
+def _rows(cols: list, n: int) -> tuple:
+    """The n rows the columns ``cols`` hold."""
+    return tuple(zip(*cols)) if cols else ((),) * n
+
+
+def _push(model: FinOmegaSystem, dom: OmegaType, slices: list[list[_Piece]],
+          down: bool) -> tuple:
+    """Push a boundary through the parts of the slices, up forward from
+    the dom boundary through each part's F, or down backward from the cod
+    boundary through each part's G.  The boundary category's objects and
+    generators are held as columns, one per component: a part with a
+    functor maps its own columns, row by row, and a wire or box passes them
+    through.  The point is carried alongside, F(point) ; p up and
+    p ; G(point) down, which by functoriality is the forward fold's point.
+    Returns the images, the two boundaries and the point."""
+    a0 = tuple(model.word_obj(layer, w) for layer, w in dom.entries)
+    cat = product_category([model.category(layer) for layer, _ in
+                            dom.entries])
+    edge = a0               # the boundary the next slice must meet
+    if down and slices:
+        cat = product_category([c for p in slices[-1]
+                                for c in p.tgt.components])
+        edge = sum((p.b for p in slices[-1]), ())
+    start = edge
+    objs, gens = cat.objects, cat.generators()
+    n_objs, n_gens = len(objs), len(gens)
+    obj_cols, gen_cols = list(zip(*objs)), list(zip(*gens))
+    point = cat.ident(edge)
+    for parts in reversed(slices) if down else slices:
+        if down:
+            _meet(sum((p.b for p in parts), ()), edge)
+        else:
+            _meet(edge, sum((p.a for p in parts), ()))
+        next_objs, next_gens, next_point, i = [], [], (), 0
+        for p in parts:
+            functor = p.g if down else p.f
+            j = i + len((p.tgt if down else p.src).components)
+            x = point[i:j]
+            if functor is None:
+                next_objs += obj_cols[i:j]
+                next_gens += gen_cols[i:j]
+            else:
+                x = functor.on_mor(x)
+                next_objs += _map_columns(functor.on_obj, obj_cols[i:j],
+                                          n_objs)
+                next_gens += _map_columns(functor.on_mor, gen_cols[i:j],
+                                          n_gens)
+            next_point += (p.mid.then(p.point, x) if down
+                           else p.mid.then(x, p.point))
+            i = j
+        obj_cols, gen_cols, point = next_objs, next_gens, next_point
+        edge = sum((p.a if down else p.b for p in parts), ())
+    a, b = (edge, start) if down else (start, edge)
+    _meet(a0, a)            # a down push must end at the source boundary
+    return _rows(obj_cols, n_objs), _rows(gen_cols, n_gens), a, b, point
+
+
 def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
     """Evaluate a diagram built purely of covariant (or purely
     contravariant) pieces down to a single embedded functor with a point.
@@ -433,29 +530,29 @@ def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
     down part, so the side folds to hom_M(F-, -) with no coend; the down
     evaluation when no slice read down has an up part, so it folds to
     hom_M(-, G-).  The functor F maps the source boundary, G the target
-    one; the images of its objects and generators fix it.  Only a
-    permutation reads differently down, so the down reading is sliced into
-    pieces of its own only when the slicing holds one.
+    one; the images of its objects and generators fix it.  Both are
+    computed by pushing the boundary through the cached pieces of each
+    slice, column by column: up runs forward from the source boundary,
+    each point step F(point) ; p, and down runs backward from the target
+    boundary, each step p ; G(point).  No composed functor, flat product
+    or profunctor is built.  Only a permutation reads differently down, so
+    the down reading has pieces of its own only when the slicing holds
+    one.  The directions are decided before any boundary is checked, so a
+    mixed side raises nothing.
     """
     slices = layered_slices(d)
-    up = [_slice_piece(model, items, False) for items in slices]
+    up = [_parts(model, items, False) for items in slices]
     down = up
     if any(items[0][0] == "perm" for items in slices):
-        down = [_slice_piece(model, items, True) for items in slices]
+        down = [_parts(model, items, True) for items in slices]
     evaluations: list[tuple] = []
-    e = None
     for direction, pieces in (("up", up), ("down", down)):
-        if any((p.g if direction == "up" else p.f) is not None
-               for p in pieces):
+        reads_down = direction == "down"
+        if any((p.f if reads_down else p.g) is not None
+               for parts in pieces for p in parts):
             continue
-        if e is None or pieces is not up:   # the up fold serves both
-            e = _fold(model, d.dom, pieces)[1]
-        functor, cat = (e.f, e.src) if direction == "up" else (e.g, e.tgt)
-        objs, gens = cat.objects, cat.generators()
-        if functor is not None:
-            objs = tuple(map(functor.on_obj, objs))
-            gens = tuple(map(functor.on_mor, gens))
-        evaluations.append((direction, objs, gens, e.a, e.b, e.point))
+        evaluations.append((direction,
+                            *_push(model, d.dom, pieces, reads_down)))
     return evaluations
 
 

@@ -336,6 +336,21 @@ def test_cli_semantics_verify_monoid(tmp_path, capsys):
     assert out.splitlines() == ["verified 103 rule instances"]
 
 
+def test_cli_semantics_verify_max_word_zero(tmp_path, capsys):
+    # --max-word 0 samples over the empty word alone, so it checks fewer
+    # instances than --max-word 1
+    model = models.monoid_model()
+    t = _write(tmp_path, "t.json", jsonio.system_to_json(model.system))
+    m = _write(tmp_path, "m.json", jsonio.model_to_json(model))
+    want = len(rw.sample_instances(rw.RuleEngine(model.system), {
+        layer: [()] for layer in model.system.layers}))
+    assert want < 103
+    assert main(["semantics-verify", "--system", t, "--model", m,
+                 "--max-word", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"verified {want} rule instances"]
+
+
 def test_cli_semantics_verify_cap_undecided(tmp_path, capsys):
     # a 2-cell search past --cap leaves its instance undecided (exit 3),
     # and the other instances are still verified; only the A family

@@ -12,7 +12,7 @@ from layerprop import models
 from layerprop import profunctor as pf
 from layerprop import rewrite as rw
 from layerprop import semantics as sm
-from layerprop.errors import ModelIncomplete
+from layerprop.errors import BoundaryMismatch, ModelIncomplete
 from layerprop.internal import InternalDiagram
 from layerprop.theory import (LayerPresentation, MorphismGen, SystemOfLayers,
                               TranslationFunctor, sheet, validate_system)
@@ -366,6 +366,127 @@ def test_criterion_4_verdicts_pinned(monoid_model, meet_model):
     assert len(entries) == 513
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
     assert digest == CRITERION_4_DIGEST
+
+
+# -- the composed-functor evaluation as a reference ---------------------------
+
+
+def reference_side_evaluation(model, d):
+    """Side evaluation by composed functors: fold the flat products of the
+    slices into one piece, then map the boundary category's objects and
+    generators through its F (up) or its G (down)."""
+    slices = sm.layered_slices(d)
+    evaluations = []
+    for direction in ("up", "down"):
+        pieces = [sm._slice_piece(model, items, direction == "down")
+                  for items in slices]
+        if any((p.g if direction == "up" else p.f) is not None
+               for p in pieces):
+            continue
+        e = sm._fold(model, d.dom, pieces)[1]
+        functor, cat = (e.f, e.src) if direction == "up" else (e.g, e.tgt)
+        objs, gens = cat.objects, cat.generators()
+        if functor is not None:
+            objs = tuple(map(functor.on_obj, objs))
+            gens = tuple(map(functor.on_mor, gens))
+        evaluations.append((direction, objs, gens, e.a, e.b, e.point))
+    return evaluations
+
+
+def _sliding_sides(model, words):
+    rules = rw.sample_instances(rw.RuleEngine(model.system), words)
+    return [side for r in rules if r.family in ("F", "M")
+            for side in (r.lhs, r.rhs)]
+
+
+def _edge_sides(sys_):
+    """A permutation side read down only, its box variant, a cup from and a
+    cap to the zero-component boundary, each beside a wire, the empty
+    diagram, and last two mixed sides: cup;cap and a window."""
+    u = sheet("MU", ("u",))
+    crossed = _counit_past_a_crossing(sys_, False)
+    return [crossed.lhs, crossed.rhs,
+            _counit_past_a_crossing(sys_, True).rhs,
+            dg.cup(sys_, "MU"), dg.cap(sys_, "MU"),
+            dg.par_tensor(dg.identity(sys_, u), dg.cup(sys_, "MU")),
+            dg.par_tensor(dg.cap(sys_, "MU"), dg.identity(sys_, u)),
+            dg.empty_diagram(sys_),
+            dg.seq_compose(dg.cup(sys_, "MU"), dg.cap(sys_, "MU")),
+            dg.seq_compose(dg.refine(sys_, "MU", "ML", ("u",)),
+                           dg.coarsen(sys_, "MU", "ML", ("u",)))]
+
+
+@pytest.mark.parametrize("name", ["monoid_model", "meet_model"])
+def test_side_evaluation_matches_composed_functors(name, request):
+    # pushing the boundary through the pieces column by column gives the
+    # composed functors' tuples on every sliding side, in both directions
+    model = request.getfixturevalue(name)
+    sides = _sliding_sides(model, dict(CRITERION_4_WORDS)[name])
+    if name == "monoid_model":
+        sides += _edge_sides(model.system)
+    directions = set()
+    for d in sides:
+        got = sm.side_evaluation(model, d)
+        assert got == reference_side_evaluation(model, d), d
+        directions.update(e[0] for e in got)
+    assert directions == {"up", "down"}
+    if name == "monoid_model":   # the mixed sides evaluate neither way
+        assert [sm.side_evaluation(model, d) for d in sides[-2:]] == [[], []]
+
+
+def test_side_evaluation_builds_no_functor_or_fold(monoid_model, meet_model,
+                                                    monkeypatch):
+    # the pieces are built once per model; evaluating a side then pushes
+    # the boundary through them, and builds no functor or profunctor, no
+    # flat product and no fold
+    sides = [(model, d) for name, model in (("monoid_model", monoid_model),
+                                            ("meet_model", meet_model))
+             for d in _sliding_sides(model, dict(CRITERION_4_WORDS)[name])]
+    sides += [(monoid_model, d) for d in _edge_sides(monoid_model.system)]
+    want = [sm.side_evaluation(model, d) for model, d in sides]
+    calls = []
+
+    def count(name, f):
+        return lambda *a, **k: calls.append(name) or f(*a, **k)
+    for cls in (pf.Functor, pf.Profunctor):
+        monkeypatch.setattr(cls, "__init__",
+                            count(cls.__name__, cls.__init__))
+    for name in ("_fold", "_slice_piece", "_flat_product", "_compose",
+                 "hom_profunctor"):
+        monkeypatch.setattr(sm, name, count(name, getattr(sm, name)))
+    monkeypatch.setattr(pf, "hom_profunctor",
+                        count("hom_profunctor", pf.hom_profunctor))
+    assert [sm.side_evaluation(model, d) for model, d in sides] == want
+    assert calls == []
+    # the counters see the fold interpretation still runs
+    sm.interpret(monoid_model, sides[0][1])
+    assert "_fold" in calls
+
+
+def _shifted_meet_model():
+    """The meet model with its translation functor sending lo to q, not to
+    p, the image of the translation's word."""
+    model = models.meet_model()
+    ff = model.functors[("Ar", "Sq")]
+    model.functors[("Ar", "Sq")] = pf.FinFunctor(
+        "shifted", ff.source, ff.target, {"lo": "q", "hi": "s"},
+        {"lo<lo": "q<q", "lo<hi": "q<s", "hi<hi": "s<s"})
+    return model
+
+
+def test_side_evaluation_boundary_mismatch(meet_model):
+    # a refinement of lo followed by a box on p reads only up; where the
+    # model's functor sends lo to q the box's boundary is not met
+    sys_ = meet_model.system
+    side = dg.seq_compose(
+        dg.refine(sys_, "Ar", "Sq", ("lo",)),
+        dg.box(sys_, InternalDiagram("Sq", ("p",), ("s",), ((0, "gd"),))))
+    assert [e[0] for e in sm.side_evaluation(meet_model, side)] == ["up"]
+    shifted = _shifted_meet_model()
+    assert shifted.validate() != []
+    for evaluate in (sm.side_evaluation, reference_side_evaluation):
+        with pytest.raises(BoundaryMismatch):
+            evaluate(shifted, side)
 
 
 # -- the coend fold as a reference --------------------------------------------
