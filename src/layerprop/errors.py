@@ -43,7 +43,8 @@ class ModelIncomplete(LayerPropError):
 
 class SearchTooLarge(LayerPropError):
     """A search exceeded its cap: a natural-transformation component
-    search, or the enumeration of an interchange class."""
+    search, the enumeration of an interchange class, or a sampled pool of
+    rule instances."""
 
 
 class StaleMatch(LayerPropError):

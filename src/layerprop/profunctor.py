@@ -6,8 +6,11 @@ element sets with bimodule actions.  ``Reindexed`` restricts a profunctor
 along functors, P(F-, G-), which by co-Yoneda is what composing with a
 representable comes to.  Profunctor composition in general quotients the
 pairs over a middle object by the usual zig-zag identifications, computed
-with union-find; the class representative (the least triple) doubles as the
-element id, keeping every construction deterministic.
+with union-find; the class representative (its first triple) doubles as the
+element id.  Elements are kept in construction order throughout: a hom set
+lists its morphisms in the category's order, a coend its classes in order
+of first appearance, so every construction is deterministic.  An embedding
+of a functor F is the hom profunctor of its target reindexed along F.
 
 Each category carries a generating set of morphisms (``generators``).  The
 coend quotient unions only along generators of the middle category, and
@@ -100,8 +103,7 @@ class FinCategory:
             buckets: dict = {}
             for f in self.morphisms:
                 buckets.setdefault((self.dom(f), self.cod(f)), []).append(f)
-            self._hom_buckets = {k: tuple(sorted(v, key=repr))
-                                 for k, v in buckets.items()}
+            self._hom_buckets = {k: tuple(v) for k, v in buckets.items()}
         return self._hom_buckets.get((a, b), ())
 
     def generators(self) -> tuple:
@@ -368,16 +370,12 @@ class Profunctor:
     def elements(self, a, b) -> tuple:
         return self._elements.get((a, b), ())
 
-    def reprs(self, a, b) -> list[str]:
-        """``repr`` of each element of P(a, b), in order."""
-        return [repr(x) for x in self.elements(a, b)]
-
 
 def validate_profunctor(p: Profunctor) -> list[str]:
     """Exhaustive bimodule law check: functorial actions that commute."""
     out: list[str] = []
     src, tgt = p.source, p.target
-    for (a, b), elems in sorted(p._elements.items(), key=repr):
+    for (a, b), elems in p._elements.items():
         for x in elems:
             if p.lact(src.ident(a), x, a, b) != x:
                 out.append(f"left unit fails at {(a, b, x)!r}")
@@ -446,37 +444,13 @@ def hom_profunctor(c: FinCategory) -> Profunctor:
 
 
 def embed(f: Functor, direction: str) -> Profunctor:
-    """Covariant ("up") or contravariant ("down") embedding of a functor."""
-    c, d = f.source, f.target
-    elements = {}
+    """Covariant ("up") or contravariant ("down") embedding of a functor
+    F: C -> D, hom_D(F-, -) or hom_D(-, F-)."""
+    hom = hom_profunctor(f.target)
     if direction == "up":
-        for a in c.objects:
-            for b in d.objects:
-                hom = d.hom(f.on_obj(a), b)
-                if hom:
-                    elements[(a, b)] = hom
-
-        def lact(g, x, a, b):
-            return d.then(f.on_mor(g), x)
-
-        def ract(x, h, a, b):
-            return d.then(x, h)
-
-        return Profunctor(f"up({f.name})", c, d, elements, lact, ract)
+        return reindex(hom, f, None, f.source, f.target)
     if direction == "down":
-        for b in d.objects:
-            for a in c.objects:
-                hom = d.hom(b, f.on_obj(a))
-                if hom:
-                    elements[(b, a)] = hom
-
-        def lact(g, x, b, a):
-            return d.then(g, x)
-
-        def ract(x, h, b, a):
-            return d.then(x, f.on_mor(h))
-
-        return Profunctor(f"down({f.name})", d, c, elements, lact, ract)
+        return reindex(hom, None, f, f.target, f.source)
     raise ValueError(f"unknown embedding direction {direction!r}")
 
 
@@ -546,8 +520,8 @@ class ComposedProfunctor(Profunctor):
     g: b -> b2.  The relations along the generating morphisms of the middle
     category generate those along their composites, so only the generators
     are walked.  The triples over a are numbered block by block, one block
-    per (b, c), row x, column y; each class is named by its least triple in
-    ``repr`` order.
+    per (b, c), row x, column y; each class is named by its first triple,
+    and the classes over (a, c) come in that order.
     """
 
     def __init__(self, p: Profunctor, q: Profunctor):
@@ -559,7 +533,6 @@ class ComposedProfunctor(Profunctor):
         self.p = p
         self.q = q
         self._pos: tuple = ({}, {})   # element positions in P and in Q
-        self._reprs: dict = {}        # (a, c) -> repr of each element
         mid = p.target
         # a -> (number of the first triple of each block b, c; name of
         # each triple)
@@ -570,10 +543,10 @@ class ComposedProfunctor(Profunctor):
         for (a, b), xs in p._elements.items():
             if xs:
                 p_bs.setdefault(a, []).append(b)
-        q_row: dict = {}   # b -> (c, Q(b, c), reprs) for non-empty Q(b, c)
+        q_row: dict = {}   # b -> (c, Q(b, c)) for non-empty Q(b, c)
         for (b, c), ys in q._elements.items():
             if ys:
-                q_row.setdefault(b, []).append((c, ys, q.reprs(b, c)))
+                q_row.setdefault(b, []).append((c, ys))
         # g: b -> b2 -> for each c with Q(b2, c) non-empty: c, the position
         # in Q(b, c) of g.y for each y in Q(b2, c), |Q(b, c)| and |Q(b2, c)|
         left_moves: dict = {}
@@ -582,7 +555,7 @@ class ComposedProfunctor(Profunctor):
             out = left_moves.get(g)
             if out is None:
                 out = []
-                for c, ys, _ in q_row.get(b2, ()):
+                for c, ys in q_row.get(b2, ()):
                     pos = self._position(1, b, c)
                     out.append((c, [pos[q.lact(g, y, b2, c)] for y in ys],
                                 len(pos), len(ys)))
@@ -592,14 +565,14 @@ class ComposedProfunctor(Profunctor):
         for a in p.source.objects:
             bs = sorted(p_bs.get(a, ()), key=rank.__getitem__)
             offsets: dict = {}   # b -> c -> number of the block's 1st triple
-            blocks = []          # (b, c, P(a, b), reprs, Q(b, c), reprs)
+            blocks = []          # (b, c, P(a, b), Q(b, c))
             n = 0
             for b in bs:
-                xs, rxs = p.elements(a, b), p.reprs(a, b)
+                xs = p.elements(a, b)
                 offsets[b] = row = {}
-                for c, ys, rys in q_row.get(b, ()):
+                for c, ys in q_row.get(b, ()):
                     row[c] = n
-                    blocks.append((b, c, xs, rxs, ys, rys))
+                    blocks.append((b, c, xs, ys))
                     n += len(xs) * len(ys)
             uf = _UnionFind(n)
             for b in bs:
@@ -618,10 +591,7 @@ class ComposedProfunctor(Profunctor):
             of_triple, named = self._name_classes(blocks, uf)
             self._blocks[a] = (offsets, of_triple)
             for c in q.target.objects:
-                names = named.get(c, ())
-                elements[(a, c)] = tuple(triple for _, triple in names)
-                if names:
-                    self._reprs[(a, c)] = [key for key, _ in names]
+                elements[(a, c)] = tuple(named.get(c, ()))
 
         def lact(g, rep, a, c):
             b, x, y = rep
@@ -638,26 +608,20 @@ class ComposedProfunctor(Profunctor):
 
     @staticmethod
     def _name_classes(blocks: list, uf: _UnionFind) -> tuple[list, dict]:
-        """Name each class by its least triple in ``repr`` order.  Returns
-        the name of each triple, and per c the (repr, name) pairs sorted
-        by repr."""
+        """Name each class by its first triple.  Returns the name of each
+        triple, and per c the names in order of first appearance."""
         roots = [uf.find(k) for k in range(len(uf.parent))]
-        best: dict = {}   # root -> (repr, c, triple) of its least triple
-        k = 0
-        for b, c, xs, rxs, ys, rys in blocks:
-            head = f"({b!r}, "
-            for x, rx in zip(xs, rxs):
-                row = f"{head}{rx}, "
-                for y, ry in zip(ys, rys):
-                    key = f"{row}{ry})"
-                    cur = best.get(roots[k])
-                    if cur is None or key < cur[0]:
-                        best[roots[k]] = (key, c, (b, x, y))
-                    k += 1
+        first: dict = {}   # root -> its first triple
         named: dict = {}
-        for key, c, triple in sorted(best.values(), key=lambda t: t[0]):
-            named.setdefault(c, []).append((key, triple))
-        return [best[root][2] for root in roots], named
+        k = 0
+        for b, c, xs, ys in blocks:
+            for x in xs:
+                for y in ys:
+                    if roots[k] not in first:
+                        first[roots[k]] = (b, x, y)
+                        named.setdefault(c, []).append((b, x, y))
+                    k += 1
+        return [first[root] for root in roots], named
 
     def _position(self, side: int, a, b) -> dict:
         """Index of each element of P(a, b) (side 0) or Q(a, b) (side 1)."""
@@ -668,9 +632,6 @@ class ComposedProfunctor(Profunctor):
             out = {x: i for i, x in enumerate(prof.elements(a, b))}
             table[(a, b)] = out
         return out
-
-    def reprs(self, a, c) -> list[str]:
-        return self._reprs.get((a, c), [])
 
     def inject(self, a, c, b, x, y):
         """Class of the pair (x, y) over middle object b."""

@@ -65,7 +65,7 @@ from . import diagram as dg
 from . import internal
 from .diagram import (Diagram, InternalBox, Wire, canonical_key,
                       canonicalize)
-from .errors import (InvalidDerivation, LayerPropError,
+from .errors import (InvalidDerivation, LayerPropError, SearchTooLarge,
                      SideConditionViolation, SortMismatch, StaleMatch,
                      check_count)
 from .internal import EPSILON, InternalDiagram, Word
@@ -1189,12 +1189,22 @@ class RuleEngine:
 
 
 
+# a sampled pool of more rule instances raises SearchTooLarge before any
+# is built: five times the meet model's 20474 at its default word length
+SAMPLED_INSTANCES = 100_000
+
+
 def sample_instances(engine: RuleEngine,
                      words: dict[str, list[Word]]) -> list[RewriteRule]:
     """Concrete rule instances over given word pools, for tests and
-    semantic verification, in the order of ``_SAMPLES``."""
-    return [engine.rule_instance(key, *args) for key, args
-            in _sampled(engine.system, words, _SAMPLES, ())]
+    semantic verification, in the order of ``_SAMPLES``.  Raises
+    SearchTooLarge when the pools give more than ``SAMPLED_INSTANCES``."""
+    pairs = list(itertools.islice(_sampled(engine.system, words, _SAMPLES,
+                                           ()), SAMPLED_INSTANCES + 1))
+    if len(pairs) > SAMPLED_INSTANCES:
+        raise SearchTooLarge(f"the word pools give more than "
+                             f"{SAMPLED_INSTANCES} rule instances")
+    return [engine.rule_instance(key, *args) for key, args in pairs]
 
 
 def _sampled(sys: SystemOfLayers, words: dict[str, list[Word]],

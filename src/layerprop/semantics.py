@@ -10,26 +10,26 @@ permutation P reads two ways, up(P) or down(P^-1).  So every slice is
 representable, and the fold reindexes by co-Yoneda and takes a coend
 quotient only where a down piece meets an up piece.
 
-Rule verification follows the family.  An E rule holds when both sides of
-its equation denote one morphism.  An F or M (sliding) rule holds when its
-sides have a common side evaluation: a side built purely of up pieces folds
-to hom_M(F-, -) with no coend, and its up evaluation is F on the objects
-and generators of the source boundary, with the boundaries and the point.
-It is computed by pushing those objects and generators forward through the
-cells' pieces slice by slice, one column per boundary component, and
-carrying the point as F(point) ; p; a down evaluation pushes the target
-boundary backward through each G, carrying p ; G(point), which by
-functoriality is the forward composite.  No composed functor or profunctor
-is built for a side evaluation.  By Yoneda, Nat(up F, up F') = Nat(F', F)
-(Loregian, *(Co)end Calculus*, arXiv:1501.02503, section 2), so two sides
-that evaluate up alike carry the identity as a pointed natural isomorphism,
-and no search is needed; down evaluations, hom_M(-, G-), are dual, and a
-side holding a permutation is pointed-isomorphic to its down reading
-through up(P) = down(P^-1).  An A rule holds when a point-preserving
-natural transformation, an isomorphism for invertible rules, takes the
-interpreted left side to the right one; that search
-(``profunctor.pointed_two_cell``) runs element by element and is the only
-one ``cap`` bounds.
+Rule verification follows the rule's direction.  An invertible rule (E, F
+or M) holds when its sides have a common side evaluation: a side built
+purely of up pieces folds to hom_M(F-, -) with no coend, and its up
+evaluation is F on the objects and generators of the source boundary, with
+the boundaries and the point.  It is computed by pushing those objects and
+generators forward through the cells' pieces slice by slice, one column per
+boundary component, and carrying the point as F(point) ; p; a down
+evaluation pushes the target boundary backward through each G, carrying
+p ; G(point), which by functoriality is the forward composite.  No composed
+functor or profunctor is built for a side evaluation.  By Yoneda,
+Nat(up F, up F') = Nat(F', F) (Loregian, *(Co)end Calculus*,
+arXiv:1501.02503, section 2), so two sides that evaluate up alike carry the
+identity as a pointed natural isomorphism, and no search is needed; down
+evaluations, hom_M(-, G-), are dual, and a side holding a permutation is
+pointed-isomorphic to its down reading through up(P) = down(P^-1).  An E
+side is a single box, so its evaluation carries the morphism its equation
+side denotes.  A one-directional rule (A) holds when a point-preserving
+natural transformation takes the interpreted left side to the right one;
+that search (``profunctor.pointed_two_cell``) runs element by element and
+is the only one ``cap`` bounds.
 """
 
 from __future__ import annotations
@@ -561,33 +561,28 @@ def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
 
 def verify_rule_semantics(rule: RewriteRule, model: FinOmegaSystem,
                           cap: int = 1_000_000) -> bool:
-    """Whether the rule holds in the model.
+    """Whether the rule holds in the model, decided by its direction.
 
-    E: both sides of the equation denote one morphism.  F and M (the
-    sliding rules): the two sides have a common side evaluation.  This is
-    the whole check, by Yoneda, Nat(up F, up F') = Nat(F', F): two sides
-    that evaluate up alike are both hom_M(F-, -) with the same F on objects
-    and generators, the same boundaries and the same point, so the
-    identity is a pointed natural isomorphism between them; down is dual,
-    and a side holding a permutation P is pointed-isomorphic to its down
-    reading through up(P) = down(P^-1).  Sides with no common evaluation
-    fail.  A: a pointed 2-cell, an isomorphism for invertible rules, from
-    the interpreted left side to the interpreted right side, searched
-    element by element; ``cap`` bounds that search only.
+    An invertible rule (E, F, M) holds when its two sides have a common
+    side evaluation.  This is the whole check, by Yoneda, Nat(up F, up F')
+    = Nat(F', F): two sides that evaluate up alike are both hom_M(F-, -)
+    with the same F on objects and generators, the same boundaries and the
+    same point, so the identity is a pointed natural isomorphism between
+    them; down is dual, and a side holding a permutation P is
+    pointed-isomorphic to its down reading through up(P) = down(P^-1).  An
+    E side is one box, so its evaluation is the morphism its content
+    denotes.  Sides with no common evaluation fail.  A one-directional rule
+    (A) holds when a pointed 2-cell takes the interpreted left side to the
+    interpreted right side, searched element by element; ``cap`` bounds
+    that search only.
     """
     if rule.name.startswith("A3c["):
         raise ModelIncomplete(
             "window-collapse rules are excluded from semantic verification")
-    if rule.family == "E":
-        # an equation is modeled soundly iff both sides denote one morphism
-        layer, eq_name = rule.params
-        eq = {e.name: e for e in model.system.layer(layer).equations}[eq_name]
-        return (model.internal_morphism(eq.lhs)
-                == model.internal_morphism(eq.rhs))
-    if rule.family in ("F", "M"):
+    if rule.bidirectional:
         ev_l = side_evaluation(model, rule.lhs)
         ev_r = side_evaluation(model, rule.rhs)
         return any(l == r for l in ev_l for r in ev_r)
     return pf.pointed_two_cell(interpret(model, rule.lhs),
                                interpret(model, rule.rhs),
-                               iso=rule.bidirectional, cap=cap) is not None
+                               cap=cap) is not None

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from layerprop import ccs, chem, circuits, diagram as dg, jsonio, models
 from layerprop import rewrite as rw
 from layerprop import sexpr, terms
 from layerprop.cli import main
-from layerprop.errors import MalformedInput
+from layerprop.errors import MalformedInput, SearchTooLarge
 from layerprop.theory import sheet
 
 from conftest import make_two_layer_system
@@ -349,6 +350,31 @@ def test_cli_semantics_verify_max_word_zero(tmp_path, capsys):
                  "--max-word", "0"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"verified {want} rule instances"]
+
+
+def test_cli_semantics_verify_pool_bound(tmp_path, capsys):
+    # the meet model's --max-word 3 pools give 1250842 instances; counting
+    # them stops past rewrite.SAMPLED_INSTANCES, before any rule is built
+    model = models.meet_model()
+    t = _write(tmp_path, "t.json", jsonio.system_to_json(model.system))
+    m = _write(tmp_path, "m.json", jsonio.model_to_json(model))
+    start = time.perf_counter()
+    assert main(["semantics-verify", "--system", t, "--model", m,
+                 "--max-word", "3"]) == 1
+    assert time.perf_counter() - start < 2
+    assert "SearchTooLarge" in _single_error_line(capsys)
+
+
+def test_sample_instances_bound_is_exact(monkeypatch):
+    # the monoid model's --max-word 1 pools give 103 instances
+    model = models.monoid_model()
+    engine = rw.RuleEngine(model.system)
+    words = {"MU": [(), ("u",)], "ML": [(), ("v",)]}
+    monkeypatch.setattr(rw, "SAMPLED_INSTANCES", 102)
+    with pytest.raises(SearchTooLarge):
+        rw.sample_instances(engine, words)
+    monkeypatch.setattr(rw, "SAMPLED_INSTANCES", 103)
+    assert len(rw.sample_instances(engine, words)) == 103
 
 
 def test_cli_semantics_verify_cap_undecided(tmp_path, capsys):

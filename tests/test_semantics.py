@@ -2,7 +2,12 @@
 
 import gc
 import hashlib
+import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -344,6 +349,33 @@ def test_e_rule_soundness_check(monoid_model):
     engine = rw.RuleEngine(monoid_model.system)
     good = engine.rule_instance("E", "MU", "m1m2_id")
     assert sm.verify_rule_semantics(good, monoid_model)
+    # E is decided by side evaluation like F and M; on every E instance of
+    # the --max-word 2 pools that verdict is the equation's own check, that
+    # both sides denote one morphism
+    checked = 0
+    for model in models.all_models():
+        engine = rw.RuleEngine(model.system)
+        pools = {name: [w for n in range(3)
+                        for w in itertools.product(lay.gen_objects, repeat=n)]
+                 for name, lay in model.system.layers.items()}
+        for key, args in rw._sampled(model.system, pools, rw._SAMPLES, ()):
+            if key != "E":
+                continue
+            rule = engine.rule_instance(key, *args)
+            layer, eq_name = rule.params
+            eq = next(e for e in model.system.layer(layer).equations
+                      if e.name == eq_name)
+            assert sm.verify_rule_semantics(rule, model) == (
+                model.internal_morphism(eq.lhs)
+                == model.internal_morphism(eq.rhs))
+            checked += 1
+    assert checked == 3
+    # with m2 bound to 1, m1;m2 denotes 2, not the identity 0
+    broken = models.monoid_model()
+    broken.generators[("MU", "m2")] = "1"
+    assert not sm.verify_rule_semantics(
+        rw.RuleEngine(broken.system).rule_instance("E", "MU", "m1m2_id"),
+        broken)
 
 
 CRITERION_4_DIGEST = ("f8b930dd41a30d284aa99ed228559ee2"
@@ -366,6 +398,41 @@ def test_criterion_4_verdicts_pinned(monoid_model, meet_model):
     assert len(entries) == 513
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
     assert digest == CRITERION_4_DIGEST
+
+
+_HASHSEED_DIGEST = """
+import hashlib, json, sys
+from layerprop import models, profunctor as pf, rewrite as rw
+from layerprop import semantics as sm
+digest = hashlib.sha256()
+for model, words in zip(models.all_models(), json.loads(sys.argv[1])):
+    words = {k: [tuple(w) for w in ws] for k, ws in words.items()}
+    for rule in rw.sample_instances(rw.RuleEngine(model.system), words):
+        if rule.family != "A" or rule.name.startswith("A3c["):
+            continue
+        sides = [sm.interpret(model, d) for d in (rule.lhs, rule.rhs)]
+        for pp in sides:
+            digest.update(repr((pp.src_obj, pp.tgt_obj, pp.point,
+                                list(pp.prof._elements.items()))).encode())
+        cell = pf.pointed_two_cell(*sides)
+        digest.update(repr(cell and list(cell.items())).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_interpretation_independent_of_hash_seed():
+    # elements are kept in construction order, never in an order a set or a
+    # string hash could give: every criterion-4 A side interprets to the
+    # same element tables, points and pointed 2-cells under two hash seeds
+    words = json.dumps([w for _, w in CRITERION_4_WORDS])
+    digests = set()
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASHSEED_DIGEST, words],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed))
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 # -- the composed-functor evaluation as a reference ---------------------------
