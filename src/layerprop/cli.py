@@ -131,6 +131,9 @@ def cmd_eq(args) -> int:
         return OK
     res = dg.layer_eq(a, b, args.budget)
     payload = {"result": res.status, "mode": "modulo-equations"}
+    if res.weights is not None:  # the certificate of "distinct"
+        payload["weights"] = [[layer, gen, w] for (layer, gen), w
+                              in sorted(res.weights.items())]
     _report(args, payload, [res.status])
     return {"equal": OK, "distinct": FAILED, "unknown": EXHAUSTED}[res.status]
 

@@ -697,6 +697,9 @@ def structural_eq(x: Diagram, y: Diagram) -> bool:
 class LayerEqResult:
     status: str  # "equal" | "distinct" | "unknown"
     witness: Derivation | None = None  # set when "equal"
+    # set when "distinct" because an invariant weight separates the pair:
+    # per (layer, generator), its nonzero weights (``weights``)
+    weights: dict[tuple[str, str], int] | None = None
 
 
 def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
@@ -709,8 +712,13 @@ def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
     ``verify_derivation`` replays.  A negative budget is rejected with
     MalformedInput.  A budget that runs out partway through a breadth-first
     level leaves the verdict to the order in which moves are tried.
+
+    Before searching, ``distinct`` is certain in two cases: the canonical
+    forms differ and no box lies in a layer with equations, or a weight
+    that every equation keeps weighs the two differently
+    (``weights.separating_weights``), which the result then carries.
     """
-    from . import rewrite  # local import: rewrite layers on diagram
+    from . import rewrite, weights  # local: both layer on diagram
 
     check_count("budget", budget)
     if x.sort != y.sort:
@@ -721,6 +729,9 @@ def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
                   if isinstance(cell, InternalBox)}
         if not any(x.system.layer(l).equations for l in layers):
             return LayerEqResult("distinct")
+        w = weights.separating_weights(cx.diagram, cy.diagram, ("E",))
+        if w:
+            return LayerEqResult("distinct", weights=w)
     engine = rewrite.RuleEngine(x.system, equation_insertions=True,
                                 families=("E",))
     out = rewrite.find_derivation(x, y, budget, engine)

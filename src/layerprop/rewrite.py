@@ -1288,7 +1288,9 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     derivation replays from src to dst; the search expands the smaller
     frontier first, deterministically.  ``rule_filter`` restricts the move
     set (it receives each Match and may veto it).  A negative budget is
-    rejected with MalformedInput.
+    rejected with MalformedInput.  A pair that an invariant weight of the
+    engine's families separates (``weights``) is reachable at no budget;
+    it returns ``NotFound(budget)`` before any application.
     """
     check_count("budget", budget)
     if src.sort != dst.sort:
@@ -1299,6 +1301,9 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     k_src, k_dst = canonical_key(src_c), canonical_key(dst_c)
     if k_src == k_dst:
         return Derivation(src_c, [])
+    from . import weights  # deferred: the semantics never loads it
+    if weights.separating_weights(src_c, dst_c, engine.families):
+        return NotFound(budget)
 
     def forward(state: Diagram) -> list[Match]:
         return [m for m in engine.matches(state)

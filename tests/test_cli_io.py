@@ -164,6 +164,29 @@ def test_cli_eq_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_eq_distinct_by_weights(tmp_path, capsys):
+    # m1;m2 = id keeps the weight m1 = -1, m2 = 1, under which m1 and m1;m1
+    # differ: eq answers distinct with that certificate, derive as before
+    mon = models.monoid_model().system
+    t = _write(tmp_path, "t.json", jsonio.system_to_json(mon))
+    twice = tmp_path / "twice.sexp"
+    twice.write_text("(seq (gen MU m1) (gen MU m1))", encoding="utf-8")
+    assert main(["eq", "--system", t, "m1", str(twice)]) == 2
+    assert capsys.readouterr().out == "distinct\n"
+    assert main(["eq", "--system", t, "m1", str(twice), "--json"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"] == "distinct"
+    assert out["weights"] == [["MU", "m1", -1], ["MU", "m2", 1]]
+    from layerprop import weights
+    w = {(layer, gen): v for layer, gen, v in out["weights"]}
+    x, y = dg.gen_box(mon, "MU", "m1"), terms.build(
+        sexpr.parse_term(twice.read_text(encoding="utf-8")), mon)
+    assert weights.check_weights(x, y, w, ("E",))
+    assert main(["derive", "--system", t, "--src", "m1", "--dst",
+                 str(twice), "--budget", "50"]) == 3
+    assert capsys.readouterr().out == "no derivation within budget 50\n"
+
+
 def test_cli_derive_and_explain2(tmp_path, capsys):
     sys_ = make_two_layer_system()
     t = _write(tmp_path, "t.json", jsonio.system_to_json(sys_))
@@ -662,7 +685,7 @@ with open(sys.argv[1], "w") as out:
                             if m.startswith("layerprop."))], out)
 """
 
-_SEARCH = {"rewrite", "explain"}
+_SEARCH = {"rewrite", "explain", "weights"}
 _SEMANTICS = {"profunctor", "semantics", "models"}
 _CASES = {"chem", "ccs", "circuits"}
 
@@ -682,6 +705,9 @@ def test_each_verb_loads_only_its_modules(tmp_path, capsys):
         (fx / name).write_text(text, encoding="utf-8")
     (fx / "series.json").write_text(json.dumps(
         [{"kind": "resistor", "param": r} for r in (2, 3)]), encoding="utf-8")
+    monoid = models.monoid_model()
+    mon = _write(fx, "monoid.json", jsonio.system_to_json(monoid.system))
+    mon_model = _write(fx, "monoid-model.json", jsonio.model_to_json(monoid))
 
     def f(name):
         return str(fx / name)
@@ -717,6 +743,9 @@ def test_each_verb_loads_only_its_modules(tmp_path, capsys):
         (["ccs"], 0, _SEMANTICS),
         (["circuit"], 0, _SEMANTICS),
         (["circuit", "--file", f("series.json")], 0, _SEMANTICS | _SEARCH),
+        # the semantics samples rules but never searches
+        (["semantics-verify", "--system", mon, "--model", mon_model,
+          "--max-word", "1"], 0, {"explain", "weights"} | _CASES),
     ]
     report = tmp_path / "loaded.json"
     for argv, code, banned in cases:

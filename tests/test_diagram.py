@@ -430,7 +430,9 @@ def _layer_eq_pairs(two_layer):
 LAYER_EQ_PINNED = {
     **{f"{name}-eq{i}": ("equal", "equal")
        for name in EQ_STRANDS for i in range(EQ_PAIRS)},
-    **{f"monoid-differ{i}": ("unknown", "unknown")
+    # m1 adds one to the weight m1 = -1, m2 = 1, which the equation
+    # m1;m2 = id keeps, so the extra m1 separates each pair at any budget
+    **{f"monoid-differ{i}": ("distinct", "distinct")
        for i in range(DIFFER_PAIRS)},
 }
 

@@ -11,7 +11,7 @@ import pytest
 import genterms
 from conftest import make_two_layer_system
 from layerprop import diagram as dg
-from layerprop import internal, jsonio, models, terms
+from layerprop import internal, jsonio, models, terms, weights
 from layerprop import rewrite as rw
 from layerprop.diagram import canonical_key, canonicalize
 from layerprop.errors import (LayerPropError, MalformedInput,
@@ -646,6 +646,23 @@ def test_search_results_pinned(two_layer):
     got = {name: _outcome(rw.find_derivation(src, dst, budget))
            for name, (src, dst, budget) in _pinned_cases(two_layer).items()}
     assert got == PINNED
+
+
+def test_weight_equal_unreachable_pair_spends_the_budget():
+    # two-u-uu and monoid-m2-m1 are settled by a weight before the loop;
+    # m1 and m1;m1;m2 weigh the same under every invariant weight (m1;m2 =
+    # id), and with insertions off no derivation joins them, so the loop
+    # must run out: every offered move is applied until the budget is spent
+    mon = models.monoid_model().system
+    src = _box(mon, "MU", "u", ["m1"])
+    dst = _box(mon, "MU", "u", ["m1", "m1", "m2"])
+    assert weights.separating_weights(src, dst, rw.FAMILIES) is None
+    for budget in (1, 200):
+        offered = []
+        out = rw.find_derivation(src, dst, budget,
+                                 rule_filter=lambda m: offered.append(m) or True)
+        assert out == rw.NotFound(budget)
+        assert len(offered) >= budget
 
 
 def test_rule_instances_shared_per_system(two_layer, engine):
