@@ -339,20 +339,6 @@ class FinFunctor(Functor):
         return out
 
 
-def identity_functor(c: FinCategory) -> Functor:
-    return Functor(f"id_{c.name}", c, c, _same, _same)
-
-
-def product_functor(fs: list[Functor]) -> Functor:
-    def componentwise(maps: list) -> Callable:
-        return lambda x: tuple(m(xi) for m, xi in zip(maps, x))
-    return Functor("(" + "x".join(f.name for f in fs) + ")",
-                   product_category([f.source for f in fs]),
-                   product_category([f.target for f in fs]),
-                   componentwise([f.on_obj for f in fs]),
-                   componentwise([f.on_mor for f in fs]))
-
-
 class Profunctor:
     """Explicit bimodule: elements per object pair with two actions, x in
     P(a, b) to lact(g, x, a, b) in P(a', b) for g: a' -> a and to
@@ -369,58 +355,6 @@ class Profunctor:
 
     def elements(self, a, b) -> tuple:
         return self._elements.get((a, b), ())
-
-
-def validate_profunctor(p: Profunctor) -> list[str]:
-    """Exhaustive bimodule law check: functorial actions that commute."""
-    out: list[str] = []
-    src, tgt = p.source, p.target
-    for (a, b), elems in p._elements.items():
-        for x in elems:
-            if p.lact(src.ident(a), x, a, b) != x:
-                out.append(f"left unit fails at {(a, b, x)!r}")
-            if p.ract(x, tgt.ident(b), a, b) != x:
-                out.append(f"right unit fails at {(a, b, x)!r}")
-            for g in src.morphisms:
-                if src.cod(g) != a:
-                    continue
-                gx = p.lact(g, x, a, b)
-                if gx not in p.elements(src.dom(g), b):
-                    out.append(f"left action leaves the table at "
-                               f"{(g, x)!r}")
-                for g2 in src.morphisms:
-                    if src.cod(g2) != src.dom(g):
-                        continue
-                    if p.lact(src.then(g2, g), x, a, b) != \
-                            p.lact(g2, gx, src.dom(g), b):
-                        out.append(f"left functoriality fails at "
-                                   f"{(g2, g, x)!r}")
-            for h in tgt.morphisms:
-                if tgt.dom(h) != b:
-                    continue
-                xh = p.ract(x, h, a, b)
-                if xh not in p.elements(a, tgt.cod(h)):
-                    out.append(f"right action leaves the table at "
-                               f"{(x, h)!r}")
-                for h2 in tgt.morphisms:
-                    if tgt.dom(h2) != tgt.cod(h):
-                        continue
-                    if p.ract(x, tgt.then(h, h2), a, b) != \
-                            p.ract(xh, h2, a, tgt.cod(h)):
-                        out.append(f"right functoriality fails at "
-                                   f"{(x, h, h2)!r}")
-            for g in src.morphisms:
-                if src.cod(g) != a:
-                    continue
-                for h in tgt.morphisms:
-                    if tgt.dom(h) != b:
-                        continue
-                    left = p.ract(p.lact(g, x, a, b), h, src.dom(g), b)
-                    right = p.lact(g, p.ract(x, h, a, b), a, tgt.cod(h))
-                    if left != right:
-                        out.append(f"actions do not commute at "
-                                   f"{(g, x, h)!r}")
-    return out
 
 
 def hom_profunctor(c: FinCategory) -> Profunctor:
@@ -656,22 +590,6 @@ class PointedProfunctor:
                 f"{(self.src_obj, self.tgt_obj)!r}")
 
 
-def pointed_hom(c: FinCategory, f) -> PointedProfunctor:
-    prof = hom_profunctor(c)
-    return PointedProfunctor(prof, c.dom(f), c.cod(f), f)
-
-
-def point_compose(pp: PointedProfunctor,
-                  qq: PointedProfunctor) -> PointedProfunctor:
-    if pp.tgt_obj != qq.src_obj:
-        raise BoundaryMismatch(
-            f"points do not meet: {pp.tgt_obj!r} vs {qq.src_obj!r}")
-    comp = ComposedProfunctor(pp.prof, qq.prof)
-    point = comp.inject(pp.src_obj, qq.tgt_obj, pp.tgt_obj, pp.point,
-                        qq.point)
-    return PointedProfunctor(comp, pp.src_obj, qq.tgt_obj, point)
-
-
 # ---------------------------------------------------------------------------
 # natural transformation search
 
@@ -814,55 +732,3 @@ def pointed_two_cell(pp: PointedProfunctor, qq: PointedProfunctor,
         return None
     point = ((pp.src_obj, pp.tgt_obj, pp.point), qq.point)
     return nat_trans_search(pp.prof, qq.prof, point, iso=iso, cap=cap)
-
-
-# ---------------------------------------------------------------------------
-# adjunction triangles
-
-
-def check_adjunction_triangles(f: Functor) -> list[str]:
-    """Element-wise triangle identities for up(F) left adjoint to down(F)."""
-    out: list[str] = []
-    up = embed(f, "up")
-    down = embed(f, "down")
-    c, d = f.source, f.target
-    ud = ComposedProfunctor(up, down)
-
-    def unit(h, a, a2):
-        # C(a, a2) -> (up;down)(a, a2)
-        return ud.inject(a, a2, f.on_obj(a), d.ident(f.on_obj(a)),
-                         f.on_mor(h))
-
-    for a in c.objects:
-        _, x0, y0 = unit(c.ident(a), a, a)  # a representative of the unit
-        for b in d.objects:
-            # triangle for up, p in D(Fa, b): [x0, [y0, p]] evaluates the
-            # counit on [y0, p], then the right unit isomorphism
-            for p in up.elements(a, b):
-                if d.then(x0, d.then(y0, p)) != p:
-                    out.append(f"up-triangle fails at {(a, b, p)!r}")
-            # triangle for down, q in D(b, Fa)
-            for q in down.elements(b, a):
-                if d.then(d.then(q, x0), y0) != q:
-                    out.append(f"down-triangle fails at {(b, a, q)!r}")
-    return out
-
-
-def check_pointed_composition(c: FinCategory) -> list[str]:
-    """Composing pointed homs realizes composition: [f, g] evaluates to
-    the class of the composite."""
-    out: list[str] = []
-    hom = hom_profunctor(c)
-    comp = ComposedProfunctor(hom, hom)
-    for f in c.morphisms:
-        for g in c.morphisms:
-            if c.cod(f) != c.dom(g):
-                continue
-            a, z = c.dom(f), c.cod(g)
-            fg = c.then(f, g)
-            cls_pair = comp.inject(a, z, c.cod(f), f, g)
-            cls_comp = comp.inject(a, z, a, c.ident(a), fg)
-            if cls_pair != cls_comp:
-                out.append(f"pair class of {(f, g)!r} differs from its "
-                           f"composite's class")
-    return out

@@ -46,8 +46,9 @@ generator-by-generator reading and ignores them, which
 The matcher only proposes: ``apply_rule``, which ``replay`` and
 ``Derivation.end`` apply through, checks that the host cut at a match's
 cells and wires has the canonical key of the side it replaces, or that an E
-payload is one of the box's rewrites by the equation.  An engine is only
-its settings over one memo per system (``SystemOfLayers._rewrite_memo``):
+payload is one of the box's rewrites by the equation.  An engine is its
+settings, the pieces of the rule sides it built (``_Pieces``, each piece
+once per engine), and one memo per system (``SystemOfLayers._rewrite_memo``):
 the rules a template denotes at given host values, one rule per table key
 and arguments, and the rewrites of each box content by an equation side.
 """
@@ -525,13 +526,14 @@ L, F, W, C, S, Q = "layer", "functor", "word", "content", "strand", "equation"
 @dataclass(frozen=True)
 class _Schema:
     """One rule: its key (the names' prefix; its first letter is the
-    family), its argument kinds and its two sides, built from the arguments
-    by ``dg`` constructors.  The A family is one-directional.  ``keep``
-    leading arguments (a functor as its source and target; default all)
-    make the rule's params.  ``only`` carries an asymmetry: "whole" sides
-    match only the whole host, a "forward" rule's rhs is never matched, and
-    a "collapse" rule exists only for the engine's faithful window-collapse
-    pairs and is neither sampled nor semantically verified."""
+    family), its argument kinds and its two sides, built from a
+    ``_Pieces`` and the arguments by ``dg`` constructors.  The A family is
+    one-directional.  ``keep`` leading arguments (a functor as its source
+    and target; default all) make the rule's params.  ``only`` carries an
+    asymmetry: "whole" sides match only the whole host, a "forward" rule's
+    rhs is never matched, and a "collapse" rule exists only for the
+    engine's faithful window-collapse pairs and is neither sampled nor
+    semantically verified."""
 
     key: str
     kinds: tuple
@@ -541,43 +543,64 @@ class _Schema:
     only: str = ""
 
 
-def _id(y, layer: str, *words: Word) -> Diagram:
+class _Pieces:
+    """The system a rule side is built over, as the schemata see it: a
+    side is composed of pieces, and ``y(make, *args)`` is the piece
+    ``make(system, *args)``, built and validated once per ``_Pieces``.
+    Diagrams are immutable, so the rules of one engine share their
+    pieces; ``dg.seq_compose`` and ``dg.par_tensor`` still check every
+    composite."""
+
+    __slots__ = ("system", "_built")
+
+    def __init__(self, system) -> None:
+        self.system, self._built = system, {}
+
+    def __call__(self, make: Callable, *args) -> Diagram:
+        key = make, args
+        d = self._built.get(key)
+        if d is None:
+            d = self._built[key] = make(self.system, *args)
+        return d
+
+
+def _id(y: _Pieces, layer: str, *words: Word) -> Diagram:
     """Bare sheets of one layer."""
-    return dg.identity(y, OmegaType(tuple((layer, w) for w in words)))
+    return y(dg.identity, OmegaType(tuple((layer, w) for w in words)))
 
 
-def _strand(y, content: InternalDiagram) -> Diagram:
+def _strand(y: _Pieces, content: InternalDiagram) -> Diagram:
     """A box, or the bare sheet an identity content is."""
     if content.is_identity():
         return _id(y, content.layer, content.dom)
-    return dg.box(y, content)
+    return y(dg.box, content)
 
 
-def _up(y, f, w: Word) -> Diagram:
-    return dg.refine(y, f.source, f.target, w)
+def _up(y: _Pieces, f, w: Word) -> Diagram:
+    return y(dg.refine, f.source, f.target, w)
 
 
-def _down(y, f, w: Word) -> Diagram:
-    return dg.coarsen(y, f.source, f.target, w)
+def _down(y: _Pieces, f, w: Word) -> Diagram:
+    return y(dg.coarsen, f.source, f.target, w)
 
 
-def _eq(y, layer: str, name: str):
-    return {e.name: e for e in y.layer(layer).equations}[name]
+def _eq(y: _Pieces, layer: str, name: str):
+    return {e.name: e for e in y.system.layer(layer).equations}[name]
 
 
 _seq, _par = dg.seq_compose, dg.par_tensor
 _SCHEMATA = {s.key: s for s in (
     _Schema("A1", (L, W, W), lambda y, l, a, b: _id(y, l, a, b),
-            lambda y, l, a, b: _seq(dg.pants(y, l, a, b),
-                                    dg.copants(y, l, a, b))),
+            lambda y, l, a, b: _seq(y(dg.pants, l, a, b),
+                                    y(dg.copants, l, a, b))),
     _Schema("A2", (L, W, W), lambda y, l, a, b: _seq(
-        dg.copants(y, l, a, b), dg.pants(y, l, a, b)),
+        y(dg.copants, l, a, b), y(dg.pants, l, a, b)),
             lambda y, l, a, b: _id(y, l, a + b), only="forward"),
     # the unit introduces a floating circle: offered on the empty diagram
     # only, and undone only on a lone circle
-    _Schema("A5", (L,), lambda y, l: dg.empty_diagram(y),
-            lambda y, l: _seq(dg.cup(y, l), dg.cap(y, l)), only="whole"),
-    _Schema("A6", (L,), lambda y, l: _seq(dg.cap(y, l), dg.cup(y, l)),
+    _Schema("A5", (L,), lambda y, l: y(dg.empty_diagram),
+            lambda y, l: _seq(y(dg.cup, l), y(dg.cap, l)), only="whole"),
+    _Schema("A6", (L,), lambda y, l: _seq(y(dg.cap, l), y(dg.cup, l)),
             lambda y, l: _id(y, l, EPSILON)),
     _Schema("A3", (F, W), lambda y, f, w: _id(y, f.source, w),
             lambda y, f, w: _seq(_up(y, f, w), _down(y, f, w))),
@@ -586,65 +609,65 @@ _SCHEMATA = {s.key: s for s in (
             lambda y, f, w: _id(y, f.source, w), only="collapse"),
     _Schema("A4", (F, W), lambda y, f, w: _seq(_down(y, f, w), _up(y, f, w)),
             lambda y, f, w: _id(y, f.target, f.word_image(w))),
-    _Schema("F1", (F, C), lambda y, f, s: _seq(dg.box(y, s),
+    _Schema("F1", (F, C), lambda y, f, s: _seq(y(dg.box, s),
                                                 _up(y, f, s.cod)),
-            lambda y, f, s: _seq(_up(y, f, s.dom),
-                                 dg.box(y, translate_internal(y, f, s))),
-            keep=1),
+            lambda y, f, s: _seq(_up(y, f, s.dom), y(
+                dg.box, translate_internal(y.system, f, s))), keep=1),
     _Schema("F2", (F, C), lambda y, f, s: _seq(_down(y, f, s.dom),
-                                                dg.box(y, s)),
-            lambda y, f, s: _seq(dg.box(y, translate_internal(y, f, s)),
-                                 _down(y, f, s.cod)), keep=1),
+                                                y(dg.box, s)),
+            lambda y, f, s: _seq(y(
+                dg.box, translate_internal(y.system, f, s)),
+                _down(y, f, s.cod)), keep=1),
     _Schema("F3", (L, S, S),
             lambda y, l, s, t: _seq(_par(_strand(y, s), _strand(y, t)),
-                                    dg.pants(y, l, s.cod, t.cod)),
-            lambda y, l, s, t: _seq(dg.pants(y, l, s.dom, t.dom),
-                                    dg.box(y, s.beside(t))), keep=1),
+                                    y(dg.pants, l, s.cod, t.cod)),
+            lambda y, l, s, t: _seq(y(dg.pants, l, s.dom, t.dom),
+                                    y(dg.box, s.beside(t))), keep=1),
     _Schema("F4", (L, S, S),
-            lambda y, l, s, t: _seq(dg.copants(y, l, s.dom, t.dom),
+            lambda y, l, s, t: _seq(y(dg.copants, l, s.dom, t.dom),
                                     _par(_strand(y, s), _strand(y, t))),
-            lambda y, l, s, t: _seq(dg.box(y, s.beside(t)),
-                                    dg.copants(y, l, s.cod, t.cod)), keep=1),
+            lambda y, l, s, t: _seq(y(dg.box, s.beside(t)),
+                                    y(dg.copants, l, s.cod, t.cod)), keep=1),
     _Schema("M1", (L, W, W, W), lambda y, l, a, b, c: _seq(
-        _par(dg.pants(y, l, a, b), _id(y, l, c)), dg.pants(y, l, a + b, c)),
-            lambda y, l, a, b, c: _seq(_par(_id(y, l, a), dg.pants(
-                y, l, b, c)), dg.pants(y, l, a, b + c)), keep=1),
+        _par(y(dg.pants, l, a, b), _id(y, l, c)), y(dg.pants, l, a + b, c)),
+            lambda y, l, a, b, c: _seq(_par(_id(y, l, a), y(
+                dg.pants, l, b, c)), y(dg.pants, l, a, b + c)), keep=1),
     _Schema("M2", (L, W, W, W), lambda y, l, a, b, c: _seq(
-        dg.copants(y, l, a + b, c), _par(dg.copants(y, l, a, b),
+        y(dg.copants, l, a + b, c), _par(y(dg.copants, l, a, b),
                                          _id(y, l, c))),
-            lambda y, l, a, b, c: _seq(dg.copants(y, l, a, b + c), _par(
-                _id(y, l, a), dg.copants(y, l, b, c))), keep=1),
+            lambda y, l, a, b, c: _seq(y(dg.copants, l, a, b + c), _par(
+                _id(y, l, a), y(dg.copants, l, b, c))), keep=1),
     _Schema("M3l", (L, W), lambda y, l, a: _seq(
-        _par(dg.cup(y, l), _id(y, l, a)), dg.pants(y, l, EPSILON, a)),
+        _par(y(dg.cup, l), _id(y, l, a)), y(dg.pants, l, EPSILON, a)),
             lambda y, l, a: _id(y, l, a)),
     _Schema("M3r", (L, W), lambda y, l, a: _seq(
-        _par(_id(y, l, a), dg.cup(y, l)), dg.pants(y, l, a, EPSILON)),
+        _par(_id(y, l, a), y(dg.cup, l)), y(dg.pants, l, a, EPSILON)),
             lambda y, l, a: _id(y, l, a)),
     _Schema("M4l", (L, W), lambda y, l, a: _seq(
-        dg.copants(y, l, EPSILON, a), _par(dg.cap(y, l), _id(y, l, a))),
+        y(dg.copants, l, EPSILON, a), _par(y(dg.cap, l), _id(y, l, a))),
             lambda y, l, a: _id(y, l, a)),
     _Schema("M4r", (L, W), lambda y, l, a: _seq(
-        dg.copants(y, l, a, EPSILON), _par(_id(y, l, a), dg.cap(y, l))),
+        y(dg.copants, l, a, EPSILON), _par(_id(y, l, a), y(dg.cap, l))),
             lambda y, l, a: _id(y, l, a)),
     _Schema("M5a", (F, W, W), lambda y, f, a, b: _seq(
         _par(_up(y, f, a), _up(y, f, b)),
-        dg.pants(y, f.target, f.word_image(a), f.word_image(b))),
-            lambda y, f, a, b: _seq(dg.pants(y, f.source, a, b),
+        y(dg.pants, f.target, f.word_image(a), f.word_image(b))),
+            lambda y, f, a, b: _seq(y(dg.pants, f.source, a, b),
                                     _up(y, f, a + b)), keep=1),
-    _Schema("M5b", (F,), lambda y, f: _seq(dg.cup(y, f.source),
+    _Schema("M5b", (F,), lambda y, f: _seq(y(dg.cup, f.source),
                                            _up(y, f, EPSILON)),
-            lambda y, f: dg.cup(y, f.target)),
+            lambda y, f: y(dg.cup, f.target)),
     _Schema("M6a", (F, W, W), lambda y, f, a, b: _seq(
-        dg.copants(y, f.target, f.word_image(a), f.word_image(b)),
+        y(dg.copants, f.target, f.word_image(a), f.word_image(b)),
         _par(_down(y, f, a), _down(y, f, b))),
             lambda y, f, a, b: _seq(_down(y, f, a + b),
-                                    dg.copants(y, f.source, a, b)), keep=1),
+                                    y(dg.copants, f.source, a, b)), keep=1),
     _Schema("M6b", (F,), lambda y, f: _seq(_down(y, f, EPSILON),
-                                           dg.cap(y, f.source)),
-            lambda y, f: dg.cap(y, f.target)),
+                                           y(dg.cap, f.source)),
+            lambda y, f: y(dg.cap, f.target)),
     # matched inside boxes through a payload (``_match_boxeq``)
-    _Schema("E", (L, Q), lambda y, l, e: dg.box(y, _eq(y, l, e).lhs),
-            lambda y, l, e: dg.box(y, _eq(y, l, e).rhs)),
+    _Schema("E", (L, Q), lambda y, l, e: y(dg.box, _eq(y, l, e).lhs),
+            lambda y, l, e: y(dg.box, _eq(y, l, e).rhs)),
 )}
 
 # the order of ``sample_instances``: (domain, members...) takes every
@@ -735,7 +758,7 @@ class _Template:
                             signature=lambda _: sig, **dict.fromkeys(
                                 ("validate_word", "validate_type", "layer"),
                                 lambda *_: None))
-        d = getattr(schema, side)(y, *args)
+        d = getattr(schema, side)(_Pieces(y), *args)
         self.args = [a[0] if type(a) is tuple else a.slices[0][1]
                      if type(a) is InternalDiagram else a for a in args]
         self.free = [v for v, k in zip(self.args, schema.kinds) if k in (L, F)]
@@ -924,6 +947,8 @@ class RuleEngine:
         # defeat the isolation certificate, so they are off by default
         self.equation_insertions = equation_insertions
         self._memo = system._rewrite_memo
+        # the pieces of the rule sides this engine builds
+        self._pieces = _Pieces(system)
         # each lhs forward and each bidirectional rhs backward for
         # ``matches``; the other rhs backward for ``anti_matches``
         self._moves, self._anti = _Moves(), _Moves()
@@ -949,8 +974,8 @@ class RuleEngine:
         params = sum(((a.source, a.target) if isinstance(a, TranslationFunctor)
                       else (a,) for a in args[:schema.keep]), ())
         return RewriteRule(f"{key}[{';'.join(names)}]", key[0],
-                           schema.lhs(self.system, *args),
-                           schema.rhs(self.system, *args), key[0] != "A",
+                           schema.lhs(self._pieces, *args),
+                           schema.rhs(self._pieces, *args), key[0] != "A",
                            params)
 
     def _rule(self, key: str, *args) -> RewriteRule:

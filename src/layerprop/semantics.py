@@ -18,11 +18,13 @@ the boundaries and the point.  It is computed by pushing those objects and
 generators forward through the cells' pieces slice by slice, one column per
 boundary component, and carrying the point as F(point) ; p; a down
 evaluation pushes the target boundary backward through each G, carrying
-p ; G(point), which by functoriality is the forward composite.  No composed
-functor or profunctor is built for a side evaluation.  By Yoneda,
-Nat(up F, up F') = Nat(F', F) (Loregian, *(Co)end Calculus*,
-arXiv:1501.02503, section 2), so two sides that evaluate up alike carry the
-identity as a pointed natural isomorphism, and no search is needed; down
+p ; G(point), which by functoriality is the forward composite.  The pushed
+objects and generators depend only on the side's shape, so they are
+computed once per model and shape.  No composed functor or profunctor is
+built for a side evaluation.  By Yoneda, Nat(up F, up F') = Nat(F', F)
+(Loregian, *(Co)end Calculus*, arXiv:1501.02503, section 2), so two sides
+that evaluate up alike carry the identity as a pointed natural
+isomorphism, and no search is needed; down
 evaluations, hom_M(-, G-), are dual, and a side holding a permutation is
 pointed-isomorphic to its down reading through up(P) = down(P^-1).  An E
 side is a single box, so its evaluation carries the morphism its equation
@@ -60,7 +62,8 @@ class FinOmegaSystem:
     objects: dict[tuple[str, str], object]          # (layer, symbol) -> obj
     generators: dict[tuple[str, str], object]       # (layer, gen) -> mor
     functors: dict[tuple[str, str], FinFunctor] = field(default_factory=dict)
-    # the pieces of slice items, and the functors those pieces share
+    # the pieces of slice items, the functors those pieces share, and the
+    # push tables of each side shape
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def category(self, layer: str) -> FinMonoidalCategory:
@@ -233,9 +236,11 @@ def _box(model: FinOmegaSystem, cell: InternalBox) -> _Piece:
 
 def _shared(model: FinOmegaSystem, key: tuple, build: Callable) -> Functor:
     """The functor ``build`` makes, built once per model and ``key``: the
-    pieces of all pants and copants of a layer, or of all refinements and
-    coarsenings along a translation, share one memo, so a boundary pushed
-    through a new piece mostly meets images already computed."""
+    pieces of all pants and copants of a layer, of all its cups and caps, of
+    all refinements and coarsenings along a translation, or of all
+    permutations of the same sheet categories in the same order share one
+    functor and its memo, so a point pushed through a new piece mostly meets
+    images already computed, and ``_push`` keys its tables by the functor."""
     f = model._cache.get(key)
     if f is None:
         f = model._cache[key] = build()
@@ -253,8 +258,10 @@ def _tensor(model: FinOmegaSystem, cell: Pants | Copants):
 
 def _unit(model: FinOmegaSystem, cell: Cup | Cap):
     cat = model.category(cell.layer)
-    return Functor("unit", product_category([]), product_category([cat]),
-                   lambda _: (cat.unit,), lambda _: (cat.ident(cat.unit),)), ()
+    f = _shared(model, ("unit", cell.layer), lambda: Functor(
+        "unit", product_category([]), product_category([cat]),
+        lambda _: (cat.unit,), lambda _: (cat.ident(cat.unit),)))
+    return f, ()
 
 
 def _translation(model: FinOmegaSystem, cell: Refine | Coarsen):
@@ -276,12 +283,14 @@ def _perm(model: FinOmegaSystem, types: tuple, order: tuple,
     a = tuple(model.word_obj(layer, word) for layer, word in types)
     if down:   # P^-1 moves the sheet at place k back to order[k]
         cats, a = [cats[i] for i in order], tuple(a[i] for i in order)
-        order = sorted(range(len(order)), key=order.__getitem__)
+        order = tuple(sorted(range(len(order)), key=order.__getitem__))
+    src = product_category(cats)
 
     def permute(x):
         return tuple(x[i] for i in order)
-    f = Functor("perm", product_category(cats),
-                product_category([cats[i] for i in order]), permute, permute)
+    f = _shared(model, ("perm", src, order), lambda: Functor(
+        "perm", src, product_category([cats[i] for i in order]), permute,
+        permute))
     return _down(f, a) if down else _up(f, a)
 
 
@@ -473,10 +482,11 @@ def _push(model: FinOmegaSystem, dom: OmegaType, slices: list[list[_Piece]],
     """Push a boundary through the parts of the slices, up forward from
     the dom boundary through each part's F, or down backward from the cod
     boundary through each part's G.  The boundary category's objects and
-    generators are held as columns, one per component: a part with a
-    functor maps its own columns, row by row, and a wire or box passes them
-    through.  The point is carried alongside, F(point) ; p up and
-    p ; G(point) down, which by functoriality is the forward fold's point.
+    generators go through ``_tables``, computed once per model and side
+    shape: the words of a side change only its boundaries and its point.
+    What is pushed here, on every call, is the point, F(point) ; p up and
+    p ; G(point) down, which by functoriality is the forward fold's point,
+    with every check that one slice's boundary meets the next one's.
     Returns the images, the two boundaries and the point."""
     a0 = tuple(model.word_obj(layer, w) for layer, w in dom.entries)
     cat = product_category([model.category(layer) for layer, _ in
@@ -486,38 +496,63 @@ def _push(model: FinOmegaSystem, dom: OmegaType, slices: list[list[_Piece]],
         cat = product_category([c for p in slices[-1]
                                 for c in p.tgt.components])
         edge = sum((p.b for p in slices[-1]), ())
-    start = edge
-    objs, gens = cat.objects, cat.generators()
-    n_objs, n_gens = len(objs), len(gens)
-    obj_cols, gen_cols = list(zip(*objs)), list(zip(*gens))
-    point = cat.ident(edge)
+    start, point, shape = edge, cat.ident(edge), []
     for parts in reversed(slices) if down else slices:
         if down:
             _meet(sum((p.b for p in parts), ()), edge)
         else:
             _meet(edge, sum((p.a for p in parts), ()))
-        next_objs, next_gens, next_point, i = [], [], (), 0
+        next_point, steps, i = (), [], 0
         for p in parts:
             functor = p.g if down else p.f
             j = i + len((p.tgt if down else p.src).components)
             x = point[i:j]
-            if functor is None:
-                next_objs += obj_cols[i:j]
-                next_gens += gen_cols[i:j]
-            else:
+            if functor is not None:
                 x = functor.on_mor(x)
-                next_objs += _map_columns(functor.on_obj, obj_cols[i:j],
-                                          n_objs)
-                next_gens += _map_columns(functor.on_mor, gen_cols[i:j],
-                                          n_gens)
             next_point += (p.mid.then(p.point, x) if down
                            else p.mid.then(x, p.point))
+            steps.append((functor, j - i))
             i = j
-        obj_cols, gen_cols, point = next_objs, next_gens, next_point
+        point = next_point
+        shape.append(tuple(steps))
         edge = sum((p.a if down else p.b for p in parts), ())
     a, b = (edge, start) if down else (start, edge)
     _meet(a0, a)            # a down push must end at the source boundary
-    return _rows(obj_cols, n_objs), _rows(gen_cols, n_gens), a, b, point
+    return (*_tables(model, cat, tuple(shape)), a, b, point)
+
+
+def _tables(model: FinOmegaSystem, cat: FinCategory, shape: tuple
+            ) -> tuple:
+    """The images of the objects and of the generators of the boundary
+    category ``cat`` through ``shape``: per slice, in the order pushed,
+    each part's functor (None: an identity) and width.  They are held as
+    columns, one per component: a part with a functor maps its own
+    columns, row by row, and a wire or box passes them through.  The
+    tables depend on nothing else, so they are computed once per model
+    and shape."""
+    key = "push", cat, shape
+    tables = model._cache.get(key)
+    if tables is None:
+        objs, gens = cat.objects, cat.generators()
+        n_objs, n_gens = len(objs), len(gens)
+        obj_cols, gen_cols = list(zip(*objs)), list(zip(*gens))
+        for steps in shape:
+            next_objs, next_gens, i = [], [], 0
+            for functor, width in steps:
+                j = i + width
+                if functor is None:
+                    next_objs += obj_cols[i:j]
+                    next_gens += gen_cols[i:j]
+                else:
+                    next_objs += _map_columns(functor.on_obj, obj_cols[i:j],
+                                              n_objs)
+                    next_gens += _map_columns(functor.on_mor, gen_cols[i:j],
+                                              n_gens)
+                i = j
+            obj_cols, gen_cols = next_objs, next_gens
+        tables = model._cache[key] = (_rows(obj_cols, n_objs),
+                                      _rows(gen_cols, n_gens))
+    return tables
 
 
 def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
@@ -534,10 +569,13 @@ def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
     computed by pushing the boundary through the cached pieces of each
     slice, column by column: up runs forward from the source boundary,
     each point step F(point) ; p, and down runs backward from the target
-    boundary, each step p ; G(point).  No composed functor, flat product
-    or profunctor is built.  Only a permutation reads differently down, so
-    the down reading has pieces of its own only when the slicing holds
-    one.  The directions are decided before any boundary is checked, so a
+    boundary, each step p ; G(point).  The images depend only on the
+    side's shape, the boundary category and each part's functor and width,
+    so they are computed once per model and shape; the boundaries are
+    checked and the point pushed on every call.  No composed functor, flat
+    product or profunctor is built.  Only a permutation reads differently
+    down, so the down reading has pieces of its own only when the slicing
+    holds one.  The directions are decided before any boundary is checked, so a
     mixed side raises nothing.
     """
     slices = layered_slices(d)

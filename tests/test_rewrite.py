@@ -679,6 +679,29 @@ def test_rule_instances_shared_per_system(two_layer, engine):
     assert dg.structural_eq(fresh.rhs, seen[fresh.name].rhs)
 
 
+def test_rule_pieces_built_once_per_engine(two_layer, monkeypatch):
+    # an engine builds each piece of its rule sides once and its rules share
+    # it; composites are built and checked per rule, and another engine
+    # builds its own pieces
+    cells = []
+    real = dg._single_cell
+    monkeypatch.setattr(dg, "_single_cell",
+                        lambda sys_, cell: cells.append(cell) or real(sys_,
+                                                                      cell))
+    f = two_layer.functor("U", "L")
+    engine = rw.RuleEngine(two_layer)
+    a3 = engine.rule_instance("A3", f, ("a",))
+    assert [c.tag for c in cells] == ["refine", "coarsen"]
+    a3c = engine.rule_instance("A3c", f, ("a",))
+    assert len(cells) == 2 and a3c.rhs is a3.lhs
+    assert a3c.lhs is not a3.rhs and dg.structural_eq(a3c.lhs, a3.rhs)
+    for key in ("A6", "A5"):   # cap then cup, and cup then cap
+        engine.rule_instance(key, "U")
+    assert len(cells) == 4
+    fresh = rw.RuleEngine(two_layer).rule_instance("A3", f, ("a",))
+    assert len(cells) == 6 and fresh.lhs is not a3.lhs
+
+
 def test_equation_rewrites_shared_per_system(two_layer, monkeypatch):
     # a second engine reads the rewrites of a box the first one matched
     calls = []

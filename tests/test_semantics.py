@@ -22,6 +22,8 @@ from layerprop.internal import InternalDiagram
 from layerprop.theory import (LayerPresentation, MorphismGen, SystemOfLayers,
                               TranslationFunctor, sheet, validate_system)
 
+import profunctor_oracles as oracles
+
 
 @pytest.fixture(scope="module")
 def monoid_model():
@@ -84,20 +86,28 @@ def test_interpret_refine_table_sizes(meet_model):
 
 
 def test_model_categories_freed_with_the_model():
-    # products and hom profunctors are cached on their categories, so
-    # nothing outside the model keeps them alive
+    # products and hom profunctors are cached on their categories, pieces,
+    # functors and push tables on the model, and rule pieces on the engine,
+    # so nothing outside the model and the engine keeps them alive
     model = models.meet_model()
     sys_ = model.system
     for d in (dg.sheet_sym(sys_, "Ar", ("lo",), "Sq", ("q",)),
               dg.refine(sys_, "Ar", "Sq", ("lo",)),
               dg.pants(sys_, "Sq", ("p",), ("q",))):
         sm.interpret(model, d)
+        assert sm.side_evaluation(model, d)
+    engine = rw.RuleEngine(sys_)
+    rules = rw.sample_instances(engine, {"Ar": [(), ("lo",)],
+                                         "Sq": [(), ("q",)]})
+    for rule in rules:
+        sm.verify_rule_semantics(rule, model)
+    assert any(key[0] == "push" for key in model._cache)
     sq = model.category("Sq")
     refs = [weakref.ref(sq), weakref.ref(pf.product_category([sq, sq])),
-            weakref.ref(pf.hom_profunctor(sq))]
-    del model, sys_, d, sq
+            weakref.ref(pf.hom_profunctor(sq)), weakref.ref(engine)]
+    del model, sys_, d, sq, engine, rules, rule
     gc.collect()
-    assert [r() for r in refs] == [None, None, None]
+    assert [r() for r in refs] == [None] * 4
 
 
 def test_interpret_missing_binding(meet_model, monoid_model):
@@ -556,6 +566,77 @@ def test_side_evaluation_boundary_mismatch(meet_model):
             evaluate(shifted, side)
 
 
+def _push_shapes(model) -> list:
+    return [key for key in model._cache if key[0] == "push"]
+
+
+def _fresh_push(model, d) -> list:
+    """The side evaluation of d pushed from an empty table memo."""
+    for key in _push_shapes(model):
+        del model._cache[key]
+    return sm.side_evaluation(model, d)
+
+
+@pytest.mark.parametrize("make, max_word", [(models.monoid_model, 2),
+                                            (models.meet_model, None)])
+def test_push_memo_hit_matches_a_fresh_push(make, max_word):
+    # the push tables are memoised by side shape: on every sampled side a
+    # memo hit returns the very tables of the first push and equals a push
+    # from an empty memo, and verifying the instances in reversed order,
+    # so that other sides fill the memo, gives the same evaluations
+    model = make()
+    words = dict(CRITERION_4_WORDS)["meet_model"] if max_word is None else {
+        name: [w for n in range(max_word + 1)
+               for w in itertools.product(lay.gen_objects, repeat=n)]
+        for name, lay in model.system.layers.items()}
+    rules = rw.sample_instances(rw.RuleEngine(model.system), words)
+    sides = [d for r in rules for d in (r.lhs, r.rhs)]
+    first = [sm.side_evaluation(model, d) for d in sides]
+    assert 1 < len(_push_shapes(model)) < len(sides) // 4
+    hits = [sm.side_evaluation(model, d) for d in sides]
+    assert hits == first
+    assert all(h[1] is f[1] and h[2] is f[2]
+               for hs, fs in zip(hits, first) for h, f in zip(hs, fs))
+    assert [_fresh_push(model, d) for d in sides] == first
+    forward = [(sm.verify_rule_semantics(r, model),
+                sm.side_evaluation(model, r.lhs),
+                sm.side_evaluation(model, r.rhs)) for r in rules]
+    again = make()
+    backward = [(sm.verify_rule_semantics(r, again),
+                 sm.side_evaluation(again, r.lhs),
+                 sm.side_evaluation(again, r.rhs)) for r in reversed(rules)]
+    assert backward[::-1] == forward
+    assert [ev for _, *evs in forward for ev in evs] == first
+
+
+def test_push_memo_hit_still_checks_boundaries(meet_model):
+    # coarsening hi and coarsening lo have one side shape; in the shifted
+    # model the first meets its boundaries and puts that shape in the memo,
+    # and the second, whose functor sends lo to q where its source boundary
+    # reads p, still fails the check
+    hi, lo = (dg.coarsen(meet_model.system, "Ar", "Sq", (x,))
+              for x in ("hi", "lo"))
+    (_, objs, *_), = sm.side_evaluation(meet_model, hi)
+    assert sm.side_evaluation(meet_model, lo)[0][1] is objs
+    shifted = _shifted_meet_model()
+    assert [e[0] for e in sm.side_evaluation(shifted, hi)] == ["down"]
+    shapes = _push_shapes(shifted)
+    assert len(shapes) == 1
+    with pytest.raises(BoundaryMismatch):
+        sm.side_evaluation(shifted, lo)
+    # a side that fails a check leaves no table behind: the refinement of
+    # test_side_evaluation_boundary_mismatch fails again, and the memo
+    # still holds the one shape
+    side = dg.seq_compose(
+        dg.refine(shifted.system, "Ar", "Sq", ("lo",)),
+        dg.box(shifted.system,
+               InternalDiagram("Sq", ("p",), ("s",), ((0, "gd"),))))
+    for _ in range(2):
+        with pytest.raises(BoundaryMismatch):
+            sm.side_evaluation(shifted, side)
+    assert _push_shapes(shifted) == shapes
+
+
 # -- the coend fold as a reference --------------------------------------------
 
 
@@ -626,7 +707,8 @@ def reference_interpret(model, d):
         return product([hom_at(*t) for t in c.dom.entries])
     out = product([part(*item) for item in slices[0]])
     for sl in slices[1:]:
-        out = pf.point_compose(out, product([part(*item) for item in sl]))
+        out = oracles.point_compose(out, product([part(*item)
+                                                  for item in sl]))
     return out
 
 
