@@ -707,11 +707,12 @@ def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
 
     The search is ``rewrite.find_derivation`` with an engine that matches
     the E family alone, with equation insertions on: ``budget`` counts
-    equation applications across both frontiers, the smaller frontier
-    expanding first, and an ``equal`` verdict carries a derivation that
-    ``verify_derivation`` replays.  A negative budget is rejected with
-    MalformedInput.  A budget that runs out partway through a breadth-first
-    level leaves the verdict to the order in which moves are tried.
+    the equation moves considered across both frontiers, built or not, the
+    smaller frontier expanding first, and an ``equal`` verdict carries a
+    derivation that ``verify_derivation`` replays.  A negative budget is
+    rejected with MalformedInput.  A budget that runs out partway through a
+    breadth-first level leaves the verdict to the order in which moves are
+    tried.
 
     Before searching, ``distinct`` is certain in two cases: the canonical
     forms differ and no box lies in a layer with equations, or a weight

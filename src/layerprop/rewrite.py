@@ -1304,18 +1304,63 @@ def verify_derivation(dv: Derivation) -> bool:
         [m.host_key for m in dv.steps]
 
 
+def _frame_labels(cells) -> tuple:
+    """The sorted labels of the cells that are neither boxes nor sheet
+    symmetries."""
+    return tuple(sorted(c.label() for c in cells
+                        if not isinstance(c, (InternalBox, dg.SheetSym))))
+
+
+def _moved_frame(frame: tuple, host: Diagram, m: Match,
+                 memo: dict) -> tuple:
+    """The frame of ``_apply(host, m)``, from the frame of the canonical
+    host, without building it.  ``memo`` is shared by the hosts of this
+    frame; it maps a replacement and the removed cells' labels to the
+    result.
+
+    A diagram's frame is the sorted labels of its cells that are neither
+    boxes nor sheet symmetries.  The quotient only drops sheet symmetries
+    and fuses or erases boxes, so the result's frame is the host's, less
+    the removed cells' labels, plus the replacement's; an E step changes
+    one box and keeps the host's frame.
+    """
+    if m.box_payload is not None:
+        return frame
+    cells = m.cells
+    key = (m.replacement, *[host.cells[ci].label() for ci in cells]
+           ) if cells else m.replacement
+    moved = memo.get(key)
+    if moved is None:
+        labels = list(frame)
+        for label in _frame_labels([host.cells[ci] for ci in cells]):
+            labels.remove(label)
+        labels += _frame_labels(m.replacement.cells)
+        moved = memo[key] = tuple(sorted(labels))
+    return moved
+
+
 def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
                     engine: RuleEngine | None = None,
                     rule_filter=None) -> Derivation | NotFound:
     """Meet-in-the-middle breadth-first search over canonical forms.
 
-    The budget counts rule applications across both frontiers.  A returned
-    derivation replays from src to dst; the search expands the smaller
-    frontier first, deterministically.  ``rule_filter`` restricts the move
-    set (it receives each Match and may veto it).  A negative budget is
-    rejected with MalformedInput.  A pair that an invariant weight of the
-    engine's families separates (``weights``) is reachable at no budget;
-    it returns ``NotFound(budget)`` before any application.
+    The budget counts the moves a level considers across both frontiers,
+    whether the search builds their states or not.  A returned derivation
+    replays from src to dst; the search expands the smaller frontier first,
+    deterministically.  ``rule_filter`` restricts the move set (it receives
+    each Match and may veto it).  A negative budget is rejected with
+    MalformedInput.  A pair that an invariant weight of the engine's
+    families separates (``weights``) is reachable at no budget; it returns
+    ``NotFound(budget)`` before any application.
+
+    A level is expanded in two passes over the same moves.  A state can lie
+    in the other tree only if its frame (``_moved_frame``, known before the
+    state is built) is the frame of a state there, so the first pass builds
+    only those moves and returns at the first that lands in the other tree,
+    or ``NotFound(budget)`` if the budget ends inside the level.  Only a
+    level that does neither is built in full, by the second pass, which
+    reuses the first pass's states.  The result is the one of a single pass
+    that builds every move.
     """
     check_count("budget", budget)
     if src.sort != dst.sort:
@@ -1347,6 +1392,9 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     trees: tuple[dict, dict] = ({k_src: None}, {k_dst: None})
     frontiers = [[k_src], [k_dst]]
     diagrams: dict[tuple, Diagram] = {k_src: src_c, k_dst: dst_c}
+    frame_of = {k: _frame_labels(d.cells) for k, d in diagrams.items()}
+    frames: tuple[set, set] = ({frame_of[k_src]}, {frame_of[k_dst]})
+    memos: dict[tuple, dict] = {}  # per frame, for ``_moved_frame``
 
     def stitched(meet: tuple) -> Derivation:
         chain: list[Match] = []
@@ -1359,8 +1407,11 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
         # ``backward`` offers only moves whose inverse ``forward`` offers
         while trees[1][k] is not None:
             nxt, state = trees[1][k][0], diagrams[k]
+            frame, want = frame_of[k], frame_of[nxt]
+            memo = memos.setdefault(frame, {})
             chain.append(next(m for m in forward(state)
-                              if canonical_key(_apply(state, m)) == nxt))
+                              if _moved_frame(frame, state, m, memo) == want
+                              and canonical_key(_apply(state, m)) == nxt))
             k = nxt
         return Derivation(src_c, chain)
 
@@ -1368,22 +1419,35 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     while (frontiers[0] or frontiers[1]) and spent < budget:
         side = 1 if not frontiers[0] or (
             frontiers[1] and len(frontiers[1]) < len(frontiers[0])) else 0
-        tree, other = trees[side], trees[1 - side]
-        new: list[tuple] = []
+        tree, other, meets = trees[side], trees[1 - side], frames[1 - side]
+        level: list[tuple] = []
         for key in frontiers[side]:
-            state = diagrams[key]
+            state, frame = diagrams[key], frame_of[key]
+            memo = memos.setdefault(frame, {})
             for m in (forward, backward)[side](state):
                 if spent == budget:
                     return NotFound(budget)
                 spent += 1
+                nf, nxt, nk = _moved_frame(frame, state, m, memo), None, None
+                if nf in meets:
+                    nxt = _apply(state, m)
+                    nk = canonical_key(nxt)
+                    if nk in other:  # the trees are disjoint: nk is new
+                        tree[nk] = (key, m)
+                        return stitched(nk)
+                level.append((key, state, m, nf, nxt, nk))
+        if spent == budget:
+            return NotFound(budget)
+        new: list[tuple] = []
+        for key, state, m, nf, nxt, nk in level:
+            if nxt is None:
                 nxt = _apply(state, m)
                 nk = canonical_key(nxt)
-                if nk in tree:
-                    continue
-                tree[nk] = (key, m)
-                diagrams.setdefault(nk, nxt)
-                if nk in other:
-                    return stitched(nk)
-                new.append(nk)
+            if nk in tree:
+                continue
+            tree[nk] = (key, m)
+            diagrams[nk], frame_of[nk] = nxt, nf
+            frames[side].add(nf)
+            new.append(nk)
         frontiers[side] = new
     return NotFound(budget)

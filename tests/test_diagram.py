@@ -8,6 +8,7 @@ import random
 import pytest
 
 import genterms
+import search_oracle
 from layerprop import diagram as dg
 from layerprop import internal, jsonio, models
 from layerprop import rewrite as rw
@@ -442,6 +443,38 @@ def test_layer_eq_verdicts_pinned(two_layer):
                        for budget in (64, 256))
            for name, (x, y) in _layer_eq_pairs(two_layer).items()}
     assert got == LAYER_EQ_PINNED
+
+
+def test_layer_eq_search_agrees_with_the_one_pass_oracle(two_layer,
+                                                         monkeypatch):
+    # layer_eq's search over the pinned pairs, at its budgets and where a
+    # level of the one-pass search ends or meets.  An E move keeps its
+    # host's frame, so the first pass builds every one; a second pass that
+    # built them again would build more states than the one-pass search
+    built = []
+    apply = rw._apply
+    monkeypatch.setattr(rw, "_apply",
+                        lambda host, m: built.append(m) or apply(host, m))
+    for name, (x, y) in _layer_eq_pairs(two_layer).items():
+        engine = rw.RuleEngine(x.system, equation_insertions=True,
+                               families=("E",))
+        levels = []
+        search_oracle.find_derivation(x, y, 256, engine, levels=levels)
+        for budget in sorted({64, 256} | {b + d for b in levels
+                                          for d in (-1, 0, 1) if b + d > 0}):
+            built.clear()
+            want = search_oracle.find_derivation(x, y, budget, engine)
+            one_pass = len(built)
+            built.clear()
+            got = rw.find_derivation(x, y, budget, engine)
+            assert len(built) <= one_pass, (name, budget)
+            if isinstance(want, rw.NotFound):
+                assert got == want, (name, budget)
+            else:
+                assert [m.signature() for m in got.steps] == \
+                    [m.signature() for m in want.steps], (name, budget)
+                assert [m.host_key for m in got.steps] == \
+                    [m.host_key for m in want.steps], (name, budget)
 
 
 def test_layer_eq_witness_replays(two_layer):

@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 import genterms
+import search_oracle
 from conftest import make_two_layer_system
 from layerprop import diagram as dg
 from layerprop import internal, jsonio, models, terms, weights
@@ -648,21 +649,92 @@ def test_search_results_pinned(two_layer):
     assert got == PINNED
 
 
-def test_weight_equal_unreachable_pair_spends_the_budget():
+def _counting_builds(monkeypatch):
+    built = []
+    apply = rw._apply
+    monkeypatch.setattr(rw, "_apply",
+                        lambda host, m: built.append(m) or apply(host, m))
+    return built
+
+
+def test_weight_equal_unreachable_pair_spends_the_budget(monkeypatch):
     # two-u-uu and monoid-m2-m1 are settled by a weight before the loop;
     # m1 and m1;m1;m2 weigh the same under every invariant weight (m1;m2 =
     # id), and with insertions off no derivation joins them, so the loop
-    # must run out: every offered move is applied until the budget is spent
+    # must run out: every offered move is considered until the budget is
+    # spent, though the last level builds only the moves whose frame the
+    # other tree holds
     mon = models.monoid_model().system
     src = _box(mon, "MU", "u", ["m1"])
     dst = _box(mon, "MU", "u", ["m1", "m1", "m2"])
     assert weights.separating_weights(src, dst, rw.FAMILIES) is None
+    built = _counting_builds(monkeypatch)
     for budget in (1, 200):
         offered = []
+        built.clear()
         out = rw.find_derivation(src, dst, budget,
                                  rule_filter=lambda m: offered.append(m) or True)
         assert out == rw.NotFound(budget)
         assert len(offered) >= budget
+    assert len(built) < 200
+
+
+def _result(res):
+    """What a search returned, with the host of every step."""
+    if isinstance(res, rw.NotFound):
+        return res
+    return ([s.signature() for s in res.steps],
+            [s.host_key for s in res.steps], canonical_key(res.start))
+
+
+def _oracle_budgets(src, dst, engine=None):
+    """10000, and each level boundary of the one-pass search at -1, 0, +1."""
+    levels = []
+    search_oracle.find_derivation(src, dst, 10_000, engine, levels=levels)
+    return sorted({10_000} | {b + d for b in levels for d in (-1, 0, 1)
+                              if b + d >= 0})
+
+
+def test_search_agrees_with_the_one_pass_oracle(two_layer):
+    # seeded walks of 1-4 steps on three systems, at the budgets where a
+    # level ends or the one-pass search meets.  Each walk is searched
+    # forward; seed 1's walks of 1, 2 and 4 steps backward too.  Reversed,
+    # the walks of 3 find nothing and spend the budget through levels of
+    # over 5000 moves, seconds per walk at these budgets; the reversed
+    # walks of 4 spend it inside their fourth level.
+    systems = {"two": two_layer, "monoid": models.monoid_model().system,
+               "meet": models.meet_model().system}
+    compared = set()
+    for name, system in systems.items():
+        starts = [dg.gen_box(system, layer, g.name)
+                  for layer in sorted(system.layers)
+                  for g in system.layer(layer).gen_morphisms]
+        for steps in (1, 2, 3, 4):
+            for seed in (0, 1):
+                a, b = _walk(system, starts, random.Random(seed), steps)
+                pairs = [(a, b)] + [(b, a)] * (seed == 1 and steps != 3)
+                for src, dst in pairs:
+                    for budget in _oracle_budgets(src, dst):
+                        want = search_oracle.find_derivation(src, dst,
+                                                             budget)
+                        got = rw.find_derivation(src, dst, budget)
+                        assert _result(got) == _result(want), \
+                            (name, steps, seed, budget)
+                        compared.add((type(want), budget == 10_000))
+    assert len(compared) == 4  # found and not, at the full budget and below
+
+
+def test_search_builds_no_more_than_the_oracle(two_layer, monkeypatch):
+    # the second pass reuses the first pass's states: no pinned search
+    # builds a state more often than the one-pass search
+    built = _counting_builds(monkeypatch)
+    for name, (src, dst, budget) in _pinned_cases(two_layer).items():
+        built.clear()
+        search_oracle.find_derivation(src, dst, budget)
+        one_pass = len(built)
+        built.clear()
+        rw.find_derivation(src, dst, budget)
+        assert len(built) <= one_pass, name
 
 
 def test_rule_instances_shared_per_system(two_layer, engine):
@@ -732,24 +804,26 @@ def test_backward_deletion_needs_insertions():
 
 
 def _check_splice(host, m):
-    """The trusted application agrees with the validating one."""
+    """The trusted application agrees with the validating one, and the
+    frame the search predicts for it is the frame of its result."""
     out = rw._apply(host, m)
     dg.validate_diagram(out)
     assert out._key == canonical_key(rw.apply_rule(host, m))
+    frame = rw._frame_labels(host.cells)
+    assert rw._moved_frame(frame, host, m, {}) == rw._frame_labels(out.cells)
 
 
 def test_trusted_apply_matches_validating_path(two_layer, monkeypatch):
-    # every application the pinned searches make, re-done through the
-    # validating public path
+    # every move the pinned searches are offered, applied through the
+    # trusted and the validating path, whether the search built it or not
     cases = _pinned_cases(two_layer)
     made = []
-    trusted = rw._apply
-
-    def recording(host, m):
-        made.append((host, m))
-        return trusted(host, m)
-
-    monkeypatch.setattr(rw, "_apply", recording)
+    for name in ("matches", "anti_matches"):
+        def recording(engine, host, real=getattr(rw.RuleEngine, name)):
+            moves = real(engine, host)
+            made.extend((host, m) for m in moves)
+            return moves
+        monkeypatch.setattr(rw.RuleEngine, name, recording)
     gc.collect()
     gc.disable()
     try:
