@@ -6,25 +6,32 @@ translation functor to a finite monoidal functor.  Interpretation slices
 the canonical diagram into sequential layers of parallel cells, or a
 permutation of the sheets where the wiring crosses.  Each cell has one
 piece, a pointed hom_M(F-, G-) with F the up and G the down part; only a
-permutation P reads two ways, up(P) or down(P^-1).  So every slice is
-representable, and the fold reindexes by co-Yoneda and takes a coend
-quotient only where a down piece meets an up piece.
+permutation P reads two ways, up(P) or down(P^-1).
+
+A side is read one way, by ``_push``: it pushes a boundary through the
+pieces slice by slice, forward through each F or backward through each G,
+and carries the point as F(point) ; p forward and p ; G(point) backward,
+which by functoriality is the forward composite.  What the boundary's
+objects and morphisms map to depends only on the side's shape, each part's
+functor and width per slice, so those images are kept per model and shape.
+
+Interpretation cuts the slices read up into segments, each a run with no
+down part followed by a run with no up part.  By co-Yoneda (Loregian,
+*(Co)end Calculus*, arXiv:1501.02503) a segment is one representable
+hom_M(F-, G-): F is pushed forward from its source boundary, G backward
+from its target boundary, the two must meet, and the point is
+p_up ; p_down.  A coend quotient is taken only where one segment meets the
+next.
 
 Rule verification follows the rule's direction.  An invertible rule (E, F
-or M) holds when its sides have a common side evaluation: a side built
-purely of up pieces folds to hom_M(F-, -) with no coend, and its up
-evaluation is F on the objects and generators of the source boundary, with
-the boundaries and the point.  It is computed by pushing those objects and
-generators forward through the cells' pieces slice by slice, one column per
-boundary component, and carrying the point as F(point) ; p; a down
-evaluation pushes the target boundary backward through each G, carrying
-p ; G(point), which by functoriality is the forward composite.  The pushed
-objects and generators depend only on the side's shape, so they are
-computed once per model and shape.  No composed functor or profunctor is
-built for a side evaluation.  By Yoneda, Nat(up F, up F') = Nat(F', F)
-(Loregian, *(Co)end Calculus*, arXiv:1501.02503, section 2), so two sides
-that evaluate up alike carry the identity as a pointed natural
-isomorphism, and no search is needed; down
+or M) holds when its sides have a common side evaluation: a side with no
+down part is one segment hom_M(F-, -), and its up evaluation is F on the
+objects and generators of the source boundary, with the boundaries and the
+point; a down evaluation pushes the target boundary backward through each
+G.  No functor is composed and no profunctor built for a side
+evaluation.  By Yoneda, Nat(up F, up F') = Nat(F', F) (section 2 of the
+reference above), so two sides that evaluate up alike carry the identity
+as a pointed natural isomorphism, and no search is needed; down
 evaluations, hom_M(-, G-), are dual, and a side holding a permutation is
 pointed-isomorphic to its down reading through up(P) = down(P^-1).  An E
 side is a single box, so its evaluation carries the morphism its equation
@@ -36,7 +43,6 @@ is the only one ``cap`` bounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,10 +53,9 @@ from .errors import BoundaryMismatch, ModelIncomplete
 from .internal import InternalDiagram, Word
 from .profunctor import (ComposedProfunctor, FinCategory, FinFunctor,
                          FinMonoidalCategory, Functor, PointedProfunctor,
-                         Profunctor, hom_profunctor, product_category,
-                         reindex)
+                         hom_profunctor, product_category, reindex)
 from .rewrite import RewriteRule
-from .theory import OmegaType, SystemOfLayers
+from .theory import SystemOfLayers
 
 
 @dataclass
@@ -158,46 +163,14 @@ class FinOmegaSystem:
 # -- interpretation ----------------------------------------------------------
 
 
-def _compose(f, g):
-    """f then g; None stands for an identity."""
-    if f is None or g is None:
-        return g if f is None else f
-    return Functor(f"{f.name};{g.name}", f.source, g.target,
-                   lambda a: g.on_obj(f.on_obj(a)),
-                   lambda m: g.on_mor(f.on_mor(m)))
-
-
-def _flat_product(fs: list, widths: list[int], source: FinCategory,
-                  target: FinCategory):
-    """Product of functors (None: identity) with the boundary components
-    concatenated instead of nested; None when every factor is one."""
-    if all(f is None for f in fs):
-        return None
-    ends = list(itertools.accumulate(widths))
-    spans = [(f, end - k, end) for f, k, end in zip(fs, widths, ends)
-             if f is not None]
-
-    def split_apply(method: str) -> Callable:
-        calls = [(getattr(f, method), i, j) for f, i, j in spans]
-
-        def apply(x):
-            out, last = (), 0
-            for call, i, j in calls:   # identity factors pass through
-                out += x[last:i] + call(x[i:j])
-                last = j
-            return out + x[last:]
-        return apply
-
-    return Functor("x".join(f.name for f, _, _ in spans), source, target,
-                   split_apply("on_obj"), split_apply("on_mor"))
-
-
 @dataclass(frozen=True)
 class _Piece:
     """hom_M(F-, G-) from ``src`` to ``tgt`` pointed in hom_M(F a, G b),
     for F: src -> M and G: tgt -> M (None: an identity).  A wire or box is
     (id, id), an up piece (pants, cup, refine, permutation) is (F, id), a
-    down piece (copants, cap, coarsen, inverse permutation) is (id, G)."""
+    down piece (copants, cap, coarsen, inverse permutation) is (id, G).
+    ``_push`` carries a boundary forward through the F of the parts of a
+    slice, or backward through their G, each on its own components."""
 
     f: object
     g: object
@@ -234,13 +207,14 @@ def _box(model: FinOmegaSystem, cell: InternalBox) -> _Piece:
                   (model.internal_morphism(content),))
 
 
-def _shared(model: FinOmegaSystem, key: tuple, build: Callable) -> Functor:
-    """The functor ``build`` makes, built once per model and ``key``: the
-    pieces of all pants and copants of a layer, of all its cups and caps, of
-    all refinements and coarsenings along a translation, or of all
-    permutations of the same sheet categories in the same order share one
-    functor and its memo, so a point pushed through a new piece mostly meets
-    images already computed, and ``_push`` keys its tables by the functor."""
+def _shared(model: FinOmegaSystem, key: tuple, build: Callable):
+    """What ``build`` makes, built once per model and ``key``: the pieces of
+    all pants and copants of a layer, of all its cups and caps, of all
+    refinements and coarsenings along a translation, or of all permutations
+    of the same sheet categories in the same order share one functor and
+    its memo, so a point pushed through a new piece mostly meets images
+    already computed, and a side shape, which names each part's functor,
+    keys the images of a push."""
     f = model._cache.get(key)
     if f is None:
         f = model._cache[key] = build()
@@ -340,27 +314,6 @@ def _parts(model: FinOmegaSystem, items: list, down: bool) -> list[_Piece]:
     return parts
 
 
-def _slice_piece(model: FinOmegaSystem, items: list, down: bool) -> _Piece:
-    """The flat product of a slice's pieces, a permutation read up or, if
-    ``down``, down."""
-    parts = _parts(model, items, down)
-    if len(parts) == 1:
-        return parts[0]
-
-    def flat(cats):
-        return product_category([c for cat in cats for c in cat.components])
-
-    src, tgt = flat(p.src for p in parts), flat(p.tgt for p in parts)
-    mid = flat(p.mid for p in parts)
-    return _Piece(
-        _flat_product([p.f for p in parts],
-                      [len(p.src.components) for p in parts], src, mid),
-        _flat_product([p.g for p in parts],
-                      [len(p.tgt.components) for p in parts], tgt, mid),
-        src, tgt, sum((p.a for p in parts), ()),
-        sum((p.b for p in parts), ()), sum((p.point for p in parts), ()))
-
-
 def layered_slices(d: Diagram) -> list[list]:
     """Cut the canonical diagram into sequential slices.
 
@@ -410,93 +363,36 @@ def layered_slices(d: Diagram) -> list[list]:
 
 
 def _meet(b: tuple, a: tuple) -> None:
-    """Check that the boundary ``b`` one slice ends at is the boundary
-    ``a`` the next one starts at."""
+    """Check that the boundary ``b`` one slice or push ends at is the
+    boundary ``a`` the next one starts at."""
     if a != b:
         raise BoundaryMismatch(f"points do not meet: {b!r} vs {a!r}")
 
 
-def _fold(model: FinOmegaSystem, dom: OmegaType, pieces: list[_Piece]
-          ) -> tuple[Profunctor, _Piece]:
-    """Compose the slices' pieces left to right, from the boundary ``dom``,
-    into P(F-, G-), returned as P and the accumulated F, G, boundaries and
-    point.  By co-Yoneda a step only reindexes, up(F) ; Q = Q(F-, -) while
-    the chain so far is hom(F-, -) and P ; down(G) = P(-, G-), except where
-    a down piece meets an up piece: there it takes a coend."""
-    src = product_category([model.category(layer) for layer, _ in
-                            dom.entries])
-    a0 = tuple(model.word_obj(layer, w) for layer, w in dom.entries)
-    prof: Profunctor = hom_profunctor(src)
-    f = g = None
-    tgt, b, point = src, a0, src.ident(a0)
-    lo = hi = a0            # F a0 and G b, the point's objects in P
-    for s in pieces:
-        _meet(b, s.a)
-        if s.f is None:
-            point = prof.ract(point, s.point if g is None
-                              else g.on_mor(s.point), lo, hi)
-            g = _compose(s.g, g)
-        elif g is None and not isinstance(prof, ComposedProfunctor):
-            point = s.mid.then(s.f.on_mor(point), s.point)
-            lo = s.f.on_obj(lo)
-            f, g, prof = _compose(f, s.f), s.g, hom_profunctor(s.mid)
-        else:
-            comp = ComposedProfunctor(
-                reindex(prof, None, g, prof.source, s.src),
-                reindex(hom_profunctor(s.mid), s.f, None, s.src, s.mid))
-            g, prof = s.g, comp
-            point = comp.inject(lo, _image(g, s.b), s.a, point, s.point)
-        tgt, b = s.tgt, s.b
-        hi = _image(g, b)
-    return prof, _Piece(f, g, src, tgt, a0, b, point)
+def _source(model: FinOmegaSystem, d: Diagram) -> tuple:
+    """The category and the object of a diagram's source boundary."""
+    entries = d.dom.entries
+    return (product_category([model.category(layer) for layer, _ in entries]),
+            tuple(model.word_obj(layer, w) for layer, w in entries))
 
 
-def _image(f, a):
-    """F a; None stands for an identity."""
-    return a if f is None else f.on_obj(a)
+def _target(parts: list[_Piece]) -> tuple:
+    """The category and the object a slice ends at."""
+    return (product_category([c for p in parts for c in p.tgt.components]),
+            sum((p.b for p in parts), ()))
 
 
-def interpret(model: FinOmegaSystem, d: Diagram) -> PointedProfunctor:
-    """Structural evaluation of a diagram into a pointed profunctor: the
-    fold of its slices read up."""
-    pieces = [_slice_piece(model, items, False)
-              for items in layered_slices(d)]
-    prof, s = _fold(model, d.dom, pieces)
-    return PointedProfunctor(reindex(prof, s.f, s.g, s.src, s.tgt), s.a, s.b,
-                             s.point)
-
-
-def _map_columns(method: Callable, cols: list, n: int):
-    """The columns of ``method`` on each of the n rows the columns ``cols``
-    hold; a part of width zero reads n empty rows."""
-    return zip(*map(method, zip(*cols) if cols else itertools.repeat((), n)))
-
-
-def _rows(cols: list, n: int) -> tuple:
-    """The n rows the columns ``cols`` hold."""
-    return tuple(zip(*cols)) if cols else ((),) * n
-
-
-def _push(model: FinOmegaSystem, dom: OmegaType, slices: list[list[_Piece]],
+def _push(cat: FinCategory, edge: tuple, slices: list[list[_Piece]],
           down: bool) -> tuple:
-    """Push a boundary through the parts of the slices, up forward from
-    the dom boundary through each part's F, or down backward from the cod
-    boundary through each part's G.  The boundary category's objects and
-    generators go through ``_tables``, computed once per model and side
-    shape: the words of a side change only its boundaries and its point.
-    What is pushed here, on every call, is the point, F(point) ; p up and
-    p ; G(point) down, which by functoriality is the forward fold's point,
-    with every check that one slice's boundary meets the next one's.
-    Returns the images, the two boundaries and the point."""
-    a0 = tuple(model.word_obj(layer, w) for layer, w in dom.entries)
-    cat = product_category([model.category(layer) for layer, _ in
-                            dom.entries])
-    edge = a0               # the boundary the next slice must meet
-    if down and slices:
-        cat = product_category([c for p in slices[-1]
-                                for c in p.tgt.components])
-        edge = sum((p.b for p in slices[-1]), ())
-    start, point, shape = edge, cat.ident(edge), []
+    """Push the boundary ``edge`` of ``cat`` through the parts of the
+    slices: forward through each part's F, or, if ``down``, backward from
+    the last slice through each part's G.  Every slice must meet the
+    boundary it is pushed from.  The point starts at the identity of
+    ``edge`` and each step makes it F(point) ; p forward or p ; G(point)
+    backward, which by functoriality is the forward composite.  Returns the
+    shape (per slice, in the order pushed, each part's functor, None for an
+    identity, and width), the far boundary and the point."""
+    point, shape = cat.ident(edge), []
     for parts in reversed(slices) if down else slices:
         if down:
             _meet(sum((p.b for p in parts), ()), edge)
@@ -516,43 +412,104 @@ def _push(model: FinOmegaSystem, dom: OmegaType, slices: list[list[_Piece]],
         point = next_point
         shape.append(tuple(steps))
         edge = sum((p.a if down else p.b for p in parts), ())
-    a, b = (edge, start) if down else (start, edge)
-    _meet(a0, a)            # a down push must end at the source boundary
-    return (*_tables(model, cat, tuple(shape)), a, b, point)
+    return tuple(shape), edge, point
 
 
-def _tables(model: FinOmegaSystem, cat: FinCategory, shape: tuple
-            ) -> tuple:
-    """The images of the objects and of the generators of the boundary
-    category ``cat`` through ``shape``: per slice, in the order pushed,
-    each part's functor (None: an identity) and width.  They are held as
-    columns, one per component: a part with a functor maps its own
-    columns, row by row, and a wire or box passes them through.  The
-    tables depend on nothing else, so they are computed once per model
-    and shape."""
-    key = "push", cat, shape
-    tables = model._cache.get(key)
-    if tables is None:
-        objs, gens = cat.objects, cat.generators()
-        n_objs, n_gens = len(objs), len(gens)
-        obj_cols, gen_cols = list(zip(*objs)), list(zip(*gens))
-        for steps in shape:
-            next_objs, next_gens, i = [], [], 0
-            for functor, width in steps:
-                j = i + width
-                if functor is None:
-                    next_objs += obj_cols[i:j]
-                    next_gens += gen_cols[i:j]
-                else:
-                    next_objs += _map_columns(functor.on_obj, obj_cols[i:j],
-                                              n_objs)
-                    next_gens += _map_columns(functor.on_mor, gen_cols[i:j],
-                                              n_gens)
-                i = j
-            obj_cols, gen_cols = next_objs, next_gens
-        tables = model._cache[key] = (_rows(obj_cols, n_objs),
-                                      _rows(gen_cols, n_gens))
-    return tables
+def _mapping(shape: tuple, method: str) -> Callable:
+    """An object (``method`` "on_obj") or a morphism ("on_mor") of a
+    boundary category mapped through ``shape``: per slice, each part's
+    functor maps its own components and an identity part passes them
+    through."""
+    steps = []
+    for parts in shape:
+        calls, i = [], 0
+        for functor, width in parts:
+            if functor is not None:
+                calls.append((getattr(functor, method), i, i + width))
+            i += width
+        if calls:
+            steps.append(calls)
+
+    def apply(x):
+        for calls in steps:
+            out, last = (), 0
+            for call, i, j in calls:
+                out += x[last:i] + call(x[i:j])
+                last = j
+            x = out + x[last:]
+        return x
+    return apply
+
+
+def _through(model: FinOmegaSystem, source: FinCategory,
+             target: FinCategory, shape: tuple):
+    """The functor from ``source`` to ``target`` that maps through
+    ``shape``, None when every part is an identity; built once per model,
+    so its memo of images serves every side of that shape."""
+    if all(functor is None for parts in shape for functor, _ in parts):
+        return None
+    return _shared(model, ("through", source, shape), lambda: Functor(
+        "push", source, target, _mapping(shape, "on_obj"),
+        _mapping(shape, "on_mor")))
+
+
+def _tables(cat: FinCategory, shape: tuple) -> tuple:
+    """The images of the objects and of the generators of ``cat`` through
+    ``shape``."""
+    return (tuple(map(_mapping(shape, "on_obj"), cat.objects)),
+            tuple(map(_mapping(shape, "on_mor"), cat.generators())))
+
+
+def _segments(slices: list[list[_Piece]]) -> list[tuple]:
+    """Cut slices read up into segments, each a run of slices with no down
+    part followed by a run with no up part; a slice holds one cell or one
+    permutation, so it never has both."""
+    segments: list[tuple] = [([], [])]
+    for parts in slices:
+        up = any(p.f is not None for p in parts)
+        down = any(p.g is not None for p in parts)
+        assert not (up and down), parts
+        ups, downs = segments[-1]
+        if up and downs:
+            segments.append(([parts], []))
+        else:
+            (downs if down or downs else ups).append(parts)
+    return segments
+
+
+def _segment(model: FinOmegaSystem, cat: FinCategory, edge: tuple,
+             ups: list, downs: list) -> tuple:
+    """hom_M(F-, G-) for the run ``ups`` then the run ``downs`` from the
+    boundary ``edge`` of ``cat``: F pushed forward from it, G backward from
+    the far boundary, and the two pushes meeting in M.  Returns the
+    profunctor, its target category, the far boundary and the point,
+    p_up ; p_down."""
+    f_shape, meet, p_up = _push(cat, edge, ups, False)
+    mid = _target(ups[-1])[0] if ups else cat
+    tgt, far = _target(downs[-1]) if downs else (mid, meet)
+    g_shape, a, p_down = _push(tgt, far, downs, True)
+    _meet(meet, a)
+    prof = reindex(hom_profunctor(mid), _through(model, cat, mid, f_shape),
+                   _through(model, tgt, mid, g_shape), cat, tgt)
+    return prof, tgt, far, mid.then(p_up, p_down)
+
+
+def interpret(model: FinOmegaSystem, d: Diagram) -> PointedProfunctor:
+    """Structural evaluation of a diagram into a pointed profunctor: the
+    segments of its slices read up, each composed onto the last through a
+    coend."""
+    slices = [_parts(model, items, False) for items in layered_slices(d)]
+    cat, a0 = _source(model, d)
+    edge, prof, point = a0, None, None
+    for ups, downs in _segments(slices):
+        seg, cat, far, p = _segment(model, cat, edge, ups, downs)
+        if prof is None:
+            prof, point = seg, p
+        else:
+            prof = ComposedProfunctor(prof, seg)
+            point = prof.inject(a0, far, edge, point, p)
+        edge = far
+    return PointedProfunctor(prof, a0, edge, point)
 
 
 def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
@@ -562,35 +519,41 @@ def side_evaluation(model: FinOmegaSystem, d: Diagram) -> list[tuple]:
     Returns one (direction, object images, generator images, src_obj,
     tgt_obj, point) tuple per available direction, none when the diagram
     mixes directions.  The up evaluation exists when no slice read up has a
-    down part, so the side folds to hom_M(F-, -) with no coend; the down
-    evaluation when no slice read down has an up part, so it folds to
-    hom_M(-, G-).  The functor F maps the source boundary, G the target
-    one; the images of its objects and generators fix it.  Both are
-    computed by pushing the boundary through the cached pieces of each
-    slice, column by column: up runs forward from the source boundary,
-    each point step F(point) ; p, and down runs backward from the target
-    boundary, each step p ; G(point).  The images depend only on the
-    side's shape, the boundary category and each part's functor and width,
-    so they are computed once per model and shape; the boundaries are
-    checked and the point pushed on every call.  No composed functor, flat
-    product or profunctor is built.  Only a permutation reads differently
-    down, so the down reading has pieces of its own only when the slicing
-    holds one.  The directions are decided before any boundary is checked, so a
-    mixed side raises nothing.
+    down part, so the side is one segment hom_M(F-, -); the down evaluation
+    when no slice read down has an up part, so it is hom_M(-, G-).  The
+    functor F maps the source boundary, G the target one; the images of
+    its objects and generators fix it.  Each is one ``_push``: up forward
+    from the source boundary, down backward from the target boundary.  The
+    images depend only on the boundary category and the side's shape, so
+    they are computed once per model and shape; the boundaries are checked
+    and the point pushed on every call.  No functor is composed and no
+    profunctor built.  Only a permutation reads differently down, so the
+    down reading has pieces of its own only when the slicing holds one.
+    The directions are decided before any boundary is checked, so a mixed
+    side raises nothing.
     """
     slices = layered_slices(d)
     up = [_parts(model, items, False) for items in slices]
     down = up
     if any(items[0][0] == "perm" for items in slices):
         down = [_parts(model, items, True) for items in slices]
+    cat, a0 = _source(model, d)
     evaluations: list[tuple] = []
     for direction, pieces in (("up", up), ("down", down)):
         reads_down = direction == "down"
         if any((p.f if reads_down else p.g) is not None
                for parts in pieces for p in parts):
             continue
-        evaluations.append((direction,
-                            *_push(model, d.dom, pieces, reads_down)))
+        if reads_down:
+            start, b = _target(pieces[-1]) if pieces else (cat, a0)
+            shape, a, point = _push(start, b, pieces, True)
+            _meet(a0, a)   # a down push must end at the source boundary
+        else:
+            start, a = cat, a0
+            shape, b, point = _push(cat, a0, pieces, False)
+        tables = _shared(model, ("push", start, shape),
+                         lambda: _tables(start, shape))
+        evaluations.append((direction, *tables, a, b, point))
     return evaluations
 
 

@@ -448,25 +448,87 @@ def test_interpretation_independent_of_hash_seed():
 # -- the composed-functor evaluation as a reference ---------------------------
 
 
+def _compose(f, g):
+    """f then g; None stands for an identity."""
+    if f is None or g is None:
+        return g if f is None else f
+    return pf.Functor(f"{f.name};{g.name}", f.source, g.target,
+                      lambda a: g.on_obj(f.on_obj(a)),
+                      lambda m: g.on_mor(f.on_mor(m)))
+
+
+def _flat_product(fs, widths, source, target):
+    """Product of functors (None: identity) with the boundary components
+    concatenated instead of nested; None when every factor is one."""
+    if all(f is None for f in fs):
+        return None
+    ends = list(itertools.accumulate(widths))
+    spans = [(f, end - k, end) for f, k, end in zip(fs, widths, ends)
+             if f is not None]
+
+    def split_apply(method):
+        calls = [(getattr(f, method), i, j) for f, i, j in spans]
+
+        def apply(x):
+            out, last = (), 0
+            for call, i, j in calls:   # identity factors pass through
+                out += x[last:i] + call(x[i:j])
+                last = j
+            return out + x[last:]
+        return apply
+
+    return pf.Functor("x".join(f.name for f, _, _ in spans), source, target,
+                      split_apply("on_obj"), split_apply("on_mor"))
+
+
+def _flat(parts, side):
+    return pf.product_category([c for p in parts
+                                for c in getattr(p, side).components])
+
+
 def reference_side_evaluation(model, d):
-    """Side evaluation by composed functors: fold the flat products of the
-    slices into one piece, then map the boundary category's objects and
-    generators through its F (up) or its G (down)."""
+    """Side evaluation by composed functors: compose the flat products of
+    the slices' parts into one functor, F (up) or G (down), checking that
+    each slice starts where the last one ended, then map the boundary
+    category's objects and generators through it."""
     slices = sm.layered_slices(d)
+    src = pf.product_category([model.category(layer)
+                               for layer, _ in d.dom.entries])
+    a0 = tuple(model.word_obj(layer, w) for layer, w in d.dom.entries)
     evaluations = []
     for direction in ("up", "down"):
-        pieces = [sm._slice_piece(model, items, direction == "down")
-                  for items in slices]
-        if any((p.g if direction == "up" else p.f) is not None
-               for p in pieces):
+        down = direction == "down"
+        pieces = [sm._parts(model, items, down) for items in slices]
+        if any((p.f if down else p.g) is not None
+               for parts in pieces for p in parts):
             continue
-        e = sm._fold(model, d.dom, pieces)[1]
-        functor, cat = (e.f, e.src) if direction == "up" else (e.g, e.tgt)
+        functor, tgt, b, point = None, src, a0, src.ident(a0)
+        for parts in pieces:
+            a = sum((p.a for p in parts), ())
+            if a != b:
+                raise BoundaryMismatch(f"points do not meet: {b!r} vs {a!r}")
+            mid, tgt = _flat(parts, "mid"), _flat(parts, "tgt")
+            step = sum((p.point for p in parts), ())
+            widths = [len(getattr(p, "tgt" if down else "src").components)
+                      for p in parts]
+            if down:   # point ; G(p), G the functors composed so far
+                g = _flat_product([p.g for p in parts], widths, tgt, mid)
+                point = src.then(point, step if functor is None
+                                 else functor.on_mor(step))
+                functor = _compose(g, functor)
+            else:      # F(point) ; p
+                f = _flat_product([p.f for p in parts], widths,
+                                  _flat(parts, "src"), mid)
+                point = mid.then(point if f is None else f.on_mor(point),
+                                 step)
+                functor = _compose(functor, f)
+            b = sum((p.b for p in parts), ())
+        cat = tgt if down else src
         objs, gens = cat.objects, cat.generators()
         if functor is not None:
             objs = tuple(map(functor.on_obj, objs))
             gens = tuple(map(functor.on_mor, gens))
-        evaluations.append((direction, objs, gens, e.a, e.b, e.point))
+        evaluations.append((direction, objs, gens, a0, b, point))
     return evaluations
 
 
@@ -513,9 +575,10 @@ def test_side_evaluation_matches_composed_functors(name, request):
 
 def test_side_evaluation_builds_no_functor_or_fold(monoid_model, meet_model,
                                                     monkeypatch):
-    # the pieces are built once per model; evaluating a side then pushes
-    # the boundary through them, and builds no functor or profunctor, no
-    # flat product and no fold
+    # the pieces are built once per model and the push tables once per side
+    # shape; evaluating a side again then pushes the boundary through the
+    # pieces, and builds no functor or profunctor, no segment and no
+    # mapping through a shape, and interprets nothing
     sides = [(model, d) for name, model in (("monoid_model", monoid_model),
                                             ("meet_model", meet_model))
              for d in _sliding_sides(model, dict(CRITERION_4_WORDS)[name])]
@@ -528,16 +591,16 @@ def test_side_evaluation_builds_no_functor_or_fold(monoid_model, meet_model,
     for cls in (pf.Functor, pf.Profunctor):
         monkeypatch.setattr(cls, "__init__",
                             count(cls.__name__, cls.__init__))
-    for name in ("_fold", "_slice_piece", "_flat_product", "_compose",
+    for name in ("_segment", "_through", "_mapping", "interpret",
                  "hom_profunctor"):
         monkeypatch.setattr(sm, name, count(name, getattr(sm, name)))
     monkeypatch.setattr(pf, "hom_profunctor",
                         count("hom_profunctor", pf.hom_profunctor))
     assert [sm.side_evaluation(model, d) for model, d in sides] == want
     assert calls == []
-    # the counters see the fold interpretation still runs
+    # the counters see the interpretation push through segments
     sm.interpret(monoid_model, sides[0][1])
-    assert "_fold" in calls
+    assert {"interpret", "_segment", "_through"} <= set(calls)
 
 
 def _shifted_meet_model():
@@ -561,9 +624,16 @@ def test_side_evaluation_boundary_mismatch(meet_model):
     assert [e[0] for e in sm.side_evaluation(meet_model, side)] == ["up"]
     shifted = _shifted_meet_model()
     assert shifted.validate() != []
-    for evaluate in (sm.side_evaluation, reference_side_evaluation):
+    for evaluate in (sm.side_evaluation, reference_side_evaluation,
+                     sm.interpret):
         with pytest.raises(BoundaryMismatch):
             evaluate(shifted, side)
+    # a coarsening of lo is one segment with no up part: pushed back from
+    # lo it reaches q, where its source boundary reads p, so its two pushes
+    # do not meet
+    lo = dg.coarsen(shifted.system, "Ar", "Sq", ("lo",))
+    with pytest.raises(BoundaryMismatch):
+        sm.interpret(shifted, lo)
 
 
 def _push_shapes(model) -> list:
@@ -719,6 +789,16 @@ def _sample(model, words, every):
     return rules[::every]
 
 
+def _down_then_two_ups(sys_):
+    """Two sides where a down piece meets a run of two up pieces, which one
+    segment pushes through: copants;pants;refine and cap;cup;refine."""
+    return [dg.seq_many(dg.copants(sys_, "MU", ("u",), ("u",)),
+                        dg.pants(sys_, "MU", ("u",), ("u",)),
+                        dg.refine(sys_, "MU", "ML", ("u", "u"))),
+            dg.seq_many(dg.cap(sys_, "MU"), dg.cup(sys_, "MU"),
+                        dg.refine(sys_, "MU", "ML", ()))]
+
+
 @pytest.mark.parametrize("make, words, every", [
     (models.monoid_model, {"MU": [(), ("u",), ("u", "u")], "ML": [(), ("v",)]},
      3),
@@ -730,16 +810,54 @@ def test_interpret_isomorphic_to_coend_fold(make, words, every):
     # (morphisms of the middle category instead of least triples), so the
     # two interpretations are compared through a pointed isomorphism
     model = make()
-    for rule in _sample(model, words, every):
-        for side in (rule.lhs, rule.rhs):
-            new, ref = sm.interpret(model, side), reference_interpret(model,
-                                                                      side)
-            # the cap bounds the assignment space left after the point's
-            # closure, which propagation never enumerates
-            assert pf.pointed_two_cell(new, ref, iso=True,
-                                       cap=10 ** 30) is not None
-            assert pf.pointed_two_cell(ref, new, iso=True,
-                                       cap=10 ** 30) is not None
+    sides = [side for rule in _sample(model, words, every)
+             for side in (rule.lhs, rule.rhs)]
+    if make is models.monoid_model:
+        sides += _down_then_two_ups(model.system)
+    for side in sides:
+        new, ref = sm.interpret(model, side), reference_interpret(model, side)
+        # the cap bounds the assignment space left after the point's
+        # closure, which propagation never enumerates
+        assert pf.pointed_two_cell(new, ref, iso=True,
+                                   cap=10 ** 30) is not None
+        assert pf.pointed_two_cell(ref, new, iso=True,
+                                   cap=10 ** 30) is not None
+
+
+INTERPRETATION_DIGEST = ("472593de9717c368a2425f4f23662842"
+                         "688b9d58271e93e83ee03ccac827cd82")
+
+
+def _interpretation(pp) -> list:
+    """The boundaries, the point, the element tables and both actions along
+    every generator of an interpreted side."""
+    p = pp.prof
+    out = [pp.src_obj, pp.tgt_obj, pp.point, list(p._elements.items())]
+    for (a, b), xs in p._elements.items():
+        for x in xs:
+            out.append([p.lact(g, x, a, b) for g in p.source.gens_into(a)])
+            out.append([p.ract(x, h, a, b) for h in p.target.gens_from(b)])
+    return out
+
+
+def test_interpretations_pinned(monoid_model, meet_model):
+    # every criterion-4 A side and every edge side interprets to the same
+    # element names, tables, points and actions as the pinned digest, so a
+    # change to the interpretation that renames an element fails here even
+    # where the result stays pointed-isomorphic
+    sides = [(model, d)
+             for model, (_, words) in zip((monoid_model, meet_model),
+                                          CRITERION_4_WORDS)
+             for rule in rw.sample_instances(rw.RuleEngine(model.system),
+                                             words)
+             if rule.family == "A" and not rule.name.startswith("A3c[")
+             for d in (rule.lhs, rule.rhs)]
+    sides += [(monoid_model, d) for d in _edge_sides(monoid_model.system)]
+    digest = hashlib.sha256()
+    for model, d in sides:
+        digest.update(repr(_interpretation(sm.interpret(model, d))).encode())
+    assert len(sides) == 202
+    assert digest.hexdigest() == INTERPRETATION_DIGEST
 
 
 def test_nat_search_cap_counts_after_point_closure(monoid_model):
