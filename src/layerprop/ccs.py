@@ -168,10 +168,6 @@ def congruence_key(p: Process) -> tuple:
     return tuple(sorted(_term_key(t) for t in _threads(p)))
 
 
-def congruent(p: Process, q: Process) -> bool:
-    return congruence_key(p) == congruence_key(q)
-
-
 def _positions(p: Process, path=()) -> list[tuple[tuple, Prefix]]:
     """Top-level prefix positions: (tree path, prefix)."""
     if isinstance(p, Prefix):

@@ -12,7 +12,6 @@ wrapping embeds an impedance back as a two-port relation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -175,33 +174,6 @@ class QField:
         return a.is_zero()
 
 
-class PrimeField:
-    """Integers modulo a prime; used by the brute-force oracle tests."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-
 # -- affine relations --------------------------------------------------------
 
 
@@ -228,15 +200,9 @@ class AffineRelation:
     def arity(self) -> tuple[int, int]:
         return (self.n_in, self.n_out)
 
-    def is_empty(self) -> bool:
-        width = self.n_in + self.n_out
-        return any(all(self.field.is_zero(r[i]) for i in range(width))
-                   and not self.field.is_zero(r[width]) for r in self.rows)
-
 
 def _rref(field, width: int, rows) -> tuple:
     work = [list(r) for r in rows]
-    pivots = []
     rank = 0
     for col in range(width + 1):
         pivot_row = None
@@ -254,7 +220,6 @@ def _rref(field, width: int, rows) -> tuple:
                 factor = work[i][col]
                 work[i] = [field.sub(x, field.mul(factor, y))
                            for x, y in zip(work[i], work[rank])]
-        pivots.append(col)
         rank += 1
         if col == width:
             # inconsistent: canonical empty relation
@@ -262,16 +227,6 @@ def _rref(field, width: int, rows) -> tuple:
             return (tuple(empty),)
     out = [tuple(r) for r in work[:rank]]
     return tuple(out)
-
-
-def identity_relation(field, n: int) -> AffineRelation:
-    rows = []
-    for i in range(n):
-        row = [field.zero] * (2 * n + 1)
-        row[i] = field.one
-        row[n + i] = field.neg(field.one)
-        rows.append(tuple(row))
-    return AffineRelation.make(field, n, n, rows)
 
 
 def affine_compose(r: AffineRelation, s: AffineRelation) -> AffineRelation:
@@ -308,55 +263,11 @@ def affine_compose(r: AffineRelation, s: AffineRelation) -> AffineRelation:
     return AffineRelation.make(field, r.n_in, s.n_out, projected)
 
 
-def affine_tensor(r: AffineRelation, s: AffineRelation) -> AffineRelation:
-    field = r.field
-    n_in, n_out = r.n_in + s.n_in, r.n_out + s.n_out
-    rows = []
-    for row in r.rows:
-        new = [field.zero] * (n_in + n_out + 1)
-        for i in range(r.n_in):
-            new[i] = row[i]
-        for j in range(r.n_out):
-            new[n_in + j] = row[r.n_in + j]
-        new[-1] = row[-1]
-        rows.append(tuple(new))
-    for row in s.rows:
-        new = [field.zero] * (n_in + n_out + 1)
-        for i in range(s.n_in):
-            new[r.n_in + i] = row[i]
-        for j in range(s.n_out):
-            new[n_in + r.n_out + j] = row[s.n_in + j]
-        new[-1] = row[-1]
-        rows.append(tuple(new))
-    return AffineRelation.make(field, n_in, n_out, rows)
-
-
 def affine_eq(r: AffineRelation, s: AffineRelation) -> bool:
     return (r.arity == s.arity and r.rows == s.rows)
 
 
-def solutions(rel: AffineRelation, field: PrimeField) -> set:
-    """Brute-force point set over a finite field (oracle use only)."""
-    width = rel.n_in + rel.n_out
-    out = set()
-    for point in itertools.product(range(field.p), repeat=width):
-        ok = True
-        for row in rel.rows:
-            acc = 0
-            for i in range(width):
-                acc = field.add(acc, field.mul(row[i], point[i]))
-            if acc != row[width] % field.p:
-                ok = False
-                break
-        if ok:
-            out.add(point)
-    return out
-
-
 # -- impedances and bipoles --------------------------------------------------
-
-
-BIPOLE_KINDS = ("resistor", "inductor", "capacitor", "vsource", "isource")
 
 
 @dataclass(frozen=True)
@@ -446,12 +357,6 @@ def imp_compose(z1: Impedance, z2: Impedance) -> Impedance:
     kept = [row[2:] for row in reduced
             if f.is_zero(row[0]) and f.is_zero(row[1])]
     return Impedance(AffineRelation.make(f, 1, 1, kept))
-
-
-def scalar_impedance(value) -> Impedance:
-    f = QField
-    return Impedance(AffineRelation.make(
-        f, 1, 1, [(f.neg(RatFunc.const(value)), f.one, f.zero)]))
 
 
 def boxing_B(term: list[Bipole]) -> Impedance:

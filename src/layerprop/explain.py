@@ -1,9 +1,11 @@
 """Window recognition and the three explanation judgments.
 
 An explanation relates two parallel diagrams across abstraction levels:
-the explained morphism must be a single box of one layer, the explaining
-diagram may only use boxes from strictly lower layers, and the two must be
-connected by a rewrite (or, for a counterfactual, provably not).
+the explained morphism must be a single box of one layer (condition 1),
+the explaining diagram may only use boxes from strictly lower layers
+(condition 2), and the two must be connected by a rewrite (condition 3; a
+counterfactual negates it).  The explanation and the counterfactual share
+one shell: ``_conditions_12`` and the search both ways, ``_either_way``.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rewrite as rw
-from .diagram import (Coarsen, Diagram, InternalBox, Refine, box,
-                      canonical_key, canonicalize, structural_eq)
+from .diagram import (Coarsen, Diagram, InternalBox, Refine, as_internal,
+                      box, canonical_key, canonicalize, structural_eq)
 from .errors import InvalidDerivation, SortMismatch
 from .rewrite import Derivation, RuleEngine
-from .theory import SystemOfLayers
 
 
 @dataclass
@@ -95,53 +96,47 @@ def contains_window(d: Diagram) -> bool:
     return False
 
 
-def _single_internal(d: Diagram) -> str | None:
-    """Layer of d when d is one internal box; None otherwise."""
-    c = canonicalize(d).diagram
-    if len(c.cells) == 1 and isinstance(c.cells[0], InternalBox):
-        if len(c.dom) == 1 and len(c.cod) == 1:
-            return c.cells[0].layer
+def _conditions_12(e: Diagram, sigma: Diagram, what: str) -> list[str]:
+    """Why conditions 1 and 2 fail; ``what`` names e when the two are not
+    parallel."""
+    if e.sort != sigma.sort:
+        raise SortMismatch(f"{what} and explained must be parallel")
+    content = as_internal(sigma)
+    if content is None or not content.slices:
+        return ["condition 1: explained morphism is not a single internal "
+                "box of one layer"]
+    omega = content.layer
+    return [f"condition 2: internal box {ci} lives in layer {cell.layer!r}, "
+            f"which is not strictly below {omega!r}"
+            for ci, cell in enumerate(canonicalize(e).diagram.cells)
+            if isinstance(cell, InternalBox) and cell.content.slices
+            and not e.system.below(cell.layer, omega)]
+
+
+def _either_way(e: Diagram, sigma: Diagram, budget: int,
+                engine: RuleEngine | None) -> Derivation | None:
+    """The first derivation from e to sigma, else from sigma to e."""
+    if engine is None:
+        engine = RuleEngine(e.system)
+    for a, b in ((e, sigma), (sigma, e)):
+        dv = rw.find_derivation(a, b, budget, engine)
+        if isinstance(dv, Derivation):
+            return dv
     return None
-
-
-def _conditions_12(e: Diagram, sigma: Diagram,
-                   sys: SystemOfLayers) -> tuple[str | None, list[str]]:
-    reasons: list[str] = []
-    omega = _single_internal(sigma)
-    if omega is None:
-        reasons.append("condition 1: explained morphism is not a single "
-                       "internal box of one layer")
-        return None, reasons
-    ce = canonicalize(e).diagram
-    for ci, cell in enumerate(ce.cells):
-        if isinstance(cell, InternalBox) and cell.content.slices:
-            if not sys.below(cell.layer, omega):
-                reasons.append(
-                    f"condition 2: internal box {ci} lives in layer "
-                    f"{cell.layer!r}, which is not strictly below "
-                    f"{omega!r}")
-    return omega, reasons
 
 
 def check_explanation_1(e: Diagram, sigma: Diagram, budget: int = 10_000,
                         engine: RuleEngine | None = None
                         ) -> ExplanationVerdict:
     """Is e an explanation of the internal morphism sigma?"""
-    if e.sort != sigma.sort:
-        raise SortMismatch("explanation and explained must be parallel")
-    sys = e.system
-    if engine is None:
-        engine = RuleEngine(sys)
-    omega, reasons = _conditions_12(e, sigma, sys)
+    reasons = _conditions_12(e, sigma, "explanation")
     if reasons:
         return ExplanationVerdict("invalid", None, reasons)
-    for a, b in ((e, sigma), (sigma, e)):
-        dv = rw.find_derivation(a, b, budget, engine)
-        if isinstance(dv, Derivation):
-            return ExplanationVerdict("valid", dv, [])
-    return ExplanationVerdict(
-        "unknown", None,
-        [f"condition 3: no rewrite found within budget {budget}"])
+    dv = _either_way(e, sigma, budget, engine)
+    if dv is None:
+        return ExplanationVerdict("unknown", None, [
+            f"condition 3: no rewrite found within budget {budget}"])
+    return ExplanationVerdict("valid", dv, [])
 
 
 def check_explanation_2(eta: Derivation, layer: str, eq_name: str
@@ -178,24 +173,20 @@ def check_counterfactual(e: Diagram, sigma: Diagram, budget: int = 2_000,
                          engine: RuleEngine | None = None
                          ) -> ExplanationVerdict:
     """Conditions 1 and 2 of an explanation, with condition 3 negated."""
-    if e.sort != sigma.sort:
-        raise SortMismatch("counterfactual and explained must be parallel")
-    sys = e.system
-    if engine is None:
-        engine = RuleEngine(sys)
-    omega, reasons = _conditions_12(e, sigma, sys)
+    reasons = _conditions_12(e, sigma, "counterfactual")
     if reasons:
         return ExplanationVerdict("invalid", None, reasons)
     if structural_eq(e, sigma):
         return ExplanationVerdict(
             "invalid", None, ["the diagrams coincide; the identity rewrite "
                               "connects them"])
+    if engine is None:
+        engine = RuleEngine(e.system)
     if engine.is_isolated(e):
         return ExplanationVerdict("certified", None, [])
-    for a, b in ((e, sigma), (sigma, e)):
-        dv = rw.find_derivation(a, b, budget, engine)
-        if isinstance(dv, Derivation):
-            return ExplanationVerdict("refuted", dv, [])
-    return ExplanationVerdict(
-        "unknown", None,
-        [f"no isolation certificate and no rewrite within budget {budget}"])
+    dv = _either_way(e, sigma, budget, engine)
+    if dv is None:
+        return ExplanationVerdict("unknown", None, [
+            "no isolation certificate and no rewrite within budget "
+            f"{budget}"])
+    return ExplanationVerdict("refuted", dv, [])

@@ -154,6 +154,3 @@ def meet_model() -> FinOmegaSystem:
          ("Sq", "gk"): "r<s", ("Sq", "gd"): "p<s"},
         {("Ar", "Sq"): model_f})
 
-
-def all_models() -> list[FinOmegaSystem]:
-    return [monoid_model(), meet_model()]

@@ -377,17 +377,6 @@ def hom_profunctor(c: FinCategory) -> Profunctor:
     return c._hom_prof
 
 
-def embed(f: Functor, direction: str) -> Profunctor:
-    """Covariant ("up") or contravariant ("down") embedding of a functor
-    F: C -> D, hom_D(F-, -) or hom_D(-, F-)."""
-    hom = hom_profunctor(f.target)
-    if direction == "up":
-        return reindex(hom, f, None, f.source, f.target)
-    if direction == "down":
-        return reindex(hom, None, f, f.target, f.source)
-    raise ValueError(f"unknown embedding direction {direction!r}")
-
-
 class Reindexed(Profunctor):
     """P(F-, G-) for functors F, G into P's source and target (None: an
     identity): the elements over (a, c) are those of P over (F a, G c)."""

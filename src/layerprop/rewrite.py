@@ -1360,7 +1360,9 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     or ``NotFound(budget)`` if the budget ends inside the level.  Only a
     level that does neither is built in full, by the second pass, which
     reuses the first pass's states.  The result is the one of a single pass
-    that builds every move.
+    that builds every move.  A backward move whose result the quotient fused
+    or erased cells of spends budget but joins neither tree: no forward move
+    need lead back from it.
     """
     check_count("budget", budget)
     if src.sort != dst.sort:
@@ -1396,6 +1398,14 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     frames: tuple[set, set] = ({frame_of[k_src]}, {frame_of[k_dst]})
     memos: dict[tuple, dict] = {}  # per frame, for ``_moved_frame``
 
+    def built(side: int, state: Diagram, m: Match) -> tuple:
+        # the state and its key; no key for a backward result the quotient
+        # reshaped (it only removes cells), which may have no way back
+        nxt = _apply(state, m)
+        whole = len(nxt.cells) == (len(state.cells) - len(m.cells)
+                                   + len(m.replacement.cells))
+        return nxt, (canonical_key(nxt) if whole or not side else None)
+
     def stitched(meet: tuple) -> Derivation:
         chain: list[Match] = []
         k = meet
@@ -1404,7 +1414,8 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
             chain.append(m)
         chain.reverse()
         k = meet
-        # ``backward`` offers only moves whose inverse ``forward`` offers
+        # ``backward`` offers only moves whose inverse ``forward`` offers,
+        # and ``built`` keeps only their results the quotient left whole
         while trees[1][k] is not None:
             nxt, state = trees[1][k][0], diagrams[k]
             frame, want = frame_of[k], frame_of[nxt]
@@ -1430,8 +1441,7 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
                 spent += 1
                 nf, nxt, nk = _moved_frame(frame, state, m, memo), None, None
                 if nf in meets:
-                    nxt = _apply(state, m)
-                    nk = canonical_key(nxt)
+                    nxt, nk = built(side, state, m)
                     if nk in other:  # the trees are disjoint: nk is new
                         tree[nk] = (key, m)
                         return stitched(nk)
@@ -1441,9 +1451,8 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
         new: list[tuple] = []
         for key, state, m, nf, nxt, nk in level:
             if nxt is None:
-                nxt = _apply(state, m)
-                nk = canonical_key(nxt)
-            if nk in tree:
+                nxt, nk = built(side, state, m)
+            if nk is None or nk in tree:
                 continue
             tree[nk] = (key, m)
             diagrams[nk], frame_of[nk] = nxt, nf

@@ -224,12 +224,6 @@ def compose_functors(sys: SystemOfLayers, f: TranslationFunctor,
     return TranslationFunctor(f.source, g.target, omap, mmap)
 
 
-def is_internal(arity: OmegaType, coarity: OmegaType) -> bool:
-    """True when both boundary types are single sheets over the same layer."""
-    return (len(arity.entries) == 1 and len(coarity.entries) == 1
-            and arity.entries[0][0] == coarity.entries[0][0])
-
-
 def _validate_layer(lay: LayerPresentation, report: ValidationReport) -> None:
     seen: set[str] = set()
     for g in lay.gen_morphisms:

@@ -1,6 +1,7 @@
 """Independent checks of the profunctor kernel, for the tests only: the
 bimodule laws of a profunctor, the adjunction triangles of up(F) and
-down(F), pointed composition, and the small constructions they need."""
+down(F), pointed composition, and the small constructions they need, among
+them the embeddings up(F) and down(F) themselves."""
 
 from __future__ import annotations
 
@@ -26,6 +27,17 @@ def product_functor(fs: list[pf.Functor]) -> pf.Functor:
                       pf.product_category([f.target for f in fs]),
                       componentwise([f.on_obj for f in fs]),
                       componentwise([f.on_mor for f in fs]))
+
+
+def embed(f: pf.Functor, direction: str) -> pf.Profunctor:
+    """Covariant ("up") or contravariant ("down") embedding of a functor
+    F: C -> D, hom_D(F-, -) or hom_D(-, F-)."""
+    hom = pf.hom_profunctor(f.target)
+    if direction == "up":
+        return pf.reindex(hom, f, None, f.source, f.target)
+    if direction == "down":
+        return pf.reindex(hom, None, f, f.target, f.source)
+    raise ValueError(f"unknown embedding direction {direction!r}")
 
 
 def validate_profunctor(p: pf.Profunctor) -> list[str]:
@@ -99,8 +111,8 @@ def point_compose(pp: pf.PointedProfunctor,
 def check_adjunction_triangles(f: pf.Functor) -> list[str]:
     """Element-wise triangle identities for up(F) left adjoint to down(F)."""
     out: list[str] = []
-    up = pf.embed(f, "up")
-    down = pf.embed(f, "down")
+    up = embed(f, "up")
+    down = embed(f, "down")
     c, d = f.source, f.target
     ud = pf.ComposedProfunctor(up, down)
 

@@ -187,6 +187,28 @@ def test_cli_eq_distinct_by_weights(tmp_path, capsys):
     assert capsys.readouterr().out == "no derivation within budget 50\n"
 
 
+def test_cli_backward_moves_without_a_forward_inverse(tmp_path):
+    # a backward result the quotient fuses (derive) or erases a box of (eq)
+    # is not kept: the search spends its budget instead of failing
+    two = _write(tmp_path, "two.json",
+                 jsonio.system_to_json(make_two_layer_system()))
+    mon = _write(tmp_path, "mon.json",
+                 jsonio.system_to_json(models.monoid_model().system))
+    for name, text in (
+            ("p.sexp", "(seq (gen U g) (gen U h) (refine U L (a)))"),
+            ("s.sexp", "(seq (gen U g) (refine U L (b)) (gen L hl))"),
+            ("bare.sexp", "(id MU (u))"),
+            ("both.sexp", "(seq (gen MU m1) (gen MU m2))")):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for argv, out in (
+            (["derive", "--system", two, "--src", "p.sexp", "--dst",
+              "s.sexp", "--budget", "50"], "no derivation within budget 50\n"),
+            (["eq", "--system", mon, "bare.sexp", "both.sexp"], "unknown\n")):
+        proc = subprocess.run([sys.executable, "-m", "layerprop.cli", *argv],
+                              capture_output=True, text=True, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, "")
+
+
 def test_cli_derive_and_explain2(tmp_path, capsys):
     sys_ = make_two_layer_system()
     t = _write(tmp_path, "t.json", jsonio.system_to_json(sys_))

@@ -364,6 +364,18 @@ def test_layer_eq_requires_parallel(two_layer):
                     dg.gen_box(two_layer, "U", "h"), 4)
 
 
+def test_layer_eq_backward_deletion_to_a_bare_sheet():
+    # backward from box(m1;m2), deleting m1;m2 erases the box and meets the
+    # bare sheet, which has no box to insert into: no witness that way
+    mon = models.monoid_model().system
+    bare = dg.identity(mon, sheet("MU", ("u",)))
+    both = dg.box(mon, InternalDiagram("MU", ("u",), ("u",),
+                                       ((0, "m1"), (0, "m2"))))
+    assert dg.layer_eq(bare, both, 64).status == "unknown"
+    res = dg.layer_eq(both, bare, 64)
+    assert res.status == "equal" and rw.verify_derivation(res.witness)
+
+
 # equality modulo equations over seeded pairs: an equal pair is a box of
 # 1-2 parallel strands of random paths and the same box after 1-3 seeded
 # equation steps; a differ pair (monoid) appends m1, which changes the

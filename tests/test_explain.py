@@ -78,7 +78,8 @@ def test_explanation_1_budget_zero_unknown(two_layer):
 
 
 def test_explanation_1_requires_parallel(two_layer):
-    with pytest.raises(SortMismatch):
+    with pytest.raises(SortMismatch, match="^explanation and explained "
+                                           "must be parallel$"):
         ex.check_explanation_1(dg.gen_box(two_layer, "U", "g"),
                                dg.gen_box(two_layer, "U", "u"), 5)
 
@@ -152,3 +153,38 @@ def test_certified_excludes_valid(two_layer):
     cf = ex.check_counterfactual(e, sigma, budget=400)
     e1 = ex.check_explanation_1(e, sigma, budget=400)
     assert not (cf.status == "certified" and e1.status == "valid")
+
+
+def _not_single_boxes(two_layer):
+    """(e, sigma) pairs, each parallel, whose sigma is not one internal box:
+    an identity wire, a two-box chain and a lone refine."""
+    s = two_layer
+    window = _window(s, InternalDiagram("L", ("x",), ("x",), ((0, "ul"),)))
+    lowered = dg.seq_compose(
+        dg.refine(s, "U", "L", ("a",)),
+        dg.box(s, InternalDiagram("L", ("x",), ("x",),
+                                  ((0, "gl"), (0, "hl")))))
+    chain = dg.seq_many(dg.gen_box(s, "U", "g"),
+                        dg.refine(s, "U", "L", ("b",)),
+                        dg.gen_box(s, "L", "hl"))
+    return [(window, dg.identity(s, sheet("U", ("a",)))),
+            (lowered, chain),
+            (lowered, dg.refine(s, "U", "L", ("a",)))]
+
+
+@pytest.mark.parametrize("judgment", [ex.check_explanation_1,
+                                      ex.check_counterfactual])
+def test_condition_1_rejects_what_is_not_one_box(two_layer, judgment):
+    for e, sigma in _not_single_boxes(two_layer):
+        verdict = judgment(e, sigma, budget=50)
+        assert verdict.status == "invalid"
+        assert verdict.witness is None
+        assert verdict.reasons == ["condition 1: explained morphism is not "
+                                   "a single internal box of one layer"]
+
+
+def test_counterfactual_requires_parallel(two_layer):
+    with pytest.raises(SortMismatch, match="^counterfactual and explained "
+                                           "must be parallel$"):
+        ex.check_counterfactual(dg.gen_box(two_layer, "U", "g"),
+                                dg.gen_box(two_layer, "U", "u"), 5)

@@ -1,7 +1,9 @@
-"""The kernel is stdlib-only: every module of ``src/layerprop`` imports only
-the standard library and its own sibling modules."""
+"""The kernel is stdlib-only and holds only what it runs: every module of
+``src/layerprop`` imports only the standard library and its own sibling
+modules, and every top-level definition has a caller outside the tests."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -74,3 +76,56 @@ def test_function_local_imports_break_cycles_or_defer_loading():
     assert {pair[:2] for pair in local} == {("diagram", "rewrite"),
                                             ("diagram", "weights"),
                                             ("theory", "diagram")} | DEFERRED
+
+
+# top-level definitions of the kernel that nothing in ``src/`` or ``bench/``
+# names, each with the reason it stays in the kernel
+KEPT = {
+    ("ccs", "bisimilar"): "criterion 7 checks it against the tests' naive "
+                          "bisimulation",
+    ("explain", "is_window"): "README lists the window recognisers as "
+                              "layerprop.explain API",
+    ("explain", "is_cowindow"): "README lists the window recognisers as "
+                                "layerprop.explain API",
+    ("explain", "contains_window"): "README lists the window recognisers as "
+                                    "layerprop.explain API",
+    ("theory", "check_functor_equations"): "the only check that a "
+                                           "translation keeps the layer "
+                                           "equations",
+}
+
+
+def _top_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_kernel_definition_has_a_caller():
+    # code that only the tests call belongs under tests/: a name counts as
+    # called when src/ reads it (a name, an attribute or an import) or
+    # bench/ names it; anything else must be in KEPT with its reason
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = {n for tree in trees.values() for node in ast.walk(tree)
+            for n in ((node.id,) if isinstance(node, ast.Name)
+                      and not isinstance(node.ctx, ast.Store)
+                      else (node.attr,) if isinstance(node, ast.Attribute)
+                      else (node.name,) if isinstance(node, ast.alias)
+                      else ())}
+    bench = "\n".join(path.read_text(encoding="utf-8") for path in
+                      sorted((PACKAGE.parents[1] / "bench").glob("*.py")))
+    uncalled = {(module, name) for module, tree in trees.items()
+                for name in _top_level_names(tree)
+                if name not in read
+                and not re.search(rf"\b{re.escape(name)}\b", bench)}
+    assert uncalled == set(KEPT)
+    assert all(KEPT.values())

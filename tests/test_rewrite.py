@@ -803,6 +803,24 @@ def test_backward_deletion_needs_insertions():
     assert rw.verify_derivation(dv)
 
 
+def test_backward_result_the_quotient_fuses_is_not_kept(two_layer):
+    # backward from dst, F1 slides the box hl up through the refine, and
+    # the quotient fuses the slid box with g into src's box g;h; F1 slides
+    # a whole box, so no forward move leads from src back to dst
+    src = dg.seq_compose(_box(two_layer, "U", "a", ["g", "h"]),
+                         dg.refine(two_layer, "U", "L", ("a",)))
+    dst = dg.seq_many(dg.gen_box(two_layer, "U", "g"),
+                      dg.refine(two_layer, "U", "L", ("b",)),
+                      dg.gen_box(two_layer, "L", "hl"))
+    engine = rw.RuleEngine(two_layer)
+    assert any(m.orientation == "bwd" and m.rule.family == "F"
+               and canonical_key(rw._apply(canonicalize(dst).diagram, m))
+               == canonical_key(src) for m in engine.matches(dst))
+    for budget in (5, 20, 50, 200):
+        assert rw.find_derivation(src, dst, budget, engine) == \
+            rw.NotFound(budget)
+
+
 def _check_splice(host, m):
     """The trusted application agrees with the validating one, and the
     frame the search predicts for it is the frame of its result."""

@@ -363,7 +363,7 @@ def test_e_rule_soundness_check(monoid_model):
     # the --max-word 2 pools that verdict is the equation's own check, that
     # both sides denote one morphism
     checked = 0
-    for model in models.all_models():
+    for model in (models.monoid_model(), models.meet_model()):
         engine = rw.RuleEngine(model.system)
         pools = {name: [w for n in range(3)
                         for w in itertools.product(lay.gen_objects, repeat=n)]
@@ -415,7 +415,8 @@ import hashlib, json, sys
 from layerprop import models, profunctor as pf, rewrite as rw
 from layerprop import semantics as sm
 digest = hashlib.sha256()
-for model, words in zip(models.all_models(), json.loads(sys.argv[1])):
+for model, words in zip((models.monoid_model(), models.meet_model()),
+                        json.loads(sys.argv[1])):
     words = {k: [tuple(w) for w in ws] for k, ws in words.items()}
     for rule in rw.sample_instances(rw.RuleEngine(model.system), words):
         if rule.family != "A" or rule.name.startswith("A3c["):
@@ -758,8 +759,8 @@ def reference_interpret(model, d):
             return hom_at(*payload[0])
         piece = (sm._perm(model, *payload) if kind == "perm"
                  else sm._cell_piece(model, *payload))
-        prof = (pf.embed(piece.f, "up") if piece.f is not None else
-                pf.embed(piece.g, "down") if piece.g is not None
+        prof = (oracles.embed(piece.f, "up") if piece.f is not None else
+                oracles.embed(piece.g, "down") if piece.g is not None
                 else pf.hom_profunctor(piece.src))
         return pf.PointedProfunctor(prof, piece.a, piece.b, piece.point)
 

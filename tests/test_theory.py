@@ -6,10 +6,9 @@ import pytest
 
 from layerprop.errors import UnknownSymbol
 from layerprop.internal import InternalDiagram
-from layerprop.theory import (EMPTY_TYPE, Equation, LayerPresentation,
-                              MorphismGen, OmegaType, SystemOfLayers,
-                              TranslationFunctor, compose_functors,
-                              is_internal, sheet, validate_system)
+from layerprop.theory import (Equation, LayerPresentation, MorphismGen,
+                              SystemOfLayers, TranslationFunctor,
+                              compose_functors, validate_system)
 
 from conftest import make_two_layer_system
 
@@ -80,14 +79,6 @@ def test_translate_word_random_splits_are_homomorphic():
         w = tuple(rng.choice("abc") for _ in range(rng.randint(0, 8)))
         k = rng.randint(0, len(w))
         assert f.word_image(w) == f.word_image(w[:k]) + f.word_image(w[k:])
-
-
-def test_is_internal_cases():
-    one = sheet("w", ("a",))
-    other = sheet("t", ("b",))
-    assert is_internal(one, sheet("w", ("b",)))
-    assert not is_internal(one, other)
-    assert not is_internal(one + sheet("w", ("b",)), sheet("w", ("c",)))
 
 
 def test_order_direction_checked(two_layer):
