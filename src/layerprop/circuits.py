@@ -519,8 +519,8 @@ def check_series_explanation(cs: CircuitSystem, budget: int = 3000
                                        ((0, a), (0, b))))
     rhs = dg.box(sys_, InternalDiagram("ECirc", ("n",), ("n",), ((0, c),)))
 
-    def no_top_equation(m: rw.Match) -> bool:
-        return not (m.rule.family == "E" and m.rule.params[0] == "ECirc")
+    def no_top_equation(rule: rw.RewriteRule) -> bool:
+        return not (rule.family == "E" and rule.params[0] == "ECirc")
 
     eta = rw.find_derivation(lhs, rhs, budget,
                              rw.RuleEngine(sys_, [("ECirc", "GAA")]),

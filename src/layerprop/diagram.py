@@ -576,9 +576,10 @@ def _floating_order(cells: dict[int, Cell], wires: list[tuple],
 def _canonical(system: SystemOfLayers, dom: OmegaType, cod: OmegaType,
                cells: list[Cell], wires: list[tuple],
                fresh_cells: Iterable[int],
-               fresh_wires: Iterable[int]) -> Diagram:
+               fresh_wires: Iterable[int]) -> tuple[Diagram, dict]:
     """The canonical diagram of a well-formed diagram given by its cells and
-    its wires as ``(src, dst, type)``; ``cells`` is changed in place.
+    its wires as ``(src, dst, type)``, and where each cell that the quotient
+    kept lands in it; ``cells`` is changed in place.
 
     Only the cells in ``fresh_cells`` and the wires in ``fresh_wires`` may
     break the normal form: no other cell is a sheet symmetry or an empty
@@ -658,7 +659,7 @@ def _canonical(system: SystemOfLayers, dom: OmegaType, cod: OmegaType,
     canon = Diagram(system, dom, cod, new_cells, map(Wire._make, triples))
     canon._key = (dom.entries, cod.entries,
                   tuple(c.label() for c in new_cells), tuple(triples))
-    return canon
+    return canon, pos
 
 
 def canonicalize(d: Diagram) -> CanonicalForm:
@@ -674,8 +675,8 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     if d._canon is not None:
         return d._canon
     validate_diagram(d)
-    canon = _canonical(d.system, d.dom, d.cod, list(d.cells), d.wires,
-                       range(len(d.cells)), range(len(d.wires)))
+    canon, _ = _canonical(d.system, d.dom, d.cod, list(d.cells), d.wires,
+                          range(len(d.cells)), range(len(d.wires)))
     d._canon = CanonicalForm(canon, canon._key)
     return d._canon
 
@@ -705,11 +706,12 @@ class LayerEqResult:
 def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
     """Three-valued equality modulo the layers' equations.
 
-    The search is ``rewrite.find_derivation`` with an engine that matches
-    the E family alone, with equation insertions on: ``budget`` counts
-    the equation moves considered across both frontiers, built or not, the
-    smaller frontier expanding first, and an ``equal`` verdict carries a
-    derivation that ``verify_derivation`` replays.  A negative budget is
+    The search is ``rewrite._either_way``, x to y and then y to x, with an
+    engine that matches the E family alone, with equation insertions on:
+    ``budget`` counts the equation moves one direction considers across
+    both frontiers, built or not, the smaller frontier expanding first, and
+    an ``equal`` verdict carries a derivation, either way, that
+    ``verify_derivation`` replays.  A negative budget is
     rejected with MalformedInput.  A budget that runs out partway through a
     breadth-first level leaves the verdict to the order in which moves are
     tried.
@@ -735,8 +737,8 @@ def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
             return LayerEqResult("distinct", weights=w)
     engine = rewrite.RuleEngine(x.system, equation_insertions=True,
                                 families=("E",))
-    out = rewrite.find_derivation(x, y, budget, engine)
-    if isinstance(out, rewrite.NotFound):
+    out = rewrite._either_way(x, y, budget, engine)
+    if out is None:
         return LayerEqResult("unknown")
     return LayerEqResult("equal", out)
 

@@ -5,7 +5,8 @@ the explained morphism must be a single box of one layer (condition 1),
 the explaining diagram may only use boxes from strictly lower layers
 (condition 2), and the two must be connected by a rewrite (condition 3; a
 counterfactual negates it).  The explanation and the counterfactual share
-one shell: ``_conditions_12`` and the search both ways, ``_either_way``.
+one shell: ``_conditions_12`` and the search both ways,
+``rewrite._either_way``.
 """
 
 from __future__ import annotations
@@ -113,18 +114,6 @@ def _conditions_12(e: Diagram, sigma: Diagram, what: str) -> list[str]:
             and not e.system.below(cell.layer, omega)]
 
 
-def _either_way(e: Diagram, sigma: Diagram, budget: int,
-                engine: RuleEngine | None) -> Derivation | None:
-    """The first derivation from e to sigma, else from sigma to e."""
-    if engine is None:
-        engine = RuleEngine(e.system)
-    for a, b in ((e, sigma), (sigma, e)):
-        dv = rw.find_derivation(a, b, budget, engine)
-        if isinstance(dv, Derivation):
-            return dv
-    return None
-
-
 def check_explanation_1(e: Diagram, sigma: Diagram, budget: int = 10_000,
                         engine: RuleEngine | None = None
                         ) -> ExplanationVerdict:
@@ -132,7 +121,7 @@ def check_explanation_1(e: Diagram, sigma: Diagram, budget: int = 10_000,
     reasons = _conditions_12(e, sigma, "explanation")
     if reasons:
         return ExplanationVerdict("invalid", None, reasons)
-    dv = _either_way(e, sigma, budget, engine)
+    dv = rw._either_way(e, sigma, budget, engine)
     if dv is None:
         return ExplanationVerdict("unknown", None, [
             f"condition 3: no rewrite found within budget {budget}"])
@@ -184,7 +173,7 @@ def check_counterfactual(e: Diagram, sigma: Diagram, budget: int = 2_000,
         engine = RuleEngine(e.system)
     if engine.is_isolated(e):
         return ExplanationVerdict("certified", None, [])
-    dv = _either_way(e, sigma, budget, engine)
+    dv = rw._either_way(e, sigma, budget, engine)
     if dv is None:
         return ExplanationVerdict("unknown", None, [
             "no isolation certificate and no rewrite within budget "

@@ -304,7 +304,31 @@ def _apply(host: Diagram, m: Match) -> Diagram:
     host = canonicalize(host).diagram
     cells, wires, new_cells, new_wires = _splice(host, m)
     return dg._canonical(host.system, host.dom, host.cod, cells, wires,
-                         new_cells, new_wires)
+                         new_cells, new_wires)[0]
+
+
+def _inverse(host: Diagram, m: Match) -> Match:
+    """The match that undoes ``m`` on ``_apply(host, m)``, at the image of
+    the move's replacement; the host is canonical, and the quotient must
+    have kept every cell, as on each backward edge the search keeps."""
+    cells, wires, new_cells, new_wires = _splice(host, m)
+    res, pos = dg._canonical(host.system, host.dom, host.cod, cells, wires,
+                             new_cells, new_wires)
+    orientation = "bwd" if m.orientation == "fwd" else "fwd"
+    if m.box_payload is not None:
+        ci = m.box_payload[0]
+        return Match(m.rule, orientation, (pos[ci],), (), (), res._key,
+                     (pos[ci], host.cells[ci].content))
+    repl, by_src = m.replacement, {w.src: wi for wi, w in enumerate(res.wires)}
+    image = {}  # each end of a replacement wire: that wire in the result
+    for (src, dst, _), wi in zip(repl.wires, new_wires):
+        end = wires[wi][0]
+        image[src] = image[dst] = by_src[
+            ("out", pos[end[1]], end[2]) if end[0] == "out" else end]
+    return Match(m.rule, orientation, tuple(pos[ci] for ci in new_cells),
+                 tuple(image["dom", j] for j in range(len(repl.dom))),
+                 tuple(image["cod", j] for j in range(len(repl.cod))),
+                 res._key)
 
 
 def apply_rule(d: Diagram, m: Match) -> Diagram:
@@ -1347,8 +1371,9 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     The budget counts the moves a level considers across both frontiers,
     whether the search builds their states or not.  A returned derivation
     replays from src to dst; the search expands the smaller frontier first,
-    deterministically.  ``rule_filter`` restricts the move set (it receives
-    each Match and may veto it).  A negative budget is rejected with
+    deterministically.  ``rule_filter`` restricts the move set: it receives
+    each move's RewriteRule and may veto it, so a move and its inverse pass
+    or fail together.  A negative budget is rejected with
     MalformedInput.  A pair that an invariant weight of the engine's
     families separates (``weights``) is reachable at no budget; it returns
     ``NotFound(budget)`` before any application.
@@ -1359,10 +1384,12 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     only those moves and returns at the first that lands in the other tree,
     or ``NotFound(budget)`` if the budget ends inside the level.  Only a
     level that does neither is built in full, by the second pass, which
-    reuses the first pass's states.  The result is the one of a single pass
-    that builds every move.  A backward move whose result the quotient fused
-    or erased cells of spends budget but joins neither tree: no forward move
-    need lead back from it.
+    reuses the first pass's states.  Budgets and verdicts are those of a
+    single pass that builds every move.  A backward move whose result the
+    quotient fused or erased cells of spends budget but joins neither tree:
+    no forward move need lead back from it.  Every other backward edge
+    enters the derivation as its own inverse (``_inverse``), at the image
+    of the move's replacement, with no matching.
     """
     check_count("budget", budget)
     if src.sort != dst.sort:
@@ -1377,25 +1404,24 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     if weights.separating_weights(src_c, dst_c, engine.families):
         return NotFound(budget)
 
-    def forward(state: Diagram) -> list[Match]:
-        return [m for m in engine.matches(state)
-                if rule_filter is None or rule_filter(m)]
-
-    def backward(state: Diagram) -> list[Match]:
+    def moves(side: int, state: Diagram) -> list[Match]:
         # a backward move needs a forward inverse the engine offers; an
         # equation applied toward its identity side inverts to an insertion
-        moves = [m for m in engine.matches(state) if m.rule.bidirectional
-                 and (engine.equation_insertions or m.box_payload is None
-                      or m.replacement.cells[0].content.slices)]
-        return [m for m in moves + engine.anti_matches(state)
-                if rule_filter is None or rule_filter(m)]
+        found = engine.matches(state)
+        if side:
+            found = [m for m in found if m.rule.bidirectional
+                     and (engine.equation_insertions or m.box_payload is None
+                          or m.replacement.cells[0].content.slices)
+                     ] + engine.anti_matches(state)
+        return [m for m in found
+                if rule_filter is None or rule_filter(m.rule)]
 
     # each side's tree maps a state to (the state it came from, the move)
     trees: tuple[dict, dict] = ({k_src: None}, {k_dst: None})
     frontiers = [[k_src], [k_dst]]
-    diagrams: dict[tuple, Diagram] = {k_src: src_c, k_dst: dst_c}
-    frame_of = {k: _frame_labels(d.cells) for k, d in diagrams.items()}
-    frames: tuple[set, set] = ({frame_of[k_src]}, {frame_of[k_dst]})
+    diagrams = {k: (d, _frame_labels(d.cells))  # key: (diagram, frame)
+                for k, d in ((k_src, src_c), (k_dst, dst_c))}
+    frames: tuple[set, set] = ({diagrams[k_src][1]}, {diagrams[k_dst][1]})
     memos: dict[tuple, dict] = {}  # per frame, for ``_moved_frame``
 
     def built(side: int, state: Diagram, m: Match) -> tuple:
@@ -1407,23 +1433,15 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
         return nxt, (canonical_key(nxt) if whole or not side else None)
 
     def stitched(meet: tuple) -> Derivation:
-        chain: list[Match] = []
-        k = meet
+        chain, k = [], meet
         while trees[0][k] is not None:
             k, m = trees[0][k]
-            chain.append(m)
-        chain.reverse()
+            chain.insert(0, m)
         k = meet
-        # ``backward`` offers only moves whose inverse ``forward`` offers,
-        # and ``built`` keeps only their results the quotient left whole
+        # ``built`` keeps only the backward results the quotient left whole
         while trees[1][k] is not None:
-            nxt, state = trees[1][k][0], diagrams[k]
-            frame, want = frame_of[k], frame_of[nxt]
-            memo = memos.setdefault(frame, {})
-            chain.append(next(m for m in forward(state)
-                              if _moved_frame(frame, state, m, memo) == want
-                              and canonical_key(_apply(state, m)) == nxt))
-            k = nxt
+            k, m = trees[1][k]
+            chain.append(_inverse(diagrams[k][0], m))
         return Derivation(src_c, chain)
 
     spent = 0
@@ -1433,9 +1451,9 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
         tree, other, meets = trees[side], trees[1 - side], frames[1 - side]
         level: list[tuple] = []
         for key in frontiers[side]:
-            state, frame = diagrams[key], frame_of[key]
+            state, frame = diagrams[key]
             memo = memos.setdefault(frame, {})
-            for m in (forward, backward)[side](state):
+            for m in moves(side, state):
                 if spent == budget:
                     return NotFound(budget)
                 spent += 1
@@ -1455,8 +1473,20 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
             if nk is None or nk in tree:
                 continue
             tree[nk] = (key, m)
-            diagrams[nk], frame_of[nk] = nxt, nf
+            diagrams[nk] = nxt, nf
             frames[side].add(nf)
             new.append(nk)
         frontiers[side] = new
     return NotFound(budget)
+
+
+def _either_way(a: Diagram, b: Diagram, budget: int,
+                engine: RuleEngine | None = None) -> Derivation | None:
+    """The derivation from a to b, else the one from b to a; each search
+    gets the whole budget and the same engine."""
+    engine = engine or RuleEngine(a.system)
+    for x, y in ((a, b), (b, a)):
+        dv = find_derivation(x, y, budget, engine)
+        if isinstance(dv, Derivation):
+            return dv
+    return None

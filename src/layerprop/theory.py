@@ -352,24 +352,3 @@ def validate_system(sys: SystemOfLayers) -> ValidationReport:
                     report.add(f"composite {f.name};{g.name} disagrees with "
                                f"stored {h.name} on morphism {gen!r}")
     return report
-
-
-def check_functor_equations(sys: SystemOfLayers, f: TranslationFunctor,
-                            budget: int = 64) -> ValidationReport:
-    """Advisory: bounded check that f maps each source equation to a pair
-    joinable by target-layer equations.  Inconclusive results are reported
-    as advisories, not violations."""
-    from .diagram import box, layer_eq  # local import: diagram layers on theory
-
-    report = ValidationReport()
-    for eq in sys.layer(f.source).equations:
-        lhs = translate_internal(sys, f, eq.lhs)
-        rhs = translate_internal(sys, f, eq.rhs)
-        verdict = layer_eq(box(sys, lhs), box(sys, rhs), budget)
-        if verdict.status == "distinct":
-            report.add(f"functor {f.name}: equation {eq.name!r} maps to "
-                       f"provably distinct diagrams")
-        elif verdict.status == "unknown":
-            report.add(f"functor {f.name}: equation {eq.name!r} image not "
-                       f"joined within budget {budget} (advisory)")
-    return report

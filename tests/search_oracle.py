@@ -3,9 +3,14 @@
 ``find_derivation`` here is the search as it stood before a level was
 settled by frames: it builds every move it considers, in order, and
 inverts a backward edge by applying every forward move until one lands on
-the next state.  ``rewrite.find_derivation`` must return what it returns.
-``levels``, when given, receives the budget spent at the end of each level
-the search completes, and at the move that meets the other tree.
+the next state, taking the first in signature order.  It is the reference
+for budgets, meets and ``NotFound``: ``rewrite.find_derivation`` must
+return the same verdict and, step by step, the same rule, orientation and
+host.  That search undoes a backward edge at its own image instead, so
+where two placements of a rule reach the same state it may name the other.
+``rule_filter`` receives each move's rule.  ``levels``, when given,
+receives the budget spent at the end of each level the search completes,
+and at the move that meets the other tree.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
 
     def forward(state):
         return [m for m in engine.matches(state)
-                if rule_filter is None or rule_filter(m)]
+                if rule_filter is None or rule_filter(m.rule)]
 
     def backward(state):
         moves = [m for m in engine.matches(state) if m.rule.bidirectional
                  and (engine.equation_insertions or m.box_payload is None
                       or m.replacement.cells[0].content.slices)]
         return [m for m in moves + engine.anti_matches(state)
-                if rule_filter is None or rule_filter(m)]
+                if rule_filter is None or rule_filter(m.rule)]
 
     trees: tuple[dict, dict] = ({k_src: None}, {k_dst: None})
     frontiers = [[k_src], [k_dst]]

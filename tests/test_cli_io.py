@@ -189,7 +189,8 @@ def test_cli_eq_distinct_by_weights(tmp_path, capsys):
 
 def test_cli_backward_moves_without_a_forward_inverse(tmp_path):
     # a backward result the quotient fuses (derive) or erases a box of (eq)
-    # is not kept: the search spends its budget instead of failing
+    # is not kept: the search spends its budget instead of failing, and eq
+    # then finds its witness the other way round
     two = _write(tmp_path, "two.json",
                  jsonio.system_to_json(make_two_layer_system()))
     mon = _write(tmp_path, "mon.json",
@@ -200,13 +201,15 @@ def test_cli_backward_moves_without_a_forward_inverse(tmp_path):
             ("bare.sexp", "(id MU (u))"),
             ("both.sexp", "(seq (gen MU m1) (gen MU m2))")):
         (tmp_path / name).write_text(text, encoding="utf-8")
-    for argv, out in (
+    for argv, code, out in (
             (["derive", "--system", two, "--src", "p.sexp", "--dst",
-              "s.sexp", "--budget", "50"], "no derivation within budget 50\n"),
-            (["eq", "--system", mon, "bare.sexp", "both.sexp"], "unknown\n")):
+              "s.sexp", "--budget", "50"], 3,
+             "no derivation within budget 50\n"),
+            (["eq", "--system", mon, "bare.sexp", "both.sexp"], 0,
+             "equal\n")):
         proc = subprocess.run([sys.executable, "-m", "layerprop.cli", *argv],
                               capture_output=True, text=True, cwd=tmp_path)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (3, out, "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 def test_cli_derive_and_explain2(tmp_path, capsys):

@@ -74,8 +74,7 @@ def test_function_local_imports_break_cycles_or_defer_loading():
             if (name, sibling) not in DEFERRED
             and name not in top[sibling]] == []
     assert {pair[:2] for pair in local} == {("diagram", "rewrite"),
-                                            ("diagram", "weights"),
-                                            ("theory", "diagram")} | DEFERRED
+                                            ("diagram", "weights")} | DEFERRED
 
 
 # top-level definitions of the kernel that nothing in ``src/`` or ``bench/``
@@ -89,9 +88,6 @@ KEPT = {
                                 "layerprop.explain API",
     ("explain", "contains_window"): "README lists the window recognisers as "
                                     "layerprop.explain API",
-    ("theory", "check_functor_equations"): "the only check that a "
-                                           "translation keeps the layer "
-                                           "equations",
 }
 
 

@@ -476,7 +476,7 @@ PINNED = {
     ],
     "meet-walk2-1": [
         ("M3l[Sq;q]", "bwd", (), (1,), (1,), None),
-        ("M3l[Sq;q]", "bwd", (), (1,), (1,), None),
+        ("M3l[Sq;q]", "bwd", (), (2,), (2,), None),
     ],
     "meet-walk2-2": [
         ("A3[Ar>Sq;lo]", "fwd", (), (0,), (0,), None),
@@ -531,7 +531,7 @@ PINNED = {
     ],
     "monoid-walk2-1": [
         ("M3l[ML;v]", "bwd", (), (1,), (1,), None),
-        ("M3l[ML;v]", "bwd", (), (1,), (1,), None),
+        ("M3l[ML;v]", "bwd", (), (2,), (2,), None),
     ],
     "monoid-walk2-2": [
         ("M3l[ML;v]", "bwd", (), (1,), (1,), None),
@@ -594,7 +594,7 @@ PINNED = {
     ],
     "two-walk2-1": [
         ("M3l[L;y]", "bwd", (), (1,), (1,), None),
-        ("M3l[L;y]", "bwd", (), (1,), (1,), None),
+        ("M3l[L;y]", "bwd", (), (2,), (2,), None),
     ],
     "two-walk2-2": [
         ("M3l[L;y]", "bwd", (), (1,), (1,), None),
@@ -680,31 +680,23 @@ def test_weight_equal_unreachable_pair_spends_the_budget(monkeypatch):
 
 
 def _result(res):
-    """What a search returned, with the host of every step."""
+    """What a search returned: the rule, orientation and host of every
+    step.  Of two placements with the same host and result, a backward
+    step may name either."""
     if isinstance(res, rw.NotFound):
         return res
-    return ([s.signature() for s in res.steps],
-            [s.host_key for s in res.steps], canonical_key(res.start))
+    return ([(s.rule.name, s.orientation, s.host_key) for s in res.steps],
+            canonical_key(res.start))
 
 
-def _oracle_budgets(src, dst, engine=None):
-    """10000, and each level boundary of the one-pass search at -1, 0, +1."""
-    levels = []
-    search_oracle.find_derivation(src, dst, 10_000, engine, levels=levels)
-    return sorted({10_000} | {b + d for b in levels for d in (-1, 0, 1)
-                              if b + d >= 0})
-
-
-def test_search_agrees_with_the_one_pass_oracle(two_layer):
-    # seeded walks of 1-4 steps on three systems, at the budgets where a
-    # level ends or the one-pass search meets.  Each walk is searched
-    # forward; seed 1's walks of 1, 2 and 4 steps backward too.  Reversed,
-    # the walks of 3 find nothing and spend the budget through levels of
-    # over 5000 moves, seconds per walk at these budgets; the reversed
-    # walks of 4 spend it inside their fourth level.
+def _oracle_walks(two_layer):
+    """Seeded walks of 1-4 steps on three systems, each searched forward;
+    seed 1's walks of 1, 2 and 4 steps backward too.  Reversed, the walks
+    of 3 find nothing and spend the budget through levels of over 5000
+    moves, seconds per walk; the reversed walks of 4 spend it inside their
+    fourth level."""
     systems = {"two": two_layer, "monoid": models.monoid_model().system,
                "meet": models.meet_model().system}
-    compared = set()
     for name, system in systems.items():
         starts = [dg.gen_box(system, layer, g.name)
                   for layer in sorted(system.layers)
@@ -712,16 +704,93 @@ def test_search_agrees_with_the_one_pass_oracle(two_layer):
         for steps in (1, 2, 3, 4):
             for seed in (0, 1):
                 a, b = _walk(system, starts, random.Random(seed), steps)
-                pairs = [(a, b)] + [(b, a)] * (seed == 1 and steps != 3)
-                for src, dst in pairs:
-                    for budget in _oracle_budgets(src, dst):
-                        want = search_oracle.find_derivation(src, dst,
-                                                             budget)
-                        got = rw.find_derivation(src, dst, budget)
-                        assert _result(got) == _result(want), \
-                            (name, steps, seed, budget)
-                        compared.add((type(want), budget == 10_000))
+                yield (name, steps, seed), a, b
+                if seed == 1 and steps != 3:
+                    yield (name, steps, seed, "reversed"), b, a
+
+
+def _oracle_by_budget(src, dst):
+    """The one-pass search's result at 10000 and at each level boundary at
+    -1, 0, +1, from one run at 10000: it returns the derivation it found
+    from the budget it spent at the meet on, and NotFound below that."""
+    levels = []
+    full = search_oracle.find_derivation(src, dst, 10_000, levels=levels)
+    found = isinstance(full, rw.Derivation)
+    return {b: full if found and b >= levels[-1] else rw.NotFound(b)
+            for b in {10_000} | {b + d for b in levels for d in (-1, 0, 1)
+                                 if b + d >= 0}}
+
+
+def test_search_agrees_with_the_one_pass_oracle(two_layer):
+    # at the budgets where a level ends or the one-pass search meets
+    compared = set()
+    for case, src, dst in _oracle_walks(two_layer):
+        for budget, want in sorted(_oracle_by_budget(src, dst).items()):
+            got = rw.find_derivation(src, dst, budget)
+            assert _result(got) == _result(want), (case, budget)
+            assert isinstance(got, rw.NotFound) or rw.verify_derivation(got)
+            compared.add((type(want), budget == 10_000))
     assert len(compared) == 4  # found and not, at the full budget and below
+
+
+def test_every_step_is_an_engine_match_on_its_host(two_layer):
+    # each step of a derivation is a move the engine offers on its host,
+    # and leads to the next step's host and, last, to dst.  The pinned
+    # cases, the oracle walks, and two pairs ending in an E step and one
+    # A5 step on the empty diagram; the walks end in A1 steps on two bare
+    # sheets
+    gh = _box(two_layer, "U", "a", ["g", "h"])
+    engine = rw.RuleEngine(two_layer)
+    dressed = rw.apply_rule(gh, next(m for m in engine.matches(gh)
+                                     if m.rule.name == "M3l[U;a]"))
+    circle = dg.seq_compose(dg.cup(two_layer, "U"), dg.cap(two_layer, "U"))
+    pairs = list(_pinned_cases(two_layer).values()) + [
+        (src, dst, 10_000) for _, src, dst in _oracle_walks(two_layer)] + [
+        (gh, rw.apply_rule(dressed, next(m for m in engine.matches(dressed)
+                                         if m.rule.family == "E")), 10_000),
+        (dg.empty_diagram(two_layer), circle, 10_000)]
+    keys = set()
+    for src, dst, budget in pairs:
+        dv = rw.find_derivation(src, dst, budget)
+        if isinstance(dv, rw.NotFound):
+            continue
+        engine = rw.RuleEngine(src.system)
+        host = dv.start
+        for step in dv.steps:
+            assert step.host_key == canonical_key(host)
+            assert step.signature() in {m.signature()
+                                        for m in engine.matches(host)}
+            host = rw._apply(host, step)
+            keys.add(step.rule.name.partition("[")[0])
+        assert canonical_key(host) == canonical_key(dst)
+    assert {"E", "A5", "A1"} <= keys
+
+
+def test_inverse_undoes_each_backward_move(two_layer):
+    # every backward move the search keeps, on hosts where the E, A1 and
+    # A5 moves are offered: its inverse is a match the engine offers on the
+    # result, and leads back to the host
+    engine = rw.RuleEngine(two_layer, equation_insertions=True)
+    hosts = [_box(two_layer, "U", "a", ["g", "h"]),
+             _box(two_layer, "U", "a", ["u"]),
+             dg.seq_compose(dg.pants(two_layer, "U", ("a",), ("b",)),
+                            dg.copants(two_layer, "U", ("a",), ("b",))),
+             dg.seq_compose(dg.cup(two_layer, "U"), dg.cap(two_layer, "U"))]
+    kinds = set()
+    for host in map(lambda d: dg.canonicalize(d).diagram, hosts):
+        for m in [m for m in engine.matches(host) if m.rule.bidirectional
+                  ] + engine.anti_matches(host):
+            res = rw._apply(host, m)
+            if len(res.cells) != (len(host.cells) - len(m.cells)
+                                  + len(m.replacement.cells)):
+                continue  # the quotient fused or erased a cell
+            inv = rw._inverse(host, m)
+            assert inv.host_key == canonical_key(res)
+            assert inv.signature() in {x.signature()
+                                       for x in engine.matches(res)}
+            assert canonical_key(rw._apply(res, inv)) == canonical_key(host)
+            kinds.add(m.rule.name.partition("[")[0])
+    assert {"E", "A1", "A5"} <= kinds
 
 
 def test_search_builds_no_more_than_the_oracle(two_layer, monkeypatch):

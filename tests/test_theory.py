@@ -130,12 +130,3 @@ def test_equation_sides_must_be_parallel():
                   InternalDiagram("E", ("a",), ("a",), ((0, "h"),))),))
     rep = validate_system(SystemOfLayers([lay]))
     assert any("not parallel" in v for v in rep.violations)
-
-
-def test_functor_equation_advisory(two_layer):
-    from layerprop.theory import check_functor_equations
-    f = two_layer.functor("U", "L")
-    report = check_functor_equations(two_layer, f, budget=16)
-    # the image of g;h = u is gl;hl vs ul: the lower layer has no equations
-    # joining them, so the advisory flags it
-    assert any("gh_is_u" in line for line in report.violations)
