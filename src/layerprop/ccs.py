@@ -472,12 +472,10 @@ def build_ccs_system(roots: tuple[str, ...] = DEFAULT_ROOTS) -> CcsSystem:
             slices += split_cascade(p1, 0)
             slices += split_cascade(p2, len(flatten(p1)))
             img = InternalDiagram("LTS", dom_img, cod_img, tuple(slices))
-        elif name.endswith("~"):
+        else:  # the inverse name~ of a generator above
             base = dict(mor_map)[name[:-1]]
             img = InternalDiagram("LTS", base.cod, base.dom,
                                   _invert_slices(base, lts))
-        else:
-            img = InternalDiagram("LTS", dom_img, cod_img, ())
         mor_map.append((name, img))
 
     translation = TranslationFunctor(

@@ -62,13 +62,6 @@ class MoleculePartition:
     def vertex_types(self) -> dict[str, Atom]:
         return dict(self.vertices)
 
-    def mult(self, a: str, b: str) -> int:
-        lo, hi = sorted((a, b))
-        for x, y, m in self.edges:
-            if (x, y) == (lo, hi):
-                return m
-        return 0
-
     def degree(self, v: str) -> int:
         total = 0
         for a, b, m in self.edges:

@@ -716,12 +716,13 @@ def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
     breadth-first level leaves the verdict to the order in which moves are
     tried.
 
-    Before searching, ``distinct`` is certain in two cases: the canonical
-    forms differ and no box lies in a layer with equations, or a weight
-    that every equation keeps weighs the two differently
-    (``weights.separating_weights``), which the result then carries.
+    ``distinct`` is certain in two cases: the canonical forms differ and no
+    box lies in a layer with equations, decided before any search; or a
+    weight that every equation keeps weighs the two differently
+    (``weights.separating_weights``).  The search tries that weight before
+    any move, and the result carries the one its ``NotFound`` carries.
     """
-    from . import rewrite, weights  # local: both layer on diagram
+    from . import rewrite  # local: it layers on diagram
 
     check_count("budget", budget)
     if x.sort != y.sort:
@@ -732,15 +733,14 @@ def layer_eq(x: Diagram, y: Diagram, budget: int = 64) -> LayerEqResult:
                   if isinstance(cell, InternalBox)}
         if not any(x.system.layer(l).equations for l in layers):
             return LayerEqResult("distinct")
-        w = weights.separating_weights(cx.diagram, cy.diagram, ("E",))
-        if w:
-            return LayerEqResult("distinct", weights=w)
     engine = rewrite.RuleEngine(x.system, equation_insertions=True,
                                 families=("E",))
     out = rewrite._either_way(x, y, budget, engine)
-    if out is None:
-        return LayerEqResult("unknown")
-    return LayerEqResult("equal", out)
+    if isinstance(out, rewrite.Derivation):
+        return LayerEqResult("equal", out)
+    if out.weights is not None:
+        return LayerEqResult("distinct", weights=out.weights)
+    return LayerEqResult("unknown")
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def check_explanation_1(e: Diagram, sigma: Diagram, budget: int = 10_000,
     if reasons:
         return ExplanationVerdict("invalid", None, reasons)
     dv = rw._either_way(e, sigma, budget, engine)
-    if dv is None:
+    if isinstance(dv, rw.NotFound):
         return ExplanationVerdict("unknown", None, [
             f"condition 3: no rewrite found within budget {budget}"])
     return ExplanationVerdict("valid", dv, [])
@@ -174,7 +174,7 @@ def check_counterfactual(e: Diagram, sigma: Diagram, budget: int = 2_000,
     if engine.is_isolated(e):
         return ExplanationVerdict("certified", None, [])
     dv = rw._either_way(e, sigma, budget, engine)
-    if dv is None:
+    if isinstance(dv, rw.NotFound):
         return ExplanationVerdict("unknown", None, [
             "no isolation certificate and no rewrite within budget "
             f"{budget}"])

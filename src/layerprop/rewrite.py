@@ -22,8 +22,9 @@ II, arXiv:2104.14686; Chyp, https://github.com/akissinger/chyp, is a small
 tool built on the same idea): cells are placed from an anchor along the
 side's wires, bare sheets taken by type, and labels unified with the
 host's.  ``matches`` offers each lhs forward and each bidirectional rhs
-backward, ``anti_matches`` the rhs of the one-directional rules.  What the
-host does not fix is searched: a juxtaposed box is split
+backward; ``anti_matches`` the moves whose inverse ``matches`` offers:
+each bidirectional side either way, then each one-directional rhs backward.
+What the host does not fix is searched: a juxtaposed box is split
 (``internal.split_beside``), an image box lifted (``lift_along``, given the
 dom word of a matched refine or the cod word of a matched coarsen), an
 image word inverted (``_preimage_words``), and a functor no cell fixes taken
@@ -121,6 +122,8 @@ class Match:
 @dataclass(frozen=True)
 class NotFound:
     budget: int
+    # the weight that separated the pair before any move (``weights``)
+    weights: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -417,14 +420,14 @@ LIFT_STATES, LIFT_SLACK = 5000, 4
 
 def _preimage_words(f: TranslationFunctor, src_objects: tuple[str, ...],
                     target: Word) -> tuple[list[Word], bool]:
-    """Source words whose image is exactly ``target``, in depth-first
-    order (an explicit stack: a recursive closure would be a reference
-    cycle); the second component reports whether the search was
-    exhaustive (False once a bound cut it)."""
+    """Source words whose image is exactly ``target``, each the path that
+    found it, in depth-first order (an explicit stack: a recursive closure
+    would be a reference cycle); the second component reports whether the
+    search was exhaustive (False once a bound cut it)."""
     results: list[Word] = []
     complete = True
     images = {sym: f.word_image((sym,)) for sym in src_objects}
-    ordered = sorted(src_objects)
+    ordered = sorted(images)
     stack: list[tuple[int, Word, int]] = [(0, (), 0)]
     while stack:
         if len(results) >= PREIMAGE_WORDS:
@@ -444,9 +447,7 @@ def _preimage_words(f: TranslationFunctor, src_objects: tuple[str, ...],
             elif target[pos:pos + len(img)] == img:
                 children.append((pos + len(img), acc + (s,), eps_used))
         stack.extend(reversed(children))
-    seen: set[Word] = set()
-    uniq = [w for w in results if not (w in seen or seen.add(w))]
-    return uniq, complete
+    return results, complete
 
 
 def lift_along(sys: SystemOfLayers, f: TranslationFunctor,
@@ -974,15 +975,18 @@ class RuleEngine:
         # the pieces of the rule sides this engine builds
         self._pieces = _Pieces(system)
         # each lhs forward and each bidirectional rhs backward for
-        # ``matches``; the other rhs backward for ``anti_matches``
+        # ``matches``; each bidirectional side either way and each rhs
+        # backward for ``anti_matches``
         self._moves, self._anti = _Moves(), _Moves()
         for schema, lhs, rhs in _templates():
             if schema.key[0] in self.families and (
                     schema.only != "collapse" or self.collapse):
                 self._moves.add(lhs, "fwd")
+                if schema.key[0] != "A":
+                    self._anti.add(lhs, "fwd")
+                    self._moves.add(rhs, "bwd")
                 if rhs is not None:
-                    (self._anti if schema.key[0] == "A"
-                     else self._moves).add(rhs, "bwd")
+                    self._anti.add(rhs, "bwd")
 
     # -- rule construction
 
@@ -1016,25 +1020,31 @@ class RuleEngine:
     def matches(self, d: Diagram) -> list[Match]:
         """Every rule application of the engine's families available on d,
         deterministically ordered."""
-        return self._matches(d, self._moves, "E" in self.families)[0]
+        return self._matches(d)[0]
 
     def anti_matches(self, d: Diagram) -> list[Match]:
-        """Predecessor moves: the rhs of every one-directional rule,
-        matched backward (none when the engine leaves out the A family)."""
-        return self._matches(d, self._anti, False)[0]
+        """Predecessor moves: each move m whose inverse ``matches`` offers on
+        m's result.  Each bidirectional side either way, then each
+        one-directional rhs backward, each part in signature order; an
+        equation step toward an identity side only with insertions on."""
+        return self._matches(d, back=True)[0]
 
-    def _matches(self, d: Diagram, moves: _Moves, boxeq: bool
+    def _matches(self, d: Diagram, back: bool = False
                  ) -> tuple[list[Match], bool]:
-        """The moves' matches on d, and E's if ``boxeq``, in signature
-        order; and whether every search a bound can cut was exhaustive."""
+        """The matches of ``matches``, or of ``anti_matches`` if ``back``,
+        on d; and whether every search a bound can cut was exhaustive."""
         host = canonicalize(d).diagram
         key = canonical_key(host)
         found: list[Match] = []
-        exhaustive = not boxeq or self._match_boxeq(host, key, found)
+        exhaustive = ("E" not in self.families
+                      or self._match_boxeq(host, key, found, back))
+        moves = self._anti if back else self._moves
         if moves:
             exhaustive = self._match(moves, _HostIndex(host, key),
                                      found) and exhaustive
         found.sort(key=Match.signature)
+        if back:  # stable: the one-directional moves go last
+            found.sort(key=lambda m: not m.rule.bidirectional)
         return found, exhaustive
 
     def _match(self, moves: _Moves, index: _HostIndex, out: list) -> bool:
@@ -1177,10 +1187,11 @@ class RuleEngine:
                                        env.get(v.cod))
         return [[(v, sigma)] for sigma in lifts], exhaustive
 
-    def _match_boxeq(self, host: Diagram, key: tuple, out: list) -> bool:
-        """Append each box's rewrites by its layer's equations to out;
-        whether every occurrence search covered its box's interchange
-        class."""
+    def _match_boxeq(self, host: Diagram, key: tuple, out: list,
+                     back: bool) -> bool:
+        """Append each box's rewrites by its layer's equations to out, for
+        ``anti_matches`` if ``back``; whether every occurrence search
+        covered its box's interchange class."""
         exhaustive = True
         for ci, cell in enumerate(host.cells):
             if not isinstance(cell, InternalBox):
@@ -1190,7 +1201,10 @@ class RuleEngine:
             for eq in self.system.layer(cell.layer).equations:
                 for orientation, lhs, rhs in (("fwd", eq.lhs, eq.rhs),
                                               ("bwd", eq.rhs, eq.lhs)):
-                    if not lhs.slices and not self.equation_insertions:
+                    # an insertion, and backward a deletion (its inverse
+                    # inserts), only with insertions on
+                    if not (self.equation_insertions or (
+                            lhs.slices and (rhs.slices or not back))):
                         continue
                     pattern_gens = {g for _, g in lhs.slices}
                     if pattern_gens and not pattern_gens <= content_gens:
@@ -1209,17 +1223,13 @@ class RuleEngine:
 
     # -- isolation
 
-    def isolation_matches(self, d: Diagram) -> list[Match]:
-        """Matches that count for the isolation certificate: every match
-        interacting with a cell, plus matches covering the whole diagram."""
-        return self._isolation(d)[0]
-
     def _isolation(self, d: Diagram) -> tuple[list[Match], bool]:
-        """``isolation_matches``, and whether every search on d that a
-        bound can cut was exhaustive."""
+        """The matches that count for the isolation certificate, every match
+        interacting with a cell plus the matches covering the whole diagram;
+        and whether every search on d that a bound can cut was
+        exhaustive."""
         host = canonicalize(d).diagram
-        found, exhaustive = self._matches(host, self._moves,
-                                          "E" in self.families)
+        found, exhaustive = self._matches(host)
         return [m for m in found if m.cells or m.box_payload is not None
                 or (not host.cells and len(set(m.dom_wires + m.cod_wires))
                     == len(host.wires))], exhaustive
@@ -1376,7 +1386,7 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     or fail together.  A negative budget is rejected with
     MalformedInput.  A pair that an invariant weight of the engine's
     families separates (``weights``) is reachable at no budget; it returns
-    ``NotFound(budget)`` before any application.
+    ``NotFound(budget)``, carrying the weight, before any application.
 
     A level is expanded in two passes over the same moves.  A state can lie
     in the other tree only if its frame (``_moved_frame``, known before the
@@ -1401,20 +1411,9 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
     if k_src == k_dst:
         return Derivation(src_c, [])
     from . import weights  # deferred: the semantics never loads it
-    if weights.separating_weights(src_c, dst_c, engine.families):
-        return NotFound(budget)
-
-    def moves(side: int, state: Diagram) -> list[Match]:
-        # a backward move needs a forward inverse the engine offers; an
-        # equation applied toward its identity side inverts to an insertion
-        found = engine.matches(state)
-        if side:
-            found = [m for m in found if m.rule.bidirectional
-                     and (engine.equation_insertions or m.box_payload is None
-                          or m.replacement.cells[0].content.slices)
-                     ] + engine.anti_matches(state)
-        return [m for m in found
-                if rule_filter is None or rule_filter(m.rule)]
+    separating = weights.separating_weights(src_c, dst_c, engine.families)
+    if separating:
+        return NotFound(budget, separating)
 
     # each side's tree maps a state to (the state it came from, the move)
     trees: tuple[dict, dict] = ({k_src: None}, {k_dst: None})
@@ -1453,7 +1452,9 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
         for key in frontiers[side]:
             state, frame = diagrams[key]
             memo = memos.setdefault(frame, {})
-            for m in moves(side, state):
+            for m in (engine.matches, engine.anti_matches)[side](state):
+                if rule_filter is not None and not rule_filter(m.rule):
+                    continue
                 if spent == budget:
                     return NotFound(budget)
                 spent += 1
@@ -1481,12 +1482,13 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
 
 
 def _either_way(a: Diagram, b: Diagram, budget: int,
-                engine: RuleEngine | None = None) -> Derivation | None:
-    """The derivation from a to b, else the one from b to a; each search
-    gets the whole budget and the same engine."""
+                engine: RuleEngine | None = None) -> Derivation | NotFound:
+    """The derivation from a to b, else the one from b to a, else the last
+    ``NotFound``; each search gets the whole budget and the same engine.  A
+    weight separates both ways, so a ``NotFound`` carrying one ends it."""
     engine = engine or RuleEngine(a.system)
     for x, y in ((a, b), (b, a)):
-        dv = find_derivation(x, y, budget, engine)
-        if isinstance(dv, Derivation):
-            return dv
-    return None
+        out = find_derivation(x, y, budget, engine)
+        if isinstance(out, Derivation) or out.weights is not None:
+            break
+    return out

@@ -41,10 +41,16 @@ def find_derivation(src: Diagram, dst: Diagram, budget: int = 10_000,
                 if rule_filter is None or rule_filter(m.rule)]
 
     def backward(state):
+        # derived here, not read from ``anti_matches``: the bidirectional
+        # forward moves whose inverse the engine offers (an equation step
+        # toward an identity side inverts to an insertion), then the
+        # one-directional rhs matched backward
         moves = [m for m in engine.matches(state) if m.rule.bidirectional
                  and (engine.equation_insertions or m.box_payload is None
                       or m.replacement.cells[0].content.slices)]
-        return [m for m in moves + engine.anti_matches(state)
+        moves += [m for m in engine.anti_matches(state)
+                  if not m.rule.bidirectional]
+        return [m for m in moves
                 if rule_filter is None or rule_filter(m.rule)]
 
     trees: tuple[dict, dict] = ({k_src: None}, {k_dst: None})

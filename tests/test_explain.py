@@ -8,7 +8,7 @@ from layerprop import rewrite as rw
 from layerprop.diagram import canonicalize
 from layerprop.errors import InvalidDerivation, SortMismatch
 from layerprop.internal import InternalDiagram
-from layerprop.theory import sheet
+from layerprop.theory import SystemOfLayers, sheet
 
 
 def _window(two_layer, content=None):
@@ -120,6 +120,17 @@ def test_explanation_2_nonparallel_rejected(two_layer):
     assert any("parallelism" in r for r in verdict.reasons)
 
 
+def test_explanation_2_rejects_a_derivation_that_does_not_replay(
+        two_layer):
+    # the steps of g;h => u, put after a start they were not found on
+    gh = dg.box(two_layer, InternalDiagram("U", ("a",), ("a",),
+                                           ((0, "g"), (0, "h"))))
+    u = dg.gen_box(two_layer, "U", "u")
+    moved = rw.Derivation(u, rw.find_derivation(gh, u, 30).steps)
+    with pytest.raises(InvalidDerivation, match="does not replay"):
+        ex.check_explanation_2(moved, "U", "gh_is_u")
+
+
 def test_explanation_2_unknown_equation(two_layer):
     engine = rw.RuleEngine(two_layer)
     x = dg.gen_box(two_layer, "U", "g")
@@ -143,6 +154,31 @@ def test_counterfactual_invalid_conditions(two_layer):
     verdict = ex.check_counterfactual(dg.gen_box(two_layer, "U", "u"),
                                       sigma, budget=10)
     assert verdict.status == "invalid"
+
+
+def test_counterfactual_unknown_within_budget(two_layer):
+    # the window is not isolated, and budget 0 finds no rewrite either way
+    sigma = dg.gen_box(two_layer, "U", "u")
+    e = _window(two_layer, InternalDiagram("L", ("x",), ("x",),
+                                           ((0, "ul"),)))
+    verdict = ex.check_counterfactual(e, sigma, budget=0)
+    assert verdict.status == "unknown" and verdict.witness is None
+    assert verdict.reasons == ["no isolation certificate and no rewrite "
+                               "within budget 0"]
+
+
+def test_counterfactual_of_coinciding_diagrams_invalid(two_layer):
+    # conditions 1 and 2 hold for a diagram and itself only where a layer
+    # is below itself, an order that validation rejects
+    system = SystemOfLayers(list(two_layer.layers.values()),
+                            list(two_layer.functors.values()),
+                            list(two_layer.order) + [("U", "U")])
+    sigma = dg.gen_box(system, "U", "u")
+    verdict = ex.check_counterfactual(sigma, dg.gen_box(system, "U", "u"),
+                                      budget=10)
+    assert verdict.status == "invalid" and verdict.witness is None
+    assert verdict.reasons == ["the diagrams coincide; the identity rewrite "
+                               "connects them"]
 
 
 def test_certified_excludes_valid(two_layer):

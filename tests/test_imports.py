@@ -1,6 +1,7 @@
 """The kernel is stdlib-only and holds only what it runs: every module of
 ``src/layerprop`` imports only the standard library and its own sibling
-modules, and every top-level definition has a caller outside the tests."""
+modules, and every top-level definition and method has a caller outside
+the tests."""
 
 import ast
 import re
@@ -73,12 +74,12 @@ def test_function_local_imports_break_cycles_or_defer_loading():
             for name, sibling, line in sorted(local)
             if (name, sibling) not in DEFERRED
             and name not in top[sibling]] == []
-    assert {pair[:2] for pair in local} == {("diagram", "rewrite"),
-                                            ("diagram", "weights")} | DEFERRED
+    assert {pair[:2] for pair in local} == {("diagram", "rewrite")} | DEFERRED
 
 
-# top-level definitions of the kernel that nothing in ``src/`` or ``bench/``
-# names, each with the reason it stays in the kernel
+# top-level definitions, and methods ("Class.method") of top-level classes,
+# of the kernel that nothing in ``src/`` or ``bench/`` names, each with the
+# reason it stays in the kernel
 KEPT = {
     ("ccs", "bisimilar"): "criterion 7 checks it against the tests' naive "
                           "bisimulation",
@@ -102,26 +103,47 @@ def _top_level_names(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
                                                             ast.Name):
             names.append(node.target.id)
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return [n for n in names if not _dunder(n)]
+
+
+def _methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, method) of each method of a top-level class, dunders
+    left out."""
+    return [(node.name, item.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not _dunder(item.name)]
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_every_kernel_definition_has_a_caller():
     # code that only the tests call belongs under tests/: a name counts as
     # called when src/ reads it (a name, an attribute or an import) or
-    # bench/ names it; anything else must be in KEPT with its reason
+    # bench/ names it, and a method when src/ reads an attribute of its
+    # name or bench/ names it; anything else must be in KEPT with its reason
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
-    read = {n for tree in trees.values() for node in ast.walk(tree)
-            for n in ((node.id,) if isinstance(node, ast.Name)
-                      and not isinstance(node.ctx, ast.Store)
-                      else (node.attr,) if isinstance(node, ast.Attribute)
-                      else (node.name,) if isinstance(node, ast.alias)
-                      else ())}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attributes = {node.attr for node in nodes
+                  if isinstance(node, ast.Attribute)}
+    read = attributes | {n for node in nodes
+                         for n in ((node.id,) if isinstance(node, ast.Name)
+                                   and not isinstance(node.ctx, ast.Store)
+                                   else (node.name,)
+                                   if isinstance(node, ast.alias) else ())}
     bench = "\n".join(path.read_text(encoding="utf-8") for path in
                       sorted((PACKAGE.parents[1] / "bench").glob("*.py")))
+
+    def named(name: str) -> bool:
+        return bool(re.search(rf"\b{re.escape(name)}\b", bench))
     uncalled = {(module, name) for module, tree in trees.items()
                 for name in _top_level_names(tree)
-                if name not in read
-                and not re.search(rf"\b{re.escape(name)}\b", bench)}
+                if name not in read and not named(name)}
+    uncalled |= {(module, f"{cls}.{name}") for module, tree in trees.items()
+                 for cls, name in _methods(tree)
+                 if name not in attributes and not named(name)}
     assert uncalled == set(KEPT)
     assert all(KEPT.values())

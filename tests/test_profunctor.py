@@ -427,6 +427,17 @@ def _discrete(names):
                          lambda g, x, a, b: x, lambda x, h, a, b: x)
 
 
+def _arrow_set(arrow, elements, down):
+    """A profunctor from the arrow lo -> hi to a one-object category:
+    ``elements`` per object, and lo<hi acting from hi's elements to lo's
+    by ``down``."""
+    triv = _one_object("1", ["i"], {("i", "i"): "i"})
+    return pf.Profunctor("arrow-set", arrow, triv,
+                         {(a, "*"): tuple(xs) for a, xs in elements.items()},
+                         lambda g, x, a, b: down[x] if g == "lo<hi" else x,
+                         lambda x, h, a, b: x)
+
+
 def _brute_nat(p, q, point, iso):
     """Every natural transformation p => q, by enumeration."""
     keys = [(a, b, x) for a in p.source.objects for b in p.target.objects
@@ -457,6 +468,9 @@ def _brute_nat(p, q, point, iso):
 def _nat_cases():
     z2 = _z2()
     hom = pf.hom_profunctor(z2)
+    arrow = models.arrow_meet_category()
+    x_over_x0 = _arrow_set(arrow, {"lo": ["x0"], "hi": ["x", "x2"]},
+                           {"x": "x0", "x2": "x0"})
     return {
         # injectivity rejects the first candidates
         "bijection": (_discrete(["x0", "x1", "x2"]),
@@ -469,11 +483,23 @@ def _nat_cases():
         # adding an entry that must not outlive it
         "stale-undo": (hom, _z2_set(z2, ["a0", "a1", "z"], [("a0", "a1")],
                                     []), None, False),
+        # x0 takes z0 first; then x's first option, y1, conflicts with it
+        # through the left action, and y0 does not
+        "left-conflict": (x_over_x0, _arrow_set(
+            arrow, {"lo": ["z0", "z1"], "hi": ["y1", "y0"]},
+            {"y0": "z0", "y1": "z1"}), None, False),
+        # every option of x conflicts with x0's first choice, z0, so the
+        # search pops x0's frame and gives it z1
+        "pop-frame": (_arrow_set(arrow, {"lo": ["x0"], "hi": ["x"]},
+                                 {"x": "x0"}),
+                      _arrow_set(arrow, {"lo": ["z0", "z1"], "hi": ["y1"]},
+                                 {"y1": "z1"}), None, False),
     }
 
 
 @pytest.mark.parametrize("case", ["bijection", "no-iso", "pointed",
-                                  "stale-undo"])
+                                  "stale-undo", "left-conflict",
+                                  "pop-frame"])
 def test_nat_search_backtracking_matches_enumeration(case):
     p, q, point, iso = _nat_cases()[case]
     expected = _brute_nat(p, q, point, iso)

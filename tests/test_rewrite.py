@@ -238,7 +238,7 @@ def test_is_isolated_brute_force_agreement(two_layer, engine):
                        dg.refine(two_layer, "U", "L", ("b",))),
     ]
     for d in samples:
-        brute = engine.isolation_matches(d)
+        brute = engine._isolation(d)[0]
         assert engine.is_isolated(d) == (not brute)
 
 
@@ -268,7 +268,7 @@ def test_is_isolated_fails_on_a_cut_lift(monkeypatch):
     monkeypatch.setattr(rw, "LIFT_STATES", 0)
     system = _padded_system()
     engine = rw.RuleEngine(system)
-    assert not engine.isolation_matches(host(system))
+    assert not engine._isolation(host(system))[0]
     assert not engine.is_isolated(host(system))
 
 
@@ -282,12 +282,12 @@ def test_is_isolated_fails_on_a_cut_preimage(monkeypatch):
 
     system = _padded_system()
     engine = rw.RuleEngine(system)
-    assert not engine.isolation_matches(host(system))
+    assert not engine._isolation(host(system))[0]
     assert not engine.is_isolated(host(system))
     # with room for four e's the search finds the F2 move it missed
     monkeypatch.setattr(rw, "PREIMAGE_EPS", 4)
     system = _padded_system()
-    found = rw.RuleEngine(system).isolation_matches(host(system))
+    found = rw.RuleEngine(system)._isolation(host(system))[0]
     assert [m.rule.name for m in found] == ["F2[U>L;e.e.e.e.a>0.m]"]
 
 
@@ -317,11 +317,11 @@ def test_is_isolated_fails_past_the_lift_slack(monkeypatch):
 
     system = _slack_system()
     engine = rw.RuleEngine(system)
-    assert not engine.isolation_matches(host(system))
+    assert not engine._isolation(host(system))[0]
     assert not engine.is_isolated(host(system))
     monkeypatch.setattr(rw, "LIFT_SLACK", 8)
     system = _slack_system()
-    found = rw.RuleEngine(system).isolation_matches(host(system))
+    found = rw.RuleEngine(system)._isolation(host(system))[0]
     assert [m.rule.name for m in found] == \
         ["F1[U>L;a0>0.p0;0.p1;0.p2;0.p3;0.p4;0.p5;0.m]"]
 
@@ -348,11 +348,11 @@ def test_is_isolated_fails_on_a_cut_occurrence_search(monkeypatch):
 
     system = _interchange_system()
     engine = rw.RuleEngine(system)
-    assert not engine.isolation_matches(host(system))
+    assert not engine._isolation(host(system))[0]
     assert not engine.is_isolated(host(system))
     monkeypatch.setattr(internal, "OCCURRENCE_ORDERINGS", 15000)
     system = _interchange_system()
-    found = rw.RuleEngine(system).isolation_matches(host(system))
+    found = rw.RuleEngine(system)._isolation(host(system))[0]
     assert {m.rule.name for m in found} == {"E[W;pq]"}
 
 
@@ -778,8 +778,7 @@ def test_inverse_undoes_each_backward_move(two_layer):
              dg.seq_compose(dg.cup(two_layer, "U"), dg.cap(two_layer, "U"))]
     kinds = set()
     for host in map(lambda d: dg.canonicalize(d).diagram, hosts):
-        for m in [m for m in engine.matches(host) if m.rule.bidirectional
-                  ] + engine.anti_matches(host):
+        for m in engine.anti_matches(host):
             res = rw._apply(host, m)
             if len(res.cells) != (len(host.cells) - len(m.cells)
                                   + len(m.replacement.cells)):
@@ -1032,6 +1031,38 @@ def test_apply_rule_checks_the_occurrence(two_layer, engine):
     rw.apply_rule(box, good)
 
 
+def test_apply_rule_rejects_a_cut_that_leaves_a_port_unattached(two_layer,
+                                                                  engine):
+    # A3 backward at the refine of refine;coarsen alone, its cod wire taken
+    # from the coarsen: the cut leaves the refine's output unattached, so
+    # the cells are no occurrence of up;down
+    host = canonicalize(dg.seq_compose(
+        dg.refine(two_layer, "U", "L", ("a",)),
+        dg.coarsen(two_layer, "U", "L", ("a",)))).diagram
+    up, down = (next(ci for ci, c in enumerate(host.cells) if c.tag == tag)
+                for tag in ("refine", "coarsen"))
+    wire = {(w.src, w.dst): wi for wi, w in enumerate(host.wires)}
+    rule = engine.rule_instance("A3", two_layer.functor("U", "L"), ("a",))
+    forged = rw.Match(rule, "bwd", (up,), (wire[("dom", 0), ("in", up, 0)],),
+                      (wire[("out", down, 0), ("cod", 0)],), host._key)
+    with pytest.raises(SortMismatch, match="unattached"):
+        canonical_key(rw._cut(host, forged))
+    with pytest.raises(SideConditionViolation, match="not an occurrence"):
+        rw.apply_rule(host, forged)
+
+
+def test_preimage_words_cut_at_their_bound():
+    # eight objects with image t: 512 words map to t t t, and the search
+    # stops at the first PREIMAGE_WORDS of them, in depth-first order
+    objects = tuple(f"o{i}" for i in range(8))
+    f = TranslationFunctor("S", "T", tuple((o, ("t",)) for o in objects))
+    words, complete = rw._preimage_words(f, objects, ("t", "t", "t"))
+    assert len(words) == rw.PREIMAGE_WORDS == 64 and not complete
+    assert len(set(words)) == 64
+    assert words[:2] == [("o0", "o0", "o0"), ("o0", "o0", "o1")]
+    assert words[-1] == ("o0", "o7", "o7")
+
+
 def test_negative_budgets_rejected(two_layer):
     u = _box(two_layer, "U", "a", ["u"])
     uu = _box(two_layer, "U", "a", ["u", "u"])
@@ -1067,9 +1098,11 @@ def _sample_systems(two_layer):
     return out
 
 
-MATCH_COUNTS = {"A": 22441, "anti": 8330, "E": 328, "F": 1116, "M": 54710}
-MATCH_DIGEST = ("a98195391d7492f109f4b6df05814c4f"
-                "1a029495892a46d33dd3fd56371b2ad3")
+# "anti" counts every backward move: the bidirectional ones either way,
+# then the one-directional ones
+MATCH_COUNTS = {"A": 22441, "anti": 64483, "E": 328, "F": 1116, "M": 54710}
+MATCH_DIGEST = ("a2f8487ba708af8abcd3a89d68ec740e"
+                "0d41b2a1e34062e7e1ee018300e50912")
 
 
 def _pinned_corpus(two_layer) -> list:

@@ -288,6 +288,14 @@ def test_down_only_side_with_a_permutation(monoid_model):
     assert not sm.verify_rule_semantics(wrong, monoid_model)
 
 
+def test_window_collapse_rules_are_not_verified(monoid_model):
+    f = next(iter(monoid_model.system.functors.values()))
+    rule = rw.RuleEngine(monoid_model.system).rule_instance(
+        "A3c", f, monoid_model.system.layer(f.source).gen_objects[:1])
+    with pytest.raises(ModelIncomplete, match="window-collapse"):
+        sm.verify_rule_semantics(rule, monoid_model)
+
+
 def test_sliding_rules_run_no_element_search(monoid_model, monkeypatch):
     calls = []
     search = pf.nat_trans_search

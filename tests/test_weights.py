@@ -123,8 +123,36 @@ def test_exhaustion_pairs_carry_a_checked_certificate(monkeypatch, name,
         assert not weights.check_weights(x, y, {**w, var: w[var] + 1},
                                          rw.FAMILIES), var
     applied = _counting_applications(monkeypatch)
-    assert rw.find_derivation(x, y, 1000) == rw.NotFound(1000)
+    out = rw.find_derivation(x, y, 1000)
     assert applied == []
+    # the NotFound carries the weight, which its equality and repr ignore
+    assert out == rw.NotFound(1000) and out.weights == w
+    assert repr(out) == "NotFound(budget=1000)"
+
+
+@pytest.mark.parametrize("a,b,budget,status,searched", [
+    (["m1"], ["m1", "m1"], 64, "distinct", 1),
+    (["m1"], ["m1", "m1", "m2"], 0, "unknown", 2),
+    (["m1"], ["m1", "m1", "m2"], 64, "equal", 1),
+])
+def test_layer_eq_reads_its_certificate_from_the_search(monkeypatch, a, b,
+                                                        budget, status,
+                                                        searched):
+    # one weight per direction searched, and a weight ends the search: a
+    # weight that separates a from b separates b from a
+    mon = models.monoid_model().system
+    calls = []
+    real = weights.separating_weights
+    monkeypatch.setattr(weights, "separating_weights",
+                        lambda *args: calls.append(args) or real(*args))
+    x, y = _box(mon, "MU", "u", a), _box(mon, "MU", "u", b)
+    res = dg.layer_eq(x, y, budget)
+    assert (res.status, len(calls)) == (status, searched)
+    if status == "distinct":
+        assert res.weights == real(x, y, ("E",))
+        assert weights.check_weights(x, y, res.weights, ("E",))
+    else:
+        assert res.weights is None
 
 
 def _rank(rows, variables):
